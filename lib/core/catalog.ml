@@ -91,13 +91,16 @@ let define_relation ?(check = true) t r =
   let key = Symbol.intern (Relation.name r) in
   if Symbol.Map.mem key t.rels then
     Types.model_error "relation %a already defined" Symbol.pp key;
-  if check then
-    (match Integrity.first_conflict r with
-    | None -> ()
-    | Some c ->
-      Types.model_error "initial contents of %S are inconsistent: %a" (Relation.name r)
-        (Integrity.pp_conflict (Relation.schema r))
-        c);
+  let r =
+    if not check then r
+    else
+      match Integrity.first_conflict r with
+      | None -> Relation.mark_verified r
+      | Some c ->
+        Types.model_error "initial contents of %S are inconsistent: %a" (Relation.name r)
+          (Integrity.pp_conflict (Relation.schema r))
+          c
+  in
   t.rels <- Symbol.Map.add key r t.rels
 
 let find_relation t name = Symbol.Map.find_opt (Symbol.intern name) t.rels

@@ -56,9 +56,12 @@ val hierarchies : t -> Hr_hierarchy.Hierarchy.t list
 
 val define_relation : ?check:bool -> t -> Relation.t -> unit
 (** Registers a relation under its name; the initial contents must be
-    consistent. [~check:false] skips the (quadratic) consistency sweep —
-    for loaders re-registering contents that were validated when first
-    defined, such as CRC-verified snapshots. *)
+    consistent, and the registered value is stamped as verified
+    ({!Relation.mark_verified}). [~check:false] skips the (quadratic)
+    consistency sweep — for loaders re-registering contents that were
+    validated when first defined, such as CRC-verified snapshots — and
+    registers the value as given. Loaded values are built unstamped, so
+    the first commit against them checks the whole relation. *)
 
 val relation : t -> string -> Relation.t
 val find_relation : t -> string -> Relation.t option
@@ -67,7 +70,10 @@ val relations : t -> Relation.t list
 val replace_relation : t -> Relation.t -> unit
 (** Unchecked swap of a relation's current version (used by {!Txn.commit}
     and by maintenance operators like consolidation, which preserve
-    semantics by construction). *)
+    semantics by construction). The value is stored as given, stamp
+    included: only {!Relation.mark_verified} creates a stamp, and any
+    body change drops it, so a value built by an operator arrives
+    unstamped. *)
 
 val drop_relation : t -> string -> unit
 (** Also forgets any observed statistics recorded for the relation. *)

@@ -4,23 +4,42 @@ type conflict = {
   witnesses : Item.t list;
 }
 
+let m_pairs = Hr_obs.Metrics.counter "core.integrity.pairs"
+
 (* --- Off-path check: pairwise maximal-common-descendant witnesses ---- *)
 
 (* Opposite-sign pairs of incomparable, intersecting tuples; for each, the
-   maximal-common-descendant witnesses whose verdict is a conflict. *)
-let off_path_conflicts_seq rel =
+   maximal-common-descendant witnesses whose verdict is a conflict. The
+   pairs are (i, j), i < j, in structural tuple order, restricted to those
+   with at least one member in [affected] (every tuple when [None]); a
+   tuple outside [affected] is only paired with the affected tuples, so
+   the work is about |affected| * n rather than n^2. Stops after the
+   first conflicting pair when [first]. The number of opposite-sign pairs
+   visited is added to [core.integrity.pairs] once per sweep. *)
+let sweep_pairs ?affected ~first rel =
   let schema = Relation.schema rel in
   let tuples = Array.of_list (Relation.tuples rel) in
   let n = Array.length tuples in
-  let pair_conflict i j =
+  let in_a =
+    match affected with
+    | None -> Array.make n true
+    | Some a ->
+      let module S = Set.Make (Item) in
+      let a = S.of_list (List.map (fun (t : Relation.tuple) -> t.Relation.item) a) in
+      Array.map (fun (t : Relation.tuple) -> S.mem t.Relation.item a) tuples
+  in
+  let a_idx = List.filter (fun i -> in_a.(i)) (List.init n Fun.id) in
+  let pairs = ref 0 in
+  let found = ref [] in
+  let exception Stop in
+  let visit i j =
     let ti = tuples.(i) and tj = tuples.(j) in
-    if Types.sign_equal ti.Relation.sign tj.Relation.sign then None
-    else
+    if not (Types.sign_equal ti.Relation.sign tj.Relation.sign) then begin
+      incr pairs;
       let pos, neg =
         if Types.bool_of_sign ti.Relation.sign then ti, tj else tj, ti
       in
-      if Item.comparable schema pos.Relation.item neg.Relation.item then None
-      else
+      if not (Item.comparable schema pos.Relation.item neg.Relation.item) then begin
         let candidates =
           Item.maximal_common_descendants schema pos.Relation.item neg.Relation.item
         in
@@ -32,14 +51,63 @@ let off_path_conflicts_seq rel =
               | Binding.Asserted _ | Binding.Unasserted -> false)
             candidates
         in
-        if witnesses = [] then None else Some { pos; neg; witnesses }
+        if witnesses <> [] then begin
+          found := { pos; neg; witnesses } :: !found;
+          if first then raise Stop
+        end
+      end
+    end
   in
-  let pairs =
-    Seq.concat_map
-      (fun i -> Seq.map (fun j -> (i, j)) (Seq.init (n - i - 1) (fun k -> i + 1 + k)))
-      (Seq.init n Fun.id)
+  (try
+     for i = 0 to n - 1 do
+       if in_a.(i) then
+         for j = i + 1 to n - 1 do
+           visit i j
+         done
+       else List.iter (fun j -> if j > i then visit i j) a_idx
+     done
+   with Stop -> ());
+  Hr_obs.Metrics.add m_pairs !pairs;
+  List.rev !found
+
+type delta = { inserted : Relation.tuple list; deleted : Relation.tuple list }
+
+let delta ~base rel touched =
+  List.fold_left
+    (fun d item ->
+      match Relation.find base item, Relation.find rel item with
+      | Some s, Some s' when Types.sign_equal s s' -> d
+      | before, after ->
+        let cons sign l = { Relation.item; sign } :: l in
+        {
+          inserted = Option.fold ~none:d.inserted ~some:(fun s -> cons s d.inserted) after;
+          deleted = Option.fold ~none:d.deleted ~some:(fun s -> cons s d.deleted) before;
+        })
+    { inserted = []; deleted = [] }
+    (List.sort_uniq Item.compare touched)
+
+let affected rel { inserted; deleted } =
+  let schema = Relation.schema rel in
+  let module S = Set.Make (Item) in
+  let fresh = S.of_list (List.map (fun (t : Relation.tuple) -> t.Relation.item) inserted) in
+  let exposed =
+    Relation.fold
+      (fun t acc ->
+        if
+          (not (S.mem t.Relation.item fresh))
+          && List.exists
+               (fun (d : Relation.tuple) -> Item.binds_below schema t.Relation.item d.Relation.item)
+               deleted
+        then t :: acc
+        else acc)
+      rel []
   in
-  Seq.filter_map (fun (i, j) -> pair_conflict i j) pairs
+  inserted @ exposed
+
+let sweep ?affected rel =
+  match sweep_pairs ?affected ~first:true rel with
+  | [] -> None
+  | c :: _ -> Some c
 
 (* --- Stricter semantics: exhaustive witness enumeration -------------- *)
 
@@ -83,17 +151,18 @@ let exhaustive_conflicts_seq ~semantics rel =
       | Binding.Asserted _ | Binding.Unasserted -> None)
     (S.to_seq !candidates)
 
-let conflicts_seq ?(semantics = Types.Off_path) rel =
+let check ?(semantics = Types.Off_path) rel =
   match semantics with
-  | Types.Off_path -> off_path_conflicts_seq rel
-  | Types.On_path | Types.No_preemption -> exhaustive_conflicts_seq ~semantics rel
+  | Types.Off_path -> sweep_pairs ~first:false rel
+  | Types.On_path | Types.No_preemption -> List.of_seq (exhaustive_conflicts_seq ~semantics rel)
 
-let check ?semantics rel = List.of_seq (conflicts_seq ?semantics rel)
-
-let first_conflict ?semantics rel =
-  match (conflicts_seq ?semantics rel) () with
-  | Seq.Nil -> None
-  | Seq.Cons (c, _) -> Some c
+let first_conflict ?(semantics = Types.Off_path) rel =
+  match semantics with
+  | Types.Off_path -> sweep rel
+  | Types.On_path | Types.No_preemption -> (
+    match (exhaustive_conflicts_seq ~semantics rel) () with
+    | Seq.Nil -> None
+    | Seq.Cons (c, _) -> Some c)
 
 let is_consistent ?semantics rel = Option.is_none (first_conflict ?semantics rel)
 

@@ -14,15 +14,19 @@ module Item_map = Map.Make (Item)
    stale, it just belongs to the version that built it. *)
 type index = { ix_tuples : tuple array; ix_buckets : (int, int array) Hashtbl.t array }
 
+(* [stamp] is the consistency stamp: the generations of the schema's
+   hierarchies at the moment this body was found to satisfy the
+   ambiguity constraint. Any body or schema change drops it. *)
 type t = {
   name : string;
   schema : Schema.t;
   body : Types.sign Item_map.t;
   ix : index option Atomic.t;
+  stamp : int array option;
 }
 
 let empty ?(name = "r") schema =
-  { name; schema; body = Item_map.empty; ix = Atomic.make None }
+  { name; schema; body = Item_map.empty; ix = Atomic.make None; stamp = None }
 
 let name r = r.name
 let with_name r name = { r with name }
@@ -31,7 +35,7 @@ let schema r = r.schema
 (* Items order by raw node-id arrays (not through the schema), so a
    schema swap never reorders the body map — and node ids are preserved
    by Schema.rebind, so the shared memoized index stays valid too. *)
-let with_schema r schema = { r with schema }
+let with_schema r schema = { r with schema; stamp = None }
 let cardinality r = Item_map.cardinal r.body
 let is_empty r = Item_map.is_empty r.body
 
@@ -39,7 +43,17 @@ let check_item r item =
   if Item.arity item <> Schema.arity r.schema then
     Types.model_error "item arity %d does not match relation %S" (Item.arity item) r.name
 
-let with_body r body = { r with body; ix = Atomic.make None }
+let with_body r body = { r with body; ix = Atomic.make None; stamp = None }
+
+let generations schema =
+  Array.init (Schema.arity schema) (fun i -> Hierarchy.generation (Schema.hierarchy schema i))
+
+let mark_verified r = { r with stamp = Some (generations r.schema) }
+
+let verified r =
+  match r.stamp with
+  | None -> false
+  | Some gens -> gens = generations r.schema
 
 let set r item sign =
   check_item r item;

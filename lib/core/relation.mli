@@ -20,7 +20,29 @@ val schema : t -> Schema.t
 val with_schema : t -> Schema.t -> t
 (** The same body under a different schema value — for rebinding a
     schema to a copied hierarchy ({!Schema.rebind}). The caller must
-    preserve arity and node-id meaning; the body is not revalidated. *)
+    preserve arity and node-id meaning; the body is not revalidated, and
+    the consistency stamp is dropped. *)
+
+(** {2 Consistency stamp}
+
+    A relation value can carry a stamp saying "this body satisfies the
+    ambiguity constraint over the schema's hierarchies as they are now".
+    The stamp records each hierarchy's {!Hr_hierarchy.Hierarchy.generation},
+    so any later hierarchy mutation — in place or by copy-on-write —
+    makes {!verified} false. Every constructor that changes the body or
+    the schema returns an unstamped value; {!with_name} keeps the stamp.
+    A stamp that {!verified} accepts is therefore always sound: only a
+    passing check creates one. {!Catalog.define_relation} and
+    {!Txn.commit} stamp; {!Txn.commit} relies on stamps to check only a
+    transaction's delta. *)
+
+val mark_verified : t -> t
+(** The same relation, stamped against the current hierarchy
+    generations. Only call after a whole-relation or delta check passed. *)
+
+val verified : t -> bool
+(** A stamp is present and every schema hierarchy is still in the state
+    it recorded. *)
 
 val cardinality : t -> int
 (** Number of stored tuples (not the extension size). *)

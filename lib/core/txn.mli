@@ -4,7 +4,7 @@
     Intermediate states may violate the ambiguity constraint ("if an
     update creates a conflict, within the same transaction, before the
     update is committed, other updates must be made that resolve the
-    conflict"); {!commit} re-checks every touched relation and refuses to
+    conflict"); {!commit} checks every touched relation and refuses to
     publish any of them if one is still conflicted. Transactions are not
     concurrent — this is the paper's single-user consistency discipline,
     not an isolation protocol. *)
@@ -36,10 +36,26 @@ val conflicts : t -> ?semantics:Types.semantics -> string -> Integrity.conflict 
 (** Conflicts the named relation would have if committed now — lets a
     front end repair before commit. *)
 
-val commit : ?semantics:Types.semantics -> t -> (unit, violation list) result
+val commit : t -> (unit, violation list) result
 (** Publishes every staged relation, atomically, iff all satisfy the
-    ambiguity constraint. On [Error] nothing is published and the
-    transaction stays open for repair. *)
+    ambiguity constraint under the paper's off-path semantics. On
+    [Error] nothing is published and the transaction stays open for
+    repair.
+
+    The check is delta-scoped. Each staged relation remembers its base
+    (the catalog value it was first derived from) and the items the
+    transaction touched. If the base carries a valid consistency stamp
+    ({!Relation.verified}), only the opposite-sign pairs with a member
+    in the affected set are swept ({!Integrity.affected},
+    {!Integrity.sweep}); otherwise every pair is, and
+    [core.integrity.unverified_commits] is incremented. The decision is
+    the same as {!Integrity.check}'s either way (the rule and its
+    soundness are in [integrity.mli]). A rejected relation's
+    [conflicts] is always the full {!Integrity.check} list. Published
+    relations are stamped, so the next commit is delta-scoped again.
+
+    Stricter semantics stay available through {!conflicts} and
+    {!Integrity.check}. *)
 
 val abort : t -> unit
 (** Discards all staged versions. The transaction can be reused. *)

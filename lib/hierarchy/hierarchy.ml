@@ -44,9 +44,20 @@ type t = {
      copy-on-write ({!Catalog.update_hierarchy}): [copy] always yields
      an unfrozen, privately owned value. *)
   mutable frozen : bool;
+  (* Identifies this value's current state: drawn from a process-wide
+     counter at [create] and [copy] and again on every mutation, so two
+     observations are equal only if they saw the same hierarchy object
+     in the same state. Consistency stamps on relation values
+     ({!Hierel.Relation.verified}) are keyed to it. *)
+  mutable generation : int;
 }
 
+let generations = Atomic.make 0
+let fresh_generation () = Atomic.fetch_and_add generations 1 + 1
+let generation h = h.generation
+
 let invalidate h =
+  h.generation <- fresh_generation ();
   h.isa_index <- None;
   h.bind_index <- None;
   Hashtbl.reset h.anc_cache;
@@ -78,6 +89,7 @@ let create domain_name =
     desc_cache = Hashtbl.create 64;
     mcd_cache = Hashtbl.create 64;
     frozen = false;
+    generation = fresh_generation ();
   }
 
 (* Node ids survive the copy ([Dag.copy] preserves them), so items in
@@ -96,6 +108,7 @@ let copy h =
     desc_cache = Hashtbl.copy h.desc_cache;
     mcd_cache = Hashtbl.copy h.mcd_cache;
     frozen = false;
+    generation = fresh_generation ();
   }
 
 let domain h = h.names.(h.root)
@@ -212,14 +225,21 @@ let isa_index h =
     h.isa_index <- Some idx;
     idx
 
+(* Without preference edges the binding order is the isa order, so the
+   isa closure index serves both and a second O(V·E) build is skipped. *)
 let bind_index h =
   match h.bind_index with
   | Some idx ->
     Hr_obs.Metrics.incr m_index_hits;
     idx
   | None ->
-    Hr_obs.Metrics.incr m_index_builds;
-    let idx = Dag.Reach.create h.graph in
+    let idx =
+      if preference_edges h = [] then isa_index h
+      else begin
+        Hr_obs.Metrics.incr m_index_builds;
+        Dag.Reach.create h.graph
+      end
+    in
     h.bind_index <- Some idx;
     idx
 
@@ -291,9 +311,11 @@ let maximal_common_descendants h a b =
           common
       in
       (* The pairwise memo stays lazy (quadratic to precompute), so a
-         frozen hierarchy recomputes misses instead of caching: the
-         write-path integrity sweeps that hammer MCD always run on the
-         writer's unfrozen copies, where the memo still applies. *)
+         frozen hierarchy recomputes misses instead of caching. A served
+         catalog is frozen at its first publish, so commit-time
+         integrity sweeps there never fill the memo; they stay cheap by
+         visiting only the pairs a transaction's delta can break
+         ({!Hierel.Integrity.sweep}). *)
       if not h.frozen then Hashtbl.add h.mcd_cache key l;
       l
 
@@ -335,7 +357,8 @@ let rename_node h ~old_name ~new_name =
   if Symbol.Tbl.mem h.by_name new_sym then error "name %S already defined" new_name;
   Symbol.Tbl.remove h.by_name h.names.(v);
   Symbol.Tbl.add h.by_name new_sym v;
-  h.names.(v) <- new_sym
+  h.names.(v) <- new_sym;
+  h.generation <- fresh_generation ()
 
 let eliminate h ~on_path v =
   check_mutable h;

@@ -45,6 +45,13 @@ val freeze : t -> unit
 
 val frozen : t -> bool
 
+val generation : t -> int
+(** A token for the hierarchy's current state, unique across the
+    process: {!create} and {!copy} draw a fresh one and every mutation
+    (including {!rename_node}) replaces it. A value that recorded
+    [generation h] can tell whether [h] has changed since — relation
+    consistency stamps rely on this. {!freeze} does not change it. *)
+
 val domain : t -> Hr_util.Symbol.t
 (** The root class's name. *)
 
