@@ -43,10 +43,11 @@ val decide :
   exact:Types.sign option ->
   relevant:Relation.tuple list ->
   verdict
-(** The decision procedure underneath {!verdict}, for callers (such as
-    [Index]) that obtain the exact-match sign and relevant tuples from
-    their own access path. [relevant] must be exactly the tuples whose
-    items strictly subsume the queried item. *)
+(** The decision procedure underneath {!verdict}, for callers that
+    obtain the exact-match sign and relevant tuples from their own access
+    path (the brute-force scan that test/test_index.ml and bench C9
+    compare {!verdict} against). [relevant] must be exactly the tuples
+    whose items strictly subsume the queried item. *)
 
 val truth : ?semantics:Types.semantics -> Relation.t -> Item.t -> Types.sign
 (** Closed-world sign: [Unasserted] maps to [Neg]. Raises

@@ -13,10 +13,10 @@
     [docs/REPLICATION.md]; the request/reply tags in
     [lib/server/server.mli].
 
-    Two readers are provided: a blocking one ({!recv}) for clients and
-    the sequential server path, and an incremental {!Decoder} for the
-    multiplexed event loop, which must parse frames out of whatever
-    bytes [select]+[read] delivered. *)
+    Two readers are provided: a blocking one ({!recv}) for clients, and
+    an incremental {!Decoder} that {!Conn} feeds for the multiplexed
+    event loops, which must parse frames out of whatever bytes
+    [select]+[read] delivered. *)
 
 exception Disconnected
 (** The peer closed the connection (EOF mid-frame or between frames). *)
@@ -79,8 +79,8 @@ val shard_ack : string
 
 val frame : string -> string -> string
 (** [frame tag payload] is the encoded bytes of one frame — for callers
-    that stage output in their own buffers (the event loop's
-    non-blocking writer) instead of writing directly. *)
+    that stage output in their own buffers ({!Conn}'s non-blocking
+    writer) instead of writing directly. *)
 
 val send : Unix.file_descr -> string -> string -> unit
 (** [send fd tag payload] writes one whole frame. *)

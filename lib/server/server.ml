@@ -1,5 +1,6 @@
 open Hierel
 module Wire = Hr_frames.Wire
+module Conn = Hr_frames.Conn
 
 let m_connections = Hr_obs.Metrics.counter "server.connections"
 let m_frames = Hr_obs.Metrics.counter "server.frames_served"
@@ -37,12 +38,13 @@ type backend = Memory of Catalog.t | Durable of Hr_storage.Db.t
    offloaded read submitted before it. *)
 type pending = { mutable reply : (string * string) option }
 
+(* The socket is a {!Conn.t}; the fields around it are this loop's
+   policy: reply ordering, the group-commit hold, replication state. *)
 type conn = {
-  fd : Unix.file_descr;
-  dec : Wire.Decoder.t;
+  io : Conn.t;
   mutable subscribed : bool;
   mutable sent_lsn : int;
-  (* FIFO of replies not yet appended to [out]. *)
+  (* FIFO of replies not yet appended to [io]'s output. *)
   slots : pending Queue.t;
   (* This conn buffered an ack for a statement whose group commit has
      not happened yet: no output may reach the kernel until the commit
@@ -51,22 +53,6 @@ type conn = {
      derived from already-durable published versions and keep draining
      while a batch is open. *)
   mutable held : bool;
-  (* Sequential-path connections block on [Wire.recv], so their replies
-     must be computed before [commit_now] returns: never offload. *)
-  inline_only : bool;
-  (* Outgoing bytes not yet accepted by the kernel, in
-     [out.[out_start .. out_start+out_len)]. Event-loop connections are
-     non-blocking: a frame is appended here and written opportunistically;
-     the remainder drains when [poll]'s select reports the fd writable.
-     This keeps one stalled subscriber from blocking the loop (and every
-     other client) on a full socket buffer. *)
-  mutable out : Bytes.t;
-  mutable out_start : int;
-  mutable out_len : int;
-  (* The peer sent EOF but replies (possibly held for a pending group
-     commit) are still queued: keep the conn just long enough to drain
-     them, then drop. *)
-  mutable closing : bool;
 }
 
 type t = {
@@ -102,26 +88,10 @@ type t = {
   jobs : (int, conn * pending) Hashtbl.t;
 }
 
-let listen_on host port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  Unix.listen fd 8;
-  let bound_port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> assert false
-  in
-  (fd, bound_port)
-
-(* A backlog bound below one max frame could never ship a snapshot
-   bootstrap, so the default is one full frame plus slack. *)
-let default_max_backlog = Wire.max_frame + (4 * 1024 * 1024)
-
-let make ?(host = "127.0.0.1") ?(read_only = false) ?(max_backlog = default_max_backlog)
+let make ?(host = "127.0.0.1") ?(read_only = false) ?(max_backlog = Conn.default_max_backlog)
     ?(group_commit_window = 0.0) ?(max_batch = 64) ?(reader_domains = 0)
     ?(unsafe_publish = false) ~port ~owns_db backend =
-  let socket, bound_port = listen_on host port in
+  let socket, bound_port = Conn.listen ~host ~port in
   let cat, lsn =
     match backend with
     | Memory cat -> (cat, 0)
@@ -231,68 +201,28 @@ exception Drop_conn
 let subscriber_count t =
   List.length (List.filter (fun c -> c.subscribed) t.conns)
 
-(* ---- buffered, non-blocking output ------------------------------------ *)
-
-let out_append conn s =
-  let n = String.length s in
-  if conn.out_start + conn.out_len + n > Bytes.length conn.out then begin
-    let cap = ref (max 1024 (Bytes.length conn.out)) in
-    while !cap < conn.out_len + n do
-      cap := !cap * 2
-    done;
-    let dst = if !cap <= Bytes.length conn.out then conn.out else Bytes.create !cap in
-    (* Bytes.blit handles the overlapping in-place compaction case *)
-    Bytes.blit conn.out conn.out_start dst 0 conn.out_len;
-    conn.out <- dst;
-    conn.out_start <- 0
-  end;
-  Bytes.blit_string s 0 conn.out (conn.out_start + conn.out_len) n;
-  conn.out_len <- conn.out_len + n
-
-(* Write as much pending output as the kernel will take right now.
-   Event-loop fds are non-blocking, so this never stalls; on a blocking
-   fd (the sequential path) it completes the whole buffer. Hard socket
-   errors (EPIPE, ECONNRESET, ...) propagate to the caller. *)
-let out_drain conn =
-  let rec push () =
-    if conn.out_len > 0 then
-      match Unix.write conn.fd conn.out conn.out_start conn.out_len with
-      | 0 -> ()
-      | n ->
-        conn.out_start <- conn.out_start + n;
-        conn.out_len <- conn.out_len - n;
-        push ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-        ()
-  in
-  push ();
-  if conn.out_len = 0 then begin
-    conn.out_start <- 0;
-    (* after a burst (e.g. a snapshot bootstrap), stop holding the peak *)
-    if Bytes.length conn.out > 1024 * 1024 then conn.out <- Bytes.create 1024
-  end
-
-(* Append the filled prefix of the reply FIFO to the out buffer, then
+(* Append the filled prefix of the reply FIFO to the conn's output, then
    push to the kernel — unless this conn's earlier bytes are acks
    awaiting a group commit. An empty slot (an offloaded read still
    executing) blocks everything queued behind it, which is exactly the
-   per-connection ordering clients rely on. *)
-let pump_conn t conn =
+   per-connection ordering clients rely on. A socket error or a backlog
+   over the bound raises {!Drop_conn}. *)
+let pump_conn conn =
   let rec take () =
     match Queue.peek_opt conn.slots with
     | Some { reply = Some (tag, payload) } ->
       ignore (Queue.pop conn.slots);
-      out_append conn (Wire.frame tag payload);
+      Conn.append conn.io tag payload;
       take ()
     | Some { reply = None } | None -> ()
   in
   take ();
-  if not conn.held then out_drain conn;
-  if conn.out_len > t.max_backlog then begin
+  if not conn.held then Conn.flush conn.io;
+  if Conn.over_backlog conn.io then begin
     Hr_obs.Metrics.incr m_backlog_drops;
     raise Drop_conn
-  end
+  end;
+  if Conn.closed conn.io then raise Drop_conn
 
 (* Every inline event-loop reply and replication push goes through here
    so a slow peer accumulates backlog instead of wedging the loop. A
@@ -309,7 +239,7 @@ let send_conn t conn tag payload =
      (filled in [reap]) are derived from published — durable — versions
      and never set this. *)
   if holding t then conn.held <- true;
-  pump_conn t conn
+  pump_conn conn
 
 (* Reply slot for a read dispatched to the pool: reserve FIFO position
    now, fill it when the completion comes back. *)
@@ -324,10 +254,8 @@ let offload t conn run =
 
 (* Which frames may leave the event loop. A held conn executes reads
    inline so a client that just wrote sees its own (acked) write — the
-   published version may not include it yet. Subscribers and
-   sequential-path conns stay inline. *)
-let can_offload t conn =
-  t.pool <> None && (not conn.inline_only) && (not conn.subscribed) && not conn.held
+   published version may not include it yet. Subscribers stay inline. *)
+let can_offload t conn = t.pool <> None && (not conn.subscribed) && not conn.held
 
 (* Offloaded replies are version-tagged: the payload's first line is
    "<version-id> <lsn> <OK|ERR>", the body follows. The tag is what
@@ -401,12 +329,11 @@ let ship_all t =
     List.iter
       (fun c ->
         if c.subscribed then
-          try ship t db c
-          with Unix.Unix_error _ | Wire.Disconnected | Drop_conn -> dead := c :: !dead)
+          try ship t db c with Drop_conn -> dead := c :: !dead)
       t.conns;
     List.iter
       (fun c ->
-        (try Unix.close c.fd with Unix.Unix_error _ -> ());
+        Conn.close c.io;
         t.conns <- List.filter (fun c' -> c' != c) t.conns)
       !dead;
     if !dead <> [] then Hr_obs.Metrics.set g_subscribers (subscriber_count t)
@@ -553,23 +480,11 @@ let handle t conn tag payload =
     Hr_obs.Metrics.incr m_errors;
     send_conn t conn "ERR" (Printf.sprintf "unknown request %S" tag)
 
-let new_conn ?(inline_only = false) fd =
-  {
-    fd;
-    dec = Wire.Decoder.create ();
-    subscribed = false;
-    sent_lsn = 0;
-    slots = Queue.create ();
-    held = false;
-    inline_only;
-    out = Bytes.create 1024;
-    out_start = 0;
-    out_len = 0;
-    closing = false;
-  }
+let new_conn io =
+  { io; subscribed = false; sent_lsn = 0; slots = Queue.create (); held = false }
 
 let drop_conn t conn =
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
+  Conn.close conn.io;
   t.conns <- List.filter (fun c -> c != conn) t.conns;
   if conn.subscribed then Hr_obs.Metrics.set g_subscribers (subscriber_count t)
 
@@ -578,88 +493,67 @@ let handle_timed t conn tag payload =
   t.frames_this_tick <- t.frames_this_tick + 1;
   Hr_obs.Metrics.time h_frame (fun () -> handle t conn tag payload)
 
-(* Drain every complete frame the decoder holds. A malformed header is
-   unrecoverable (framing is lost): reply once and drop. *)
+(* Execute every complete frame the conn has received. A malformed
+   header is answered with one ERR, in reply order; the input ends there
+   and the conn closes once its replies drain. *)
 let drain_frames t conn =
   let rec loop () =
-    match Wire.Decoder.next conn.dec with
+    match Conn.next conn.io with
     | Ok (Some (tag, payload)) ->
       handle_timed t conn tag payload;
       loop ()
     | Ok None -> ()
     | Error msg ->
       Hr_obs.Metrics.incr m_errors;
-      (try send_conn t conn "ERR" msg with Unix.Unix_error _ | Drop_conn -> ());
-      raise Drop_conn
+      send_conn t conn "ERR" msg
   in
   loop ()
 
-let chunk = Bytes.create 65536
-
-(* Read everything the kernel has buffered for this connection (bounded
-   so one firehose client cannot starve the tick), then execute every
-   complete frame. A pipelining client's whole burst lands in one tick
-   and shares the tick's single commit. *)
-let max_reads_per_tick = 16
-
-let service t conn =
-  let eof = ref false in
-  let fed = ref false in
-  let rec read_all budget =
-    if budget > 0 && not !eof then
-      match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-      | 0 -> eof := true
-      | n ->
-        Wire.Decoder.feed conn.dec chunk n;
-        fed := true;
-        if n = Bytes.length chunk then read_all (budget - 1)
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-        ()
+(* The EOF rule ({!Conn}): a conn whose input ended closes once every
+   reply — including offloaded reads still in flight — has drained. A
+   subscriber's EOF drops it at once (nothing it is owed matters). *)
+let close_if_done t conn =
+  let io = conn.io in
+  let done_ =
+    Conn.closed io
+    || (Conn.eof io && conn.subscribed)
+    || (Conn.finished io && Queue.is_empty conn.slots)
   in
-  match read_all max_reads_per_tick with
-  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> drop_conn t conn
-  | () ->
-    (* A burst that ends in EOF (pipeline + shutdown) still executes
-       every complete frame it carried before the conn is dropped. *)
-    (if !fed || not !eof then
-       try drain_frames t conn
-       with
-       | Drop_conn | Wire.Disconnected -> drop_conn t conn
-       | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> drop_conn t conn
-       | exn ->
-         (* Last line of defense: a handler bug (an uncaught lexer error,
-            say) must take down this connection, not the event loop and
-            every other client with it. *)
-         Hr_obs.Metrics.incr m_errors;
-         Printf.eprintf "hrdb: dropping connection after handler error: %s\n%!"
-           (Printexc.to_string exn);
-         (try send_conn t conn "ERR" ("internal error: " ^ Printexc.to_string exn)
-          with Unix.Unix_error _ | Drop_conn -> ());
-         drop_conn t conn);
-    if !eof && List.memq conn t.conns then
-      if conn.subscribed || (conn.out_len = 0 && Queue.is_empty conn.slots && not conn.held)
-      then drop_conn t conn
-      else conn.closing <- true
+  if done_ && List.memq conn t.conns then drop_conn t conn
 
-let accept_conn t =
-  match Unix.accept t.socket with
-  | fd, _ ->
-    Hr_obs.Metrics.incr m_connections;
-    (* event-loop connections are non-blocking so buffered writes (and
-       stray reads) can never stall the loop *)
-    Unix.set_nonblock fd;
-    t.conns <- new_conn fd :: t.conns
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+(* Read what the kernel has buffered for this connection, then execute
+   every complete frame. A pipelining client's whole burst lands in one
+   tick and shares the tick's single commit. *)
+let service t conn =
+  Conn.read conn.io;
+  (try drain_frames t conn with
+  | Drop_conn -> drop_conn t conn
+  | exn ->
+    (* Last line of defense: a handler bug (an uncaught lexer error,
+       say) must take down this connection, not the event loop and
+       every other client with it. *)
+    Hr_obs.Metrics.incr m_errors;
+    Printf.eprintf "hrdb: dropping connection after handler error: %s\n%!"
+      (Printexc.to_string exn);
+    (try send_conn t conn "ERR" ("internal error: " ^ Printexc.to_string exn)
+     with Drop_conn -> ());
+    drop_conn t conn);
+  close_if_done t conn
+
+let accept_conns t =
+  let fresh = Conn.accept ~max_backlog:t.max_backlog t.socket in
+  List.iter
+    (fun io ->
+      Hr_obs.Metrics.incr m_connections;
+      t.conns <- new_conn io :: t.conns)
+    fresh
 
 (* Push a connection's ready replies and buffered output now that it
-   can make progress. A fully drained closing conn (EOF already seen)
-   is dropped here. *)
+   can make progress, dropping it once done. *)
 let flush_conn t conn =
-  match pump_conn t conn with
-  | () ->
-    if conn.closing && conn.out_len = 0 && Queue.is_empty conn.slots then drop_conn t conn
-  | exception (Drop_conn | Unix.Unix_error _) -> drop_conn t conn
+  match pump_conn conn with
+  | () -> close_if_done t conn
+  | exception Drop_conn -> drop_conn t conn
 
 (* Collect finished pool jobs and route each reply into its reserved
    slot; a conn that vanished while its read was in flight just
@@ -711,7 +605,7 @@ let commit_now t =
     (fun c ->
       if
         List.memq c t.conns
-        && (c.out_len > 0 || (not (Queue.is_empty c.slots)) || c.closing)
+        && (Conn.backlog c.io > 0 || (not (Queue.is_empty c.slots)) || Conn.eof c.io)
       then flush_conn t c)
     t.conns
 
@@ -752,24 +646,30 @@ let poll ?(extra = []) t timeout =
   (* the pool's self-pipe joins the select set so a completed read
      wakes the loop immediately instead of at the next timeout *)
   let pool_fds = match t.pool with None -> [] | Some p -> [ Hr_exec.Pool.notify_fd p ] in
-  let fds = (t.socket :: pool_fds) @ List.map (fun c -> c.fd) t.conns @ extra in
+  let rfds =
+    List.filter_map
+      (fun c -> if Conn.wants_read c.io then Some (Conn.fd c.io) else None)
+      t.conns
+  in
   (* a held conn's output must not drain mid-window, so its writability
      is irrelevant until the commit point clears it *)
   let wfds =
     List.filter_map
-      (fun c -> if c.out_len > 0 && not c.held then Some c.fd else None)
+      (fun c -> if Conn.wants_write c.io && not c.held then Some (Conn.fd c.io) else None)
       t.conns
   in
-  match Unix.select fds wfds [] timeout with
+  match Unix.select ((t.socket :: pool_fds) @ rfds @ extra) wfds [] timeout with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
   | readable, writable, _ ->
-    if List.mem t.socket readable then accept_conn t;
+    if List.mem t.socket readable then accept_conns t;
     (* service over a copy: handlers mutate [t.conns] *)
     List.iter
-      (fun c -> if List.mem c.fd writable && List.memq c t.conns then flush_conn t c)
+      (fun c ->
+        if List.mem (Conn.fd c.io) writable && List.memq c t.conns then flush_conn t c)
       t.conns;
     List.iter
-      (fun c -> if List.mem c.fd readable && List.memq c t.conns then service t c)
+      (fun c ->
+        if List.mem (Conn.fd c.io) readable && List.memq c t.conns then service t c)
       t.conns;
     reap t;
     end_tick t;
@@ -781,52 +681,10 @@ let serve_forever t =
     ignore (poll t 0.5)
   done
 
-(* The historical sequential path: one client at a time, blocking reads.
-   The connection still joins [t.conns] so replication pushes reach a
-   subscriber that pipelines EXECs on its own connection. *)
-let serve_one_connection t =
-  let fd, _ = Unix.accept t.socket in
-  Hr_obs.Metrics.incr m_connections;
-  (* blocking fd; the reply must be complete when [commit_now] returns *)
-  let conn = new_conn ~inline_only:true fd in
-  t.conns <- conn :: t.conns;
-  Fun.protect
-    ~finally:(fun () -> if List.memq conn t.conns then drop_conn t conn)
-    (fun () ->
-      let rec loop () =
-        match Wire.recv fd with
-        | Ok (tag, payload) -> (
-          (* one frame, one commit: the sequential path keeps its
-             historical request/response durability (the fd is blocking,
-             so the drain in [commit_now] completes the reply) *)
-          match
-            handle_timed t conn tag payload;
-            commit_now t
-          with
-          | () -> loop ()
-          | exception Drop_conn -> ()
-          | exception Wire.Disconnected -> ()
-          | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
-          | exception exn ->
-            (* mirror the event loop: a handler bug answers ERR and keeps
-               serving rather than killing the connection loop *)
-            Hr_obs.Metrics.incr m_errors;
-            (try Wire.send fd "ERR" ("internal error: " ^ Printexc.to_string exn)
-             with Unix.Unix_error _ -> ());
-            loop ())
-        | Error msg ->
-          Hr_obs.Metrics.incr m_errors;
-          Wire.send fd "ERR" msg;
-          loop ()
-        | exception Wire.Disconnected -> ()
-        | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
-      in
-      loop ())
-
 let close t =
   (match t.pool with None -> () | Some pool -> Hr_exec.Pool.shutdown pool);
   Hashtbl.reset t.jobs;
-  List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) t.conns;
+  List.iter (fun c -> Conn.close c.io) t.conns;
   t.conns <- [];
   (try Unix.close t.socket with Unix.Unix_error _ -> ());
   match t.backend with

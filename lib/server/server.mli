@@ -77,11 +77,11 @@
     for reads, and replies still leave each connection in request order
     (offloaded replies are version-tagged [OKV] frames). A connection
     whose write is awaiting its group commit runs its reads inline so
-    it always sees its own writes. {!serve_one_connection} is the
-    historical sequential path (accept one client, serve it to
-    disconnection; never offloads) and is kept for tests and
-    single-client tools. Backends: a plain in-memory catalog or a
-    durable {!Hr_storage.Db} directory. *)
+    it always sees its own writes. Client sockets are accepted, read,
+    buffered and closed by {!Hr_frames.Conn}, the same module the shard
+    router uses: a client that pipelines requests and half-closes gets
+    every reply before the connection closes. Backends: a plain
+    in-memory catalog or a durable {!Hr_storage.Db} directory. *)
 
 type t
 
@@ -180,10 +180,6 @@ val poll : ?extra:Unix.file_descr list -> t -> float -> Unix.file_descr list
     replica) multiplex its own upstream connection into the same
     [select]. *)
 
-val serve_one_connection : t -> unit
-(** Accepts a single connection and serves requests until the client
-    disconnects. Blocking, sequential. *)
-
 val serve_forever : t -> unit
 (** The multiplexed event loop: {!poll} until the process dies. SIGPIPE
     is ignored (a vanished subscriber must not kill the primary).
@@ -261,9 +257,8 @@ module Client : sig
 
   val shutdown_send : conn -> unit
   (** Half-closes the connection: no more requests will follow, but
-      replies can still be read. Lets a single-threaded test pipeline
-      requests, have the (sequential) server drain them, and collect the
-      replies afterwards. *)
+      replies can still be read. The server answers every request sent
+      before the half-close, then closes the connection. *)
 
   val close : conn -> unit
 end

@@ -1,4 +1,5 @@
 module Wire = Hr_frames.Wire
+module Conn = Hr_frames.Conn
 module Shard_map = Hr_check.Shard_map
 module Client = Hr_server.Server.Client
 module Hierarchy = Hr_hierarchy.Hierarchy
@@ -35,13 +36,6 @@ type shard = {
   g_lsn : Metrics.gauge;
 }
 
-type client = {
-  fd : Unix.file_descr;
-  dec : Wire.Decoder.t;
-  mutable outbuf : string;  (* reply bytes the kernel has not taken *)
-  mutable closing : bool;
-}
-
 type t = {
   socket : Unix.file_descr;
   bound_port : int;
@@ -54,7 +48,7 @@ type t = {
      hence the wire tuple encoding) agree across the deployment. Query
      evaluation temporarily materializes gathered extensions into it. *)
   cat : Catalog.t;
-  mutable clients : client list;
+  mutable clients : Conn.t list;  (* in accept order *)
 }
 
 (* Infrastructure failure talking to a shard (vs [Reply_err]: the shard
@@ -657,26 +651,12 @@ let classify_pipelined t payload =
 
 (* ---- client connections ----------------------------------------------- *)
 
-let drain_client c =
-  let rec push () =
-    if c.outbuf <> "" then
-      match
-        Unix.write_substring c.fd c.outbuf 0 (String.length c.outbuf)
-      with
-      | 0 -> ()
-      | n ->
-        c.outbuf <- String.sub c.outbuf n (String.length c.outbuf - n);
-        push ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-        ()
-  in
-  (try push () with Unix.Unix_error _ -> c.closing <- true)
-
-let reply t c tag payload =
-  c.outbuf <- c.outbuf ^ Wire.frame tag payload;
-  drain_client c;
-  if String.length c.outbuf > t.max_backlog then c.closing <- true
+(* A client whose unsent replies pass the backlog bound is cut off; every
+   later reply to it in this tick is a no-op ({!Conn.close}). *)
+let reply c tag payload =
+  Conn.append c tag payload;
+  Conn.flush c;
+  if Conn.over_backlog c then Conn.close c
 
 (* ---- frame handling (synchronous path) -------------------------------- *)
 
@@ -694,41 +674,41 @@ let handle_frame t c tag payload =
   match tag with
   | "EXEC" -> (
     match exec_script t payload with
-    | Ok outputs -> reply t c "OK" (String.concat "\n" outputs)
+    | Ok outputs -> reply c "OK" (String.concat "\n" outputs)
     | Error msg ->
       Metrics.incr m_errors;
-      reply t c "ERR" msg)
+      reply c "ERR" msg)
   | "LINT" ->
-    reply t c "OK"
+    reply c "OK"
       (Hr_analysis.Diagnostic.render_json
          (Hr_analysis.Lint.analyze_script ~catalog:t.cat payload))
   | "ESTIMATE" -> (
     match explain_estimate t payload with
-    | Ok out -> reply t c "OK" out
+    | Ok out -> reply c "OK" out
     | Error msg ->
       Metrics.incr m_errors;
-      reply t c "ERR" msg)
+      reply c "ERR" msg)
   | "STATS" ->
     let snap = Metrics.snapshot () in
-    reply t c "OK"
+    reply c "OK"
       (if String.lowercase_ascii (String.trim payload) = "json" then
          Metrics.render_json snap
        else Metrics.render_text snap)
   | "FSCK" ->
     Metrics.incr m_errors;
-    reply t c "ERR"
+    reply c "ERR"
       "the router stores no tuples; run hrdb fsck DIR --against the shard map \
        against each shard's directory offline"
   | _ ->
     Metrics.incr m_errors;
-    reply t c "ERR" (Printf.sprintf "unknown request %S" tag)
+    reply c "ERR" (Printf.sprintf "unknown request %S" tag)
 
 (* ---- event loop ------------------------------------------------------- *)
 
 type pending =
-  | Fast of client * shard * Loc.t
+  | Fast of Conn.t * shard * Loc.t
   | Multi of {
-      mc : client;
+      mc : Conn.t;
       msloc : Loc.t;
       mparts : (shard * string option) list;
           (* shards the statement actually reached, in send order, each
@@ -738,45 +718,21 @@ type pending =
           (* a send failed partway: the statement is already doomed and
              every shard that acks it must be compensated *)
     }
-  | Sync of client * string * string
-  | Fail of client * string
-
-let accept_all t =
-  let rec loop () =
-    match Unix.accept t.socket with
-    | fd, _ ->
-      Unix.set_nonblock fd;
-      t.clients <-
-        t.clients
-        @ [ { fd; dec = Wire.Decoder.create (); outbuf = ""; closing = false } ];
-      loop ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-  in
-  loop ()
-
-let read_input c buf =
-  match Unix.read c.fd buf 0 (Bytes.length buf) with
-  | 0 -> c.closing <- true
-  | n -> Wire.Decoder.feed c.dec buf n
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-    ->
-    ()
-  | exception Unix.Unix_error _ -> c.closing <- true
+  | Sync of Conn.t * string * string
+  | Fail of Conn.t * string
 
 let poll ?(timeout = 0.05) t =
-  let rds = t.socket :: List.map (fun c -> c.fd) t.clients in
-  let wrs =
-    List.filter_map (fun c -> if c.outbuf <> "" then Some c.fd else None) t.clients
+  let fds_where p =
+    List.filter_map (fun c -> if p c then Some (Conn.fd c) else None) t.clients
   in
-  match Unix.select rds wrs [] timeout with
+  match
+    Unix.select (t.socket :: fds_where Conn.wants_read) (fds_where Conn.wants_write) [] timeout
+  with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | readable, writable, _ ->
-    if List.mem t.socket readable then accept_all t;
-    let buf = Bytes.create 65536 in
-    List.iter
-      (fun c -> if List.mem c.fd readable then read_input c buf)
-      t.clients;
+    if List.mem t.socket readable then
+      t.clients <- t.clients @ Conn.accept ~max_backlog:t.max_backlog t.socket;
+    List.iter (fun c -> if List.mem (Conn.fd c) readable then Conn.read c) t.clients;
     (* Phase A: decode every complete frame, in arrival order. The
        leading run of fast-path mutations is dispatched immediately —
        their SHARD_EXEC frames are all in flight before any reply is
@@ -806,9 +762,11 @@ let poll ?(timeout = 0.05) t =
     List.iter
       (fun c ->
         let rec drain () =
-          match Wire.Decoder.next c.dec with
-          | Error _ ->
-            c.closing <- true
+          match Conn.next c with
+          | Error msg ->
+            (* framing is lost: answered with one ERR in reply order, then
+               the connection closes once its replies drain *)
+            pendings := Fail (c, msg) :: !pendings
           | Ok None -> ()
           | Ok (Some (tag, payload)) ->
             Metrics.incr m_frames;
@@ -853,7 +811,7 @@ let poll ?(timeout = 0.05) t =
             pendings := p :: !pendings;
             drain ()
         in
-        if not c.closing then drain ())
+        drain ())
       t.clients;
     (* Phase B: answer in order. Compensations of partially failed
        multi-shard members are deferred until every pipelined reply is
@@ -878,13 +836,13 @@ let poll ?(timeout = 0.05) t =
         match p with
         | Fast (c, sc, sloc) -> (
           match shard_recv t sc ~expected:Wire.shard_ack with
-          | body -> reply t c "OK" body
+          | body -> reply c "OK" body
           | exception Reply_err msg ->
             Metrics.incr m_errors;
-            reply t c "ERR"
+            reply c "ERR"
               (Format.asprintf "at %a: %s" Loc.pp_prose sloc (strip_located msg))
           | exception Shard_down (sc, msg) ->
-            reply t c "ERR" (down_msg sc msg))
+            reply c "ERR" (down_msg sc msg))
         | Multi { mc = c; msloc; mparts; mok; mfail } -> (
           let results =
             List.map
@@ -905,7 +863,7 @@ let poll ?(timeout = 0.05) t =
                 results
           in
           match failure with
-          | None -> reply t c "OK" mok
+          | None -> reply c "OK" mok
           | Some msg ->
             Metrics.incr m_errors;
             List.iter
@@ -914,25 +872,27 @@ let poll ?(timeout = 0.05) t =
                 | Ok (), Some script -> deferred := (sc, script) :: !deferred
                 | _ -> ())
               results;
-            reply t c "ERR" (Format.asprintf "at %a: %s" Loc.pp_prose msloc msg))
+            reply c "ERR" (Format.asprintf "at %a: %s" Loc.pp_prose msloc msg))
         | Sync (c, tag, payload) ->
           flush_compensations ();
           handle_frame t c tag payload
         | Fail (c, msg) ->
           Metrics.incr m_errors;
-          reply t c "ERR" msg)
+          reply c "ERR" msg)
       (List.rev !pendings);
     flush_compensations ();
-    List.iter (fun c -> if List.mem c.fd writable then drain_client c) t.clients;
-    List.iter
-      (fun c ->
-        if c.closing then begin
-          (try Unix.close c.fd with Unix.Unix_error _ -> ());
-          t.clients <- List.filter (fun c' -> c' != c) t.clients
-        end)
-      t.clients
+    List.iter (fun c -> if List.mem (Conn.fd c) writable then Conn.flush c) t.clients;
+    (* the EOF rule: a client that half-closed still gets every reply *)
+    t.clients <-
+      List.filter
+        (fun c ->
+          if Conn.finished c then Conn.close c;
+          not (Conn.closed c))
+        t.clients
 
 let serve_forever t =
+  (* a client or shard that vanishes mid-write must not kill the router *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let rec loop () =
     poll ~timeout:0.2 t;
     loop ()
@@ -942,22 +902,13 @@ let serve_forever t =
 (* ---- lifecycle -------------------------------------------------------- *)
 
 let create ?(host = "127.0.0.1") ?(timeout = 5.0)
-    ?(max_backlog = Wire.max_frame + (4 * 1024 * 1024)) ~port ~map () =
+    ?(max_backlog = Conn.default_max_backlog) ~port ~map () =
   (* EXPLAIN ESTIMATE / EXPLAIN EFFECTS statements evaluate through the
      local Eval path; force both registrations the same way the CLI
      does. *)
   Hr_analysis.Estimate.ensure_registered ();
   Hr_analysis.Effect.ensure_registered ();
-  let socket = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt socket Unix.SO_REUSEADDR true;
-  Unix.bind socket (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  Unix.listen socket 8;
-  Unix.set_nonblock socket;
-  let bound_port =
-    match Unix.getsockname socket with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> assert false
-  in
+  let socket, bound_port = Conn.listen ~host ~port in
   let shards =
     List.map
       (fun (s : Shard_map.shard) ->
@@ -996,9 +947,7 @@ let port t = t.bound_port
 
 let close t =
   (try Unix.close t.socket with Unix.Unix_error _ -> ());
-  List.iter
-    (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
-    t.clients;
+  List.iter Conn.close t.clients;
   t.clients <- [];
   List.iter
     (fun sc ->

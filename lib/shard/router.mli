@@ -38,7 +38,12 @@
     statements confined to live shards keep working (degraded reads).
     DDL and repartitions require every shard up before starting.
     Divergence the failure windows can leave behind is the offline
-    verifier's job: [hrdb fsck DIR --against MAP] (codes F020–F024). *)
+    verifier's job: [hrdb fsck DIR --against MAP] (codes F020–F024).
+
+    {b Client sockets} are handled by {!Hr_frames.Conn}, exactly as in
+    a single-node server: a client that pipelines and half-closes gets
+    every reply before the socket closes, and a malformed frame header
+    gets one [ERR] and then a close. *)
 
 type t
 
@@ -59,8 +64,11 @@ val port : t -> int
 val poll : ?timeout:float -> t -> unit
 (** One event-loop tick: accept clients, read frames, dispatch the
     fast-path prefix, then answer every pending frame in arrival
-    order. *)
+    order, and close the clients that are finished (input ended and
+    replies drained). *)
 
 val serve_forever : t -> 'a
+(** {!poll} until the process dies. SIGPIPE is ignored: a client or
+    shard that vanishes mid-write must not kill the router. *)
 
 val close : t -> unit

@@ -4,9 +4,9 @@
     bounded pool with write-back on eviction. The recency list is an
     intrusive doubly-linked list, so every pool touch — hit, fault-in,
     eviction — is O(1) regardless of pool size. This is the conventional
-    bottom layer of a disk-resident database; {!Heap_file} builds a row
-    store on top, and {!Page_store} builds the shadow-paged tuple store
-    (slotted pages, TIDs, B-trees) the database checkpoints through.
+    bottom layer of a disk-resident database; {!Page_store} builds the
+    shadow-paged tuple store (slotted pages, TIDs, B-trees) the database
+    checkpoints through on top of it.
 
     Single-process, no concurrency control; all sizes in bytes. *)
 

@@ -2,9 +2,10 @@
 
 module Server = Hr_server.Server
 
-(* Fork a process that serves [connections] clients then exits. Returns
-   (port, pid). *)
-let spawn_server ?dir connections =
+(* Fork a process running the event loop. Returns (port, pid); the
+   parent's copies of the listening socket and database are closed so
+   the child is the only owner. *)
+let spawn_server ?dir () =
   let server =
     match dir with
     | Some dir -> Server.create_durable ~port:0 ~dir ()
@@ -13,21 +14,21 @@ let spawn_server ?dir connections =
   let port = Server.port server in
   match Unix.fork () with
   | 0 ->
-    (* child: serve then exit hard (no test-runner teardown) *)
-    for _ = 1 to connections do
-      (try Server.serve_one_connection server with _ -> ())
-    done;
-    Server.close server;
+    (* child: serve until killed, exit hard (no test-runner teardown) *)
+    (try Server.serve_forever server with _ -> ());
     Unix._exit 0
   | pid ->
-    (* parent: the child owns the listening socket's accept loop; the
-       parent's copy of the fd is closed to avoid interference *)
+    Server.close server;
     (port, pid)
 
-let wait_child pid = ignore (Unix.waitpid [] pid)
+(* Every reply was read before this is called, and acks are sent only
+   after their commit is durable, so killing the server loses nothing. *)
+let stop_server pid =
+  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+  ignore (Unix.waitpid [] pid)
 
 let test_round_trip () =
-  let port, pid = spawn_server 1 in
+  let port, pid = spawn_server () in
   let conn = Server.Client.connect ~timeout:10.0 ~port () in
   (match Server.Client.exec conn "CREATE DOMAIN d;" with
   | Ok out -> Alcotest.(check string) "created" "domain d created" out
@@ -39,10 +40,10 @@ let test_round_trip () =
   | Ok out -> Alcotest.(check string) "verdict over the wire" "+ (by (x))" out
   | Error e -> Alcotest.failf "ask: %s" e);
   Server.Client.close conn;
-  wait_child pid
+  stop_server pid
 
 let test_errors_propagate () =
-  let port, pid = spawn_server 1 in
+  let port, pid = spawn_server () in
   let conn = Server.Client.connect ~timeout:10.0 ~port () in
   (match Server.Client.exec conn "SELECT * FROM nope;" with
   | Ok _ -> Alcotest.fail "expected error"
@@ -52,7 +53,7 @@ let test_errors_propagate () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "after error: %s" e);
   Server.Client.close conn;
-  wait_child pid
+  stop_server pid
 
 let test_durable_backend () =
   let dir = Filename.temp_file "hrsrv" "" in
@@ -63,7 +64,7 @@ let test_durable_backend () =
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Sys.rmdir dir)
     (fun () ->
-      let port, pid = spawn_server ~dir 1 in
+      let port, pid = spawn_server ~dir () in
       let conn = Server.Client.connect ~timeout:10.0 ~port () in
       (match
          Server.Client.exec conn
@@ -72,7 +73,7 @@ let test_durable_backend () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "exec: %s" e);
       Server.Client.close conn;
-      wait_child pid;
+      stop_server pid;
       (* state survived in the directory: reopen directly *)
       let db = Hr_storage.Db.open_dir dir in
       (match Hr_storage.Db.exec db "ASK r (x);" with
@@ -86,7 +87,7 @@ let contains ~needle hay =
   go 0
 
 let test_lint_over_the_wire () =
-  let port, pid = spawn_server 1 in
+  let port, pid = spawn_server () in
   let conn = Server.Client.connect ~timeout:10.0 ~port () in
   (match Server.Client.exec conn "CREATE DOMAIN d; CREATE INSTANCE x OF d; CREATE RELATION r (v: d); INSERT INTO r VALUES (+ x);" with
   | Ok _ -> ()
@@ -108,18 +109,18 @@ let test_lint_over_the_wire () =
   | Ok out -> Alcotest.(check string) "relation still there" "+ (by (x))" out
   | Error e -> Alcotest.failf "ask after lint: %s" e);
   Server.Client.close conn;
-  wait_child pid
+  stop_server pid
 
 let test_fsck_over_the_wire () =
   (* in-memory backends refuse the frame *)
-  let port, pid = spawn_server 1 in
+  let port, pid = spawn_server () in
   let conn = Server.Client.connect ~timeout:10.0 ~port () in
   (match Server.Client.fsck conn with
   | Ok _ -> Alcotest.fail "memory backend should refuse FSCK"
   | Error msg ->
     Alcotest.(check bool) "says durable" true (contains ~needle:"durable" msg));
   Server.Client.close conn;
-  wait_child pid;
+  stop_server pid;
   (* a durable backend verifies its own directory *)
   let dir = Filename.temp_file "hrsrv" "" in
   Sys.remove dir;
@@ -129,7 +130,7 @@ let test_fsck_over_the_wire () =
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Sys.rmdir dir)
     (fun () ->
-      let port, pid = spawn_server ~dir 1 in
+      let port, pid = spawn_server ~dir () in
       let conn = Server.Client.connect ~timeout:10.0 ~port () in
       (match Server.Client.exec conn "CREATE DOMAIN d; CREATE INSTANCE x OF d;" with
       | Ok _ -> ()
@@ -143,7 +144,7 @@ let test_fsck_over_the_wire () =
           (contains ~needle:"\"clean\":true" body)
       | Error e -> Alcotest.failf "fsck json: %s" e);
       Server.Client.close conn;
-      wait_child pid)
+      stop_server pid)
 
 let suite =
   [

@@ -390,6 +390,143 @@ let test_randomized_identity () =
       Client.close r;
       Client.close s)
 
+(* ---- client connections: the EOF rule and framing errors ------------- *)
+
+(* 80 birds x 40 colours under one stored tuple: the explicated
+   extension renders as a reply of about 1 MB, cheap to compute and big
+   enough that a few of them overflow the socket buffers. *)
+let wide_ddl =
+  let long = String.make 150 'x' in
+  String.concat "\n"
+    (ddl
+     :: "CREATE DOMAIN color; CREATE RELATION tint (who: animal, hue: color);"
+     :: List.init 40 (fun i ->
+            Printf.sprintf
+              "CREATE INSTANCE p%d%s OF penguin; CREATE INSTANCE s%d%s OF sparrow; \
+               CREATE INSTANCE c%d%s OF color;"
+              i long i long i long)
+    @ [ "INSERT INTO tint VALUES (+ ALL bird, ALL color);" ])
+
+let wide_select = "SELECT * FROM EXPLICATED tint;"
+
+(* A raw client socket. A small receive buffer makes replies back up in
+   the server's own output buffer instead of the kernel's. *)
+let raw_connect ?rcvbuf port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Option.iter (Unix.setsockopt_int fd Unix.SO_RCVBUF) rcvbuf;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+  fd
+
+(* Every frame the server sends until it closes the connection. *)
+let frames_until_eof fd =
+  let rec loop acc =
+    match Wire.recv fd with
+    | Ok frame -> loop (frame :: acc)
+    | Error msg -> Alcotest.failf "protocol error after %d frames: %s" (List.length acc) msg
+    | exception Wire.Disconnected -> List.rev acc
+  in
+  let frames = loop [] in
+  Unix.close fd;
+  frames
+
+(* Pipeline, half-close, and read only after the server has seen the
+   EOF: replies still queued in the server's output buffer at that
+   moment must all be delivered before it closes. *)
+let test_half_close_gets_every_reply () =
+  let _, _, rport, _, pids, _ = deploy () in
+  Fun.protect
+    ~finally:(fun () -> List.iter kill pids)
+    (fun () ->
+      let conn = Client.connect ~timeout:10.0 ~port:rport () in
+      ignore (exec_ok conn wide_ddl);
+      let expected = exec_ok conn wide_select in
+      Client.close conn;
+      let n = 8 in
+      let fd = raw_connect ~rcvbuf:4096 rport in
+      for _ = 1 to n do
+        Wire.send fd "EXEC" wide_select
+      done;
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      Unix.sleepf 0.5;
+      let frames = frames_until_eof fd in
+      Alcotest.(check int) "every pipelined reply arrives" n (List.length frames);
+      List.iteri
+        (fun i (tag, payload) ->
+          Alcotest.(check string) (Printf.sprintf "reply %d tag" i) "OK" tag;
+          Alcotest.(check bool) (Printf.sprintf "reply %d is the full extension" i) true
+            (payload = expected))
+        frames)
+
+(* Framing lost: the router answers like a single node — frames before
+   the bad header run, the header gets one ERR, then the connection
+   closes. *)
+let test_malformed_header () =
+  let _, _, rport, _, pids, _ = deploy () in
+  let sport, spid = spawn_server () in
+  Fun.protect
+    ~finally:(fun () -> List.iter kill (spid :: pids))
+    (fun () ->
+      let bytes = Wire.frame "EXEC" ddl ^ "EXEC notanumber\n" in
+      let probe port =
+        let fd = raw_connect port in
+        ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+        frames_until_eof fd
+      in
+      let single = probe sport in
+      let routed = probe rport in
+      (match routed with
+      | [ ("OK", _); ("ERR", msg) ] ->
+        Alcotest.(check bool) ("names the bad header: " ^ msg) true
+          (contains msg "malformed frame length")
+      | frames ->
+        Alcotest.failf "router sent %d frame(s): %s" (List.length frames)
+          (String.concat ", " (List.map fst frames)));
+      Alcotest.(check (list (pair string string))) "same frames as one node" single routed)
+
+(* A burst and its half-close arrive together. The router must run every
+   frame it received before the EOF — mutations, errors and replies too
+   large for the socket buffers — and answer each exactly like a single
+   node. *)
+let test_burst_with_half_close () =
+  let _, _, rport, _, pids, _ = deploy () in
+  let sport, spid = spawn_server () in
+  Fun.protect
+    ~finally:(fun () -> List.iter kill (spid :: pids))
+    (fun () ->
+      List.iter
+        (fun port ->
+          let conn = Client.connect ~timeout:10.0 ~port () in
+          ignore (exec_ok conn wide_ddl);
+          Client.close conn)
+        [ rport; sport ];
+      let burst =
+        String.concat ""
+          (List.map (Wire.frame "EXEC")
+             ([ "INSERT INTO flies VALUES (+ ALL bird), (+ rex);";
+                "INSERT INTO flies VALUES (- tweety);";
+                "SELECT * FROM flies;";
+                "SELECT * FROM nosuch;" ]
+             @ List.init 6 (fun _ -> wide_select)
+             @ [ "DELETE FROM flies VALUES (rex);"; "ASK flies (rex);" ]))
+      in
+      let collect port =
+        let fd = raw_connect ~rcvbuf:4096 port in
+        ignore (Unix.write_substring fd burst 0 (String.length burst));
+        Unix.shutdown fd Unix.SHUTDOWN_SEND;
+        Unix.sleepf 0.5;
+        frames_until_eof fd
+      in
+      let want = collect sport in
+      let got = collect rport in
+      Alcotest.(check int) "one node answers every frame" 12 (List.length want);
+      Alcotest.(check int) "the router answers every frame" 12 (List.length got);
+      List.iteri
+        (fun i ((gt, gp), (wt, wp)) ->
+          Alcotest.(check string) (Printf.sprintf "reply %d tag" i) wt gt;
+          Alcotest.(check bool) (Printf.sprintf "reply %d byte-identical" i) true (gp = wp))
+        (List.combine got want))
+
 let test_degraded_reads () =
   let _, _, rport, _, pids, _ = deploy () in
   Fun.protect
@@ -477,6 +614,12 @@ let suite =
       test_byte_identity;
     Alcotest.test_case "randomized pipelined writes match one node" `Quick
       test_randomized_identity;
+    Alcotest.test_case "half-closed client gets every reply" `Quick
+      test_half_close_gets_every_reply;
+    Alcotest.test_case "malformed header: one ERR, then EOF" `Quick
+      test_malformed_header;
+    Alcotest.test_case "burst + half-close matches one node" `Quick
+      test_burst_with_half_close;
     Alcotest.test_case "degraded reads around a dead shard" `Quick
       test_degraded_reads;
     Alcotest.test_case "fsck --against map catches misplacement" `Quick

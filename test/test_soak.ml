@@ -237,8 +237,9 @@ let test_pager_registry () =
 (* Frames served must equal requests sent. Single-threaded dance: the
    client connects (the handshake completes via the listen backlog),
    pipelines a handful of small frames into the socket buffer and
-   half-closes; the sequential server then drains the connection, and
-   the client collects the buffered replies. *)
+   half-closes; this thread then polls the server's event loop until it
+   has closed the connection, and the client collects the buffered
+   replies (small enough to fit the socket buffers) and the EOF. *)
 let test_server_frames_registry () =
   let module Server = Hr_server.Server in
   Metrics.with_enabled true (fun () ->
@@ -263,13 +264,35 @@ let test_server_frames_registry () =
           in
           List.iter (fun (tag, payload) -> Server.Client.send conn tag payload) requests;
           Server.Client.shutdown_send conn;
-          Server.serve_one_connection server;
+          (* the server closes its end only after the EOF and after every
+             reply was written, so a clean close shows the drop is done:
+             the client's next recv after the replies must see EOF *)
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          while
+            Metrics.counter_value "server.frames_served" - frames0 < List.length requests
+          do
+            if Unix.gettimeofday () > deadline then Alcotest.fail "server stalled";
+            ignore (Server.poll server 0.01)
+          done;
           List.iter
             (fun (tag, payload) ->
               match Server.Client.recv conn with
               | Ok _ -> ()
               | Error e -> Alcotest.failf "reply to %s %S: %s" tag payload e)
             requests;
+          let rec await_close () =
+            match Unix.select [ Server.Client.fd conn ] [] [] 0.0 with
+            | [], _, _ ->
+              if Unix.gettimeofday () > deadline then
+                Alcotest.fail "server never closed the connection";
+              ignore (Server.poll server 0.01);
+              await_close ()
+            | _ -> (
+              match Server.Client.recv conn with
+              | Error "server disconnected" -> ()
+              | Ok _ | Error _ -> Alcotest.fail "a reply beyond the requests sent")
+          in
+          await_close ();
           Server.Client.close conn;
           Alcotest.(check int) "frames served = requests sent" (List.length requests)
             (Metrics.counter_value "server.frames_served" - frames0);
