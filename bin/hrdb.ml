@@ -3,7 +3,7 @@
 
    Usage:
      dune exec bin/hrdb.exe                   # in-memory REPL
-     dune exec bin/hrdb.exe -- -d ./mydb      # durable: snapshot + WAL
+     dune exec bin/hrdb.exe -- -d ./mydb      # durable: pages.db + WAL
      dune exec bin/hrdb.exe -- -f x.hrql      # run a script, then exit
      dune exec bin/hrdb.exe -- -f x.hrql -i   # run a script, then REPL
      dune exec bin/hrdb.exe -- lint x.hrql    # static analysis only
@@ -50,7 +50,7 @@ let help =
 REPL commands:
   \save FILE     dump the whole catalog as an HRQL script
   \load FILE     replay an HRQL script into the catalog
-  \checkpoint    write the binary snapshot, truncate the WAL (durable mode)
+  \checkpoint    write the changed pages, truncate the WAL (durable mode)
   \h             this help            \q   quit
 |}
 
@@ -173,19 +173,22 @@ let repl ~strict backend durable =
 
 let main file interactive dir strict =
   let durable = Option.is_some dir in
-  let backend =
-    match dir with Some d -> durable_backend d | None -> memory_backend ()
-  in
-  Fun.protect ~finally:backend.shutdown (fun () ->
-      (match file with
-      | Some path ->
-        let ic = open_in path in
-        let contents = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        run_input ~strict backend contents
-      | None -> ());
-      if interactive || file = None then repl ~strict backend durable);
-  0
+  match (match dir with Some d -> durable_backend d | None -> memory_backend ()) with
+  | exception Failure msg ->
+    (* a locked directory, or one in a layout this build cannot open *)
+    Printf.eprintf "hrdb: %s\n" msg;
+    2
+  | backend ->
+    Fun.protect ~finally:backend.shutdown (fun () ->
+        (match file with
+        | Some path ->
+          let ic = open_in path in
+          let contents = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          run_input ~strict backend contents
+        | None -> ());
+        if interactive || file = None then repl ~strict backend durable);
+    0
 
 open Cmdliner
 
@@ -207,8 +210,8 @@ let dir_arg =
     & opt (some string) None
     & info [ "d"; "dir" ] ~docv:"DIR"
         ~doc:
-          "Durable mode: keep the database in $(docv) (binary snapshot plus \
-           write-ahead log; state survives restarts).")
+          "Durable mode: keep the database in $(docv) (paged store pages.db \
+           plus write-ahead log wal.log; state survives restarts).")
 
 let strict_arg =
   Arg.(
@@ -422,13 +425,14 @@ let fsck_cmd =
       `S Manpage.s_description;
       `P
         "Opens the directory read-only (no lock is taken, nothing is written) \
-         and checks WAL framing and LSN continuity, snapshot decode and \
-         round-trip, hierarchy DAG acyclicity and irredundancy, the \
-         graphs.bin subsumption sidecar, the ambiguity constraint, and — \
-         with $(b,--against) — primary/replica convergence, or, when the \
+         and checks the pages.db page store (page seals, B-tree, index and \
+         heap agreement, free-space map), WAL framing and LSN continuity \
+         from the store's base LSN, replay, hierarchy DAG acyclicity and \
+         irredundancy, the ambiguity constraint, and — with \
+         $(b,--against) — primary/replica convergence, or, when the \
          argument is a shard-map file, sharded placement (misplaced tuples, \
          cross-subtree replicas, DDL agreement). Finding codes \
-         (F001..F024) are stable; see docs/FSCK.md.";
+         (F000..F029) are stable; see docs/FSCK.md.";
       `P
         "Exits 0 when the directory is clean, 1 when only warning-severity \
          findings were reported, 2 on any critical finding.";
@@ -524,11 +528,7 @@ let replica_main primary_host primary_port dir port backoff_max checkpoint_every
   let module Replica = Hr_repl.Replica in
   (* --verify: fsck the local directory before serving from it. A dir
      that does not hold a database yet (first bootstrap) is skipped. *)
-  let looks_like_db d =
-    Sys.file_exists (Filename.concat d "wal.log")
-    || Sys.file_exists (Filename.concat d "meta")
-  in
-  if verify && looks_like_db dir then begin
+  if verify && Sys.file_exists (Filename.concat dir "wal.log") then begin
     let report = Hr_check.Fsck.run dir in
     if not (Hr_check.Fsck.clean report) then
       print_string (Hr_check.Fsck.render_text report);
@@ -570,7 +570,7 @@ let replica_dir_arg =
     required
     & opt (some string) None
     & info [ "d"; "dir" ] ~docv:"DIR"
-        ~doc:"The replica's own database directory (snapshot + WAL + LSN).")
+        ~doc:"The replica's own database directory (pages.db + WAL + LSN).")
 
 let replica_port_arg =
   Arg.(

@@ -16,11 +16,7 @@ let main primary_host primary_port dir port backoff_max checkpoint_every verify
     apply_domains =
   (* --verify: fsck the local directory before serving from it. A dir
      that does not hold a database yet (first bootstrap) is skipped. *)
-  let looks_like_db d =
-    Sys.file_exists (Filename.concat d "wal.log")
-    || Sys.file_exists (Filename.concat d "meta")
-  in
-  if verify && looks_like_db dir then begin
+  if verify && Sys.file_exists (Filename.concat dir "wal.log") then begin
     let report = Hr_check.Fsck.run dir in
     if not (Hr_check.Fsck.clean report) then
       print_string (Hr_check.Fsck.render_text report);

@@ -315,16 +315,16 @@ let all =
       "Nothing to fix — pipeline the run (docs/EFFECTS.md) if the \
        round trips matter.";
     (* ---- fsck findings (docs/FSCK.md) -------------------------------- *)
+    (* Retired with the pre-paged files they checked, never reused: F002
+       (meta), F003/F004 (snapshot.bin), F014/F015 (graphs.bin), F019
+       (meta's published_lsn). *)
     fc "F000" "internal fsck error"
       "A check raised; never expected." "Please report the directory layout that triggers it.";
     fc "F001" "not a database directory"
-      "The path lacks the meta/snapshot/WAL layout." "Point fsck at an hrdb data directory.";
-    fw "F002" "meta unreadable or malformed"
-      "The meta file exists but does not parse." "Restore meta from backup or re-checkpoint.";
-    fc "F003" "snapshot does not decode"
-      "snapshot.bin is corrupt." "Restore from a replica or an older checkpoint.";
-    fw "F004" "snapshot re-encode differs"
-      "Decode followed by re-encode is not byte-identical." "Re-checkpoint to rewrite the snapshot canonically.";
+      "The path is not a directory, or holds the pre-paged snapshot.bin \
+       layout (no pages.db) that this build cannot open."
+      "Point fsck at an hrdb data directory; migrate a pre-paged one by \
+       opening it once with an older build (docs/STORAGE.md).";
     fw "F005" "torn WAL tail"
       "At most one trailing record is incomplete; repaired on next open."
       "Open the database normally; the tail is truncated.";
@@ -335,9 +335,11 @@ let all =
     fw "F008" "stale WAL records"
       "Records at or below base_lsn are dead weight." "Checkpoint to truncate the log.";
     fc "F009" "base_lsn disagreement"
-      "meta's replay base contradicts the snapshot/WAL." "Restore meta to match the snapshot's LSN.";
+      "The first live WAL record is not the page store's base_lsn + 1: \
+       the records in between are missing."
+      "Recover from a replica or the last good checkpoint.";
     fc "F010" "WAL replay fails"
-      "A logged statement no longer applies on top of the snapshot."
+      "A logged statement no longer applies on top of the page store."
       "Recover from a replica or the last good checkpoint.";
     fc "F011" "hierarchy DAG cycle"
       "A stored isa graph has a cycle." "Restore from backup; the store violates its invariant.";
@@ -345,11 +347,8 @@ let all =
       "A stored edge violates type-irredundancy." "Drop the redundant edge (it changes preemption).";
     fc "F013" "closure index mismatch"
       "The transitive-closure index disagrees with a naive DFS."
-      "Delete graphs.bin; it is rebuilt on open.";
-    fc "F014" "graphs.bin differs from recomputation"
-      "The sidecar is stale or corrupt." "Delete graphs.bin; it is rebuilt on open.";
-    fw "F015" "graphs.bin missing or undecodable"
-      "No usable closure sidecar next to a snapshot." "None needed; it is rebuilt on open.";
+      "Report it: the index is rebuilt from the stored DAG on every open, \
+       so a mismatch is a bug in the closure code, not in the files.";
     fc "F016" "peer divergence"
       "Two databases disagree at their greatest common LSN."
       "Rebuild the replica from a fresh snapshot of the primary.";
@@ -359,10 +358,6 @@ let all =
     fw "F018" "ambiguity constraint violated"
       "A stored relation has an item with incomparable opposite-sign binders."
       "Add a preference edge or a disambiguating row, then re-store.";
-    fc "F019" "published_lsn exceeds the durable head"
-      "meta records a published catalog version beyond what the WAL covers: \
-       visibility outran durability."
-      "Recover from the WAL head; investigate how the watermark advanced.";
     fc "F020" "misplaced tuple"
       "A stored tuple's first coordinate routes to other shard(s) under the \
        shard map; routed reads that restrict their scatter would miss it."

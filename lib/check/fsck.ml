@@ -1,6 +1,5 @@
+module Db = Hr_storage.Db
 module Wal = Hr_storage.Wal
-module Snapshot = Hr_storage.Snapshot
-module Graph_store = Hr_storage.Graph_store
 module Page_store = Hr_storage.Page_store
 module Pager = Hr_storage.Pager
 module Hierarchy = Hr_hierarchy.Hierarchy
@@ -36,11 +35,8 @@ type report = {
 
 let severity_label = function Critical -> "critical" | Warning -> "warning"
 
-let snapshot_path dir = Filename.concat dir "snapshot.bin"
 let pages_path dir = Filename.concat dir "pages.db"
 let wal_path dir = Filename.concat dir "wal.log"
-let meta_path dir = Filename.concat dir "meta"
-let graphs_path dir = Filename.concat dir "graphs.bin"
 
 (* ---- finding accumulation ------------------------------------------- *)
 
@@ -56,47 +52,13 @@ let emit acc severity code where fmt =
 
 type state = {
   s_dir : string;
-  s_base : int;  (** meta's base_lsn (0 when absent or malformed) *)
+  s_base : int;  (** the page store's base_lsn (0 without a store) *)
   s_scan : Wal.scan_result;
-  s_snap : Catalog.t option;  (** decoded snapshot, pre-replay *)
-  s_cat : Catalog.t option;  (** snapshot + clean WAL replay *)
+  s_cat : Catalog.t option;  (** page store + clean WAL replay *)
 }
 
 let s_head st =
   List.fold_left (fun h { Wal.lsn; _ } -> max h lsn) st.s_base st.s_scan.Wal.records
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* [meta] is forgiving at open time (Db treats anything unreadable as 0);
-   fsck distinguishes absent (fine) from malformed (F002). *)
-let check_meta acc dir =
-  let path = meta_path dir in
-  if not (Sys.file_exists path) then 0
-  else
-    let line =
-      match String.trim (read_file path) with
-      | exception Sys_error _ -> None
-      | s -> ( match String.split_on_char '\n' s with l :: _ -> Some l | [] -> Some "")
-    in
-    match line with
-    | None ->
-      emit acc Warning "F002" path "meta is unreadable";
-      0
-    | Some line -> (
-      match String.split_on_char '=' (String.trim line) with
-      | [ "base_lsn"; n ] -> (
-        match int_of_string_opt n with
-        | Some n when n >= 0 -> n
-        | _ ->
-          emit acc Warning "F002" path "meta has a malformed base_lsn value: %S" line;
-          0)
-      | _ ->
-        emit acc Warning "F002" path "meta is malformed: %S" line;
-        0)
 
 (* Page-level battery (F025–F029) for paged directories: open the page
    store, sweep the page seals, B-tree, index↔heap agreement and
@@ -139,24 +101,9 @@ let check_pages acc dir =
             (match e with Page_store.Corrupt m -> m | e -> Printexc.to_string e);
           None)
 
-let check_snapshot acc dir =
-  let path = snapshot_path dir in
-  if not (Sys.file_exists path) then None
-  else
-    let data = read_file path in
-    match Snapshot.decode data with
-    | exception Snapshot.Corrupt_snapshot msg ->
-      emit acc Critical "F003" path "snapshot does not decode: %s" msg;
-      None
-    | cat ->
-      (* The encoder is canonical (sorted hierarchies and relations), so
-         a decodable snapshot that does not round-trip byte-for-byte was
-         not produced by this checkpointer — worth an operator's look. *)
-      if not (String.equal (Snapshot.encode cat) data) then
-        emit acc Warning "F004" path
-          "snapshot decodes but does not round-trip to the same bytes";
-      Some cat
-
+(* [base_lsn] is [None] when the page store exists but does not open:
+   the base is unknown, so the base-relative rules (F008, F009) are
+   skipped rather than guessed. *)
 let check_wal acc dir ~base_lsn =
   let path = wal_path dir in
   let scan = Wal.scan path in
@@ -184,53 +131,26 @@ let check_wal acc dir ~base_lsn =
     | _ -> ()
   in
   contiguity scan.Wal.records;
-  let stale = List.filter (fun { Wal.lsn; _ } -> lsn <= base_lsn) scan.Wal.records in
-  if stale <> [] then
-    emit acc Warning "F008" path
-      "%d record(s) at or below base_lsn %d (checkpoint interrupted before the log \
-       was truncated); recovery skips them"
-      (List.length stale) base_lsn;
-  (match List.find_opt (fun { Wal.lsn; _ } -> lsn > base_lsn) scan.Wal.records with
-  | Some { Wal.lsn; _ } when lsn <> base_lsn + 1 ->
-    emit acc Critical "F009" path
-      "meta disagrees with the log: base_lsn is %d but the first post-snapshot \
-       record is LSN %d (records %d..%d are missing)"
-      base_lsn lsn (base_lsn + 1) (lsn - 1)
-  | Some _ | None -> ());
+  Option.iter
+    (fun base_lsn ->
+      let stale = List.filter (fun { Wal.lsn; _ } -> lsn <= base_lsn) scan.Wal.records in
+      if stale <> [] then
+        emit acc Warning "F008" path
+          "%d record(s) at or below base_lsn %d (checkpoint interrupted before the \
+           log was truncated); recovery skips them"
+          (List.length stale) base_lsn;
+      match List.find_opt (fun { Wal.lsn; _ } -> lsn > base_lsn) scan.Wal.records with
+      | Some { Wal.lsn; _ } when lsn <> base_lsn + 1 ->
+        emit acc Critical "F009" path
+          "the checkpoint covers through LSN %d but the first live record is LSN %d \
+           (records %d..%d are missing)"
+          base_lsn lsn (base_lsn + 1) (lsn - 1)
+      | Some _ | None -> ())
+    base_lsn;
   scan
 
-(* The commit point records the newest publishable catalog version in
-   meta ("published_lsn="; docs/CONCURRENCY.md). Visibility must never
-   outrun durability: a published LSN beyond the durable head means
-   reader domains could have served state a crash has since destroyed.
-   The line is optional — directories written by older builds predate
-   it — and only its relation to the head is checked here. *)
-let check_published acc dir ~head =
-  let path = meta_path dir in
-  if Sys.file_exists path then
-    match String.trim (read_file path) with
-    | exception Sys_error _ -> ()
-    | contents ->
-      List.iter
-        (fun line ->
-          match String.split_on_char '=' (String.trim line) with
-          | [ "published_lsn"; n ] -> (
-            match int_of_string_opt n with
-            | Some p when p >= 0 ->
-              if p > head then
-                emit acc Critical "F019" path
-                  "published_lsn %d exceeds the durable head LSN %d: a published \
-                   version claimed visibility beyond what is durable"
-                  p head
-            | Some _ | None ->
-              emit acc Warning "F002" path "meta has a malformed published_lsn value: %S"
-                line)
-          | _ -> ())
-        (String.split_on_char '\n' contents)
-
-(* WAL replay onto a freshly materialized base state (page store or
-   legacy snapshot); a record that fails means the base and the log
-   disagree. *)
+(* WAL replay onto a freshly materialized base state; a record that
+   fails means the base and the log disagree. *)
 let replay_records acc dir ~base_lsn scan cat =
   let live = List.filter (fun { Wal.lsn; _ } -> lsn > base_lsn) scan.Wal.records in
   let ok =
@@ -250,20 +170,6 @@ let replay_records acc dir ~base_lsn scan cat =
       live
   in
   if ok then Some cat else None
-
-(* Replay onto a second decode of the snapshot: the caller keeps the
-   pristine decoded catalog for the graphs.bin comparison. *)
-let materialize acc dir ~base_lsn scan =
-  let cat =
-    if Sys.file_exists (snapshot_path dir) then
-      match Snapshot.read_file (snapshot_path dir) with
-      | cat -> Some cat
-      | exception Snapshot.Corrupt_snapshot _ -> None
-    else Some (Catalog.create ())
-  in
-  match cat with
-  | None -> None
-  | Some cat -> replay_records acc dir ~base_lsn scan cat
 
 (* ---- semantic checks on a materialized catalog ---------------------- *)
 
@@ -346,50 +252,6 @@ let check_relation acc dir rel =
     emit acc Warning "F018" where "ambiguity constraint violated: %s"
       (Format.asprintf "%a" (Integrity.pp_conflict (Relation.schema rel)) conflict)
 
-let check_graphs acc dir snap =
-  let path = graphs_path dir in
-  match (snap, Sys.file_exists path) with
-  | None, _ -> ()
-  | Some _, false ->
-    emit acc Warning "F015" path
-      "graphs.bin is missing next to snapshot.bin (pre-sidecar checkpoint?); \
-       re-checkpoint to regenerate it"
-  | Some cat, true -> (
-    let data = read_file path in
-    match Graph_store.decode data with
-    | exception Graph_store.Corrupt_graphs msg ->
-      emit acc Warning "F015" path "graphs.bin does not decode: %s" msg
-    | stored ->
-      if not (String.equal (Graph_store.encode cat) data) then begin
-        let recomputed = Graph_store.of_catalog cat in
-        let names l = List.map fst l in
-        let missing =
-          List.filter (fun n -> not (List.mem n (names stored))) (names recomputed)
-        in
-        let extra =
-          List.filter (fun n -> not (List.mem n (names recomputed))) (names stored)
-        in
-        let differing =
-          List.filter_map
-            (fun (n, g) ->
-              match List.assoc_opt n stored with
-              | Some g' when g' <> g -> Some n
-              | _ -> None)
-            recomputed
-        in
-        let detail =
-          String.concat "; "
-            (List.filter_map
-               (fun (what, l) ->
-                 if l = [] then None
-                 else Some (what ^ " " ^ String.concat ", " l))
-               [ ("stale graph for", differing); ("missing", missing); ("orphaned", extra) ])
-        in
-        emit acc Critical "F014" path
-          "stored subsumption graphs differ from recomputation%s"
-          (if detail = "" then " (encoding drift)" else ": " ^ detail)
-      end)
-
 (* ---- one directory --------------------------------------------------- *)
 
 let inspect acc dir =
@@ -397,51 +259,30 @@ let inspect acc dir =
     emit acc Critical "F001" dir "not a database directory";
     None
   end
-  else begin
-    let meta_base = check_meta acc dir in
-    let paged = Sys.file_exists (pages_path dir) in
-    let snap = check_snapshot acc dir in
-    let pages = if paged then check_pages acc dir else None in
-    (* The effective base is the page store's committed LSN when there
-       is one: a crash between the page commit and the meta rewrite
-       legitimately leaves meta one checkpoint behind. The reverse —
-       meta claiming coverage the store does not have — is real
-       corruption. *)
-    let base_lsn =
-      match pages with
-      | Some (_, store_base) ->
-        if meta_base > store_base then
-          emit acc Critical "F009" (meta_path dir)
-            "meta records base_lsn %d but the page store only covers through LSN %d"
-            meta_base store_base;
-        store_base
-      | None -> meta_base
-    in
-    if
-      (not paged) && base_lsn > 0 && snap = None
-      && not (Sys.file_exists (snapshot_path dir))
-    then
-      emit acc Critical "F009" (meta_path dir)
-        "meta records base_lsn %d but there is no snapshot to cover LSNs 1..%d"
-        base_lsn base_lsn;
-    let scan = check_wal acc dir ~base_lsn in
-    let head =
-      List.fold_left (fun h { Wal.lsn; _ } -> max h lsn) base_lsn scan.Wal.records
-    in
-    check_published acc dir ~head;
-    let cat =
-      match pages with
-      | Some (cat, _) -> replay_records acc dir ~base_lsn scan cat
-      | None -> materialize acc dir ~base_lsn scan
-    in
-    (match cat with
-    | Some cat ->
-      List.iter (check_hierarchy acc dir) (Catalog.hierarchies cat);
-      List.iter (check_relation acc dir) (Catalog.relations cat)
-    | None -> ());
-    check_graphs acc dir snap;
-    Some { s_dir = dir; s_base = base_lsn; s_scan = scan; s_snap = snap; s_cat = cat }
-  end
+  else
+    match Db.legacy_layout dir with
+    | Some reason ->
+      emit acc Critical "F001" dir "%s" reason;
+      None
+    | None ->
+      (* The base is the page store when there is one, else an empty
+         catalog at LSN 0: a directory holding only a WAL (a copy of a
+         never-checkpointed log) replays from the first record. *)
+      let base =
+        if Sys.file_exists (pages_path dir) then check_pages acc dir
+        else Some (Catalog.create (), 0)
+      in
+      let scan = check_wal acc dir ~base_lsn:(Option.map snd base) in
+      let base_lsn = match base with Some (_, b) -> b | None -> 0 in
+      let cat =
+        Option.bind base (fun (cat, _) -> replay_records acc dir ~base_lsn scan cat)
+      in
+      (match cat with
+      | Some cat ->
+        List.iter (check_hierarchy acc dir) (Catalog.hierarchies cat);
+        List.iter (check_relation acc dir) (Catalog.relations cat)
+      | None -> ());
+      Some { s_dir = dir; s_base = base_lsn; s_scan = scan; s_cat = cat }
 
 (* ---- divergence ------------------------------------------------------ *)
 
@@ -468,8 +309,8 @@ let rendered_extension rel =
   let schema = Relation.schema rel in
   Flatten.extension_list rel |> List.map (Item.to_string schema) |> List.sort compare
 
-(* The peer state at LSN [at]: the checkpoint base (page store or
-   legacy snapshot) + the records up to [at]. *)
+(* The peer state at LSN [at]: the checkpoint base (the page store, or
+   an empty catalog without one) + the records up to [at]. *)
 let materialize_at st ~at =
   if st.s_base > at then
     Error
@@ -487,10 +328,6 @@ let materialize_at st ~at =
               match Page_store.to_catalog store with
               | cat -> Ok cat
               | exception Page_store.Corrupt msg -> Error ("pages: " ^ msg))
-      else if Sys.file_exists (snapshot_path st.s_dir) then
-        match Snapshot.read_file (snapshot_path st.s_dir) with
-        | cat -> Ok cat
-        | exception Snapshot.Corrupt_snapshot msg -> Error ("snapshot: " ^ msg)
       else Ok (Catalog.create ())
     in
     Result.bind cat (fun cat ->
@@ -650,7 +487,7 @@ let check_sharded acc ~dir ~primary map_path =
             in
             (match materialized with
             | None ->
-              (* [inspect] already reported why (F001/F003/F010/...);
+              (* [inspect] already reported why (F001/F010/F025/...);
                  this finding ties the failure back to the map. *)
               emit acc Critical "F023" sdir
                 "shard %d's directory cannot be materialized; its placement \

@@ -6,22 +6,24 @@
     (type-irredundancy, §3.1 and Appendix), every relation's subsumption
     graph is the transitive reduction of the subsumption order (§2.1),
     and relations satisfy the ambiguity constraint. Once state is
-    persisted — snapshot, WAL, graph sidecar, replica copies — nothing
-    re-checks any of it. This module opens a directory {e read-only}
-    (no lock is taken, nothing is written, no query is executed on
-    behalf of a caller) and verifies:
+    persisted — page store, WAL, replica copies — nothing re-checks any
+    of it. This module opens a directory {e read-only} (no lock is
+    taken, nothing is written, no query is executed on behalf of a
+    caller) and verifies:
 
-    - [meta] is well-formed and [base_lsn] agrees with the snapshot's
-      presence and the first WAL record;
-    - [snapshot.bin] decodes, and re-encodes to the same bytes;
+    - the directory has the one layout this build opens: [pages.db] +
+      [wal.log] (a pre-paged [snapshot.bin] without [pages.db] is
+      critical [F001]);
+    - [pages.db]: page seals, B-tree order, index↔heap agreement and
+      the free-space map ([F025]–[F029]); its meta root's [base_lsn] is
+      the replay base (an empty catalog at LSN 0 without a store);
     - [wal.log] framing: the shared {!Hr_storage.Wal.scan} reader finds
       monotone, contiguous LSNs, and distinguishes a crash-torn tail
-      from mid-log corruption (intact records after a corrupt one);
-    - the WAL replays cleanly onto the snapshot;
+      from mid-log corruption (intact records after a corrupt one); the
+      first live record must be [base_lsn + 1];
+    - the WAL replays cleanly onto the page store;
     - each hierarchy DAG is acyclic, irredundant (no redundant [isa]
       edges) and its reachability closure agrees with a naive traversal;
-    - [graphs.bin] (the checkpoint sidecar, {!Hr_storage.Graph_store})
-      is byte-equal to a recomputation from the snapshot;
     - each relation satisfies the ambiguity constraint;
     - optionally, a peer directory (primary vs replica) materializes to
       the same flattened state at the greatest common LSN.

@@ -43,12 +43,9 @@ type t = {
 
 let tail_cap = 4096
 
-let snapshot_path dir = Filename.concat dir "snapshot.bin"
 let pages_path dir = Filename.concat dir "pages.db"
 let wal_path dir = Filename.concat dir "wal.log"
 let lock_path dir = Filename.concat dir "LOCK"
-let meta_path dir = Filename.concat dir "meta"
-let graphs_path dir = Filename.concat dir "graphs.bin"
 
 (* One writer per directory: an OS-level advisory lock on a LOCK file.
    The lock dies with the process, so a crash never wedges the db. *)
@@ -60,35 +57,21 @@ let acquire_lock dir =
      failwith (Printf.sprintf "database %s is locked by another process" dir));
   fd
 
-(* [meta] holds the snapshot's LSN as a "base_lsn=N" first line, written
-   atomically (tmp + rename) so a crash never leaves a half-written
-   number next to a valid snapshot. Absent means 0 (pre-LSN directory or
-   fresh database). A second "published_lsn=N" line records the catalog
-   version LSN that was publishable at the checkpoint — by the
-   visibility-never-outruns-durability invariant (docs/CONCURRENCY.md)
-   it can never legitimately exceed the durable head LSN, which is what
-   [hrdb fsck] finding F019 verifies. [read_meta] only consumes the
-   first line, so directories written by older builds load unchanged. *)
-let read_meta dir =
-  let path = meta_path dir in
-  if not (Sys.file_exists path) then 0
-  else begin
-    let ic = open_in path in
-    let line = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> input_line ic) in
-    match String.split_on_char '=' (String.trim line) with
-    | [ "base_lsn"; n ] -> ( match int_of_string_opt n with Some n when n >= 0 -> n | _ -> 0)
-    | _ -> 0
-  end
-
-let write_meta dir base_lsn =
-  let tmp = meta_path dir ^ ".tmp" in
-  let oc = open_out tmp in
-  Printf.fprintf oc "base_lsn=%d\n" base_lsn;
-  (* the checkpoint is itself a commit point: the snapshot's LSN is
-     both durable and the newest publishable version *)
-  Printf.fprintf oc "published_lsn=%d\n" base_lsn;
-  close_out oc;
-  Sys.rename tmp (meta_path dir)
+(* The pre-paged layout kept its checkpoint in snapshot.bin. This build
+   neither reads nor migrates it, and must not mistake such a directory
+   for a fresh one: that would shadow its data with an empty store. *)
+let legacy_layout dir =
+  if
+    Sys.file_exists (Filename.concat dir "snapshot.bin")
+    && not (Sys.file_exists (pages_path dir))
+  then
+    Some
+      (Printf.sprintf
+         "%s holds snapshot.bin but no pages.db: a pre-paged layout this build \
+          cannot open; migrate it by opening it once with an older build that \
+          still reads snapshot.bin (docs/STORAGE.md)"
+         dir)
+  else None
 
 (* Build a paged store for [catalog] beside [pages], then rename it into
    place: a crash mid-build leaves only a dead .tmp (removed on the next
@@ -107,32 +90,20 @@ let build_store ~fsync ~base_lsn pages catalog =
 
 let open_dir ?(auto_checkpoint_every = 10_000) ?(fsync = true) dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let lock_fd = acquire_lock dir in
+  (* Refuse before taking the lock: nothing in the directory is touched. *)
+  Option.iter failwith (legacy_layout dir);
   let pages = pages_path dir in
+  let lock_fd = acquire_lock dir in
   if Sys.file_exists (pages ^ ".tmp") then Sys.remove (pages ^ ".tmp");
+  (* Trusted load: pages were sealed (CRC) by the committer; [fsck]
+     re-runs the deep checks. Recovery reads the page store and replays
+     the WAL tail onto it. A directory without pages.db is fresh. *)
   let store, catalog =
     if Sys.file_exists pages then begin
-      (* Trusted load: pages were sealed (CRC) by the committer; [fsck]
-         re-runs the deep checks. Recovery reads the page store and
-         replays the WAL tail onto it — no monolithic snapshot decode. *)
       let s = Page_store.open_ pages in
       (s, Page_store.to_catalog s)
     end
-    else begin
-      (* First open of a legacy (snapshot.bin) or fresh directory:
-         migrate into a paged store. The snapshot codec survives as the
-         interchange/bootstrap format; the stale files are removed so
-         they cannot shadow the paged state. *)
-      let catalog =
-        if Sys.file_exists (snapshot_path dir) then
-          Snapshot.read_file ~check:false (snapshot_path dir)
-        else Catalog.create ()
-      in
-      let sc = build_store ~fsync ~base_lsn:(read_meta dir) pages catalog in
-      if Sys.file_exists (snapshot_path dir) then Sys.remove (snapshot_path dir);
-      if Sys.file_exists (graphs_path dir) then Sys.remove (graphs_path dir);
-      sc
-    end
+    else build_store ~fsync ~base_lsn:0 pages (Catalog.create ())
   in
   let base_lsn = Page_store.base_lsn store in
   (* capture the page store's state before replay mutates the catalog *)
@@ -154,17 +125,17 @@ let open_dir ?(auto_checkpoint_every = 10_000) ?(fsync = true) dir =
        point, silently losing acknowledged statements on the reopen
        after this one. *)
     Wal.truncate_to (wal_path dir) scan.Wal.ok_bytes);
-  (* A crash between writing snapshot.bin + meta and truncating the WAL
-     leaves records with lsn <= base_lsn in the file; the snapshot
-     already contains them, so replaying them would double-apply (or
-     fail outright on e.g. a duplicate CREATE). *)
+  (* A crash between the page commit and the WAL truncation leaves
+     records with lsn <= base_lsn in the file; the page store already
+     contains them, so replaying them would double-apply (or fail
+     outright on e.g. a duplicate CREATE). *)
   let records = List.filter (fun { Wal.lsn; _ } -> lsn > base_lsn) records in
   List.iter
     (fun { Wal.stmt; _ } ->
       match Eval.run_script catalog stmt with
       | Ok _ -> ()
       | Error msg ->
-        (* A logged statement failing on replay means the snapshot and
+        (* A logged statement failing on replay means the page store and
            log disagree; refuse to continue on half-recovered state. *)
         failwith (Printf.sprintf "WAL replay failed on %S: %s" stmt msg))
     records;
@@ -270,7 +241,6 @@ let checkpoint t =
   let written, total = Page_store.commit t.store ~fsync:t.fsync ~base_lsn:t.lsn () in
   t.ckpt_written <- written;
   t.ckpt_total <- total;
-  write_meta t.dir t.lsn;
   Wal.close t.wal;
   Wal.truncate (wal_path t.dir);
   t.wal <- Wal.open_ ~fsync:t.fsync (wal_path t.dir);
@@ -286,6 +256,41 @@ let last_checkpoint_pages t = (t.ckpt_written, t.ckpt_total)
 let maybe_auto_checkpoint t =
   if t.auto_checkpoint_every > 0 && t.pending >= t.auto_checkpoint_every then
     checkpoint t
+
+(* A tuple whose page-store record cannot fit one heap page would be
+   acknowledged, then fail the next checkpoint. INSERT rows are measured
+   before evaluation; LET and EXPLICATE compute their relation, so it is
+   measured afterwards and the previous binding restored. No other
+   statement adds a tuple. *)
+let oversize rel bytes =
+  Error
+    (Printf.sprintf
+       "rejected: a tuple of %s needs %d bytes on disk, more than the %d one page \
+        holds"
+       rel bytes Page_store.max_record_bytes)
+
+let eval_fitting t stmt =
+  match stmt with
+  | Ast.Insert { rel; rows } -> (
+    let bytes { Ast.values; _ } =
+      Page_store.record_bytes (List.map Ast.value_name values)
+    in
+    match List.find_opt (fun row -> bytes row > Page_store.max_record_bytes) rows with
+    | Some row -> oversize rel (bytes row)
+    | None -> Eval.exec t.catalog stmt)
+  | Ast.Let_binding { name = rel; _ } | Ast.Explicate { rel; _ } -> (
+    let before = Catalog.find_relation t.catalog rel in
+    match Eval.exec t.catalog stmt with
+    | Error _ as e -> e
+    | Ok _ as ok -> (
+      match Page_store.oversize_tuple (Catalog.relation t.catalog rel) with
+      | None -> ok
+      | Some bytes ->
+        (match before with
+        | Some old -> Catalog.replace_relation t.catalog old
+        | None -> Catalog.drop_relation t.catalog rel);
+        oversize rel bytes))
+  | _ -> Eval.exec t.catalog stmt
 
 (* Executes a script, appending mutating statements to the WAL buffer
    without syncing. The caller owns the commit point: nothing run here
@@ -306,7 +311,7 @@ let exec_buffered t script =
       | exception Hr_query.Lexer.Lex_error { msg; _ } -> Error ("lex error: " ^ msg)
       | { Ast.stmt; _ } -> (
         Hr_obs.Metrics.incr m_statements;
-        match Eval.exec t.catalog stmt with
+        match eval_fitting t stmt with
         | Ok out ->
           (* log only acknowledged statements: a rejected update (e.g. an
              integrity violation) must not poison replay *)
@@ -367,14 +372,13 @@ let install_snapshot t ~lsn image =
   | exception Snapshot.Corrupt_snapshot msg -> Error ("corrupt snapshot image: " ^ msg)
   | catalog ->
     (* A replica image replaces everything: rebuild the paged store from
-       scratch (tmp + rename, same crash safety as migration) rather
+       scratch (tmp + rename, same crash safety as a fresh open) rather
        than diffing against state the primary no longer vouches for. *)
     Page_store.close t.store;
     let store, catalog = build_store ~fsync:t.fsync ~base_lsn:lsn (pages_path t.dir) catalog in
     t.store <- store;
     t.catalog <- catalog;
     t.last_ckpt <- Catalog.snapshot catalog;
-    write_meta t.dir lsn;
     Wal.close t.wal;
     Wal.truncate (wal_path t.dir);
     t.wal <- Wal.open_ ~fsync:t.fsync (wal_path t.dir);
@@ -388,20 +392,8 @@ let install_snapshot t ~lsn image =
     Hr_obs.Metrics.set g_lsn lsn;
     Ok ()
 
-let apply_replicated t ~lsn source =
-  if lsn <= t.lsn then
-    Error (Printf.sprintf "duplicate record: LSN %d already applied (at %d)" lsn t.lsn)
-  else
-    match Eval.run_script t.catalog source with
-    | Ok _ ->
-      Hr_obs.Metrics.incr m_statements;
-      Wal.append t.wal ~lsn source;
-      tail_push t { Wal.lsn; stmt = source };
-      t.pending <- t.pending + 1;
-      t.lsn <- lsn;
-      Hr_obs.Metrics.set g_lsn lsn;
-      Ok ()
-    | Error msg -> Error msg
+let duplicate t lsn =
+  Error (Printf.sprintf "duplicate record: LSN %d already applied (at %d)" lsn t.lsn)
 
 (* The bookkeeping half of [apply_replicated] without the evaluation:
    for callers (the parallel WAL apply in lib/repl) that evaluated the
@@ -409,8 +401,7 @@ let apply_replicated t ~lsn source =
    must still preserve the local WAL's contiguity discipline (fsck
    F007) record by record, in the primary's LSN order. *)
 let log_replicated t ~lsn source =
-  if lsn <= t.lsn then
-    Error (Printf.sprintf "duplicate record: LSN %d already applied (at %d)" lsn t.lsn)
+  if lsn <= t.lsn then duplicate t lsn
   else begin
     Hr_obs.Metrics.incr m_statements;
     Wal.append t.wal ~lsn source;
@@ -420,3 +411,10 @@ let log_replicated t ~lsn source =
     Hr_obs.Metrics.set g_lsn lsn;
     Ok ()
   end
+
+let apply_replicated t ~lsn source =
+  if lsn <= t.lsn then duplicate t lsn
+  else
+    match Eval.run_script t.catalog source with
+    | Ok _ -> log_replicated t ~lsn source
+    | Error msg -> Error msg

@@ -1,11 +1,11 @@
 (** A durable database: paged tuple store + write-ahead log + HRQL.
 
-    A database lives in a directory holding [pages.db] (the
+    A database lives in a directory holding exactly [pages.db] (the
     {!Page_store}: shadow-paged slotted tuple pages, B-tree index,
-    free-space map and DDL blob), [wal.log] (statements applied since
-    the last checkpoint, {!Wal} format) and [meta] (the LSN the store is
-    valid through). {!open_dir} loads the page store and replays the log
-    onto it; {!exec} runs HRQL statements, appending each successful
+    free-space map, DDL blob, and in its meta root the LSN the store is
+    valid through), [wal.log] (statements applied since the last
+    checkpoint, {!Wal} format) and [LOCK]. {!open_dir} loads the page
+    store and replays the log onto it; {!exec} runs HRQL statements, appending each successful
     mutating statement to the log before acknowledging it (so
     acknowledged implies replayable — rejected updates are never logged
     and cannot poison recovery); {!checkpoint} writes only the pages
@@ -14,9 +14,13 @@
     record, or one that died mid-checkpoint before the meta-root swap)
     recovers every acknowledged statement.
 
-    Directories written by pre-paged builds ([snapshot.bin]) are
-    migrated on first open; the {!Snapshot} codec survives as the
-    interchange format for replica bootstrap and [fsck --against].
+    Directories written by pre-paged builds ([snapshot.bin]) are not
+    opened: see {!legacy_layout}. The {!Snapshot} codec survives only as
+    the interchange format for replica bootstrap images.
+
+    Every tuple must fit one heap page ({!Page_store.max_record_bytes});
+    a statement that would store a larger one is rejected before it is
+    logged, leaving the catalog unchanged.
 
     Every logged statement carries a {e log sequence number} (LSN):
     monotone from 1 over the whole life of the directory, never reset by
@@ -30,8 +34,15 @@
 
 type t
 
+val legacy_layout : string -> string option
+(** [Some reason] when the directory holds [snapshot.bin] but no
+    [pages.db]: the pre-paged layout, which this build neither reads
+    nor migrates. The reason names the cut-off (docs/STORAGE.md). *)
+
 val open_dir : ?auto_checkpoint_every:int -> ?fsync:bool -> string -> t
-(** Creates the directory if needed; recovers existing state. Takes an
+(** Creates the directory if needed; recovers existing state, or builds
+    an empty store when there is no [pages.db]. Fails with [Failure],
+    touching nothing, on a directory {!legacy_layout} refuses. Takes an
     advisory lock on [DIR/LOCK] — a second concurrent open of the same
     directory fails with [Failure] rather than corrupting the log. The
     lock is released by {!close} or process exit. If recovery dropped a
@@ -39,8 +50,8 @@ val open_dir : ?auto_checkpoint_every:int -> ?fsync:bool -> string -> t
     printed to stderr (and counted in [storage.wal.torn_tail_*]), and
     the log file is truncated back to the last intact record so
     subsequent appends land on a record boundary.
-    Recovery replays only records with LSN past the snapshot's
-    [base_lsn], so a crash between a checkpoint's snapshot write and its
+    Recovery replays only records with LSN past the page store's
+    [base_lsn], so a crash between a checkpoint's page commit and its
     WAL truncation cannot double-apply.
 
     [auto_checkpoint_every] (default 10000, 0 to disable) caps the WAL:
@@ -64,7 +75,9 @@ val exec : t -> string -> (string list, string) result
     DELETE / LET / CONSOLIDATE / EXPLICATE) is logged under a fresh LSN;
     reads and rejected updates are not. On error, statements before the
     failing one remain applied and logged (statement-level, not
-    script-level, atomicity). Returns only after a WAL {!sync}: when
+    script-level, atomicity). A statement that would store a tuple
+    larger than {!Page_store.max_record_bytes} fails with [Error] and
+    changes nothing. Returns only after a WAL {!sync}: when
     this call comes back, every logged statement is durable. *)
 
 (** {1 Group commit}
@@ -108,13 +121,14 @@ val checkpoint : t -> unit
     the changed tuples to the page store, and commits only the dirty
     pages plus a fresh page table and meta root (write-new-then-swap-root
     — a crash at any point leaves the previous checkpoint intact).
-    Records [base_lsn = lsn] in [meta] and truncates [wal.log]. Cost is
+    The new meta root records [base_lsn = lsn]; then [wal.log] is
+    truncated. Cost is
     proportional to the data changed since the last checkpoint, not to
     the database size. *)
 
 val last_checkpoint_pages : t -> int * int
 (** [(pages_written, pages_total)] from the most recent {!checkpoint}
-    (or [install_snapshot]/migration commit) in this process — [(0, 0)]
+    (or [install_snapshot] commit) in this process — [(0, 0)]
     before the first. The bench harness and STATS read this to verify
     checkpoint cost tracks the delta. *)
 
@@ -130,7 +144,7 @@ val lsn : t -> int
     database). Monotone across checkpoints and reopens. *)
 
 val base_lsn : t -> int
-(** The LSN the current snapshot covers through (0 before the first
+(** The LSN the page store covers through (0 before the first
     checkpoint). *)
 
 val records_since : t -> int -> Wal.record list

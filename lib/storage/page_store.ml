@@ -268,6 +268,13 @@ let encode_record ~rel_id ~sign labels =
   W.list w W.string labels;
   W.contents w
 
+(* [encode_record]'s length, without building it: rel id, sign, list
+   count, then a length prefix per label. *)
+let record_bytes labels = List.fold_left (fun n l -> n + 4 + String.length l) 9 labels
+
+(* A record and its 4-byte slot must fit one empty heap page. *)
+let max_record_bytes = page_size - header - 4
+
 let decode_record s =
   let r = R.of_string s in
   let rel_id = R.u32 r in
@@ -377,7 +384,7 @@ let rel_tids t name =
 let insert_tuple t ~rel ~rel_id ~sign labels =
   let record = encode_record ~rel_id ~sign labels in
   let len = String.length record in
-  if len + 4 > page_size - header then
+  if len > max_record_bytes then
     failwith (Printf.sprintf "Page_store: tuple of %d bytes exceeds page capacity" len);
   let l = place t (len + 4) in
   let slot = ref 0 in
@@ -797,6 +804,14 @@ let to_catalog t =
 let tuple_labels schema tuple =
   List.init (Schema.arity schema) (fun i ->
       Hierarchy.node_label (Schema.hierarchy schema i) (Item.coord tuple.Relation.item i))
+
+let oversize_tuple rel =
+  let schema = Relation.schema rel in
+  List.find_map
+    (fun tu ->
+      let n = record_bytes (tuple_labels schema tu) in
+      if n > max_record_bytes then Some n else None)
+    (Relation.tuples rel)
 
 (* Write [rel]'s tuples into pages as a delta against [old] (the
    relation value as of the last checkpoint): unchanged tuples touch no

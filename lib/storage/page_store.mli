@@ -38,17 +38,31 @@ val to_catalog : t -> Hierel.Catalog.t
     snapshot decode), also priming this store's TID maps for later
     delta application. *)
 
+val max_record_bytes : int
+(** The largest tuple record one heap page holds: the page size less
+    the page header and one 4-byte slot (4076 bytes for 4 KiB pages).
+    {!apply_relation} fails on a larger tuple, so {!Db} refuses any
+    statement that would store one. *)
+
+val record_bytes : string list -> int
+(** The on-disk size of a tuple record with these coordinate labels:
+    9 bytes plus 4 bytes and the length of each label. *)
+
+val oversize_tuple : Hierel.Relation.t -> int option
+(** The record size of the first tuple of the relation that exceeds
+    {!max_record_bytes}, if any. *)
+
 val apply_relation : t -> ?old:Hierel.Relation.t -> Hierel.Relation.t -> unit
 (** Write a relation's tuples as a delta against [old] (its value at
     the last checkpoint): unchanged tuples touch no page. [?old]
-    absent means every tuple is new (initial load / migration). *)
+    absent means every tuple is new (initial load). *)
 
 val drop_relation : t -> string -> unit
 (** Delete every tuple and index entry of the named relation. *)
 
 val apply_catalog : t -> Hierel.Catalog.t -> unit
 (** {!apply_relation} with no [old] for every relation — full loads
-    (legacy-snapshot migration, replica snapshot install). *)
+    (replica snapshot install). *)
 
 val set_ddl : t -> Hierel.Catalog.t -> unit
 (** Re-encode hierarchies, schemas, observed stats and the relation-id

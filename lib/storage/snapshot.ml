@@ -173,16 +173,3 @@ let decode ?(check = true) data =
   with
   | R.Corrupt msg -> corrupt "%s" msg
   | Hierarchy.Error msg | Types.Model_error msg -> corrupt "invalid content: %s" msg
-
-let write_file cat path =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (encode cat))
-
-let read_file ?check path =
-  let ic = open_in_bin path in
-  let data =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  decode ?check data

@@ -6,7 +6,12 @@
     The encoding goes through the public construction APIs on decode, so
     invariants (acyclicity, arity checks, the ambiguity constraint at
     [define_relation]) are re-validated on load. A CRC-32 trailer detects
-    torn or corrupted files.
+    torn or corrupted images.
+
+    The codec is an interchange format, not a file layout: it carries
+    replica bootstrap images ([REPL_SNAPSHOT], {!Db.snapshot_image} and
+    {!Db.install_snapshot}) and the page store's DDL blob. A database
+    directory holds only [pages.db] and [wal.log] (docs/STORAGE.md).
 
     Re-running the relation consistency sweep on every load is by far
     the most expensive part of decoding (it is quadratic in relation
@@ -24,6 +29,3 @@ val decode : ?check:bool -> string -> Hierel.Catalog.t
 (** Raises {!Corrupt_snapshot} on bad magic, unsupported version, CRC
     mismatch or malformed structure. [~check] (default [true]) controls
     the per-relation consistency sweep; see the module comment. *)
-
-val write_file : Hierel.Catalog.t -> string -> unit
-val read_file : ?check:bool -> string -> Hierel.Catalog.t

@@ -60,8 +60,6 @@ let write_bytes path data =
 let copy_file src dst = write_bytes dst (read_bytes src)
 
 let wal dir = Filename.concat dir "wal.log"
-let meta dir = Filename.concat dir "meta"
-let graphs dir = Filename.concat dir "graphs.bin"
 
 (* ---- clean directories ------------------------------------------------ *)
 
@@ -86,7 +84,7 @@ let test_clean_wal_only () =
       let r = Fsck.run dir in
       Alcotest.(check (list string)) "no findings" [] (codes r);
       Alcotest.(check int) "all records intact" (List.length world) r.Fsck.wal_records;
-      Alcotest.(check int) "no snapshot yet" 0 r.Fsck.base_lsn)
+      Alcotest.(check int) "no checkpoint yet" 0 r.Fsck.base_lsn)
 
 let test_not_a_db_dir () =
   let r = Fsck.run "/nonexistent/path/to/nowhere" in
@@ -123,83 +121,41 @@ let test_redundant_isa_edge () =
       Alcotest.(check (list string)) "F012 and nothing else" [ "F012" ] (codes r);
       Alcotest.(check bool) "warning only" false (Fsck.has_critical r))
 
-(* Checkpoints are paged now, so the legacy-format checks (F003/F004,
-   F014/F015) construct by hand exactly what a pre-paged build's
-   checkpoint left behind: snapshot.bin + graphs.bin + truncated WAL. *)
-let build_catalog stmts =
-  let cat = Hierel.Catalog.create () in
-  List.iter
-    (fun s ->
-      match Hr_query.Eval.run_script cat s with
+(* The pre-paged layout (snapshot.bin, no pages.db) is one this build
+   cannot open, so fsck refuses it the way it refuses a non-directory. *)
+let test_pre_paged_layout () =
+  with_temp_dir (fun dir ->
+      let cat = Hierel.Catalog.create () in
+      (match Hr_query.Eval.run_script cat (String.concat " " world) with
       | Ok _ -> ()
-      | Error e -> Alcotest.failf "build_catalog: %s" e)
-    stmts;
-  cat
-
-let write_legacy dir cat =
-  Hr_storage.Snapshot.write_file cat (Filename.concat dir "snapshot.bin");
-  Hr_storage.Graph_store.write_file cat (graphs dir);
-  write_bytes (wal dir) "";
-  write_bytes (meta dir) "base_lsn=0\npublished_lsn=0\n"
-
-let test_stale_graphs_sidecar () =
-  with_temp_dir (fun dir ->
-      write_legacy dir (build_catalog (world @ [ "INSERT INTO flies VALUES (- ALL penguin);" ]));
-      (* a sidecar from before the negation no longer matches the
-         snapshot's subsumption graphs *)
-      Hr_storage.Graph_store.write_file (build_catalog world) (graphs dir);
-      let r = Fsck.run dir in
-      Alcotest.(check (list string)) "F014 and nothing else" [ "F014" ] (codes r);
-      Alcotest.(check bool) "critical" true (Fsck.has_critical r))
-
-let test_legacy_meta_without_snapshot () =
-  with_temp_dir (fun dir ->
+      | Error e -> Alcotest.failf "building the catalog: %s" e);
+      write_bytes (Filename.concat dir "snapshot.bin") (Hr_storage.Snapshot.encode cat);
       write_bytes (wal dir) "";
-      write_bytes (meta dir) "base_lsn=5\n";
       let r = Fsck.run dir in
-      Alcotest.(check (list string)) "F009 and nothing else" [ "F009" ] (codes r);
+      Alcotest.(check (list string)) "F001 and nothing else" [ "F001" ] (codes r);
       Alcotest.(check bool) "critical" true (Fsck.has_critical r))
 
-let test_mismatched_base_lsn () =
+(* The first live record must be base + 1: drop LSN base+1 from the log
+   of a checkpointed directory and keep base+2, which replays cleanly. *)
+let test_wal_skips_base () =
   with_temp_dir (fun dir ->
       let db = seed dir in
       Db.checkpoint db;
       exec db "INSERT INTO flies VALUES (+ opus);";
+      exec db "INSERT INTO flies VALUES (- tweety);";
       Db.close db;
-      (* meta claiming coverage past what the page store committed is
-         corruption; the reverse (meta one checkpoint behind, the crash
-         window between the page commit and the meta rewrite) is
-         tolerated by design. *)
       let base = List.length world in
-      write_bytes (meta dir) (Printf.sprintf "base_lsn=%d\n" (base + 2));
+      let kept = List.filter (fun { Wal.lsn; _ } -> lsn = base + 2) (Wal.records (wal dir)) in
+      Wal.truncate (wal dir);
+      let w = Wal.open_ (wal dir) in
+      List.iter (fun { Wal.lsn; stmt } -> Wal.append w ~lsn stmt) kept;
+      Wal.close w;
       let r = Fsck.run dir in
-      Alcotest.(check bool) "F009 reported" true (List.mem "F009" (codes r));
+      Alcotest.(check (list string)) "F009 and nothing else" [ "F009" ] (codes r);
       Alcotest.(check bool) "critical" true (Fsck.has_critical r);
-      write_bytes (meta dir) (Printf.sprintf "base_lsn=%d\n" (base - 2));
-      let r = Fsck.run dir in
-      Alcotest.(check (list string)) "stale meta tolerated" [] (codes r))
+      Alcotest.(check int) "base from the page store" base r.Fsck.base_lsn)
 
-(* The published-version watermark claims visibility beyond the durable
-   head: a reader could have been served state that a crash then lost.
-   Seeded by rewriting meta with a published_lsn past every WAL record. *)
-let test_published_beyond_durable () =
-  with_temp_dir (fun dir ->
-      let db = seed dir in
-      Db.checkpoint db;
-      Db.close db;
-      let head = List.length world in
-      write_bytes (meta dir)
-        (Printf.sprintf "base_lsn=%d\npublished_lsn=%d\n" head (head + 5));
-      let r = Fsck.run dir in
-      Alcotest.(check (list string)) "F019 and nothing else" [ "F019" ] (codes r);
-      Alcotest.(check bool) "critical" true (Fsck.has_critical r);
-      (* a watermark at the durable head is exactly right *)
-      write_bytes (meta dir)
-        (Printf.sprintf "base_lsn=%d\npublished_lsn=%d\n" head head);
-      let r = Fsck.run dir in
-      Alcotest.(check (list string)) "watermark at head is clean" [] (codes r))
-
-(* ---- tails, sidecars, semantic state ----------------------------------- *)
+(* ---- tails and semantic state ----------------------------------- *)
 
 let test_torn_tail_is_warning () =
   with_temp_dir (fun dir ->
@@ -239,14 +195,6 @@ let test_torn_tail_truncated_on_reopen () =
         Alcotest.(check string) "negation applied" "- (by (V penguin))" out
       | Ok _ | Error _ -> Alcotest.fail "ask after reopen failed");
       Db.close db)
-
-let test_missing_graphs_sidecar () =
-  with_temp_dir (fun dir ->
-      write_legacy dir (build_catalog world);
-      Sys.remove (graphs dir);
-      let r = Fsck.run dir in
-      Alcotest.(check (list string)) "F015 and nothing else" [ "F015" ] (codes r);
-      Alcotest.(check bool) "warning only" false (Fsck.has_critical r))
 
 (* ---- seeded page-store corruption (F025–F029) -------------------------- *)
 
@@ -359,7 +307,7 @@ let test_checkpoint_past_peer_not_comparable () =
       exec da "INSERT INTO flies VALUES (+ opus);";
       Db.checkpoint da;
       Db.close da;
-      (* a's snapshot now covers LSNs past b's head: no common
+      (* a's page store now covers LSNs past b's head: no common
          materialization point exists *)
       let r = Fsck.run ~against:b a in
       Alcotest.(check (list string)) "F017 and nothing else" [ "F017" ] (codes r);
@@ -475,12 +423,11 @@ let test_never_raises () =
       let r = Fsck.run file in
       Alcotest.(check bool) "file: findings, no exception" false (Fsck.clean r);
       write_bytes (wal dir) "garbage garbage garbage";
-      write_bytes (meta dir) "nonsense";
-      write_bytes (Filename.concat dir "snapshot.bin") "junk";
+      write_bytes (Filename.concat dir "pages.db") "junk";
       let r = Fsck.run dir in
       Alcotest.(check bool) "garbage dir: findings, no exception" false
         (Fsck.clean r);
-      Alcotest.(check bool) "snapshot junk is critical" true (Fsck.has_critical r))
+      Alcotest.(check bool) "page junk is critical" true (Fsck.has_critical r))
 
 let suite =
   [
@@ -489,10 +436,8 @@ let suite =
     Alcotest.test_case "not a db dir" `Quick test_not_a_db_dir;
     Alcotest.test_case "seeded: flipped byte mid-wal" `Quick test_flipped_byte_mid_wal;
     Alcotest.test_case "seeded: redundant isa edge" `Quick test_redundant_isa_edge;
-    Alcotest.test_case "seeded: stale graphs sidecar" `Quick test_stale_graphs_sidecar;
-    Alcotest.test_case "seeded: mismatched base_lsn" `Quick test_mismatched_base_lsn;
-    Alcotest.test_case "legacy meta without snapshot" `Quick
-      test_legacy_meta_without_snapshot;
+    Alcotest.test_case "pre-paged layout is F001" `Quick test_pre_paged_layout;
+    Alcotest.test_case "seeded: WAL skips base+1 (F009)" `Quick test_wal_skips_base;
     Alcotest.test_case "seeded: page checksum (F025)" `Quick test_page_checksum;
     Alcotest.test_case "seeded: dangling TID (F026)" `Quick test_dangling_tid;
     Alcotest.test_case "seeded: duplicate TID (F027)" `Quick test_duplicate_tid;
@@ -500,12 +445,9 @@ let suite =
     Alcotest.test_case "seeded: free-map skew (F029)" `Quick test_freemap_skew;
     Alcotest.test_case "partial trailing page is a warning" `Quick
       test_partial_trailing_page;
-    Alcotest.test_case "seeded: published version beyond durable head" `Quick
-      test_published_beyond_durable;
     Alcotest.test_case "torn tail is a warning" `Quick test_torn_tail_is_warning;
     Alcotest.test_case "torn tail truncated on reopen" `Quick
       test_torn_tail_truncated_on_reopen;
-    Alcotest.test_case "missing graphs sidecar" `Quick test_missing_graphs_sidecar;
     Alcotest.test_case "ambiguity violation" `Quick test_ambiguous_relation;
     Alcotest.test_case "divergence detected" `Quick test_divergence_detected;
     Alcotest.test_case "caught-up replica is clean" `Quick test_caught_up_replica_clean;

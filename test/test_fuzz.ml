@@ -171,9 +171,8 @@ let prop_select_over_join_differential =
           let g = Prng.create (Int64.of_int (seed + 29)) in
           let v = Prng.pick g (Array.of_list (Hierarchy.classes h1)) in
           let members = member_labels h1 v in
-          let lifted =
-            Ops.select (Ops.join r1 r2) ~attr:"a" ~value:(Hierarchy.node_label h1 v)
-          in
+          let joined = Ops.join r1 r2 in
+          let lifted = Ops.select joined ~attr:"a" ~value:(Hierarchy.node_label h1 v) in
           let flat =
             Flat_relation.select_by
               (Flat_relation.join (Traditional.extension_relation r1)
@@ -181,8 +180,9 @@ let prop_select_over_join_differential =
               (fun row -> String_set.mem (List.hd row) members)
           in
           let agreed = Flat_relation.equal (Traditional.extension_relation lifted) flat in
+          (* selecting from an empty join computes no verdict *)
           let counted =
-            Relation.cardinality r1 = 0
+            Relation.cardinality joined = 0
             || Metrics.counter_value "core.binding.verdicts" > verdicts0
           in
           agreed && counted))

@@ -171,7 +171,7 @@ let test_db_lsn_monotone () =
       Alcotest.(check (list int)) "tail survives the checkpoint" [ 1; 2; 3 ]
         (List.map (fun r -> r.Wal.lsn) (Db.records_since db 0));
       Db.close db;
-      (* reopen: LSN recovered from meta + wal, not reset *)
+      (* reopen: LSN recovered from the page store + wal, not reset *)
       let db2 = Db.open_dir dir in
       Alcotest.(check int) "lsn survives reopen" 3 (Db.lsn db2);
       Alcotest.(check int) "base survives reopen" 2 (Db.base_lsn db2);
@@ -218,10 +218,11 @@ let test_db_replication_hooks () =
           Db.close replica2;
           Db.close primary))
 
-(* a crash after a checkpoint wrote snapshot.bin + meta but before the
-   WAL was truncated leaves already-snapshotted records in the log; the
-   reopen must skip them instead of double-applying (which would fail
-   outright on the duplicate CREATEs) *)
+(* a crash after a checkpoint committed its pages but before the WAL
+   was truncated leaves already-checkpointed records in the log; the
+   reopen must skip them (the page store's base_lsn covers them)
+   instead of double-applying, which would fail outright on the
+   duplicate CREATEs *)
 let test_reopen_after_interrupted_checkpoint () =
   with_temp_dir (fun dir ->
       let db = Db.open_dir dir in

@@ -1,5 +1,5 @@
-(* Storage engine tests: codec, binary snapshots, WAL discipline, crash
-   recovery. *)
+(* Storage engine tests: codec, binary snapshot images, WAL discipline,
+   crash recovery, the one durable layout and its tuple-size bound. *)
 
 module Codec = Hr_storage.Codec
 module Snapshot = Hr_storage.Snapshot
@@ -93,15 +93,6 @@ let test_snapshot_corruption_detected () =
     ignore (Snapshot.decode "not a snapshot at all");
     Alcotest.fail "expected Corrupt_snapshot on garbage"
   with Snapshot.Corrupt_snapshot _ -> ()
-
-let test_snapshot_file_roundtrip () =
-  with_temp_dir (fun dir ->
-      let path = Filename.concat dir "snap.bin" in
-      let cat = sample_catalog () in
-      Snapshot.write_file cat path;
-      let cat2 = Snapshot.read_file path in
-      Alcotest.(check string) "same dump" (Persist.dump_catalog cat)
-        (Persist.dump_catalog cat2))
 
 (* ---- WAL ------------------------------------------------------------- *)
 
@@ -562,6 +553,156 @@ let test_randomized_durability_vs_oracle () =
         (rendered_state (Db.catalog db2) = rendered_state control);
       Db.close db2)
 
+(* ---- one durable layout ---------------------------------------------- *)
+
+let read_bytes path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_bytes path data =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data)
+
+let listing dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+(* What a pre-paged build's directory held after a checkpoint and one
+   more statement: a snapshot image plus the WAL tail. *)
+let write_pre_paged dir =
+  write_bytes (Filename.concat dir "snapshot.bin") (Snapshot.encode (sample_catalog ()));
+  let w = Wal.open_ (Filename.concat dir "wal.log") in
+  Wal.append w ~lsn:1 "INSERT INTO barks VALUES (+ muttley);";
+  Wal.close w
+
+let test_pre_paged_dir_refused () =
+  with_temp_dir (fun dir ->
+      write_pre_paged dir;
+      let snap = read_bytes (Filename.concat dir "snapshot.bin") in
+      let wal = read_bytes (Filename.concat dir "wal.log") in
+      (match Db.open_dir dir with
+      | db ->
+        Db.close db;
+        Alcotest.fail "a snapshot.bin directory must not open"
+      | exception Failure msg ->
+        Alcotest.(check bool) "the error names the file" true
+          (Test_util.contains ~sub:"snapshot.bin" msg));
+      Alcotest.(check (list string)) "nothing created or removed"
+        [ "snapshot.bin"; "wal.log" ] (listing dir);
+      Alcotest.(check bool) "snapshot.bin byte-identical" true
+        (read_bytes (Filename.concat dir "snapshot.bin") = snap);
+      Alcotest.(check bool) "wal.log byte-identical" true
+        (read_bytes (Filename.concat dir "wal.log") = wal))
+
+let test_checkpointed_dir_layout () =
+  with_temp_dir (fun dir ->
+      let db = Db.open_dir dir in
+      (match Db.exec db setup_script with Ok _ -> () | Error e -> failwith e);
+      Db.checkpoint db;
+      Alcotest.(check (list string)) "one layout" [ "LOCK"; "pages.db"; "wal.log" ]
+        (listing dir);
+      Db.close db;
+      Alcotest.(check (list string)) "still one layout after close"
+        [ "LOCK"; "pages.db"; "wal.log" ] (listing dir))
+
+(* ---- tuples must fit one heap page ------------------------------------ *)
+
+(* The record of a one-attribute tuple is 9 + 4 + label bytes, so this
+   label is the longest whose tuple fits a page exactly. *)
+let longest_label = Page_store.max_record_bytes - 13
+
+let test_page_store_tuple_bound () =
+  Alcotest.(check int) "record_bytes of one label" Page_store.max_record_bytes
+    (Page_store.record_bytes [ String.make longest_label 'x' ]);
+  let store_with label =
+    with_temp_dir (fun dir ->
+        let cat = Catalog.create () in
+        (match
+           Eval.run_script cat
+             (Printf.sprintf
+                "CREATE DOMAIN d; CREATE INSTANCE %s OF d; CREATE RELATION r (v: d); \
+                 INSERT INTO r VALUES (+ %s);"
+                label label)
+         with
+        | Ok _ -> ()
+        | Error e -> failwith e);
+        let s = Page_store.create (Filename.concat dir "pages.db") in
+        Fun.protect
+          ~finally:(fun () -> Page_store.close s)
+          (fun () ->
+            match Page_store.apply_catalog s cat with
+            | () -> Ok (Page_store.oversize_tuple (Catalog.relation cat "r"))
+            | exception Failure msg -> Error msg))
+  in
+  (match store_with (String.make longest_label 'x') with
+  | Ok None -> ()
+  | Ok (Some n) -> Alcotest.failf "a fitting tuple reported as %d bytes" n
+  | Error msg -> Alcotest.failf "a tuple that fits was refused: %s" msg);
+  match store_with (String.make (longest_label + 1) 'x') with
+  | Ok _ -> Alcotest.fail "a tuple one byte past a page was stored"
+  | Error msg ->
+    Alcotest.(check bool) "the guard names the page capacity" true
+      (Test_util.contains ~sub:"exceeds page capacity" msg)
+
+let long_label = String.make 5000 'l'
+
+let test_db_rejects_oversize_insert () =
+  with_temp_dir (fun dir ->
+      let db = Db.open_dir dir in
+      (match
+         Db.exec db
+           (Printf.sprintf
+              "CREATE DOMAIN d; CREATE INSTANCE %s OF d; CREATE RELATION r (v: d);"
+              long_label)
+       with
+      | Ok _ -> ()
+      | Error e -> failwith e);
+      let logged = Db.lsn db in
+      (match Db.exec db (Printf.sprintf "INSERT INTO r VALUES (+ %s);" long_label) with
+      | Ok _ -> Alcotest.fail "an oversize tuple was accepted"
+      | Error msg ->
+        Alcotest.(check bool) "the error gives the bound" true
+          (Test_util.contains ~sub:(string_of_int Page_store.max_record_bytes) msg));
+      Alcotest.(check int) "not logged" logged (Db.lsn db);
+      Alcotest.(check int) "catalog unchanged" 0
+        (Relation.cardinality (Catalog.relation (Db.catalog db) "r"));
+      (* the statement that would have killed it: the checkpoint *)
+      Db.checkpoint db;
+      Db.close db;
+      let db = Db.open_dir dir in
+      Alcotest.(check int) "reopens at the same LSN" logged (Db.lsn db);
+      Db.close db)
+
+(* LET and EXPLICATE compute their relation, so the bound is checked
+   after evaluation and the previous binding put back. *)
+let test_db_rejects_oversize_derived () =
+  with_temp_dir (fun dir ->
+      let db = Db.open_dir dir in
+      (match
+         Db.exec db
+           (Printf.sprintf
+              "CREATE DOMAIN d; CREATE CLASS c UNDER d; CREATE INSTANCE %s OF c; \
+               CREATE RELATION r (v: d); INSERT INTO r VALUES (+ ALL c);"
+              long_label)
+       with
+      | Ok _ -> ()
+      | Error e -> failwith e);
+      let logged = Db.lsn db in
+      let before = Catalog.relation (Db.catalog db) "r" in
+      (match Db.exec db "EXPLICATE r;" with
+      | Ok _ -> Alcotest.fail "EXPLICATE stored an oversize tuple"
+      | Error _ -> ());
+      Alcotest.(check bool) "r restored" true
+        (Catalog.relation (Db.catalog db) "r" == before);
+      (match Db.exec db "LET s = EXPLICATED r;" with
+      | Ok _ -> Alcotest.fail "LET stored an oversize tuple"
+      | Error _ -> ());
+      Alcotest.(check bool) "s not defined" true
+        (Catalog.find_relation (Db.catalog db) "s" = None);
+      Alcotest.(check int) "nothing logged" logged (Db.lsn db);
+      Db.checkpoint db;
+      Db.close db)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_snapshot_random_roundtrip;
@@ -572,7 +713,6 @@ let suite =
     Alcotest.test_case "crc32 test vector" `Quick test_crc32_known_value;
     Alcotest.test_case "snapshot round trip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot corruption detected" `Quick test_snapshot_corruption_detected;
-    Alcotest.test_case "snapshot file round trip" `Quick test_snapshot_file_roundtrip;
     Alcotest.test_case "wal append and replay" `Quick test_wal_append_replay;
     Alcotest.test_case "wal torn tail dropped" `Quick test_wal_torn_tail_dropped;
     Alcotest.test_case "wal missing file" `Quick test_wal_missing_file;
@@ -590,6 +730,16 @@ let suite =
     Alcotest.test_case "data larger than the pager pool" `Quick test_data_larger_than_pool;
     Alcotest.test_case "kill -9 mid-checkpoint recovers exactly" `Quick
       test_kill_mid_checkpoint;
+    Alcotest.test_case "pre-paged snapshot.bin dir refused untouched" `Quick
+      test_pre_paged_dir_refused;
+    Alcotest.test_case "checkpointed dir holds LOCK, pages.db, wal.log" `Quick
+      test_checkpointed_dir_layout;
+    Alcotest.test_case "page store tuple bound is exact" `Quick
+      test_page_store_tuple_bound;
+    Alcotest.test_case "oversize INSERT rejected before logging" `Quick
+      test_db_rejects_oversize_insert;
+    Alcotest.test_case "oversize EXPLICATE/LET rejected, binding kept" `Quick
+      test_db_rejects_oversize_derived;
     Alcotest.test_case "randomized durability vs in-memory oracle" `Slow
       test_randomized_durability_vs_oracle;
   ]
