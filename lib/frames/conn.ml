@@ -36,6 +36,9 @@ let accept ~max_backlog socket =
     match Unix.accept socket with
     | fd, _ ->
       Unix.set_nonblock fd;
+      (* replies are whole frames: send each at once, not after the
+         peer's delayed ACK (Nagle) *)
+      Unix.setsockopt fd Unix.TCP_NODELAY true;
       let c =
         {
           fd;

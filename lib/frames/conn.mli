@@ -30,7 +30,7 @@ val default_max_backlog : int
 
 val accept : max_backlog:int -> Unix.file_descr -> t list
 (** Every connection pending on the listening socket, oldest first, each
-    non-blocking. [max_backlog] bounds its unsent output
+    non-blocking and with [TCP_NODELAY] set. [max_backlog] bounds its unsent output
     ({!over_backlog}). *)
 
 val fd : t -> Unix.file_descr

@@ -1,11 +1,10 @@
 type edge_kind = Isa | Preference
 
 (* Observability: reachability work is the engine's inner loop, so the
-   counters distinguish on-demand DFS walks from closure-index probes
+   counters distinguish on-demand DFS walks from ancestor-array probes
    (see docs/OBSERVABILITY.md). *)
 let m_reachable = Hr_obs.Metrics.counter "graph.dag.reachable_calls"
 let m_closure = Hr_obs.Metrics.counter "graph.dag.closure_walks"
-let m_reach_builds = Hr_obs.Metrics.counter "graph.reach.builds"
 let m_reach_queries = Hr_obs.Metrics.counter "graph.reach.queries"
 
 let kind_equal a b =
@@ -126,33 +125,36 @@ let remove_node g v =
   g.pred.(v) <- [];
   g.alive.(v) <- false
 
+(* Walks mark what they visit in a table sized by the walk, not an
+   n-slot array: [redundant_edges] runs one walk per edge and sibling,
+   and most walks touch a handful of nodes of a large graph. *)
 let reachable g ?(kinds = all_kinds) u v =
   Hr_obs.Metrics.incr m_reachable;
   check_endpoint g u;
   check_endpoint g v;
   if u = v then true
   else begin
-    let seen = Array.make g.n false in
+    let seen = Hashtbl.create 8 in
     let rec dfs x =
       x = v
-      || (not seen.(x))
+      || (not (Hashtbl.mem seen x))
          && begin
-              seen.(x) <- true;
+              Hashtbl.add seen x ();
               List.exists (fun (w, k) -> kinds k && g.alive.(w) && dfs w) g.succ.(x)
             end
     in
-    seen.(u) <- true;
+    Hashtbl.add seen u ();
     List.exists (fun (w, k) -> kinds k && g.alive.(w) && dfs w) g.succ.(u)
   end
 
 let closure adj g kinds v =
   Hr_obs.Metrics.incr m_closure;
   check_endpoint g v;
-  let seen = Array.make g.n false in
+  let seen = Hashtbl.create 8 in
   let rec dfs x acc =
-    if seen.(x) then acc
+    if Hashtbl.mem seen x then acc
     else begin
-      seen.(x) <- true;
+      Hashtbl.add seen x ();
       List.fold_left
         (fun acc (w, k) -> if kinds k && g.alive.(w) then dfs w acc else acc)
         (x :: acc) adj.(x)
@@ -269,41 +271,99 @@ let to_dot ?(label = string_of_int) g =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-module Reach = struct
+module Ancestry = struct
   type dag = t
 
-  type t = { row_bytes : int; bits : Bytes.t; n : int }
-  (* One bitset row of descendants per node: row [u] occupies [row_bytes]
-     bytes starting at byte [u * row_bytes]; bit [v] of the row is byte
-     [v / 8], mask [1 lsl (v mod 8)]. *)
+  (* [signature] is a one-word filter over [ids]: bit [u mod 62] is set
+     for every member [u], so most non-members are rejected with one
+     load and no search. *)
+  type set = { signature : int; ids : int array }
 
-  let create ?(kinds = all_kinds) (g : dag) =
-    Hr_obs.Metrics.incr m_reach_builds;
-    let n = capacity g in
-    let row_bytes = (n + 7) / 8 in
-    let bits = Bytes.make (max 1 (n * row_bytes)) '\000' in
-    let set_self u =
-      let j = (u * row_bytes) + (u lsr 3) in
-      Bytes.set bits j (Char.chr (Char.code (Bytes.get bits j) lor (1 lsl (u land 7))))
-    in
-    let union_row ~into:u ~from:v =
-      for w = 0 to row_bytes - 1 do
-        let cur = Char.code (Bytes.get bits ((u * row_bytes) + w)) in
-        let other = Char.code (Bytes.get bits ((v * row_bytes) + w)) in
-        Bytes.set bits ((u * row_bytes) + w) (Char.chr (cur lor other))
-      done
-    in
-    (* Reverse topological order: a node's successors' rows are complete
-       before being unioned into its own row. *)
+  let bit u = 1 lsl (u mod 62)
+  let empty = { signature = 0; ids = [||] }
+
+  (* Sorted, duplicate-free union of two ascending arrays. *)
+  let union a b =
+    let la = Array.length a and lb = Array.length b in
+    if la = 0 then b
+    else if lb = 0 then a
+    else begin
+      let out = Array.make (la + lb) 0 in
+      let rec go i j k =
+        if i = la then begin
+          Array.blit b j out k (lb - j);
+          k + lb - j
+        end
+        else if j = lb then begin
+          Array.blit a i out k (la - i);
+          k + la - i
+        end
+        else
+          let x = a.(i) and y = b.(j) in
+          if x < y then (out.(k) <- x; go (i + 1) j (k + 1))
+          else if y < x then (out.(k) <- y; go i (j + 1) (k + 1))
+          else (out.(k) <- x; go (i + 1) (j + 1) (k + 1))
+      in
+      let n = go 0 0 0 in
+      if n = la + lb then out else Array.sub out 0 n
+    end
+
+  let extend parents v =
+    {
+      signature = List.fold_left (fun m p -> m lor p.signature) (bit v) parents;
+      ids = List.fold_left (fun acc p -> union acc p.ids) [| v |] parents;
+    }
+
+  let build ?(kinds = all_kinds) (g : dag) =
+    let sets = Array.make g.n empty in
+    (* Topological order: a node's predecessors are complete before
+       their sets are merged into its own. *)
     List.iter
-      (fun u ->
-        set_self u;
-        List.iter (fun v -> union_row ~into:u ~from:v) (succs g ~kinds u))
-      (List.rev (topo_sort g));
-    { row_bytes; bits; n }
+      (fun v -> sets.(v) <- extend (List.map (fun p -> sets.(p)) (preds g ~kinds v)) v)
+      (topo_sort g);
+    sets
 
-  let mem t u v =
+  (* A loop, not a local recursive function: this is the innermost
+     probe of every subsumption test, and a closure would be allocated
+     per call. *)
+  let mem s u =
     Hr_obs.Metrics.incr m_reach_queries;
-    u >= 0 && v >= 0 && u < t.n && v < t.n
-    && Char.code (Bytes.get t.bits ((u * t.row_bytes) + (v lsr 3))) land (1 lsl (v land 7)) <> 0
+    s.signature land bit u <> 0
+    &&
+    let a = s.ids in
+    let lo = ref 0 and hi = ref (Array.length a) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if Array.unsafe_get a mid < u then lo := mid + 1 else hi := mid
+    done;
+    !lo < Array.length a && Array.unsafe_get a !lo = u
+
+  (* Count each node's members into [start], turn the counts into range
+     ends, then fill every range from its end while walking the sets in
+     descending order, so each range ascends and each end slides back to
+     its range's start. *)
+  let invert sets n =
+    let start = Array.make (n + 1) 0 in
+    for v = 0 to n - 1 do
+      let ids = sets.(v).ids in
+      for i = 0 to Array.length ids - 1 do
+        let u = ids.(i) in
+        start.(u) <- start.(u) + 1
+      done
+    done;
+    for u = 1 to n do
+      start.(u) <- start.(u) + start.(u - 1)
+    done;
+    let out = Array.make start.(n) 0 in
+    for v = n - 1 downto 0 do
+      let ids = sets.(v).ids in
+      for i = 0 to Array.length ids - 1 do
+        let u = ids.(i) in
+        start.(u) <- start.(u) - 1;
+        out.(start.(u)) <- v
+      done
+    done;
+    (start, out)
+
+  let to_list s = Array.to_list s.ids
 end

@@ -75,7 +75,9 @@ val eliminate_node : t -> on_path:bool -> int -> unit
 
 val reachable : t -> ?kinds:(edge_kind -> bool) -> int -> int -> bool
 (** [reachable g u v] is [true] iff [u = v] or a directed path of live
-    edges (with kinds satisfying [kinds]) leads from [u] to [v]. *)
+    edges (with kinds satisfying [kinds]) leads from [u] to [v]. A
+    depth-first walk whose cost, space included, is bounded by the
+    nodes it visits, not by the graph's size. *)
 
 val descendants : t -> ?kinds:(edge_kind -> bool) -> int -> int list
 (** All nodes reachable from the argument, including itself. *)
@@ -109,17 +111,43 @@ val to_dot : ?label:(int -> string) -> t -> string
 (** Graphviz rendering, mainly for debugging and documentation. Preference
     edges are dashed. *)
 
-module Reach : sig
-  (** Precomputed reachability index: one bitset of descendants per node,
-      built in a single reverse-topological pass. Queries are O(1). The
-      index is a snapshot — mutations to the graph after {!create} are not
-      reflected. *)
+module Ancestry : sig
+  (** Per-node ancestor sets: for each node, the nodes that reach it,
+      itself included, as an ascending array plus a one-word signature
+      that rejects most non-members without a search. Space is the sum
+      of the ancestor-set sizes, never V². A set is a value: nothing
+      mutates one after it is built, so sets may be shared between
+      copies of a graph's owner. *)
 
   type dag := t
-  type t
 
-  val create : ?kinds:(edge_kind -> bool) -> dag -> t
-  val mem : t -> int -> int -> bool
-  (** [mem r u v] iff [v] was reachable from [u] (reflexively) at snapshot
-      time. *)
+  type set
+
+  val empty : set
+  (** The set of a removed or not yet allocated node. *)
+
+  val build : ?kinds:(edge_kind -> bool) -> dag -> set array
+  (** One topological pass over the edges whose kind satisfies [kinds]
+      (default: all). The result is indexed by node id, {!capacity}
+      slots; removed nodes hold {!empty}. Raises [Invalid_argument] on a
+      cyclic graph. *)
+
+  val extend : set list -> int -> set
+  (** [extend parents v] is the ancestor set of a node [v] whose
+      immediate predecessors have the ancestor sets [parents]: their
+      union, plus [v]. *)
+
+  val mem : set -> int -> bool
+  (** [mem anc u] iff [u] is in [anc] — with [anc] the ancestor set of
+      [v], iff [u] reaches [v]. A signature test, then a binary search;
+      each call counts one [graph.reach.queries]. *)
+
+  val invert : set array -> int -> int array * int array
+  (** [invert sets n] is the inverse relation over nodes [0 .. n-1]:
+      [(start, members)] such that the nodes whose sets contain [u] are
+      [members.(start.(u))] to [members.(start.(u + 1) - 1)], ascending.
+      Two allocations; time is [n] plus the sum of the set sizes. *)
+
+  val to_list : set -> int list
+  (** Ascending. *)
 end

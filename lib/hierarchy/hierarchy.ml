@@ -3,46 +3,58 @@ module Dag = Hr_graph.Dag
 
 type node = int
 
-(* Closure-index hits vs builds expose the cost of [invalidate]:
-   a schema change after heavy querying shows up as an extra build. *)
+(* [index_builds] counts full rebuilds of the ancestor arrays: a leaf
+   insertion extends them instead, so only edits that move edges between
+   existing nodes show up here (docs/OBSERVABILITY.md). *)
 let m_subsumption = Hr_obs.Metrics.counter "hierarchy.subsumption_checks"
 let m_binding = Hr_obs.Metrics.counter "hierarchy.binding_checks"
 let m_index_builds = Hr_obs.Metrics.counter "hierarchy.index_builds"
-let m_index_hits = Hr_obs.Metrics.counter "hierarchy.index_hits"
 let m_mcd = Hr_obs.Metrics.counter "hierarchy.mcd_calls"
 
 exception Error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
+(* Node [v]'s isa descendants, itself included, are [ids.(start.(v))]
+   to [ids.(start.(v + 1) - 1)], ascending: two flat arrays, not one per
+   node. *)
+type descendant_index = { start : int array; ids : node array }
+
 type t = {
   graph : Dag.t;
-  by_name : node Symbol.Tbl.t;
+  (* Persistent, so [copy] shares it: a copy-on-write edit of a large
+     hierarchy must not pay for a name-table copy. *)
+  mutable by_name : node Symbol.Map.t;
   mutable names : Symbol.t array; (* indexed by node id *)
   mutable instance : bool array; (* indexed by node id *)
   root : node;
-  mutable isa_index : Dag.Reach.t option; (* descendants over isa edges *)
-  mutable bind_index : Dag.Reach.t option; (* descendants over isa + preference *)
-  (* Memoized [ancestors] results. The binding index probes ancestors of
-     every coordinate of every probed item; uncached, each probe pays a
-     full DFS whose cost tracks the hierarchy's shape (the PR 2 bench's
-     "100 tuples slower than 400" anomaly was exactly this). Cleared
-     with the closure indexes on every mutation. *)
-  anc_cache : (node, node list) Hashtbl.t;
-  (* Same memo for [descendants]: maximal-common-descendant computation
-     (the integrity check's inner loop) probes it repeatedly for the
-     same classes. *)
-  desc_cache : (node, node list) Hashtbl.t;
+  (* Per node, its isa ancestors, itself included ({!Dag.Ancestry});
+     [Dag.Ancestry.empty] for removed ids. The outer array is private to
+     this value, the sets are immutable, so [copy] shares them by
+     pointer. *)
+  mutable isa_anc : Dag.Ancestry.set array;
+  (* Binding ancestors (isa + preference), kept only while the
+     hierarchy has preference edges; without them the binding order is
+     the isa order and [isa_anc] serves both. *)
+  mutable bind_anc : Dag.Ancestry.set array option;
+  (* An edit that moved edges between existing nodes (ISA, PREFERENCE,
+     elimination, reduction) leaves the arrays to be rebuilt in one
+     topological pass. A new leaf never sets this: its array is the
+     merge of its parents' and no other node's array changes. *)
+  mutable stale : bool;
+  (* The inversion of [isa_anc]. Never mutated in place, so [copy]
+     shares it whole; every edit drops it to [None], and it is rebuilt
+     on the next read or at [freeze]. *)
+  mutable desc : descendant_index option;
   (* Pairwise memo for [maximal_common_descendants]: the integrity sweep
      asks about every opposite-sign tuple pair, and coordinates draw from
      far fewer distinct classes than there are pairs. *)
   mcd_cache : (node * node, node list) Hashtbl.t;
   (* A frozen hierarchy is immutable and safe to read from any number of
-     domains concurrently: the closure indexes are prebuilt, the
-     ancestor/descendant memos are fully populated (so lookups never
-     write), and every mutator refuses. The writer mutates via
-     copy-on-write ({!Catalog.update_hierarchy}): [copy] always yields
-     an unfrozen, privately owned value. *)
+     domains concurrently: the ancestor arrays and descendant index are
+     built, so lookups never write, and every mutator refuses. The
+     writer mutates via copy-on-write ({!Catalog.update_hierarchy}):
+     [copy] always yields an unfrozen, privately owned value. *)
   mutable frozen : bool;
   (* Identifies this value's current state: drawn from a process-wide
      counter at [create] and [copy] and again on every mutation, so two
@@ -56,13 +68,17 @@ let generations = Atomic.make 0
 let fresh_generation () = Atomic.fetch_and_add generations 1 + 1
 let generation h = h.generation
 
-let invalidate h =
+(* Every edit: a new state, so memoized MCDs and the descendant index
+   are stale. *)
+let touched h =
   h.generation <- fresh_generation ();
-  h.isa_index <- None;
-  h.bind_index <- None;
-  Hashtbl.reset h.anc_cache;
-  Hashtbl.reset h.desc_cache;
-  Hashtbl.reset h.mcd_cache
+  Hashtbl.reset h.mcd_cache;
+  h.desc <- None
+
+(* An edit that moved edges: the ancestor arrays are stale too. *)
+let restructured h =
+  touched h;
+  h.stale <- true
 
 let frozen h = h.frozen
 
@@ -75,18 +91,16 @@ let create domain_name =
   let graph = Dag.create () in
   let root = Dag.add_node graph in
   let sym = Symbol.intern domain_name in
-  let by_name = Symbol.Tbl.create 64 in
-  Symbol.Tbl.add by_name sym root;
   {
     graph;
-    by_name;
+    by_name = Symbol.Map.singleton sym root;
     names = [| sym |];
     instance = [| false |];
     root;
-    isa_index = None;
-    bind_index = None;
-    anc_cache = Hashtbl.create 64;
-    desc_cache = Hashtbl.create 64;
+    isa_anc = [| Dag.Ancestry.extend [] root |];
+    bind_anc = None;
+    stale = false;
+    desc = None;
     mcd_cache = Hashtbl.create 64;
     frozen = false;
     generation = fresh_generation ();
@@ -94,19 +108,21 @@ let create domain_name =
 
 (* Node ids survive the copy ([Dag.copy] preserves them), so items in
    relations over the original remain valid over the copy. The copy is
-   always unfrozen: it is a new private value the caller may mutate. *)
+   always unfrozen: it is a new private value the caller may mutate. It
+   shares the per-node ancestor arrays and the descendant index, which
+   are never mutated in place, and starts with an empty MCD memo. *)
 let copy h =
   {
     graph = Dag.copy h.graph;
-    by_name = Symbol.Tbl.copy h.by_name;
+    by_name = h.by_name;
     names = Array.copy h.names;
     instance = Array.copy h.instance;
     root = h.root;
-    isa_index = h.isa_index;
-    bind_index = h.bind_index;
-    anc_cache = Hashtbl.copy h.anc_cache;
-    desc_cache = Hashtbl.copy h.desc_cache;
-    mcd_cache = Hashtbl.copy h.mcd_cache;
+    isa_anc = Array.copy h.isa_anc;
+    bind_anc = Option.map Array.copy h.bind_anc;
+    stale = h.stale;
+    desc = h.desc;
+    mcd_cache = Hashtbl.create 64;
     frozen = false;
     generation = fresh_generation ();
   }
@@ -114,7 +130,7 @@ let copy h =
 let domain h = h.names.(h.root)
 let root h = h.root
 
-let find h name = Symbol.Tbl.find_opt h.by_name (Symbol.intern name)
+let find h name = Symbol.Map.find_opt (Symbol.intern name) h.by_name
 
 let find_exn h name =
   match find h name with
@@ -134,22 +150,26 @@ let node_label h v = Symbol.name (node_name h v)
 let is_instance h v = check_node h v; h.instance.(v)
 let is_class h v = not (is_instance h v)
 
+(* Per-node arrays grow independently: a rebuild sizes the ancestor
+   arrays to the graph, not to [names]. *)
 let grow_meta h v =
-  let cap = Array.length h.names in
-  if v >= cap then begin
-    let cap' = max 8 (2 * cap) in
-    let names = Array.make cap' h.names.(h.root) in
-    let instance = Array.make cap' false in
-    Array.blit h.names 0 names 0 cap;
-    Array.blit h.instance 0 instance 0 cap;
-    h.names <- names;
-    h.instance <- instance
-  end
+  let fit a fill =
+    if v < Array.length a then a
+    else begin
+      let a' = Array.make (max 8 (2 * v)) fill in
+      Array.blit a 0 a' 0 (Array.length a);
+      a'
+    end
+  in
+  h.names <- fit h.names h.names.(h.root);
+  h.instance <- fit h.instance false;
+  h.isa_anc <- fit h.isa_anc Dag.Ancestry.empty;
+  h.bind_anc <- Option.map (fun a -> fit a Dag.Ancestry.empty) h.bind_anc
 
 let add_named h ~instance ~parents name =
   check_mutable h;
   let sym = Symbol.intern name in
-  if Symbol.Tbl.mem h.by_name sym then error "name %S already defined" name;
+  if Symbol.Map.mem sym h.by_name then error "name %S already defined" name;
   let parent_nodes =
     match parents with
     | [] -> [ h.root ]
@@ -164,9 +184,16 @@ let add_named h ~instance ~parents name =
   grow_meta h v;
   h.names.(v) <- sym;
   h.instance.(v) <- instance;
-  Symbol.Tbl.add h.by_name sym v;
+  h.by_name <- Symbol.Map.add sym v h.by_name;
   List.iter (fun p -> Dag.add_edge h.graph p v) parent_nodes;
-  invalidate h;
+  (* A new node is a leaf, so no existing node gains an ancestor: only
+     [v]'s own arrays are new. *)
+  if not h.stale then begin
+    let extend anc = Dag.Ancestry.extend (List.map (fun p -> anc.(p)) parent_nodes) v in
+    h.isa_anc.(v) <- extend h.isa_anc;
+    Option.iter (fun anc -> anc.(v) <- extend anc) h.bind_anc
+  end;
+  touched h;
   v
 
 let add_class h ?(parents = []) name = add_named h ~instance:false ~parents name
@@ -181,7 +208,7 @@ let add_isa h ~sub ~super =
   if Dag.reachable h.graph sub_node super_node then
     error "isa edge %S -> %S would create a cycle" super sub;
   Dag.add_edge h.graph super_node sub_node;
-  invalidate h
+  restructured h
 
 let add_preference h ~weaker ~stronger =
   check_mutable h;
@@ -190,7 +217,7 @@ let add_preference h ~weaker ~stronger =
   if Dag.reachable h.graph s w then
     error "preference edge %S -> %S would create a cycle" weaker stronger;
   Dag.add_edge h.graph ~kind:Dag.Preference w s;
-  invalidate h
+  restructured h
 
 let node_count h = Dag.live_count h.graph
 let nodes h = Dag.live_nodes h.graph
@@ -214,40 +241,30 @@ let preference_edges h =
     (fun w -> List.map (fun s -> (w, s)) (Dag.succs_ordered h.graph ~kinds:pref_kind w))
     (nodes h)
 
-let isa_index h =
-  match h.isa_index with
-  | Some idx ->
-    Hr_obs.Metrics.incr m_index_hits;
-    idx
-  | None ->
-    Hr_obs.Metrics.incr m_index_builds;
-    let idx = Dag.Reach.create ~kinds:isa_kind h.graph in
-    h.isa_index <- Some idx;
-    idx
+(* One topological pass per closure; the binding closure only exists
+   while some preference edge does. *)
+let rebuild h =
+  Hr_obs.Metrics.incr m_index_builds;
+  h.isa_anc <- Dag.Ancestry.build ~kinds:isa_kind h.graph;
+  h.bind_anc <-
+    (if preference_edges h = [] then None else Some (Dag.Ancestry.build h.graph));
+  h.stale <- false
 
-(* Without preference edges the binding order is the isa order, so the
-   isa closure index serves both and a second O(V·E) build is skipped. *)
-let bind_index h =
-  match h.bind_index with
-  | Some idx ->
-    Hr_obs.Metrics.incr m_index_hits;
-    idx
-  | None ->
-    let idx =
-      if preference_edges h = [] then isa_index h
-      else begin
-        Hr_obs.Metrics.incr m_index_builds;
-        Dag.Reach.create h.graph
-      end
-    in
-    h.bind_index <- Some idx;
-    idx
+(* On a frozen hierarchy nothing is stale ([freeze] rebuilt it), so
+   these reads write nothing. *)
+let isa_anc h =
+  if h.stale then rebuild h;
+  h.isa_anc
+
+let bind_anc h =
+  if h.stale then rebuild h;
+  match h.bind_anc with Some anc -> anc | None -> h.isa_anc
 
 let subsumes h a b =
   Hr_obs.Metrics.incr m_subsumption;
   check_node h a;
   check_node h b;
-  Dag.Reach.mem (isa_index h) a b
+  Dag.Ancestry.mem (isa_anc h).(b) a
 
 let strictly_subsumes h a b = a <> b && subsumes h a b
 
@@ -255,39 +272,51 @@ let binds_below h a b =
   Hr_obs.Metrics.incr m_binding;
   check_node h a;
   check_node h b;
-  Dag.Reach.mem (bind_index h) a b
+  Dag.Ancestry.mem (bind_anc h).(b) a
 
-(* On a frozen hierarchy the memo tables are fully populated (every live
-   node was forced by [freeze]) and never written again, so concurrent
-   lookups from reader domains are safe. A miss can only happen
-   unfrozen; writing to the cache then is fine because an unfrozen
-   hierarchy is owned by a single domain (the writer). *)
+(* Inverting the ancestor arrays, O(V + sum of ancestor-set sizes). *)
+let descendant_index h =
+  match h.desc with
+  | Some d -> d
+  | None ->
+    let start, ids = Dag.Ancestry.invert (isa_anc h) (Dag.capacity h.graph) in
+    let d = { start; ids } in
+    h.desc <- Some d;
+    d
+
+(* The descendants of [v] that satisfy [keep], ascending. *)
+let filter_descendants h v keep =
+  let { start; ids } = descendant_index h in
+  let acc = ref [] in
+  for i = start.(v + 1) - 1 downto start.(v) do
+    if keep ids.(i) then acc := ids.(i) :: !acc
+  done;
+  !acc
+
 let descendants h v =
   check_node h v;
-  match Hashtbl.find_opt h.desc_cache v with
-  | Some l -> l
-  | None ->
-    let l = Dag.descendants h.graph ~kinds:isa_kind v in
-    if not h.frozen then Hashtbl.add h.desc_cache v l;
-    l
+  filter_descendants h v (fun _ -> true)
 
 let ancestors h v =
   check_node h v;
-  match Hashtbl.find_opt h.anc_cache v with
-  | Some l -> l
-  | None ->
-    let l = Dag.ancestors h.graph ~kinds:isa_kind v in
-    if not h.frozen then Hashtbl.add h.anc_cache v l;
-    l
+  Dag.Ancestry.to_list (isa_anc h).(v)
 
-let leaves_under h v = List.filter (fun w -> h.instance.(w)) (descendants h v)
+let leaves_under h v =
+  check_node h v;
+  filter_descendants h v (fun w -> h.instance.(w))
 
+(* Both ranges ascend, so filtering either one by membership under the
+   other node yields the same list; filter the shorter. *)
 let common_descendants h a b =
-  let da = descendants h a in
-  let idx = isa_index h in
-  List.filter (fun w -> Dag.Reach.mem idx b w) da
+  let { start; _ } = descendant_index h and anc = isa_anc h in
+  let count v = start.(v + 1) - start.(v) in
+  let keep, other = if count a <= count b then (a, b) else (b, a) in
+  filter_descendants h keep (fun w -> Dag.Ancestry.mem anc.(w) other)
 
-let intersects h a b = common_descendants h a b <> []
+let intersects h a b =
+  check_node h a;
+  check_node h b;
+  common_descendants h a b <> []
 
 (* Descendant sets are down-closed, so their intersection is down-closed:
    a common descendant has a strict ancestor in the set iff one of its
@@ -319,24 +348,19 @@ let maximal_common_descendants h a b =
       if not h.frozen then Hashtbl.add h.mcd_cache key l;
       l
 
-(* Make every read path pure: build both closure indexes and force the
-   ancestor/descendant memo for every live node, then seal the value.
-   After this, [subsumes]/[binds_below] probe immutable bitsets,
-   [ancestors]/[descendants]/[leaves_under] hit the fully populated
-   memos, and [maximal_common_descendants] recomputes misses without
-   caching — no read ever writes, so any number of domains may query a
-   frozen hierarchy while holding no lock. O(V·E) once per publish of a
-   mutated hierarchy; untouched hierarchies stay frozen across
-   publishes and pay nothing. *)
+(* Make every read path pure: rebuild the ancestor arrays if an edit
+   left them stale, invert them into the descendant index, then seal
+   the value. After leaf insertions only the inversion runs, O(V + sum
+   of ancestor-set sizes); nothing V²-sized is ever allocated. After
+   this, [subsumes]/[binds_below] search immutable arrays,
+   [ancestors]/[descendants]/[leaves_under] read built values, and
+   [maximal_common_descendants] recomputes misses without caching — no
+   read ever writes, so any number of domains may query a frozen
+   hierarchy while holding no lock. Untouched hierarchies stay frozen
+   across publishes and pay nothing. *)
 let freeze h =
   if not h.frozen then begin
-    ignore (isa_index h);
-    ignore (bind_index h);
-    List.iter
-      (fun v ->
-        ignore (descendants h v);
-        ignore (ancestors h v))
-      (nodes h);
+    ignore (descendant_index h);
     h.frozen <- true
   end
 
@@ -348,15 +372,14 @@ let validate h =
 let reduce h =
   check_mutable h;
   Dag.transitive_reduction h.graph;
-  invalidate h
+  restructured h
 
 let rename_node h ~old_name ~new_name =
   check_mutable h;
   let v = find_exn h old_name in
   let new_sym = Symbol.intern new_name in
-  if Symbol.Tbl.mem h.by_name new_sym then error "name %S already defined" new_name;
-  Symbol.Tbl.remove h.by_name h.names.(v);
-  Symbol.Tbl.add h.by_name new_sym v;
+  if Symbol.Map.mem new_sym h.by_name then error "name %S already defined" new_name;
+  h.by_name <- Symbol.Map.add new_sym v (Symbol.Map.remove h.names.(v) h.by_name);
   h.names.(v) <- new_sym;
   h.generation <- fresh_generation ()
 
@@ -365,9 +388,9 @@ let eliminate h ~on_path v =
   check_node h v;
   if v = h.root then error "cannot eliminate the domain root";
   if h.instance.(v) then error "cannot eliminate instance %S" (node_label h v);
-  Symbol.Tbl.remove h.by_name h.names.(v);
+  h.by_name <- Symbol.Map.remove h.names.(v) h.by_name;
   Dag.eliminate_node h.graph ~on_path v;
-  invalidate h
+  restructured h
 
 let pp ppf h =
   let seen = Hashtbl.create 64 in

@@ -13,9 +13,15 @@
     (edges implied by other paths) are legal but change off-path preemption
     results, so {!validate} reports them and {!reduce} removes them.
 
-    Mutation invalidates the internal reachability index; the index is
-    rebuilt lazily on the next subsumption query, so interleaving edits and
-    queries is correct but repeated alternation is slow. *)
+    Reads are answered from per-node ancestor and descendant arrays. A
+    new class or instance gets its own ancestor array, the merge of its
+    parents', and changes no other node's; an edit that moves edges
+    between existing nodes ([add_isa], [add_preference], [eliminate],
+    [reduce]) leaves the ancestor arrays to be rebuilt in one
+    topological pass on the next read. Every edit drops the descendant
+    index; it is rebuilt by inverting the ancestor arrays, in time
+    proportional to V plus the sum of the ancestor-set sizes. Nothing
+    is V×V-sized. *)
 
 type t
 
@@ -30,14 +36,18 @@ val create : string -> t
 (** [create domain] is a hierarchy whose root class is named [domain]. *)
 
 val copy : t -> t
-(** A deep, {e unfrozen} copy. Node ids are preserved, so items built
-    against the original remain valid against the copy — the basis of
-    the catalog's copy-on-write DDL path. *)
+(** An {e unfrozen} copy whose edits never reach the original. Node ids
+    are preserved, so items built against the original remain valid
+    against the copy — the basis of the catalog's copy-on-write DDL
+    path. O(V) pointer copies: the per-node ancestor arrays, the
+    descendant index and the name map are shared, never mutated in
+    place; the MCD memo starts empty. *)
 
 val freeze : t -> unit
-(** Seals the hierarchy for lock-free concurrent reads: prebuilds both
-    closure indexes, fully populates the ancestor/descendant memos, and
-    makes every mutator raise {!Error}. After [freeze], no read path
+(** Seals the hierarchy for lock-free concurrent reads: rebuilds
+    whatever an edit left stale (after leaf insertions, only the
+    descendant index, by one inversion) and makes every mutator raise
+    {!Error}. After [freeze], no read path
     writes any internal state, so the value may be shared across OCaml
     domains (the snapshot-isolation contract in [docs/CONCURRENCY.md]).
     Idempotent. To change a frozen hierarchy, {!copy} it (the copy is
@@ -121,9 +131,11 @@ val leaves_under : t -> node -> node list
     an empty extension. *)
 
 val descendants : t -> node -> node list
-(** All [isa]-reachable nodes, inclusive. *)
+(** All [isa]-reachable nodes, inclusive, in ascending id order. *)
 
 val ancestors : t -> node -> node list
+(** All nodes that reach the argument over [isa] edges, inclusive, in
+    ascending id order. *)
 
 val intersects : t -> node -> node -> bool
 (** Optimistic intersection test (paper, §3.1): [true] iff an explicit

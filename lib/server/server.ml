@@ -721,6 +721,10 @@ module Client = struct
       with e ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
         raise e));
+    (* Requests are whole frames and the peer answers each one: with
+       Nagle on, a frame sent while an earlier one is unacknowledged
+       waits for the delayed ACK. *)
+    Unix.setsockopt fd Unix.TCP_NODELAY true;
     fd
 
   (* An [OKV] payload is "<version-id> <lsn> <OK|ERR>\n<body>": the

@@ -195,7 +195,8 @@ module Client : sig
       subsequent single-frame read on the connection; omitted, both
       block indefinitely (the historical behavior). A connect timeout
       raises [Failure]; a read timeout surfaces as [Error] from the
-      request calls. *)
+      request calls. The socket has [TCP_NODELAY] set; the router's
+      shard connections and a replica's upstream are dialled here. *)
 
   val exec : conn -> string -> (string, string) result
   (** Sends one HRQL script; returns the server's combined output or the

@@ -71,3 +71,17 @@ let rebuild rel ~present ~only =
   in
   if rows <> [] then Buffer.add_string b (" " ^ insert name rows);
   Buffer.contents b
+
+(* Greedy, in order: a script is closed when the next statement would
+   push it past [limit]. A statement alone over [limit] still gets its
+   own script — splitting cannot shrink it. *)
+let scripts ~limit stmts =
+  let close cur acc = if cur = [] then acc else String.concat "\n" (List.rev cur) :: acc in
+  let rec go cur len acc = function
+    | [] -> List.rev (close cur acc)
+    | s :: rest ->
+      let len' = if cur = [] then String.length s else len + 1 + String.length s in
+      if cur <> [] && len' > limit then go [ s ] (String.length s) (close cur acc) rest
+      else go (s :: cur) len' acc rest
+  in
+  go [] 0 [] stmts

@@ -37,3 +37,10 @@ val rebuild :
     [ALL name], instances bare — so the shard re-resolves them in its
     own hierarchy. Used after [LET] / [CONSOLIDATE] / [EXPLICATE], whose
     results are computed on the router and repartitioned. *)
+
+val scripts : limit:int -> string list -> string list
+(** [scripts ~limit stmts] packs rendered statements, in order, into
+    as few newline-joined scripts as fit [limit] bytes each — how the
+    router sends a run of DDL as few [SHARD_EXEC] frames as
+    {!Hr_frames.Wire.max_frame} allows. A statement longer than [limit]
+    forms a script of its own. *)

@@ -466,19 +466,21 @@ let repartition t rel ~present =
 
 (* ---- statement dispatch ----------------------------------------------- *)
 
-let exec_stmt t stmt =
-  match stmt with
+let is_ddl = function
   | Ast.Create_domain _ | Ast.Create_class _ | Ast.Create_instance _
   | Ast.Create_isa _ | Ast.Create_preference _ | Ast.Create_relation _
-  | Ast.Drop_relation _ -> (
-    (* Local first: a statement the router's own evaluator rejects is
-       answered with the evaluator's error and never broadcast. *)
+  | Ast.Drop_relation _ ->
+    true
+  | _ -> false
+
+let exec_stmt t stmt =
+  match stmt with
+  | _ when is_ddl stmt ->
+    (* Local only: a statement the router's own evaluator rejects is
+       answered with the evaluator's error and never broadcast. The
+       accepted ones reach the shards as a run ({!exec_script}). *)
     require_up t (Shard_map.ids t.map);
-    match Eval.exec t.cat stmt with
-    | Error _ as e -> e
-    | Ok out ->
-      broadcast t (Render.statement stmt);
-      Ok out)
+    Eval.exec t.cat stmt
   | Ast.Insert { rel; rows } ->
     let schema = Relation.schema (Catalog.relation t.cat rel) in
     let covers =
@@ -537,16 +539,16 @@ let exec_stmt t stmt =
     | Ast.Explain_analyze _, Ok out when infos <> [] ->
       Ok (out ^ "\n" ^ per_shard_section t infos)
     | _ -> r)
-  (* EXPLAIN EFFECTS resolves cones against the router's own catalog —
-     the router owns the DAG and every relation schema (DDL is
-     broadcast), which is all a footprint needs. *)
-  | Ast.Show_hierarchy _ | Ast.Show_hierarchies | Ast.Stats _ | Ast.Stats_reset
-  | Ast.Explain_effects _ ->
-    Eval.exec t.cat stmt
+  (* SHOW HIERARCHY/HIERARCHIES, STATS and EXPLAIN EFFECTS read only
+     the router's own catalog. EXPLAIN EFFECTS resolves cones against it
+     — the router owns the DAG and every relation schema (DDL is
+     broadcast), which is all a footprint needs. The DDL constructors
+     never get here: the first arm takes them. *)
+  | _ -> Eval.exec t.cat stmt
 
-let exec_located t { Ast.stmt; sloc } =
+let located sloc f =
   let r =
-    try exec_stmt t stmt with
+    try f () with
     | Types.Model_error msg | Hierarchy.Error msg | Failure msg -> Error msg
     | Shard_down (sc, msg) -> Error (down_msg sc msg)
     | Reply_err msg -> Error (strip_located msg)
@@ -555,19 +557,44 @@ let exec_located t { Ast.stmt; sloc } =
   | Ok _ as ok -> ok
   | Error msg -> Error (Format.asprintf "at %a: %s" Loc.pp_prose sloc msg)
 
+let exec_located t { Ast.stmt; sloc } = located sloc (fun () -> exec_stmt t stmt)
+
+(* A run of consecutive DDL statements is evaluated locally one at a
+   time, then reaches each shard as one SHARD_EXEC (split only where
+   the run would not fit one frame): each shard still logs one WAL
+   record per statement, but publishes once per run. The run is sent
+   before the statement that ends it runs — a rejected DDL statement,
+   or any other statement, which must see the shards' DDL — so a
+   script rejected at statement k leaves statements 1..k-1 on every
+   shard, as a statement-at-a-time broadcast would. A shard rejecting
+   the run is reported at the run's first statement. *)
 let exec_script t payload =
   match Parser.parse payload with
   | exception Parser.Parse_error { msg; _ } -> Error ("parse error: " ^ msg)
   | exception Lexer.Lex_error { msg; _ } -> Error ("lex error: " ^ msg)
   | stmts ->
-    let rec loop acc = function
-      | [] -> Ok (List.rev acc)
-      | lstmt :: rest -> (
+    (* [run]: the accepted, not yet broadcast DDL, newest first *)
+    let flush = function
+      | [] -> Ok ()
+      | run ->
+        let first = fst (List.nth run (List.length run - 1)) in
+        located first (fun () ->
+            List.iter (broadcast t)
+              (Render.scripts ~limit:Wire.max_frame (List.rev_map snd run));
+            Ok ())
+    in
+    let rec loop acc run = function
+      | [] -> Result.map (fun () -> List.rev acc) (flush run)
+      | ({ Ast.stmt; sloc } as lstmt) :: rest when is_ddl stmt -> (
         match exec_located t lstmt with
-        | Ok out -> loop (out :: acc) rest
+        | Ok out -> loop (out :: acc) ((sloc, Render.statement stmt) :: run) rest
+        | Error _ as e -> Result.bind (flush run) (fun () -> e))
+      | lstmt :: rest -> (
+        match Result.bind (flush run) (fun () -> exec_located t lstmt) with
+        | Ok out -> loop (out :: acc) [] rest
         | Error _ as e -> e)
     in
-    loop [] stmts
+    loop [] [] stmts
 
 (* ---- the fast path ---------------------------------------------------- *)
 

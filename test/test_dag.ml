@@ -128,13 +128,23 @@ let test_transitive_reduction () =
   Alcotest.(check bool) "a->*d kept" true (Dag.reachable g a d);
   Alcotest.(check (list (pair int int))) "now reduced" [] (Dag.redundant_edges g)
 
-let test_reach_index () =
+let test_ancestry () =
   let g, a, b, c, d = diamond () in
-  let r = Dag.Reach.create g in
-  Alcotest.(check bool) "a->d" true (Dag.Reach.mem r a d);
-  Alcotest.(check bool) "b-/->c" false (Dag.Reach.mem r b c);
-  Alcotest.(check bool) "reflexive" true (Dag.Reach.mem r c c);
-  Alcotest.(check bool) "d-/->a" false (Dag.Reach.mem r d a)
+  let anc = Dag.Ancestry.build g in
+  Alcotest.(check (list int)) "ancestors of d" [ a; b; c; d ] (Dag.Ancestry.to_list anc.(d));
+  Alcotest.(check bool) "a->d" true (Dag.Ancestry.mem anc.(d) a);
+  Alcotest.(check bool) "b-/->c" false (Dag.Ancestry.mem anc.(c) b);
+  Alcotest.(check bool) "reflexive" true (Dag.Ancestry.mem anc.(c) c);
+  Alcotest.(check bool) "d-/->a" false (Dag.Ancestry.mem anc.(a) d);
+  let start, members = Dag.Ancestry.invert anc 4 in
+  Alcotest.(check (list int)) "inverted: descendants of b" [ b; d ]
+    (Array.to_list (Array.sub members start.(b) (start.(b + 1) - start.(b))));
+  Alcotest.(check (list int)) "extend merges parents" [ a; b; c; d; 4 ]
+    (Dag.Ancestry.to_list (Dag.Ancestry.extend [ anc.(b); anc.(d) ] 4));
+  (* 64 and 2 share a signature bit (64 mod 62 = 2): the search decides *)
+  let wide = Dag.Ancestry.extend [ Dag.Ancestry.extend [] 2 ] 200 in
+  Alcotest.(check bool) "signature collision is not membership" false (Dag.Ancestry.mem wide 64);
+  Alcotest.(check bool) "member past a collision" true (Dag.Ancestry.mem wide 2)
 
 let test_copy_independent () =
   let g, a, b, _, _ = diamond () in
@@ -168,12 +178,12 @@ let prop_reduction_preserves_reachability =
   QCheck2.Test.make ~name:"transitive_reduction preserves reachability" ~count:200
     random_dag_gen (fun spec ->
       let g = build_random spec in
-      let before = Dag.Reach.create g in
+      let before = Dag.Ancestry.build g in
       Dag.transitive_reduction g;
       let nodes = Dag.live_nodes g in
       List.for_all
         (fun u ->
-          List.for_all (fun v -> Dag.Reach.mem before u v = Dag.reachable g u v) nodes)
+          List.for_all (fun v -> Dag.Ancestry.mem before.(v) u = Dag.reachable g u v) nodes)
         nodes)
 
 let prop_elimination_preserves_reachability =
@@ -182,12 +192,12 @@ let prop_elimination_preserves_reachability =
     (fun (spec, pick) ->
       let g = build_random spec in
       let victim = pick mod Dag.capacity g in
-      let before = Dag.Reach.create g in
+      let before = Dag.Ancestry.build g in
       Dag.eliminate_node g ~on_path:false victim;
       let nodes = Dag.live_nodes g in
       List.for_all
         (fun u ->
-          List.for_all (fun v -> Dag.Reach.mem before u v = Dag.reachable g u v) nodes)
+          List.for_all (fun v -> Dag.Ancestry.mem before.(v) u = Dag.reachable g u v) nodes)
         nodes)
 
 let prop_elimination_leaves_reduced =
@@ -204,10 +214,14 @@ let prop_reach_index_agrees_with_dfs =
   QCheck2.Test.make ~name:"Reach index agrees with DFS reachability" ~count:200
     random_dag_gen (fun spec ->
       let g = build_random spec in
-      let r = Dag.Reach.create g in
-      let nodes = Dag.live_nodes g in
+      let anc = Dag.Ancestry.build g in
+      let nodes = List.sort compare (Dag.live_nodes g) in
+      let start, members = Dag.Ancestry.invert anc (Dag.capacity g) in
+      let reached u = Array.to_list (Array.sub members start.(u) (start.(u + 1) - start.(u))) in
       List.for_all
-        (fun u -> List.for_all (fun v -> Dag.Reach.mem r u v = Dag.reachable g u v) nodes)
+        (fun u ->
+          List.for_all (fun v -> Dag.Ancestry.mem anc.(v) u = Dag.reachable g u v) nodes
+          && reached u = List.filter (Dag.reachable g u) nodes)
         nodes)
 
 let prop_topo_respects_edges =
@@ -240,7 +254,7 @@ let suite =
     Alcotest.test_case "on-path elimination keeps redundant edge" `Quick
       test_eliminate_on_path_keeps_redundant;
     Alcotest.test_case "transitive reduction" `Quick test_transitive_reduction;
-    Alcotest.test_case "reach index" `Quick test_reach_index;
+    Alcotest.test_case "reach index" `Quick test_ancestry;
     Alcotest.test_case "copy independence" `Quick test_copy_independent;
     QCheck_alcotest.to_alcotest prop_reduction_preserves_reachability;
     QCheck_alcotest.to_alcotest prop_elimination_preserves_reachability;

@@ -146,9 +146,36 @@ let test_fsck_over_the_wire () =
       Server.Client.close conn;
       stop_server pid)
 
+(* Every frame is a whole request or reply, so Nagle's algorithm only
+   adds a delayed-ACK wait. Sockets come from two places: [Conn.accept]
+   (server and router clients, a primary's replication subscribers) and
+   [Client.connect] (router-to-shard links, a replica's upstream). *)
+let test_tcp_nodelay () =
+  let module Conn = Hr_frames.Conn in
+  let listener, port = Conn.listen ~host:"127.0.0.1" ~port:0 in
+  let dialled = [ Server.Client.connect ~port (); Server.Client.connect ~timeout:5.0 ~port () ] in
+  let rec accept_all tries acc =
+    if List.length acc >= 2 || tries = 0 then acc
+    else begin
+      ignore (Unix.select [ listener ] [] [] 1.0);
+      accept_all (tries - 1) (acc @ Conn.accept ~max_backlog:4096 listener)
+    end
+  in
+  let served = accept_all 10 [] in
+  Alcotest.(check int) "both accepted" 2 (List.length served);
+  let nodelay fd = Unix.getsockopt fd Unix.TCP_NODELAY in
+  List.iter (fun c -> Alcotest.(check bool) "accepted socket" true (nodelay (Conn.fd c))) served;
+  List.iter
+    (fun c -> Alcotest.(check bool) "dialled socket" true (nodelay (Server.Client.fd c)))
+    dialled;
+  List.iter Conn.close served;
+  List.iter Server.Client.close dialled;
+  Unix.close listener
+
 let suite =
   [
     Alcotest.test_case "tcp round trip" `Quick test_round_trip;
+    Alcotest.test_case "sockets set TCP_NODELAY" `Quick test_tcp_nodelay;
     Alcotest.test_case "errors propagate, connection survives" `Quick test_errors_propagate;
     Alcotest.test_case "durable backend over tcp" `Quick test_durable_backend;
     Alcotest.test_case "lint over the wire" `Quick test_lint_over_the_wire;

@@ -107,6 +107,18 @@ let test_cover () =
   (* determinism *)
   Alcotest.(check (list int)) "stable" (cover "bird") (cover "bird")
 
+(* A DDL run is packed into as few frame-sized scripts as fit, in order. *)
+let test_run_scripts () =
+  let scripts = Hr_shard.Render.scripts in
+  let a = "CREATE DOMAIN a;" and b = "CREATE DOMAIN b;" and c = "CREATE DOMAIN c;" in
+  Alcotest.(check (list string)) "nothing" [] (scripts ~limit:100 []);
+  Alcotest.(check (list string)) "one script" [ String.concat "\n" [ a; b; c ] ]
+    (scripts ~limit:100 [ a; b; c ]);
+  Alcotest.(check (list string)) "split at the limit"
+    [ a ^ "\n" ^ b; c ] (scripts ~limit:33 [ a; b; c ]);
+  Alcotest.(check (list string)) "an oversize statement stands alone" [ a; b; c ]
+    (scripts ~limit:5 [ a; b; c ])
+
 (* ---- forked 3-shard deployment --------------------------------------- *)
 
 let spawn_server ?dir () =
@@ -328,11 +340,34 @@ let test_randomized_identity () =
       let r = Client.connect ~timeout:10.0 ~port:rport () in
       let s = Client.connect ~timeout:10.0 ~port:sport () in
       let rng = Prng.create (Int64.of_int (seed lxor 0x5AD)) in
-      let instances = [| "tweety"; "opus"; "jack"; "rex" |] in
-      let classes = [| "bird"; "penguin"; "sparrow"; "animal" |] in
+      let instances = ref [| "tweety"; "opus"; "jack"; "rex" |] in
+      let classes = ref [| "bird"; "penguin"; "sparrow"; "animal" |] in
       let value () =
-        if Prng.bernoulli rng 0.4 then "ALL " ^ Prng.pick rng classes
-        else Prng.pick rng instances
+        if Prng.bernoulli rng 0.4 then "ALL " ^ Prng.pick rng !classes
+        else Prng.pick rng !instances
+      in
+      (* A DDL run, possibly with INSERTs between its statements and
+         sometimes a statement both sides must reject (a duplicate
+         name). Names are registered as generated: a rejected run's
+         earlier statements apply on both sides, later ones on neither,
+         so a name may be unknown later — also identically on both. *)
+      let fresh = ref 0 in
+      let ddl_frame () =
+        let stmt () =
+          incr fresh;
+          match Prng.int rng 6 with
+          | 0 | 1 ->
+            let n = Printf.sprintf "n%d" !fresh in
+            instances := Array.append !instances [| n |];
+            Printf.sprintf "CREATE INSTANCE %s OF %s;" n (Prng.pick rng !classes)
+          | 2 ->
+            let c = Printf.sprintf "k%d" !fresh in
+            classes := Array.append !classes [| c |];
+            Printf.sprintf "CREATE CLASS %s UNDER %s;" c (Prng.pick rng !classes)
+          | 3 | 4 -> Printf.sprintf "INSERT INTO flies VALUES (+ %s);" (Prng.pick rng !instances)
+          | _ -> "CREATE INSTANCE tweety OF bird;"
+        in
+        String.concat " " (List.init (1 + Prng.int rng 4) (fun _ -> stmt ()))
       in
       let mutation () =
         if Prng.bernoulli rng 0.75 then
@@ -364,7 +399,10 @@ let test_randomized_identity () =
            before any reply is read: this is the shape the router's
            phase-A admission pipelines (Singles ride per-shard FIFOs,
            Scatters join only when the oracle proves Commute) *)
-        let batch = List.init (2 + Prng.int rng 4) (fun _ -> mutation ()) in
+        let batch =
+          List.init (2 + Prng.int rng 4) (fun _ ->
+              if Prng.bernoulli rng 0.2 then ddl_frame () else mutation ())
+        in
         List.iter
           (fun stmt ->
             Client.send r "EXEC" stmt;
@@ -383,10 +421,71 @@ let test_randomized_identity () =
                 | Ok w -> Printf.sprintf "Ok %S" w
                 | Error w -> Printf.sprintf "Error %S" w))
           batch;
+        if Prng.bernoulli rng 0.5 then compare_exec (ddl_frame ());
         compare_exec "SELECT * FROM flies;"
       done;
+      compare_exec "SHOW HIERARCHY animal;";
       compare_exec "CONSOLIDATE flies;";
       compare_exec "SELECT * FROM flies;";
+      Client.close r;
+      Client.close s)
+
+(* A counter from a STATS reply ("  <name>  <value>" lines). *)
+let counter port name =
+  let conn = Client.connect ~timeout:10.0 ~port () in
+  Fun.protect
+    ~finally:(fun () -> Client.close conn)
+    (fun () ->
+      match Client.stats conn with
+      | Error e -> Alcotest.failf "stats: %s" e
+      | Ok text ->
+        List.find_map
+          (fun line ->
+            match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+            | [ n; v ] when n = name -> int_of_string_opt v
+            | _ -> None)
+          (String.split_on_char '\n' text)
+        |> Option.value ~default:0)
+
+(* A frame's run of DDL reaches each shard as one SHARD_EXEC, so each
+   shard publishes once for it. A run the router rejects at statement k
+   is answered with a single node's exact error and leaves statements
+   1..k-1 on every shard. *)
+let test_ddl_run_is_one_broadcast () =
+  let _, _, rport, ports, pids, _ = deploy () in
+  let sport, spid = spawn_server () in
+  Fun.protect
+    ~finally:(fun () -> List.iter kill (spid :: pids))
+    (fun () ->
+      let r = Client.connect ~timeout:10.0 ~port:rport () in
+      let s = Client.connect ~timeout:10.0 ~port:sport () in
+      let broadcasts () = counter rport "shard.broadcasts" in
+      let published () = List.map (fun p -> counter p "exec.published_versions") ports in
+      let b0 = broadcasts () and p0 = published () in
+      ignore (exec_ok r ddl);
+      Alcotest.(check int) "one broadcast for nine statements" (b0 + 1) (broadcasts ());
+      Alcotest.(check (list int)) "one publish per shard"
+        (List.map succ p0) (published ());
+      ignore (exec_ok s ddl);
+      let frame =
+        "CREATE CLASS fish UNDER animal; CREATE INSTANCE nemo OF fish;\n\
+         CREATE INSTANCE eel OF nosuch; CREATE INSTANCE dory OF fish;"
+      in
+      let b1 = broadcasts () in
+      (match (Client.exec r frame, Client.exec s frame) with
+      | Error got, Error want -> Alcotest.(check string) "single node's error" want got
+      | _ -> Alcotest.fail "the frame must fail on both sides");
+      Alcotest.(check int) "the accepted prefix is one broadcast" (b1 + 1) (broadcasts ());
+      let want = exec_ok s "SHOW HIERARCHY animal;" in
+      List.iteri
+        (fun i port ->
+          let c = Client.connect ~timeout:10.0 ~port () in
+          Alcotest.(check string)
+            (Printf.sprintf "shard %d holds statements 1..k-1" i)
+            want (exec_ok c "SHOW HIERARCHY animal;");
+          Client.close c)
+        ports;
+      Alcotest.(check string) "router agrees" want (exec_ok r "SHOW HIERARCHY animal;");
       Client.close r;
       Client.close s)
 
@@ -608,12 +707,14 @@ let suite =
     Alcotest.test_case "shard map parses and round-trips" `Quick test_map_parse;
     Alcotest.test_case "shard map rejects malformed input" `Quick test_map_rejects;
     Alcotest.test_case "cover rule: locality and replication" `Quick test_cover;
+    Alcotest.test_case "a DDL run packs into frame-sized scripts" `Quick test_run_scripts;
     Alcotest.test_case "routing and cross-subtree fan-out" `Quick
       test_routing_and_fanout;
     Alcotest.test_case "scatter-gather is byte-identical to one node" `Quick
       test_byte_identity;
     Alcotest.test_case "randomized pipelined writes match one node" `Quick
       test_randomized_identity;
+    Alcotest.test_case "a DDL run is one broadcast" `Quick test_ddl_run_is_one_broadcast;
     Alcotest.test_case "half-closed client gets every reply" `Quick
       test_half_close_gets_every_reply;
     Alcotest.test_case "malformed header: one ERR, then EOF" `Quick
