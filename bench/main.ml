@@ -1308,99 +1308,6 @@ let bench_reader_domains () =
        " (fewer cores than domains: interleaving only, no speedup expected)"
      else "")
 
-(* ---- C18: replica catch-up — parallel WAL apply -------------------------- *)
-
-let apply_domains_k = ref 4
-
-(* Drives Hr_repl.Apply.apply_batch directly on a durable Db — no
-   sockets, no forks — with a record stream that round-robins inserts
-   across [nrels] relations: every burst partitions into [nrels]
-   provably-commuting groups (docs/EFFECTS.md), the best case the
-   effect oracle certifies. The K=1 arm is exactly the sequential apply
-   loop, so the ratio isolates what the worker domains buy. *)
-let bench_replica_apply () =
-  section
-    (Printf.sprintf "C18 — replica catch-up: parallel WAL apply (K=1 vs K=%d)"
-       !apply_domains_k);
-  let nrels = 4 in
-  let total = 2048 and burst = 64 in
-  let per_rel = total / nrels in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "CREATE DOMAIN c18;\n";
-  for i = 0 to per_rel - 1 do
-    Buffer.add_string buf (Printf.sprintf "CREATE INSTANCE c18i%d OF c18;\n" i)
-  done;
-  for r = 0 to nrels - 1 do
-    Buffer.add_string buf (Printf.sprintf "CREATE RELATION c18r%d (v: c18);\n" r)
-  done;
-  let ddl = Buffer.contents buf in
-  let stmts =
-    Array.init total (fun i ->
-        Printf.sprintf "INSERT INTO c18r%d VALUES (+ c18i%d);" (i mod nrels)
-          (i / nrels))
-  in
-  let temp_dir () =
-    let dir = Filename.temp_file "hrbench_c18" "" in
-    Sys.remove dir;
-    Sys.mkdir dir 0o755;
-    dir
-  in
-  let rm_rf dir =
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  in
-  let run_arm ~domains =
-    let dir = temp_dir () in
-    Fun.protect
-      ~finally:(fun () -> rm_rf dir)
-      (fun () ->
-        let db = Hr_storage.Db.open_dir dir in
-        Fun.protect
-          ~finally:(fun () -> Hr_storage.Db.close db)
-          (fun () ->
-            (match Hr_storage.Db.exec db ddl with
-            | Ok _ -> ()
-            | Error m -> failwith ("C18 setup: " ^ m));
-            let base = Hr_storage.Db.lsn db in
-            let t0 = Unix.gettimeofday () in
-            let i = ref 0 in
-            while !i < total do
-              let n = min burst (total - !i) in
-              let records =
-                List.init n (fun j ->
-                    {
-                      Hr_repl.Apply.lsn = base + !i + j + 1;
-                      stmt = stmts.(!i + j);
-                    })
-              in
-              (match Hr_repl.Apply.apply_batch ~domains db records with
-              | Ok () -> ()
-              | Error m -> failwith ("C18 apply: " ^ m));
-              i := !i + n
-            done;
-            Hr_storage.Db.sync db;
-            let dt = Unix.gettimeofday () -. t0 in
-            dt *. 1e9 /. float_of_int total))
-  in
-  let report name ns =
-    Format.printf "%-34s %12.0f ns/record  (%.0f records/s)@." name ns
-      (1e9 /. ns);
-    collected := (name ^ " ns/record", ns) :: !collected;
-    ns
-  in
-  let ns_1 = report "C18 replica apply K=1" (run_arm ~domains:1) in
-  let ns_k =
-    report
-      (Printf.sprintf "C18 replica apply K=%d" !apply_domains_k)
-      (run_arm ~domains:!apply_domains_k)
-  in
-  let cores = Domain.recommended_domain_count () in
-  Format.printf "apply scaling K=1 -> K=%d: %.2fx on %d core(s)%s@."
-    !apply_domains_k (ns_1 /. ns_k) cores
-    (if cores < !apply_domains_k then
-       " (fewer cores than domains: interleaving only, no speedup expected)"
-     else "")
-
 (* ---- C19: incremental checkpoint — page writes track the delta ---------- *)
 
 (* The tentpole claim of the paged store: [Db.checkpoint] flushes only
@@ -1515,10 +1422,9 @@ let experiments =
     (* C17 forks shard and router subprocesses, so it must precede any
        experiment that spawns a domain *)
     ("C17", bench_sharding);
-    (* last: C16 and C18 spawn OCaml 5 domains, which forbids Unix.fork
-       for the rest of the process *)
+    (* last: C16 spawns OCaml 5 domains, which forbids Unix.fork for
+       the rest of the process *)
     ("C16", bench_reader_domains);
-    ("C18", bench_replica_apply);
   ]
 
 (* The JSON report: bechamel estimates plus a snapshot of the metrics
@@ -1583,13 +1489,6 @@ let rec parse_args = function
       prerr_endline ("bench: invalid --shards " ^ s);
       exit 2);
     parse_args rest
-  | "--apply-domains" :: s :: rest ->
-    (match int_of_string_opt s with
-    | Some k when k > 0 -> apply_domains_k := k
-    | _ ->
-      prerr_endline ("bench: invalid --apply-domains " ^ s);
-      exit 2);
-    parse_args rest
   | "--quota" :: s :: rest ->
     (match float_of_string_opt s with
     | Some q when q > 0. -> quota_s := q
@@ -1597,15 +1496,15 @@ let rec parse_args = function
       prerr_endline ("bench: invalid --quota " ^ s);
       exit 2);
     parse_args rest
-  | ("--metrics-json" | "--quota" | "--clients" | "--reader-domains" | "--shards"
-    | "--apply-domains") :: [] ->
+  | ("--metrics-json" | "--quota" | "--clients" | "--reader-domains" | "--shards")
+    :: [] ->
     prerr_endline "bench: missing argument to flag";
     exit 2
   | id :: rest -> id :: parse_args rest
 
 let () =
   Format.printf
-    "hierel benchmark harness — experiments C1..C18 (see DESIGN.md / EXPERIMENTS.md)@.";
+    "hierel benchmark harness — experiments C1..C19 (see DESIGN.md / EXPERIMENTS.md)@.";
   let requested = parse_args (List.tl (Array.to_list Sys.argv)) in
   let selected =
     match requested with

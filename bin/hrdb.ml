@@ -524,7 +524,7 @@ let exec_cmd =
 (* ---- the replica subcommand ------------------------------------------- *)
 
 let replica_main primary_host primary_port dir port backoff_max checkpoint_every
-    verify apply_domains =
+    verify =
   let module Replica = Hr_repl.Replica in
   (* --verify: fsck the local directory before serving from it. A dir
      that does not hold a database yet (first bootstrap) is skipped. *)
@@ -541,7 +541,7 @@ let replica_main primary_host primary_port dir port backoff_max checkpoint_every
   end;
   let cfg =
     Replica.config ~primary_host ~primary_port ~dir ~port ~backoff_max
-      ~checkpoint_every ~apply_domains ()
+      ~checkpoint_every ()
   in
   let replica = Replica.create cfg in
   Printf.printf
@@ -590,15 +590,6 @@ let replica_checkpoint_every_arg =
     & info [ "checkpoint-every" ] ~docv:"N"
         ~doc:"Checkpoint the local database every $(docv) applied records.")
 
-let replica_apply_domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "apply-domains" ] ~docv:"K"
-        ~doc:
-          "Apply commuting groups of replicated records across $(docv) OCaml \
-           5 domains (docs/EFFECTS.md). 1 (the default) applies records \
-           sequentially.")
-
 let replica_verify_arg =
   Arg.(
     value & flag
@@ -626,8 +617,7 @@ let replica_cmd =
     Term.(
       const replica_main $ replica_primary_host_arg $ replica_primary_port_arg
       $ replica_dir_arg $ replica_port_arg $ replica_backoff_max_arg
-      $ replica_checkpoint_every_arg $ replica_verify_arg
-      $ replica_apply_domains_arg)
+      $ replica_checkpoint_every_arg $ replica_verify_arg)
 
 let shell_term = Term.(const main $ file_arg $ interactive_arg $ dir_arg $ strict_arg)
 

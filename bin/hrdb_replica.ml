@@ -13,7 +13,7 @@
 module Replica = Hr_repl.Replica
 
 let main primary_host primary_port dir port backoff_max checkpoint_every verify
-    apply_domains =
+    (_apply_domains : int) =
   (* --verify: fsck the local directory before serving from it. A dir
      that does not hold a database yet (first bootstrap) is skipped. *)
   if verify && Sys.file_exists (Filename.concat dir "wal.log") then begin
@@ -29,7 +29,7 @@ let main primary_host primary_port dir port backoff_max checkpoint_every verify
   end;
   let cfg =
     Replica.config ~primary_host ~primary_port ~dir ~port ~backoff_max
-      ~checkpoint_every ~apply_domains ()
+      ~checkpoint_every ()
   in
   let replica = Replica.create cfg in
   Printf.printf
@@ -84,9 +84,8 @@ let apply_domains_arg =
     value & opt int 1
     & info [ "apply-domains" ] ~docv:"K"
         ~doc:
-          "Apply commuting groups of replicated records across $(docv) OCaml \
-           5 domains (docs/EFFECTS.md). 1 (the default) applies records \
-           sequentially.")
+          "Ignored: records are always applied serially in LSN order. \
+           Accepted so existing command lines keep working.")
 
 let verify_arg =
   Arg.(

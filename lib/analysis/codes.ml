@@ -302,10 +302,9 @@ let all =
        schema so the most-selected attribute comes first.";
     p "P306" "batch is provably parallelizable"
       "A run of consecutive mutating statements pairwise commutes (the \
-       oracle proved every write-cone pair disjoint): a replica applies \
-       them across domains (hrdb_replica --apply-domains K) and the \
-       shard router overlaps them, so batching them in one round trip \
-       loses nothing. Advisory, like every P code."
+       oracle proved every write-cone pair disjoint): the shard router \
+       overlaps them, so batching them in one round trip loses nothing. \
+       Advisory, like every P code."
       "CREATE DOMAIN animal; CREATE CLASS bird UNDER animal;\n\
        CREATE CLASS fish UNDER animal;\n\
        CREATE RELATION flies (who: animal);\n\

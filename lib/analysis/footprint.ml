@@ -136,10 +136,6 @@ let relations = function
   | Atoms atoms ->
     Some (List.sort_uniq String.compare (List.map (fun a -> a.rel) atoms))
 
-let has_write = function
-  | Opaque _ -> true
-  | Atoms atoms -> List.exists (fun a -> a.mode = Write) atoms
-
 (* Pairwise cone comparison: [Disjoint] and [Overlap] are both proofs
    (some coordinate provably empty-intersects / every coordinate provably
    intersects); [May_overlap] is the honest rest. Nodes resolved against

@@ -42,9 +42,6 @@ val of_source : find:(string -> Hierel.Relation.t option) -> string -> t
 val relations : t -> string list option
 (** Sorted distinct relation names touched; [None] for [Opaque]. *)
 
-val has_write : t -> bool
-(** Whether any atom writes ([Opaque] counts as writing everything). *)
-
 type cone_cmp =
   | Disjoint  (** some coordinate pair provably never intersects *)
   | Overlap  (** every coordinate pair provably intersects *)

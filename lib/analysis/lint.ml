@@ -121,8 +121,8 @@ let commuting_runs stmts_fps =
             ]
           first.Hr_query.Ast.sloc
           "%d consecutive statements provably commute (%d independent \
-           relation group%s): a replica applies them in parallel \
-           (--apply-domains), and batching them loses nothing"
+           relation group%s): the shard router overlaps them, and \
+           batching them loses nothing"
           (List.length members) (List.length rels)
           (if List.length rels = 1 then "" else "s")
         :: !diags

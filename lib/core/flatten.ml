@@ -18,5 +18,3 @@ let extension_list rel = Item_set.elements (extension rel)
 let equal_extension a b =
   Schema.equal (Relation.schema a) (Relation.schema b)
   && Item_set.equal (extension a) (extension b)
-
-let holds_atomic rel item = Binding.holds rel item

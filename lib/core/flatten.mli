@@ -16,6 +16,3 @@ val extension_list : Relation.t -> Item.t list
 
 val equal_extension : Relation.t -> Relation.t -> bool
 (** Extensional equivalence of two relations over equal schemas. *)
-
-val holds_atomic : Relation.t -> Item.t -> bool
-(** Truth of one atomic item, via binding (no materialization). *)

@@ -16,8 +16,6 @@ let of_hierarchy h =
   in
   { isa }
 
-let isa_relation t = t.isa
-
 let member_join_count t ~instance ~cls =
   let module S = Set.Make (String) in
   let rec climb frontier seen joins =
@@ -55,5 +53,3 @@ let extension_relation rel =
       Flat_relation.insert acc cells)
     flat
     (Flatten.extension_list rel)
-
-let flat_of_hierarchical = extension_relation

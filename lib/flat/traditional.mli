@@ -15,8 +15,6 @@ val of_hierarchy : Hr_hierarchy.Hierarchy.t -> t
 (** Encodes the immediate [isa] edges (transitive reduction, as a real
     schema would store them). *)
 
-val isa_relation : t -> Flat_relation.t
-
 val member : t -> instance:string -> cls:string -> bool
 (** Upward join loop: joins the frontier with [isa] until the class is
     reached or the frontier is exhausted. *)
@@ -28,7 +26,3 @@ val member_join_count : t -> instance:string -> cls:string -> bool * int
 val extension_relation : Hierel.Relation.t -> Flat_relation.t
 (** The traditional storage of a hierarchical relation: its full
     explicated extension as a flat relation (one row per atomic item). *)
-
-val flat_of_hierarchical : Hierel.Relation.t -> Flat_relation.t
-(** Alias of {!extension_relation}, emphasising its role as the baseline
-    in operator benchmarks. *)

@@ -106,12 +106,8 @@ let add c n =
     ignore (Atomic.fetch_and_add c.cells.(slot ()) n)
 
 let value c = Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 c.cells
-let counter_name c = c.c_name
 
 let set g v = if Atomic.get enabled_flag then Atomic.set g.g_cell v
-
-let gauge_add g d =
-  if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add g.g_cell d)
 
 let level g = Atomic.get g.g_cell
 

@@ -39,7 +39,6 @@ val counter : ?registry:t -> string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
-val counter_name : counter -> string
 val counter_value : ?registry:t -> string -> int
 (** By name; 0 when the counter was never registered. *)
 
@@ -47,7 +46,6 @@ val counter_value : ?registry:t -> string -> int
 
 val gauge : ?registry:t -> string -> gauge
 val set : gauge -> int -> unit
-val gauge_add : gauge -> int -> unit
 val level : gauge -> int
 val gauge_value : ?registry:t -> string -> int
 

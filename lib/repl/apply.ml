@@ -1,232 +1,25 @@
-(* Parallel WAL apply: partition a burst of primary records into
-   provably independent groups and evaluate the groups across OCaml 5
-   domains.
-
-   The static effect analysis (Hr_analysis.Footprint) supplies the
-   safety argument, coarsened one step for this engine: each group
-   evaluates against a private catalog snapshot and the coordinator
-   installs whole changed relations afterwards, so two groups may not
-   share ANY relation name — even provably disjoint cones within one
-   relation would collide at install time (one group's installed
-   version of the relation would erase the other's). Cone precision
-   pays off in the lints and the shard router; here the grouping key is
-   the footprint's relation set. Anything opaque (DDL, an unparseable
-   record) is a hard barrier applied serially on the live catalog —
-   exactly the sequential path — because DDL rewrites the hierarchies
-   every cone and snapshot was resolved against.
-
-   Domain-safety contract (docs/CONCURRENCY.md): the live catalog is
-   frozen before any snapshot crosses a domain boundary, so the shared
-   mutable hierarchies have no lazy closure builds left to race on;
-   relations are immutable values. With [domains <= 1] no domain is
-   ever spawned — processes that still need [Unix.fork] (the test
-   suites, the smoke scripts) keep that freedom. *)
+(* Replica WAL apply: each burst of primary records runs through
+   [Db.apply_replicated] one record at a time, in the primary's LSN
+   order, on the live catalog. Every record is already one checked
+   commit on the primary, so replaying it is the whole job; no domain
+   is spawned. *)
 
 module Db = Hr_storage.Db
-module Eval = Hr_query.Eval
-module Footprint = Hr_analysis.Footprint
-open Hierel
 
 let m_batches = Hr_obs.Metrics.counter "repl.apply_batches"
-let m_groups = Hr_obs.Metrics.counter "repl.apply_groups"
-let m_parallel = Hr_obs.Metrics.counter "repl.apply_parallel_records"
-let m_serial = Hr_obs.Metrics.counter "repl.apply_serial_records"
-let g_domains = Hr_obs.Metrics.gauge "repl.apply_domains"
-
-let set_domains_gauge k = Hr_obs.Metrics.set g_domains k
 
 type record = { lsn : int; stmt : string }
 
-type segment =
-  | Serial of record list
-      (** applied in order on the live catalog ([Db.apply_replicated]) *)
-  | Parallel of record list list
-      (** >= 2 groups, pairwise sharing no relation name *)
-
-(* ---- partitioning ------------------------------------------------------ *)
-
-module Sset = Set.Make (String)
-
-(* Union-find by shared relation name, order-preserving within each
-   group: a record joins every group it shares a relation with (merging
-   them); records in one group keep their arrival order. *)
-let group_run run =
-  let groups =
-    List.fold_left
-      (fun groups (rels, record) ->
-        let touching, free =
-          List.partition (fun (s, _) -> not (Sset.disjoint s rels)) groups
-        in
-        let merged_set =
-          List.fold_left (fun acc (s, _) -> Sset.union acc s) rels touching
-        in
-        let merged_records =
-          List.concat_map (fun (_, rs) -> rs) touching @ [ record ]
-        in
-        free @ [ (merged_set, merged_records) ])
-      [] run
-  in
-  List.map snd groups
-
-let partition ~find records =
-  let flush run acc =
-    match group_run run with
-    | [] -> acc
-    | [ single ] -> Serial single :: acc
-    | groups -> Parallel groups :: acc
-  in
-  let run, acc =
-    List.fold_left
-      (fun (run, acc) record ->
-        match Footprint.of_source ~find record.stmt with
-        | Footprint.Opaque _ -> ([], Serial [ record ] :: flush run acc)
-        | Footprint.Atoms _ as fp -> (
-          match Footprint.relations fp with
-          | Some ((_ :: _) as rels) ->
-            (run @ [ (Sset.of_list rels, record) ], acc)
-          | Some [] | None -> ([], Serial [ record ] :: flush run acc)))
-      ([], []) records
-  in
-  List.rev (flush run acc)
-
-(* ---- application ------------------------------------------------------- *)
-
-let apply_serial db records =
-  let rec go = function
-    | [] -> Ok ()
-    | { lsn; stmt } :: rest -> (
-      Hr_obs.Metrics.incr m_serial;
-      match Db.apply_replicated db ~lsn stmt with
-      | Ok () -> go rest
-      | Error msg ->
-        Error (Printf.sprintf "LSN %d (%S): %s" lsn stmt msg))
-  in
-  go records
-
-(* Evaluate one group against a private snapshot of [base]; report the
-   relations the group changed (new version, fresh definition, or
-   drop), detected by physical inequality against the base binding. *)
-let eval_group base records =
-  let snap = Catalog.snapshot base in
-  let rec go = function
-    | [] ->
-      let touched =
-        List.sort_uniq String.compare
-          (List.concat_map
-             (fun { stmt; _ } ->
-               match
-                 Footprint.relations
-                   (Footprint.of_source
-                      ~find:(fun n -> Catalog.find_relation snap n)
-                      stmt)
-               with
-               | Some rels -> rels
-               | None -> [])
-             records)
-      in
-      let changes =
-        List.filter_map
-          (fun name ->
-            match
-              (Catalog.find_relation snap name, Catalog.find_relation base name)
-            with
-            | Some r, Some r0 when r == r0 -> None
-            | Some r, _ -> Some (name, Some r)
-            | None, Some _ -> Some (name, None)
-            | None, None -> None)
-          touched
-      in
-      Ok changes
-    | { lsn; stmt } :: rest -> (
-      match Eval.run_script snap stmt with
-      | Ok _ -> go rest
-      | Error msg ->
-        Error (Printf.sprintf "LSN %d (%S): %s" lsn stmt msg))
-  in
-  go records
-
-let install base changes =
-  List.iter
-    (fun (name, change) ->
-      match change with
-      | Some r ->
-        if Catalog.find_relation base name <> None then
-          Catalog.replace_relation base r
-          (* contents replayed from the primary were validated there *)
-        else Catalog.define_relation ~check:false base r
-      | None -> Catalog.drop_relation base name)
-    changes
-
-let apply_parallel ~domains db groups =
-  let base = Db.catalog db in
-  (* Seal the shared mutable hierarchies before any snapshot crosses a
-     domain boundary (forces the lazy closure indexes, making every
-     read path pure). *)
-  Catalog.freeze base;
-  let n_buckets = min domains (List.length groups) in
-  let buckets = Array.make n_buckets [] in
-  List.iteri
-    (fun i g -> buckets.(i mod n_buckets) <- buckets.(i mod n_buckets) @ [ g ])
-    groups;
-  let worker bucket () = List.map (fun g -> eval_group base g) bucket in
-  let handles =
-    Array.map (fun bucket -> Domain.spawn (worker bucket)) buckets
-  in
-  let results = Array.to_list handles |> List.concat_map Domain.join in
-  let rec collect acc = function
-    | [] -> Ok (List.rev acc)
-    | Ok changes :: rest -> collect (changes :: acc) rest
-    | Error msg :: rest ->
-      (* drain remaining results for the error report's determinism,
-         but the first failure decides *)
-      ignore rest;
-      Error msg
-  in
-  match collect [] results with
-  | Error _ as e -> e
-  | Ok all_changes ->
-    List.iter (install base) all_changes;
-    List.iter (fun _ -> Hr_obs.Metrics.incr m_groups) groups;
-    (* WAL bookkeeping in the primary's LSN order, preserving the local
-       log's contiguity (fsck F007) independent of evaluation order. *)
-    let records =
-      List.sort
-        (fun a b -> compare a.lsn b.lsn)
-        (List.concat groups)
-    in
-    let rec log = function
-      | [] -> Ok ()
-      | { lsn; stmt } :: rest -> (
-        Hr_obs.Metrics.incr m_parallel;
-        match Db.log_replicated db ~lsn stmt with
-        | Ok () -> log rest
-        | Error msg -> Error (Printf.sprintf "LSN %d (%S): %s" lsn stmt msg))
-    in
-    log records
-
-(* The batch entry point. [domains <= 1] (or a burst with nothing to
-   parallelize) degenerates to exactly the sequential apply loop and
-   never spawns a domain. *)
-let apply_batch ~domains db records =
+let apply_batch ~domains:_ db records =
   if records = [] then Ok ()
   else begin
     Hr_obs.Metrics.incr m_batches;
-    if domains <= 1 then apply_serial db records
-    else begin
-      let find n = Catalog.find_relation (Db.catalog db) n in
-      let rec go = function
-        | [] -> Ok ()
-        | Serial rs :: rest -> (
-          match apply_serial db rs with Ok () -> go rest | Error _ as e -> e)
-        | Parallel groups :: rest -> (
-          match apply_parallel ~domains db groups with
-          | Ok () -> go rest
-          | Error _ as e -> e)
-      in
-      (* re-partition lazily segment by segment? The footprints only
-         feed name-level grouping, so resolving them against the
-         pre-batch catalog is safe: a DDL inside the batch is opaque and
-         already a barrier, and name sets do not depend on resolution. *)
-      go (partition ~find records)
-    end
+    let rec go = function
+      | [] -> Ok ()
+      | { lsn; stmt } :: rest -> (
+        match Db.apply_replicated db ~lsn stmt with
+        | Ok () -> go rest
+        | Error msg -> Error (Printf.sprintf "LSN %d (%S): %s" lsn stmt msg))
+    in
+    go records
   end

@@ -1,36 +1,15 @@
-(** Parallel WAL apply: partition a burst of primary records into
-    groups that provably share no relation (via the effect footprints
-    of [Hr_analysis]) and evaluate the groups across OCaml 5 domains,
-    each against a private catalog snapshot; the coordinator installs
-    the changed relations and logs every record in the primary's LSN
-    order. DDL and unparseable records are hard barriers, applied
-    serially. Semantics and the soundness argument: docs/EFFECTS.md.
-
-    With [domains <= 1] this is exactly the sequential
-    {!Hr_storage.Db.apply_replicated} loop and no domain is ever
-    spawned — callers that still need [Unix.fork] keep that freedom. *)
+(** Replica WAL apply: a burst of primary records is applied serially,
+    in the primary's LSN order, through
+    {!Hr_storage.Db.apply_replicated}. No domain is ever spawned, so the
+    process may still [Unix.fork]. *)
 
 type record = { lsn : int; stmt : string }
 
-type segment =
-  | Serial of record list
-      (** applied in order on the live catalog *)
-  | Parallel of record list list
-      (** >= 2 groups, pairwise sharing no relation name *)
-
-val partition :
-  find:(string -> Hierel.Relation.t option) -> record list -> segment list
-(** Exposed for tests: the grouping is what the soundness harness
-    exercises directly. Record order is preserved within every group
-    and across segment boundaries. *)
-
 val apply_batch :
   domains:int -> Hr_storage.Db.t -> record list -> (unit, string) result
-(** Apply one burst. [Error] means divergence (some record failed to
-    evaluate) and the caller should treat it as fatal; on error the
-    batch may be partially applied, exactly like the sequential path.
-    WAL appends are buffered — the caller must {!Hr_storage.Db.sync}
-    before acknowledging upstream. *)
-
-val set_domains_gauge : int -> unit
-(** Publish the configured worker count as [repl.apply_domains]. *)
+(** Apply one burst. [~domains] is ignored; it remains for callers
+    written against the retired parallel apply. [Error] means
+    divergence (some record failed to evaluate) and the caller should
+    treat it as fatal; on error the records before the failing one stay
+    applied. WAL appends are buffered — the caller must
+    {!Hr_storage.Db.sync} before acknowledging upstream. *)

@@ -22,12 +22,11 @@ type config = {
   backoff_max : float;
   connect_timeout : float;
   checkpoint_every : int;
-  apply_domains : int;
 }
 
 let config ?(primary_host = "127.0.0.1") ?(host = "127.0.0.1") ?(port = 0)
     ?(backoff_min = 0.05) ?(backoff_max = 2.0) ?(connect_timeout = 5.0)
-    ?(checkpoint_every = 512) ?(apply_domains = 1) ~primary_port ~dir () =
+    ?(checkpoint_every = 512) ~primary_port ~dir () =
   {
     primary_host;
     primary_port;
@@ -38,7 +37,6 @@ let config ?(primary_host = "127.0.0.1") ?(host = "127.0.0.1") ?(port = 0)
     backoff_max;
     connect_timeout;
     checkpoint_every;
-    apply_domains;
   }
 
 type upstream =
@@ -61,7 +59,6 @@ let create cfg =
     Server.create_for_db ~host:cfg.host ~read_only:true ~port:cfg.port ~db:database ()
   in
   Hr_obs.Metrics.set g_applied (Db.lsn database);
-  Apply.set_domains_gauge cfg.apply_domains;
   {
     cfg;
     database;
@@ -121,16 +118,13 @@ let maybe_checkpoint t =
    would serve wrong answers. Fail loudly.
 
    Records are collected per decoder drain into a burst and flushed
-   through {!Apply.apply_batch}: with [apply_domains > 1] the burst is
-   partitioned into commuting groups applied across domains; at the
-   default 1 the flush is exactly the historical record-by-record
-   apply (and never spawns a domain). *)
+   through {!Apply.apply_batch}, record by record in LSN order. *)
 let flush_burst t burst =
   match List.rev !burst with
   | [] -> ()
   | records ->
     burst := [];
-    (match Apply.apply_batch ~domains:t.cfg.apply_domains t.database records with
+    (match Apply.apply_batch ~domains:1 t.database records with
     | Ok () -> ()
     | Error msg -> failwith ("replica diverged applying " ^ msg));
     Hr_obs.Metrics.add m_applied (List.length records);

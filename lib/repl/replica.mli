@@ -39,10 +39,6 @@ type config = {
   checkpoint_every : int;
       (** checkpoint the local db whenever this many records have
           accumulated in its WAL (bounds recovery time) *)
-  apply_domains : int;
-      (** worker domains for the parallel WAL apply ({!Apply}); at the
-          default 1 records apply sequentially and no OCaml 5 domain is
-          ever spawned (so the process may still [Unix.fork]) *)
 }
 
 val config :
@@ -53,14 +49,12 @@ val config :
   ?backoff_max:float ->
   ?connect_timeout:float ->
   ?checkpoint_every:int ->
-  ?apply_domains:int ->
   primary_port:int ->
   dir:string ->
   unit ->
   config
 (** Defaults: localhost both sides, ephemeral local port, backoff
-    50ms → 2s, 5s connect timeout, checkpoint every 512 records,
-    sequential apply ([apply_domains = 1]). *)
+    50ms → 2s, 5s connect timeout, checkpoint every 512 records. *)
 
 type t
 

@@ -774,10 +774,6 @@ module Client = struct
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       Error "timed out waiting for reply"
 
-  let exec_versioned conn script =
-    Wire.send conn "EXEC" script;
-    recv_versioned conn
-
   let request conn tag script =
     Wire.send conn tag script;
     recv_result conn

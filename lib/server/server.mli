@@ -245,9 +245,6 @@ module Client : sig
       The concurrency harness uses the tag to replay the WAL prefix
       [1..lsn] and demand byte equality. *)
 
-  val exec_versioned : conn -> string -> ((int * int) option * bool * string, string) result
-  (** [send conn "EXEC" script] followed by {!recv_versioned}. *)
-
   val recv_any : conn -> (string * string, string) result
   (** Reads one frame of any tag — the replication subscriber's read
       path ([REPL_SNAPSHOT] / [REPL_RECORD] arrive unprompted). *)

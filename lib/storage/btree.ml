@@ -377,15 +377,6 @@ let rec depth pages ~root =
   let node = read_node pages root in
   if node.leaf then 1 else 1 + depth pages ~root:node.leftmost
 
-let rec node_ids pages ~root =
-  let node = read_node pages root in
-  if node.leaf then [ root ]
-  else
-    root
-    :: List.concat_map
-         (fun c -> node_ids pages ~root:c)
-         (node.leftmost :: List.map (fun e -> e.child) node.entries)
-
 (* Structural invariants, reported as human-readable faults rather than
    exceptions so fsck can keep going: every node decodes, entries are
    strictly ordered by (key, tid) globally, and each subtree respects

@@ -47,9 +47,6 @@ val iter : pages -> root:int -> (string -> int -> unit) -> unit
 val depth : pages -> root:int -> int
 (** Levels in the tree (1 = a lone leaf). *)
 
-val node_ids : pages -> root:int -> int list
-(** Every page id reachable from the root (pre-order). *)
-
 val check : pages -> root:int -> string list
 (** Structural validation for fsck: nodes decode, entries are strictly
     (key, tid)-ordered, and every subtree respects its separator

@@ -331,17 +331,12 @@ let unsynced t = Wal.unsynced t.wal
 let synced_lsn t = t.synced_lsn
 
 (* The sequential path keeps its historical contract: one call, one
-   durable commit. Batching callers use [exec_buffered]/[commit_many]
-   and share the sync. *)
+   durable commit. Batching callers use [exec_buffered] and share the
+   sync. *)
 let exec t script =
   let result = exec_buffered t script in
   sync t;
   result
-
-let commit_many t scripts =
-  let results = List.map (exec_buffered t) scripts in
-  sync t;
-  results
 
 let close t =
   Wal.close t.wal;
@@ -395,11 +390,9 @@ let install_snapshot t ~lsn image =
 let duplicate t lsn =
   Error (Printf.sprintf "duplicate record: LSN %d already applied (at %d)" lsn t.lsn)
 
-(* The bookkeeping half of [apply_replicated] without the evaluation:
-   for callers (the parallel WAL apply in lib/repl) that evaluated the
-   record against a snapshot and installed the result themselves, but
-   must still preserve the local WAL's contiguity discipline (fsck
-   F007) record by record, in the primary's LSN order. *)
+(* The bookkeeping half of [apply_replicated]: log one evaluated primary
+   record under its own LSN, keeping the local WAL contiguous (fsck
+   F007). *)
 let log_replicated t ~lsn source =
   if lsn <= t.lsn then duplicate t lsn
   else begin

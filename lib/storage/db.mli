@@ -84,20 +84,14 @@ val exec : t -> string -> (string list, string) result
 
     The batched write path. [exec_buffered] appends to the WAL without
     syncing; the caller decides the commit point and must call {!sync}
-    (or let {!commit_many} do it) before acknowledging any of the
-    batched statements as committed. The server's event loop uses this
-    to make N statements from one select tick share a single
-    write+fsync. *)
+    before acknowledging any of the batched statements as committed.
+    The server's event loop uses this to make N statements from one
+    select tick share a single write+fsync. *)
 
 val exec_buffered : t -> string -> (string list, string) result
 (** {!exec} without the trailing sync. The returned [Ok] means "applied
     and staged", not "durable" — never surface it to a client before
     {!sync} returns. *)
-
-val commit_many : t -> string list -> (string list, string) result list
-(** Runs each script with {!exec_buffered}, then one shared {!sync}:
-    the group-commit primitive. Result [i] corresponds to script [i];
-    per-script statement-level atomicity is unchanged. *)
 
 val sync : t -> unit
 (** Makes every buffered WAL append durable (one flush + fsync, unless
@@ -172,15 +166,6 @@ val apply_replicated : t -> lsn:int -> string -> (unit, string) result
     means divergence (a statement that replayed cleanly on the primary
     failed here) and the caller should treat it as fatal. Statements at
     or below the current {!lsn} are rejected as duplicates. *)
-
-val log_replicated : t -> lsn:int -> string -> (unit, string) result
-(** The bookkeeping half of {!apply_replicated} without the evaluation:
-    appends one primary record to the local WAL (buffered; {!sync}
-    before acking) and advances the LSN. For callers that evaluated the
-    record against a catalog snapshot and installed the result
-    themselves — the parallel WAL apply in [lib/repl] — so the local
-    log keeps its record-by-record contiguity (fsck F007) whatever the
-    evaluation strategy was. Duplicate LSNs are rejected. *)
 
 val mutating : Hr_query.Ast.statement -> bool
 (** Whether a statement changes durable state (and hence is logged and

@@ -43,9 +43,9 @@ let () =
       ("server", Test_server.suite);
       ("repl", Test_repl.suite);
       ("shard", Test_shard.suite);
-      (* the rest spawn OCaml 5 domains, and Unix.fork — which the
-         server/repl/shard suites use — is forbidden for the rest of
-         the process once any domain has ever been created *)
       ("effect", Test_effect.suite);
+      (* mc spawns OCaml 5 domains, and Unix.fork — which the
+         server/repl/shard/effect suites use — is forbidden for the rest
+         of the process once any domain has ever been created *)
       ("mc", Test_mc.suite);
     ]

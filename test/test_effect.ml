@@ -10,9 +10,8 @@
    makes a clean sweep evidence rather than absence of assertions.
 
    Also here: widening edge cases (DDL, CONSOLIDATE, unresolved
-   values), the {!Hr_repl.Apply} partitioner, and parallel-vs-serial
-   apply equivalence across OCaml 5 domains. This suite spawns domains,
-   so it must run after every suite that forks (server, repl, shard). *)
+   values) and the {!Hr_repl.Apply} replica burst, which must spawn no
+   domain. *)
 
 module Effect = Hr_analysis.Effect
 module Footprint = Hr_analysis.Footprint
@@ -247,45 +246,9 @@ let test_widening () =
     (is_commute
        (v "INSERT INTO r VALUES (+ ALL bird);" "INSERT INTO r VALUES (- ALL swimmer);"))
 
-(* ---- the Apply partitioner -------------------------------------------- *)
+(* ---- replica apply: one serial path ----------------------------------- *)
 
 let rcd lsn stmt = { Apply.lsn; stmt }
-
-let lsns = function
-  | Apply.Serial rs -> [ List.map (fun r -> r.Apply.lsn) rs ]
-  | Apply.Parallel groups ->
-    List.map (fun g -> List.map (fun r -> r.Apply.lsn) g) groups
-
-let test_partition () =
-  let world = counterexample_world () in
-  let find = Catalog.find_relation world in
-  let records =
-    [
-      rcd 1 "INSERT INTO r VALUES (+ pingu);";
-      rcd 2 "INSERT INTO q VALUES (+ pingu);";
-      rcd 3 "CREATE DOMAIN z;";
-      rcd 4 "INSERT INTO r VALUES (+ ALL bird);";
-      rcd 5 "INSERT INTO r VALUES (- pingu);";
-    ]
-  in
-  match Apply.partition ~find records with
-  | [ seg1; seg2; seg3 ] ->
-    (* name-disjoint run splits in two; DDL is a barrier; a same-name
-       run stays one group and is not worth a domain *)
-    Alcotest.(check (list (list int))) "commuting run groups by relation"
-      [ [ 1 ]; [ 2 ] ] (lsns seg1);
-    Alcotest.(check bool) "first segment is parallel" true
-      (match seg1 with Apply.Parallel _ -> true | Apply.Serial _ -> false);
-    Alcotest.(check (list (list int))) "DDL barrier" [ [ 3 ] ] (lsns seg2);
-    Alcotest.(check bool) "barrier is serial" true
-      (match seg2 with Apply.Serial _ -> true | Apply.Parallel _ -> false);
-    Alcotest.(check (list (list int))) "single-group run stays serial, in order"
-      [ [ 4; 5 ] ] (lsns seg3);
-    Alcotest.(check bool) "tail is serial" true
-      (match seg3 with Apply.Serial _ -> true | Apply.Parallel _ -> false)
-  | segs -> Alcotest.failf "expected 3 segments, got %d" (List.length segs)
-
-(* ---- parallel apply == serial apply ----------------------------------- *)
 
 let with_temp_dir f =
   let dir = Filename.temp_file "hrdb_effect" "" in
@@ -306,9 +269,8 @@ let replica_world =
    CREATE RELATION a (who: animal); CREATE RELATION b (who: animal);\n\
    CREATE RELATION c (who: animal);"
 
-(* Commuting groups, a CONSOLIDATE (single-group run), and a second
-   commuting burst: enough to drive both Serial and Parallel segments
-   through real domains. *)
+(* A burst over all three relations, with a CONSOLIDATE and a DELETE
+   in the middle. *)
 let replica_stmts =
   [
     "INSERT INTO a VALUES (+ ALL bird);";
@@ -321,44 +283,64 @@ let replica_stmts =
     "DELETE FROM b VALUES (rex);";
   ]
 
-let test_apply_equivalence () =
-  with_temp_dir (fun d1 ->
-      with_temp_dir (fun d2 ->
-          let db1 = Db.open_dir d1 and db2 = Db.open_dir d2 in
-          Fun.protect
-            ~finally:(fun () ->
-              Db.close db1;
-              Db.close db2)
-            (fun () ->
-              (match (Db.exec db1 replica_world, Db.exec db2 replica_world) with
-              | Ok _, Ok _ -> ()
-              | Error m, _ | _, Error m ->
-                Alcotest.failf "world setup failed: %s" m);
-              let base = Db.lsn db1 in
-              Alcotest.(check int) "same base LSN" base (Db.lsn db2);
-              let records =
-                List.mapi (fun i stmt -> rcd (base + i + 1) stmt) replica_stmts
-              in
-              (match Apply.apply_batch ~domains:1 db1 records with
-              | Ok () -> ()
-              | Error m -> Alcotest.failf "serial apply failed: %s" m);
-              (match Apply.apply_batch ~domains:3 db2 records with
-              | Ok () -> ()
-              | Error m -> Alcotest.failf "parallel apply failed: %s" m);
-              Db.sync db1;
-              Db.sync db2;
-              Alcotest.(check int) "same head LSN" (Db.lsn db1) (Db.lsn db2);
-              let f1 = flatten (Db.catalog db1)
-              and f2 = flatten (Db.catalog db2) in
-              Alcotest.(check int) "same relation count" (List.length f1)
-                (List.length f2);
-              List.iter2
-                (fun (n1, x1) (n2, x2) ->
-                  Alcotest.(check string) "same relation" n1 n2;
-                  Alcotest.(check bool)
-                    (Printf.sprintf "flattened %s agrees" n1)
-                    true (Flat_relation.equal x1 x2))
-                f1 f2)))
+(* Applies [replica_stmts] as one burst to a fresh durable database in
+   [dir] and returns its flattened relations. *)
+let apply_burst ~domains dir =
+  let db = Db.open_dir dir in
+  Fun.protect
+    ~finally:(fun () -> Db.close db)
+    (fun () ->
+      (match Db.exec db replica_world with
+      | Ok _ -> ()
+      | Error m -> failwith ("world setup failed: " ^ m));
+      let base = Db.lsn db in
+      let records =
+        List.mapi (fun i stmt -> rcd (base + i + 1) stmt) replica_stmts
+      in
+      (match Apply.apply_batch ~domains db records with
+      | Ok () -> ()
+      | Error m -> failwith ("apply failed: " ^ m));
+      Db.sync db;
+      flatten (Db.catalog db))
+
+(* OCaml 5 refuses [Unix.fork] once the process has created any domain,
+   even one already joined. A child that can still fork after applying a
+   burst with [~domains:4] therefore ran it on its own domain alone. The
+   probe runs in a forked child, so a domain it spawned could not stop
+   the test process from forking later. *)
+let test_apply_spawns_no_domain () =
+  let expected = with_temp_dir (apply_burst ~domains:1) in
+  let same got =
+    List.length got = List.length expected
+    && List.for_all2
+         (fun (n1, x1) (n2, x2) -> n1 = n2 && Flat_relation.equal x1 x2)
+         got expected
+  in
+  match Unix.fork () with
+  | 0 ->
+    let code =
+      match with_temp_dir (apply_burst ~domains:4) with
+      | exception _ -> 2
+      | got -> (
+        match Unix.fork () with
+        | exception Failure _ -> 3
+        | 0 -> Unix._exit 0
+        | pid -> (
+          match Unix.waitpid [] pid with
+          | _, Unix.WEXITED 0 -> if same got then 0 else 4
+          | _ -> 5))
+    in
+    Unix._exit code
+  | pid ->
+    let status =
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> "ok"
+      | _, Unix.WEXITED 2 -> "apply failed"
+      | _, Unix.WEXITED 3 -> "fork refused: apply spawned a domain"
+      | _, Unix.WEXITED 4 -> "flattened relations differ from ~domains:1"
+      | _ -> "child failed"
+    in
+    Alcotest.(check string) "child forks after ~domains:4 apply" "ok" status
 
 let test_apply_errors () =
   with_temp_dir (fun dir ->
@@ -370,7 +352,7 @@ let test_apply_errors () =
           | Ok _ -> ()
           | Error m -> Alcotest.failf "world setup failed: %s" m);
           let base = Db.lsn db in
-          (* a record that cannot evaluate is divergence, parallel or not *)
+          (* a record that cannot evaluate is divergence *)
           (match
              Apply.apply_batch ~domains:3 db
                [
@@ -391,9 +373,7 @@ let suite =
       test_differential;
     Alcotest.test_case "seeded unsound oracle is caught" `Quick test_seeded_bug;
     Alcotest.test_case "widening edge cases" `Quick test_widening;
-    Alcotest.test_case "Apply.partition: barriers, grouping, order" `Quick
-      test_partition;
-    Alcotest.test_case "parallel apply equals serial apply" `Quick
-      test_apply_equivalence;
+    Alcotest.test_case "apply spawns no domain" `Quick
+      test_apply_spawns_no_domain;
     Alcotest.test_case "apply batch error paths" `Quick test_apply_errors;
   ]

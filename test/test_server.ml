@@ -2,15 +2,10 @@
 
 module Server = Hr_server.Server
 
-(* Fork a process running the event loop. Returns (port, pid); the
-   parent's copies of the listening socket and database are closed so
-   the child is the only owner. *)
-let spawn_server ?dir () =
-  let server =
-    match dir with
-    | Some dir -> Server.create_durable ~port:0 ~dir ()
-    | None -> Server.create_memory ~port:0 ()
-  in
+(* Fork a process running [server]'s event loop. Returns (port, pid);
+   the parent's copies of the listening socket and database are closed
+   so the child is the only owner. *)
+let fork_server server =
   let port = Server.port server in
   match Unix.fork () with
   | 0 ->
@@ -20,6 +15,22 @@ let spawn_server ?dir () =
   | pid ->
     Server.close server;
     (port, pid)
+
+let spawn_server ?dir () =
+  fork_server
+    (match dir with
+    | Some dir -> Server.create_durable ~port:0 ~dir ()
+    | None -> Server.create_memory ~port:0 ())
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "hrsrv" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
 
 (* Every reply was read before this is called, and acks are sent only
    after their commit is durable, so killing the server loses nothing. *)
@@ -56,14 +67,7 @@ let test_errors_propagate () =
   stop_server pid
 
 let test_durable_backend () =
-  let dir = Filename.temp_file "hrsrv" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () ->
+  with_temp_dir (fun dir ->
       let port, pid = spawn_server ~dir () in
       let conn = Server.Client.connect ~timeout:10.0 ~port () in
       (match
@@ -122,14 +126,7 @@ let test_fsck_over_the_wire () =
   Server.Client.close conn;
   stop_server pid;
   (* a durable backend verifies its own directory *)
-  let dir = Filename.temp_file "hrsrv" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () ->
+  with_temp_dir (fun dir ->
       let port, pid = spawn_server ~dir () in
       let conn = Server.Client.connect ~timeout:10.0 ~port () in
       (match Server.Client.exec conn "CREATE DOMAIN d; CREATE INSTANCE x OF d;" with
@@ -145,6 +142,76 @@ let test_fsck_over_the_wire () =
       | Error e -> Alcotest.failf "fsck json: %s" e);
       Server.Client.close conn;
       stop_server pid)
+
+(* A counter from a STATS reply ("  <name>  <value>" lines). *)
+let counter conn name =
+  match Server.Client.stats conn with
+  | Error e -> Alcotest.failf "stats: %s" e
+  | Ok text ->
+    List.find_map
+      (fun line ->
+        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+        | [ n; v ] when n = name -> int_of_string_opt v
+        | _ -> None)
+      (String.split_on_char '\n' text)
+    |> Option.value ~default:0
+
+(* Group commit: INSERTs from several clients that arrive inside one
+   commit window share a WAL sync, every client is acked, and every row
+   is durable. *)
+let test_group_commit () =
+  let clients = 6 in
+  with_temp_dir (fun dir ->
+      let port, pid =
+        fork_server
+          (Server.create_durable ~group_commit_window:0.1 ~fsync:false ~port:0
+             ~dir ())
+      in
+      Fun.protect
+        ~finally:(fun () -> stop_server pid)
+        (fun () ->
+          let admin = Server.Client.connect ~timeout:10.0 ~port () in
+          (match
+             Server.Client.exec admin
+               (String.concat " "
+                  ("CREATE DOMAIN d; CREATE RELATION r (v: d);"
+                  :: List.init clients (Printf.sprintf "CREATE INSTANCE i%d OF d;")))
+           with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "setup: %s" e);
+          let appends0 = counter admin "storage.wal.appends"
+          and batches0 = counter admin "storage.wal.sync_batches" in
+          let conns =
+            List.init clients (fun _ -> Server.Client.connect ~timeout:10.0 ~port ())
+          in
+          List.iteri
+            (fun i c ->
+              Server.Client.send c "EXEC" (Printf.sprintf "INSERT INTO r VALUES (+ i%d);" i))
+            conns;
+          List.iteri
+            (fun i c ->
+              match Server.Client.recv c with
+              | Ok _ -> ()
+              | Error e -> Alcotest.failf "client %d: %s" i e)
+            conns;
+          let appends = counter admin "storage.wal.appends" - appends0
+          and batches = counter admin "storage.wal.sync_batches" - batches0 in
+          Alcotest.(check int) "one append per INSERT" clients appends;
+          Alcotest.(check bool)
+            (Printf.sprintf "%d sync batches < %d appends" batches appends)
+            true (batches < appends);
+          List.iter Server.Client.close (admin :: conns));
+      let db = Hr_storage.Db.open_dir dir in
+      Fun.protect
+        ~finally:(fun () -> Hr_storage.Db.close db)
+        (fun () ->
+          for i = 0 to clients - 1 do
+            match Hr_storage.Db.exec db (Printf.sprintf "ASK r (i%d);" i) with
+            | Ok [ out ] ->
+              Alcotest.(check string) "row survived reopen"
+                (Printf.sprintf "+ (by (i%d))" i) out
+            | Ok _ | Error _ -> Alcotest.failf "ASK r (i%d) failed after reopen" i
+          done))
 
 (* Every frame is a whole request or reply, so Nagle's algorithm only
    adds a delayed-ACK wait. Sockets come from two places: [Conn.accept]
@@ -178,6 +245,8 @@ let suite =
     Alcotest.test_case "sockets set TCP_NODELAY" `Quick test_tcp_nodelay;
     Alcotest.test_case "errors propagate, connection survives" `Quick test_errors_propagate;
     Alcotest.test_case "durable backend over tcp" `Quick test_durable_backend;
+    Alcotest.test_case "group commit shares one sync across clients" `Quick
+      test_group_commit;
     Alcotest.test_case "lint over the wire" `Quick test_lint_over_the_wire;
     Alcotest.test_case "fsck over the wire" `Quick test_fsck_over_the_wire;
   ]

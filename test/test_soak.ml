@@ -176,7 +176,8 @@ let test_soak_durable () =
              counted.  [Db.exec] syncs after every statement, so on this
              path each append gets its own fsync — the group-commit
              batching (fsyncs < appends) only appears under the server's
-             event loop, and is asserted by bench C14 / the CI report. *)
+             event loop, and is asserted by test_server's "group commit
+             shares one sync across clients". *)
           Alcotest.(check int) "storage.db.statements accounts for the run"
             (state.executed + state.rejected + 1)
             (Metrics.counter_value "storage.db.statements" - statements0);
