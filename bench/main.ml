@@ -1,6 +1,7 @@
 (* Benchmark harness: regenerates, for every quantitative claim of the
-   paper (see DESIGN.md §3, experiments C1–C8), the table or series that
-   supports it, and times the core operations with Bechamel.
+   paper (see DESIGN.md §3: C1–C9, C12, C13, C15), the table or series
+   that supports it, and times the core operations with Bechamel. System
+   performance is measured end to end by perfbench, not here.
 
    The paper (SIGMOD 1989) reports no absolute numbers — its evaluation
    is the worked figures plus performance arguments (storage compression
@@ -413,202 +414,6 @@ let bench_index () =
   Format.printf
     "shape check: scan cost grows with relation size; indexed probes stay near-flat.@."
 
-(* ---- C10: storage engine costs ----------------------------------------- *)
-
-let bench_storage_engine () =
-  section "C10 — storage engine: snapshot codec and WAL append";
-  let g = Prng.create 53L in
-  let cat = Catalog.create () in
-  let h =
-    Workload.random_hierarchy (Prng.split g)
-      { Workload.default_hierarchy_spec with name = "c10"; classes = 40; instances = 120 }
-  in
-  Catalog.define_hierarchy cat h;
-  let schema = Schema.make [ ("v", h) ] in
-  Catalog.define_relation cat
-    (Workload.consistent_random_relation (Prng.split g) schema
-       { Workload.default_relation_spec with rel_name = "c10_rel"; tuples = 80 });
-  let encoded = Hr_storage.Snapshot.encode cat in
-  Format.printf "snapshot size for 160-node hierarchy + 80-tuple relation: %d bytes@."
-    (String.length encoded);
-  let wal_dir = Filename.temp_file "hrbench" "" in
-  Sys.remove wal_dir;
-  Sys.mkdir wal_dir 0o755;
-  let wal_path = Filename.concat wal_dir "wal.log" in
-  (* No-fsync WAL: the bench isolates serialization + buffered-write +
-     flush cost; C14 measures real fsync'd throughput end to end. *)
-  let wal = Hr_storage.Wal.open_ ~fsync:false wal_path in
-  let lsn = ref 0 in
-  let tests =
-    [
-      Test.make ~name:"snapshot encode" (Staged.stage (fun () -> Hr_storage.Snapshot.encode cat));
-      Test.make ~name:"snapshot decode (checked)"
-        (Staged.stage (fun () -> Hr_storage.Snapshot.decode encoded));
-      Test.make ~name:"snapshot decode (trusted)"
-        (Staged.stage (fun () -> Hr_storage.Snapshot.decode ~check:false encoded));
-      Test.make ~name:"wal append (buffered)"
-        (Staged.stage (fun () ->
-             incr lsn;
-             Hr_storage.Wal.append wal ~lsn:!lsn "INSERT INTO c10_rel VALUES (+ c10_i1);"));
-      Test.make ~name:"wal append+sync"
-        (Staged.stage (fun () ->
-             incr lsn;
-             Hr_storage.Wal.append wal ~lsn:!lsn "INSERT INTO c10_rel VALUES (+ c10_i1);";
-             Hr_storage.Wal.sync wal));
-    ]
-  in
-  run_benches ~label:"storage" tests;
-  Hr_storage.Wal.close wal;
-  Sys.remove wal_path;
-  Sys.rmdir wal_dir
-
-(* ---- C14: group commit — multi-client mutation throughput --------------- *)
-
-(* End-to-end durable throughput through the real server event loop and
-   wire protocol, with real fsyncs. Two arms:
-
-   - per-stmt sync: one request/response client — every statement waits
-     for its own fsync'd ack, the pre-group-commit behaviour;
-   - group commit: [--clients K] pipelined clients — the event loop
-     drains every readable frame per tick and all of them share one
-     WAL flush+fsync at the commit point.
-
-   Both arms report ns/statement (schema-compatible with the bechamel
-   estimates in the JSON report); the speedup is their ratio. *)
-
-let clients_k = ref 8
-
-let bench_group_commit () =
-  let module Server = Hr_server.Server in
-  let module Wire = Hr_frames.Wire in
-  let module Metrics = Hr_obs.Metrics in
-  section
-    (Printf.sprintf "C14 — group commit: durable mutation throughput (%d pipelined clients)"
-       !clients_k);
-  let with_temp_dir f =
-    let dir = Filename.temp_file "hrbench_c14" "" in
-    Sys.remove dir;
-    Sys.mkdir dir 0o755;
-    Fun.protect
-      ~finally:(fun () ->
-        Array.iter (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
-          (Sys.readdir dir);
-        try Sys.rmdir dir with Sys_error _ -> ())
-      (fun () -> f dir)
-  in
-  (* Scale the statement count with --quota so the CI smoke run stays
-     cheap while the default run measures something stable. *)
-  let stmts_per_client = max 30 (int_of_float (!quota_s *. 800.)) in
-  let stmt = "INSERT INTO r VALUES (+ c14_i1);" in
-  let frame = Wire.frame "EXEC" stmt in
-  let run_arm ~clients ~pipelined =
-    with_temp_dir (fun dir ->
-        let server = Server.create_durable ~port:0 ~dir () in
-        Fun.protect
-          ~finally:(fun () -> Server.close server)
-          (fun () ->
-            let port = Server.port server in
-            (* schema setup over a throwaway request/response client *)
-            let setup = Server.Client.connect ~timeout:10.0 ~port () in
-            let setup_fd = Server.Client.fd setup in
-            Wire.send setup_fd "EXEC"
-              "CREATE DOMAIN c14_d; CREATE INSTANCE c14_i1 OF c14_d; CREATE RELATION r (v: c14_d);";
-            let rec await_setup () =
-              ignore (Server.poll server 0.01);
-              match Unix.select [ setup_fd ] [] [] 0.0 with
-              | [ _ ], _, _ -> (
-                match Server.Client.recv setup with
-                | Ok _ -> ()
-                | Error msg -> failwith ("C14 setup: " ^ msg))
-              | _ -> await_setup ()
-            in
-            await_setup ();
-            Server.Client.close setup;
-            ignore (Server.poll server 0.01);
-            let appends0 = Metrics.counter_value "storage.wal.appends" in
-            let syncs0 = Metrics.counter_value "storage.wal.sync_batches" in
-            let fsyncs0 = Metrics.counter_value "storage.wal.fsyncs" in
-            (* per-client pipelined sender/ack-counter state machine *)
-            let conns =
-              Array.init clients (fun _ ->
-                  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-                  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-                  Unix.set_nonblock fd;
-                  (fd, Wire.Decoder.create (), ref 0 (* sent *), ref 0 (* acked *),
-                   ref 0 (* offset into the in-flight frame *)))
-            in
-            let total = clients * stmts_per_client in
-            let acked_total = ref 0 in
-            let buf = Bytes.create 65536 in
-            let t0 = Unix.gettimeofday () in
-            while !acked_total < total do
-              ignore (Server.poll server 0.002);
-              Array.iter
-                (fun (fd, dec, sent, acked, off) ->
-                  (* send while the socket accepts bytes; the baseline
-                     arm keeps at most one statement in flight *)
-                  (try
-                     while
-                       !sent < stmts_per_client
-                       && (pipelined || !acked = !sent)
-                     do
-                       let n =
-                         Unix.write_substring fd frame !off (String.length frame - !off)
-                       in
-                       off := !off + n;
-                       if !off = String.length frame then begin
-                         off := 0;
-                         incr sent
-                       end
-                     done
-                   with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
-                  match Unix.read fd buf 0 (Bytes.length buf) with
-                  | 0 -> failwith "C14: server closed a client connection"
-                  | n ->
-                    Wire.Decoder.feed dec buf n;
-                    let rec drain () =
-                      match Wire.Decoder.next dec with
-                      | Ok (Some (tag, payload)) ->
-                        if tag = "ERR" then failwith ("C14: ERR reply: " ^ payload);
-                        incr acked;
-                        incr acked_total;
-                        drain ()
-                      | Ok None -> ()
-                      | Error msg -> failwith ("C14: bad reply frame: " ^ msg)
-                    in
-                    drain ()
-                  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
-                conns
-            done;
-            let elapsed = Unix.gettimeofday () -. t0 in
-            Array.iter (fun (fd, _, _, _, _) -> Unix.close fd) conns;
-            let appends = Metrics.counter_value "storage.wal.appends" - appends0 in
-            let syncs = Metrics.counter_value "storage.wal.sync_batches" - syncs0 in
-            let fsyncs = Metrics.counter_value "storage.wal.fsyncs" - fsyncs0 in
-            (total, elapsed, appends, syncs, fsyncs)))
-  in
-  let report name (total, elapsed, appends, syncs, fsyncs) =
-    let per_sec = float total /. elapsed in
-    let ns_per_stmt = elapsed /. float total *. 1e9 in
-    collected := (name ^ " ns/stmt", ns_per_stmt) :: !collected;
-    Format.printf
-      "%s: %d stmts in %.3fs = %.0f stmts/s (%.0f ns/stmt); %d appends, %d sync batches, %d \
-       fsyncs (%.1f stmts/sync)@."
-      name total elapsed per_sec ns_per_stmt appends syncs fsyncs
-      (float appends /. float (max 1 syncs));
-    ns_per_stmt
-  in
-  let baseline = run_arm ~clients:1 ~pipelined:false in
-  let grouped = run_arm ~clients:!clients_k ~pipelined:true in
-  let ns_base = report "C14 per-stmt sync (1 client)" baseline in
-  let ns_grp =
-    report (Printf.sprintf "C14 group commit (%d clients)" !clients_k) grouped
-  in
-  let _, _, grp_appends, grp_syncs, _ = grouped in
-  Format.printf "group-commit speedup: %.1fx; batching %s@." (ns_base /. ns_grp)
-    (if grp_syncs < grp_appends then "confirmed (sync batches < appends)"
-     else "NOT OBSERVED (sync batches >= appends)")
-
 (* ---- C12: page-level I/O of both representations ------------------------ *)
 
 let bench_page_io () =
@@ -719,41 +524,6 @@ let bench_semantic_net () =
   print_string (Texttable.render table);
   Format.printf
     "shape check: our storage is linear in k; the folded-taxonomy encoding grows geometrically.@."
-
-(* ---- C11: HRQL end-to-end ----------------------------------------------- *)
-
-let bench_hrql () =
-  section "C11 — HRQL: parse, optimize, evaluate";
-  let cat = Catalog.create () in
-  let setup =
-    {|
-    CREATE DOMAIN animal;
-    CREATE CLASS bird UNDER animal;
-    CREATE CLASS penguin UNDER bird;
-    CREATE CLASS afp UNDER penguin;
-    CREATE INSTANCE tweety OF bird;
-    CREATE INSTANCE paul OF penguin;
-    CREATE INSTANCE pamela OF afp;
-    CREATE RELATION jack (creature: animal);
-    CREATE RELATION jill (creature: animal);
-    INSERT INTO jack VALUES (+ ALL bird), (- ALL penguin);
-    INSERT INTO jill VALUES (+ ALL penguin), (- ALL afp);
-    |}
-  in
-  (match Hr_query.Eval.run_script cat setup with Ok _ -> () | Error e -> failwith e);
-  let ask = "ASK jack (pamela);" in
-  let select = "SELECT * FROM SELECT (jack UNION jill) WHERE creature = penguin;" in
-  let tests =
-    [
-      Test.make ~name:"parse only"
-        (Staged.stage (fun () -> Hr_query.Parser.parse select));
-      Test.make ~name:"ASK end-to-end"
-        (Staged.stage (fun () -> Hr_query.Eval.run_script cat ask));
-      Test.make ~name:"SELECT over UNION end-to-end"
-        (Staged.stage (fun () -> Hr_query.Eval.run_script cat select));
-    ]
-  in
-  run_benches ~label:"hrql" tests
 
 (* ---- C15: estimator accuracy — estimated vs actual rows ------------------ *)
 
@@ -964,442 +734,6 @@ let check_figures () =
     checks;
   print_string (Texttable.render table)
 
-(* ---- C17: sharding — partitioned writes and scatter-gather reads --------- *)
-
-(* End-to-end throughput through a real sharded deployment: K forked
-   backend shard servers, a shard map splitting four subtree classes
-   round-robin across them, and the router forked on top. The same
-   workload runs at K in {1, 2, --shards}: every arm inserts the same
-   instances into the same relation, so only the partitioning varies.
-
-   - writes: 8 pipelined clients, each a stream of single-statement,
-     single-shard INSERTs (the router's fast path). Per-insert cost
-     grows with the shard's stored relation, so partitioning K ways
-     both parallelizes the work and shrinks every shard's relation —
-     the paper's locality argument made measurable. Shards run with
-     fsync off so the arm compares sharding, not disk sync (C14
-     measures the real durability hot path).
-   - reads: synchronous full-relation scatter-gather queries — the
-     router pulls every shard, merges with subsumption-aware dedup, and
-     evaluates locally.
-
-   Must run before C16: the shard and router processes are forked, and
-   spawning a domain forbids Unix.fork for the rest of the process. *)
-
-let shards_k = ref 4
-
-let bench_sharding () =
-  let module Server = Hr_server.Server in
-  let module Client = Hr_server.Server.Client in
-  let module Router = Hr_shard.Router in
-  let module Shard_map = Hr_check.Shard_map in
-  let module Wire = Hr_frames.Wire in
-  section
-    (Printf.sprintf
-       "C17 — sharding: partitioned write throughput and scatter-gather reads \
-        (K in {1, 2, %d})"
-       !shards_k);
-  let clients = 8 in
-  let subtrees = 4 in
-  let stmts_per_client = max 25 (int_of_float (!quota_s *. 300.)) in
-  let queries = max 20 (int_of_float (!quota_s *. 120.)) in
-  let instance c j = Printf.sprintf "c17_x%d_%d" c j in
-  let setup_script =
-    String.concat " "
-      ([ "CREATE DOMAIN c17_d;" ]
-      @ List.init subtrees (fun s ->
-            Printf.sprintf "CREATE CLASS c17_s%d UNDER c17_d;" s)
-      @ List.concat
-          (List.init clients (fun c ->
-               List.init stmts_per_client (fun j ->
-                   Printf.sprintf "CREATE INSTANCE %s OF c17_s%d;" (instance c j)
-                     (c mod subtrees))))
-      @ [ "CREATE RELATION c17_r (v: c17_d);" ])
-  in
-  let temp_dir tag =
-    let dir = Filename.temp_file ("hrbench_c17_" ^ tag) "" in
-    Sys.remove dir;
-    Sys.mkdir dir 0o755;
-    dir
-  in
-  let rm_dir dir =
-    Array.iter
-      (fun n -> try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
-      (Sys.readdir dir);
-    try Sys.rmdir dir with Sys_error _ -> ()
-  in
-  let kill pid =
-    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-    try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-  in
-  let run_arm k =
-    let dirs = List.init k (fun i -> temp_dir (string_of_int i)) in
-    let pids = ref [] in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter kill !pids;
-        List.iter rm_dir dirs)
-      (fun () ->
-        let ports =
-          List.map
-            (fun dir ->
-              let server = Server.create_durable ~port:0 ~dir ~fsync:false () in
-              let port = Server.port server in
-              (match Unix.fork () with
-              | 0 ->
-                (try Server.serve_forever server with _ -> ());
-                Unix._exit 0
-              | pid -> pids := pid :: !pids);
-              port)
-            dirs
-        in
-        let map_text =
-          String.concat "\n"
-            (List.mapi
-               (fun i p -> Printf.sprintf "shard %d 127.0.0.1:%d" i p)
-               ports
-            @ List.init subtrees (fun s ->
-                  Printf.sprintf "subtree c17_s%d %d" s (s mod k))
-            @ [ "default 0" ])
-        in
-        let map =
-          match Shard_map.parse map_text with
-          | Ok m -> m
-          | Error e -> failwith ("C17 map: " ^ e)
-        in
-        let router = Router.create ~port:0 ~timeout:10.0 ~map () in
-        let rport = Router.port router in
-        (match Unix.fork () with
-        | 0 ->
-          (try Router.serve_forever router with _ -> ());
-          Unix._exit 0
-        | pid -> pids := pid :: !pids);
-        let setup = Client.connect ~timeout:30.0 ~port:rport () in
-        (match Client.exec setup setup_script with
-        | Ok _ -> ()
-        | Error msg -> failwith ("C17 setup: " ^ msg));
-        Client.close setup;
-        (* pipelined partitioned writes, the C14 client state machine *)
-        let conns =
-          Array.init clients (fun _ ->
-              let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-              Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, rport));
-              Unix.set_nonblock fd;
-              (fd, Wire.Decoder.create (), ref 0 (* sent *), ref 0 (* acked *),
-               ref 0 (* offset *), Buffer.create 256))
-        in
-        let frame_for c j =
-          Wire.frame "EXEC"
-            (Printf.sprintf "INSERT INTO c17_r VALUES (+ %s);" (instance c j))
-        in
-        let total = clients * stmts_per_client in
-        let acked_total = ref 0 in
-        let buf = Bytes.create 65536 in
-        let t0 = Unix.gettimeofday () in
-        while !acked_total < total do
-          Array.iteri
-            (fun c (fd, dec, sent, acked, off, pending) ->
-              (try
-                 while !sent < stmts_per_client do
-                   if Buffer.length pending = 0 then
-                     Buffer.add_string pending (frame_for c !sent);
-                   let s = Buffer.contents pending in
-                   let n = Unix.write_substring fd s !off (String.length s - !off) in
-                   off := !off + n;
-                   if !off = String.length s then begin
-                     off := 0;
-                     Buffer.clear pending;
-                     incr sent
-                   end
-                 done
-               with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
-              match Unix.read fd buf 0 (Bytes.length buf) with
-              | 0 -> failwith "C17: router closed a client connection"
-              | n ->
-                Wire.Decoder.feed dec buf n;
-                let rec drain () =
-                  match Wire.Decoder.next dec with
-                  | Ok (Some (tag, payload)) ->
-                    if tag = "ERR" then failwith ("C17: ERR reply: " ^ payload);
-                    incr acked;
-                    incr acked_total;
-                    drain ()
-                  | Ok None -> ()
-                  | Error msg -> failwith ("C17: bad reply frame: " ^ msg)
-                in
-                drain ()
-              | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-                -> ())
-            conns;
-        done;
-        let write_elapsed = Unix.gettimeofday () -. t0 in
-        Array.iter (fun (fd, _, _, _, _, _) -> Unix.close fd) conns;
-        (* synchronous scatter-gather reads over the merged relation *)
-        let q = Client.connect ~timeout:30.0 ~port:rport () in
-        let t1 = Unix.gettimeofday () in
-        for _ = 1 to queries do
-          match Client.exec q "SELECT * FROM c17_r;" with
-          | Ok _ -> ()
-          | Error msg -> failwith ("C17 query: " ^ msg)
-        done;
-        let read_elapsed = Unix.gettimeofday () -. t1 in
-        Client.close q;
-        let write_ns = write_elapsed /. float total *. 1e9 in
-        let read_ns = read_elapsed /. float queries *. 1e9 in
-        Format.printf
-          "K=%d: %d inserts in %.3fs = %.0f stmts/s (%.0f ns/stmt); %d \
-           scatter-gather queries at %.0f ns/op@."
-          k total write_elapsed
-          (float total /. write_elapsed)
-          write_ns queries read_ns;
-        collected :=
-          (Printf.sprintf "C17 sharded writes K=%d ns/stmt" k, write_ns)
-          :: (Printf.sprintf "C17 scatter-gather query K=%d ns/op" k, read_ns)
-          :: !collected;
-        (write_ns, read_ns))
-  in
-  let arms =
-    List.sort_uniq compare (List.filter (fun k -> k > 0) [ 1; 2; !shards_k ])
-  in
-  let results = List.map (fun k -> (k, run_arm k)) arms in
-  match (List.assoc_opt 1 results, List.assoc_opt !shards_k results) with
-  | Some (w1, _), Some (wk, _) when !shards_k > 1 ->
-    Format.printf "write speedup at K=%d: %.2fx (%d cores)@." !shards_k
-      (w1 /. wk)
-      (Domain.recommended_domain_count ())
-  | _ -> ()
-
-(* ---- C16: reader domains — snapshot-isolated read throughput ------------ *)
-
-(* Read QPS through the pool server (lib/exec) at K=1 vs K=N reader
-   domains: the C14 pipelined-client state machine, but the traffic is
-   read-only, so every frame is offloaded to the domain pool and
-   evaluated against the pinned catalog version while the event loop
-   only shuttles bytes. On a multi-core host the K=N arm must scale;
-   the CI assertion (>= 2.5x at K=4) is gated on the [cores] field the
-   JSON report records, because a 1-core container can only interleave.
-
-   Must stay last in the experiment list: spawning a domain forbids
-   Unix.fork for the rest of the process. *)
-
-let reader_domains_k = ref 4
-
-let bench_reader_domains () =
-  let module Server = Hr_server.Server in
-  let module Wire = Hr_frames.Wire in
-  section
-    (Printf.sprintf
-       "C16 — reader domains: snapshot-isolated read throughput (K=1 vs K=%d)"
-       !reader_domains_k);
-  let reads_per_client = max 150 (int_of_float (!quota_s *. 1200.)) in
-  let clients = 6 in
-  (* The reads must be evaluation-heavy (subsumption reasoning) with
-     small replies: evaluation runs on the domains and scales with K,
-     while reply bytes are shuttled by the single event-loop thread and
-     do not. *)
-  let setup_script =
-    String.concat " "
-      ([ "CREATE DOMAIN c16_d;";
-         "CREATE CLASS c16_c0 UNDER c16_d; CREATE CLASS c16_c1 UNDER c16_d;";
-         "CREATE CLASS c16_c2 UNDER c16_c0;" ]
-      @ List.init 32 (fun i ->
-            Printf.sprintf "CREATE INSTANCE c16_i%d OF c16_c%d;" i (i mod 3))
-      @ [ "CREATE RELATION c16_r (v: c16_d);";
-          "INSERT INTO c16_r VALUES (+ ALL c16_c0);";
-          "INSERT INTO c16_r VALUES (- c16_i4);";
-          "INSERT INTO c16_r VALUES (+ c16_i7);" ])
-  in
-  let read_script =
-    String.concat " "
-      (List.init 8 (fun i -> Printf.sprintf "ASK c16_r (c16_i%d);" (i * 4))
-      @ [ "SELECT * FROM c16_r WHERE v = c16_i2;";
-          "SELECT * FROM c16_r WHERE v = c16_i9;" ])
-  in
-  let frame = Wire.frame "EXEC" read_script in
-  let run_arm ~domains =
-    let server = Server.create_memory ~port:0 ~reader_domains:domains () in
-    Fun.protect
-      ~finally:(fun () -> Server.close server)
-      (fun () ->
-        let port = Server.port server in
-        let setup = Server.Client.connect ~timeout:10.0 ~port () in
-        let setup_fd = Server.Client.fd setup in
-        Wire.send setup_fd "EXEC" setup_script;
-        let rec await_setup () =
-          ignore (Server.poll server 0.01);
-          match Unix.select [ setup_fd ] [] [] 0.0 with
-          | [ _ ], _, _ -> (
-            match Server.Client.recv setup with
-            | Ok _ -> ()
-            | Error msg -> failwith ("C16 setup: " ^ msg))
-          | _ -> await_setup ()
-        in
-        await_setup ();
-        Server.Client.close setup;
-        ignore (Server.poll server 0.01);
-        let conns =
-          Array.init clients (fun _ ->
-              let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-              Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-              Unix.set_nonblock fd;
-              (fd, Wire.Decoder.create (), ref 0 (* sent *), ref 0 (* off *)))
-        in
-        let total = clients * reads_per_client in
-        let acked_total = ref 0 in
-        let buf = Bytes.create 65536 in
-        let t0 = Unix.gettimeofday () in
-        while !acked_total < total do
-          ignore (Server.poll server 0.002);
-          Array.iter
-            (fun (fd, dec, sent, off) ->
-              (try
-                 while !sent < reads_per_client do
-                   let n =
-                     Unix.write_substring fd frame !off (String.length frame - !off)
-                   in
-                   off := !off + n;
-                   if !off = String.length frame then begin
-                     off := 0;
-                     incr sent
-                   end
-                 done
-               with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
-              match Unix.read fd buf 0 (Bytes.length buf) with
-              | 0 -> failwith "C16: server closed a client connection"
-              | n ->
-                Wire.Decoder.feed dec buf n;
-                let rec drain () =
-                  match Wire.Decoder.next dec with
-                  | Ok (Some (tag, payload)) ->
-                    if tag = "ERR" then failwith ("C16: ERR reply: " ^ payload);
-                    incr acked_total;
-                    drain ()
-                  | Ok None -> ()
-                  | Error msg -> failwith ("C16: bad reply frame: " ^ msg)
-                in
-                drain ()
-              | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                ())
-            conns
-        done;
-        let elapsed = Unix.gettimeofday () -. t0 in
-        Array.iter (fun (fd, _, _, _) -> Unix.close fd) conns;
-        (total, elapsed))
-  in
-  let report name (total, elapsed) =
-    let qps = float total /. elapsed in
-    let ns = elapsed /. float total *. 1e9 in
-    collected := (name ^ " ns/op", ns) :: !collected;
-    Format.printf "%s: %d read scripts in %.3fs = %.0f reads/s (%.0f ns/read)@." name
-      total elapsed qps ns;
-    ns
-  in
-  let ns_1 = report "C16 snapshot reads K=1" (run_arm ~domains:1) in
-  let ns_k =
-    report
-      (Printf.sprintf "C16 snapshot reads K=%d" !reader_domains_k)
-      (run_arm ~domains:!reader_domains_k)
-  in
-  let cores = Domain.recommended_domain_count () in
-  Format.printf
-    "read scaling K=1 -> K=%d: %.2fx on %d core(s)%s@." !reader_domains_k (ns_1 /. ns_k)
-    cores
-    (if cores < !reader_domains_k then
-       " (fewer cores than domains: interleaving only, no speedup expected)"
-     else "")
-
-(* ---- C19: incremental checkpoint — page writes track the delta ---------- *)
-
-(* The tentpole claim of the paged store: [Db.checkpoint] flushes only
-   dirty pages plus the meta/root pages, so a small delta after a big load
-   costs a small, size-independent number of page writes — where the old
-   snapshot codec rewrote the whole database every time. Two scales 10x
-   apart; the large scale must show the incremental checkpoint at least
-   5x cheaper in page writes than its own full (first) checkpoint. *)
-let bench_incremental_checkpoint () =
-  section "C19 — incremental checkpoint: page writes track the delta, not the database";
-  let temp_dir () =
-    let dir = Filename.temp_file "hrbench_c19" "" in
-    Sys.remove dir;
-    Sys.mkdir dir 0o755;
-    dir
-  in
-  let rm_rf dir =
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  in
-  let load_script n =
-    let buf = Buffer.create (n * 64) in
-    Buffer.add_string buf "CREATE DOMAIN c19;\nCREATE CLASS c19c UNDER c19;\n";
-    for i = 0 to n - 1 do
-      Buffer.add_string buf (Printf.sprintf "CREATE INSTANCE c19i%05d OF c19c;\n" i)
-    done;
-    Buffer.add_string buf "CREATE RELATION c19r (v: c19);\n";
-    for i = 0 to n - 1 do
-      Buffer.add_string buf (Printf.sprintf "INSERT INTO c19r VALUES (+ c19i%05d);\n" i)
-    done;
-    Buffer.contents buf
-  in
-  (* ~20-statement delta: flip the sign of ten existing items, a real net
-     change the checkpoint diff must persist *)
-  let delta_script =
-    String.concat "\n"
-      (List.init 10 (fun i ->
-           Printf.sprintf
-             "DELETE FROM c19r VALUES (c19i%05d);\nINSERT INTO c19r VALUES (- c19i%05d);"
-             (i * 7) (i * 7)))
-  in
-  let run_scale n =
-    let dir = temp_dir () in
-    Fun.protect
-      ~finally:(fun () -> rm_rf dir)
-      (fun () ->
-        let db = Hr_storage.Db.open_dir ~fsync:false dir in
-        Fun.protect
-          ~finally:(fun () -> Hr_storage.Db.close db)
-          (fun () ->
-            (match Hr_storage.Db.exec db (load_script n) with
-            | Ok _ -> ()
-            | Error m -> failwith ("C19 load: " ^ m));
-            let t0 = Unix.gettimeofday () in
-            Hr_storage.Db.checkpoint db;
-            let full_s = Unix.gettimeofday () -. t0 in
-            let full_written, total = Hr_storage.Db.last_checkpoint_pages db in
-            (match Hr_storage.Db.exec db delta_script with
-            | Ok _ -> ()
-            | Error m -> failwith ("C19 delta: " ^ m));
-            let t1 = Unix.gettimeofday () in
-            Hr_storage.Db.checkpoint db;
-            let incr_s = Unix.gettimeofday () -. t1 in
-            let incr_written, _ = Hr_storage.Db.last_checkpoint_pages db in
-            Format.printf
-              "N=%-5d full ckpt: %4d/%4d pages in %6.2f ms   delta ckpt (20 stmts): %4d \
-               pages in %6.2f ms@."
-              n full_written total (full_s *. 1e3) incr_written (incr_s *. 1e3);
-            collected :=
-              (Printf.sprintf "C19 full checkpoint N=%d page writes" n,
-               float_of_int full_written)
-              :: (Printf.sprintf "C19 delta checkpoint N=%d page writes" n,
-                  float_of_int incr_written)
-              :: (Printf.sprintf "C19 full checkpoint N=%d ns" n, full_s *. 1e9)
-              :: (Printf.sprintf "C19 delta checkpoint N=%d ns" n, incr_s *. 1e9)
-              :: !collected;
-            (full_written, incr_written, incr_s)))
-  in
-  let _ = run_scale 300 in
-  let full, incr, incr_s = run_scale 3000 in
-  if incr * 5 > full then
-    failwith
-      (Printf.sprintf
-         "C19: incremental checkpoint wrote %d pages, full wrote %d — expected >= 5x \
-          fewer"
-         incr full);
-  Format.printf
-    "delta checkpoint wrote %.1fx fewer pages than the full rewrite at N=3000 (%.2f \
-     ms); checkpoint cost is proportional to the delta.@."
-    (float_of_int full /. float_of_int incr)
-    (incr_s *. 1e3)
-
 let experiments =
   [
     ("C1", bench_storage);
@@ -1411,20 +745,10 @@ let experiments =
     ("C7", bench_preemption);
     ("C8", bench_mine);
     ("C9", bench_index);
-    ("C10", bench_storage_engine);
-    ("C11", bench_hrql);
     ("C12", bench_page_io);
     ("C13", bench_semantic_net);
-    ("C14", bench_group_commit);
     ("C15", bench_estimator);
-    ("C19", bench_incremental_checkpoint);
     ("F", check_figures);
-    (* C17 forks shard and router subprocesses, so it must precede any
-       experiment that spawns a domain *)
-    ("C17", bench_sharding);
-    (* last: C16 spawns OCaml 5 domains, which forbids Unix.fork for
-       the rest of the process *)
-    ("C16", bench_reader_domains);
   ]
 
 (* The JSON report: bechamel estimates plus a snapshot of the metrics
@@ -1443,10 +767,6 @@ let write_metrics_json path experiment_ids =
         ("schema_version", Int 1);
         ("suite", String "hierel-bench");
         ("quota_seconds", Float !quota_s);
-        (* cores on the measuring host: scaling assertions (C16's 2.5x
-           at K=4) only hold where the domains can actually run in
-           parallel *)
-        ("cores", Int (Domain.recommended_domain_count ()));
         ("experiments", List (List.map (fun id -> String id) experiment_ids));
         ("benchmarks_ns_per_op", Obj benchmarks);
         ("estimator", Obj (List.rev !c15_json));
@@ -1468,27 +788,6 @@ let rec parse_args = function
   | "--metrics-json" :: path :: rest ->
     metrics_json_path := Some path;
     parse_args rest
-  | "--clients" :: s :: rest ->
-    (match int_of_string_opt s with
-    | Some k when k > 0 -> clients_k := k
-    | _ ->
-      prerr_endline ("bench: invalid --clients " ^ s);
-      exit 2);
-    parse_args rest
-  | "--reader-domains" :: s :: rest ->
-    (match int_of_string_opt s with
-    | Some k when k > 0 -> reader_domains_k := k
-    | _ ->
-      prerr_endline ("bench: invalid --reader-domains " ^ s);
-      exit 2);
-    parse_args rest
-  | "--shards" :: s :: rest ->
-    (match int_of_string_opt s with
-    | Some k when k > 0 -> shards_k := k
-    | _ ->
-      prerr_endline ("bench: invalid --shards " ^ s);
-      exit 2);
-    parse_args rest
   | "--quota" :: s :: rest ->
     (match float_of_string_opt s with
     | Some q when q > 0. -> quota_s := q
@@ -1496,15 +795,14 @@ let rec parse_args = function
       prerr_endline ("bench: invalid --quota " ^ s);
       exit 2);
     parse_args rest
-  | ("--metrics-json" | "--quota" | "--clients" | "--reader-domains" | "--shards")
-    :: [] ->
+  | ("--metrics-json" | "--quota") :: [] ->
     prerr_endline "bench: missing argument to flag";
     exit 2
   | id :: rest -> id :: parse_args rest
 
 let () =
   Format.printf
-    "hierel benchmark harness — experiments C1..C19 (see DESIGN.md / EXPERIMENTS.md)@.";
+    "hierel benchmark harness — experiments C1..C15 (see DESIGN.md / EXPERIMENTS.md)@.";
   let requested = parse_args (List.tl (Array.to_list Sys.argv)) in
   let selected =
     match requested with

@@ -1,12 +1,11 @@
-(* A small knowledge base driven end to end through HRQL and Datalog —
-   the paper's pitch of the model as a back end for frame-based knowledge
-   representation systems (§1) with logic-programming inference on top
-   (§2.1).
+(* A small knowledge base driven end to end through HRQL — the paper's
+   pitch of the model as a back end for knowledge representation
+   systems (§1): taxonomy, exceptions and justification queried through
+   the language.
 
    Run with: dune exec examples/knowledge_base.exe *)
 
 module Eval = Hr_query.Eval
-module Datalog = Hr_datalog.Datalog
 open Hierel
 
 let script =
@@ -46,19 +45,4 @@ let () =
       "ASK flies (pamela);";
       "SELECT * FROM flies WHERE creature = paul WITH JUSTIFICATION;";
       "SELECT * FROM lives_in WHERE place = antarctica;";
-    ];
-
-  (* Datalog rules on top: taxonomy membership and relations combine. *)
-  let p = Datalog.create cat in
-  Datalog.add_rule_str p "travels_far(X) :- flies(X).";
-  Datalog.add_rule_str p
-    "antarctic_flyer(X) :- flies(X), lives_in(X, antarctica).";
-  Datalog.add_rule_str p "famous(X) :- antarctic_flyer(X), member_of(X, penguin).";
-
-  Format.printf "@.Datalog on top of the hierarchical EDB:@.";
-  List.iter
-    (fun pred ->
-      let rows = Datalog.query p (Datalog.parse_atom (pred ^ "(X)")) in
-      Format.printf "%-16s = {%s}@." pred
-        (String.concat ", " (List.map (String.concat " ") rows)))
-    [ "travels_far"; "antarctic_flyer"; "famous" ]
+    ]

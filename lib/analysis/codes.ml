@@ -380,8 +380,8 @@ let all =
     fc "F025" "page seal violation"
       "A pages.db page fails its CRC or header seal, the meta roots do \
        not decode, or the file has a partial trailing page (warning: a \
-       crash mid-extension leaves one, and no committed state can \
-       reference it)."
+       crash mid-extension leaves one, no committed state can reference \
+       it, and it is overwritten by the next extension)."
       "Restore from a replica or a snapshot image; the shadow-paged \
        commit never overwrites the previous root, so the prior epoch \
        may still open.";

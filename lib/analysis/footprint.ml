@@ -117,18 +117,6 @@ let of_statement ~find stmt =
   | Ast.Stats _ | Ast.Stats_reset ->
     Atoms []
 
-let of_source ~find source =
-  match Hr_query.Parser.parse source with
-  | exception Hr_query.Lexer.Lex_error _ -> Opaque "does not lex"
-  | exception Hr_query.Parser.Parse_error _ -> Opaque "does not parse"
-  | stmts ->
-    List.fold_left
-      (fun acc { Ast.stmt; _ } ->
-        match (acc, of_statement ~find stmt) with
-        | Opaque r, _ | _, Opaque r -> Opaque r
-        | Atoms a, Atoms b -> Atoms (a @ b))
-      (Atoms []) stmts
-
 (* ---- queries ----------------------------------------------------------- *)
 
 let relations = function

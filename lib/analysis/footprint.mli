@@ -34,11 +34,6 @@ val of_statement :
     local catalog) — cones from two footprints are only comparable when
     both were resolved through the same catalog state. *)
 
-val of_source : find:(string -> Hierel.Relation.t option) -> string -> t
-(** Footprint of a whole script (e.g. one WAL record): the union of its
-    statements' atoms; [Opaque] if any statement is, or if the source
-    does not parse. Never raises. *)
-
 val relations : t -> string list option
 (** Sorted distinct relation names touched; [None] for [Opaque]. *)
 

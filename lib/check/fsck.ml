@@ -66,7 +66,8 @@ let s_head st =
    the store covers through. A partial trailing page is a warning —
    only a crash mid-extension leaves one, and the commit ordering
    (data flushed before the meta-root swap) guarantees no committed
-   state references it. *)
+   state references it. The check only reads: the partial page stays
+   until the next extension overwrites it. *)
 let check_pages acc dir =
   let path = pages_path dir in
   let size = (Unix.stat path).Unix.st_size in

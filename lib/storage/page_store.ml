@@ -640,7 +640,7 @@ let create ?(pool_pages = 256) path =
   t
 
 let open_ ?(pool_pages = 256) path =
-  let pager = Pager.create ~pool_pages ~repair_partial:true path in
+  let pager = Pager.create ~pool_pages path in
   let phys = Pager.page_count pager in
   if phys < 2 then corrupt "%s: missing meta pages" path;
   let pick =

@@ -38,20 +38,12 @@ type t = {
   mutable evictions : int;
 }
 
-let create ?(pool_pages = 64) ?(repair_partial = false) path =
+let create ?(pool_pages = 64) path =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   let size = (Unix.fstat fd).Unix.st_size in
-  if size mod page_size <> 0 then begin
-    if repair_partial then
-      (* a crash mid-extension left a trailing partial page; nothing
-         durable can reference pages past the last full one, so cutting
-         back to the boundary is safe *)
-      Unix.ftruncate fd (size - (size mod page_size))
-    else begin
-      Unix.close fd;
-      invalid_arg (Printf.sprintf "Pager.create: %s has a partial page" path)
-    end
-  end;
+  (* A trailing partial page is a crash mid-extension: nothing durable
+     references it, and the next [allocate] writes at the last page
+     boundary, overwriting its bytes. Opening never modifies the file. *)
   {
     fd;
     pages = size / page_size;

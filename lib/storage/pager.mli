@@ -15,13 +15,12 @@ val page_size : int
 
 type t
 
-val create : ?pool_pages:int -> ?repair_partial:bool -> string -> t
+val create : ?pool_pages:int -> string -> t
 (** Opens (creating if needed) the file. [pool_pages] bounds the buffer
-    pool (default 64). A file whose size is not a multiple of
-    {!page_size} raises [Invalid_argument] unless [repair_partial] is
-    set, in which case the trailing partial page (a crash artifact —
-    nothing durable can reference an unfinished extension) is truncated
-    away. *)
+    pool (default 64). Opening never modifies the file. A trailing
+    partial page (a crash artifact — nothing durable can reference an
+    unfinished extension) is not counted in {!page_count}; the next
+    {!allocate} overwrites it. *)
 
 val close : t -> unit
 (** Flushes every dirty page and closes the file. *)

@@ -22,13 +22,9 @@ let () =
       ("query", Test_query.suite);
       ("optimizer", Test_optimizer.suite);
       ("aggregate", Test_aggregate.suite);
-      ("datalog", Test_datalog.suite);
       ("mine", Test_mine.suite);
       ("workload", Test_workload.suite);
-      ("threeval", Test_threeval.suite);
-      ("threeval-props", Test_threeval_props.suite);
       ("persist", Test_persist.suite);
-      ("frames", Test_frames.suite);
       ("storage", Test_storage.suite);
       ("pager", Test_pager.suite);
       ("btree", Test_btree.suite);

@@ -249,10 +249,13 @@ let test_partial_trailing_page () =
       Db.checkpoint db;
       Db.close db;
       let pages = Filename.concat dir "pages.db" in
-      write_bytes pages (read_bytes pages ^ String.make 100 '\x7f');
+      let torn = read_bytes pages ^ String.make 100 '\x7f' in
+      write_bytes pages torn;
       let r = Fsck.run dir in
       Alcotest.(check (list string)) "F025 and nothing else" [ "F025" ] (codes r);
-      Alcotest.(check bool) "warning only" false (Fsck.has_critical r))
+      Alcotest.(check bool) "warning only" false (Fsck.has_critical r);
+      Alcotest.(check bool) "fsck leaves pages.db byte-identical" true
+        (String.equal torn (read_bytes pages)))
 
 let test_ambiguous_relation () =
   with_temp_dir (fun dir ->

@@ -6,7 +6,6 @@
 
 module Lexer = Hr_query.Lexer
 module Parser = Hr_query.Parser
-module Datalog = Hr_datalog.Datalog
 module Csv = Hr_flat.Csv
 module Flat_relation = Hr_flat.Flat_relation
 module Traditional = Hr_flat.Traditional
@@ -47,13 +46,6 @@ let prop_parser_total =
       match Parser.parse input with
       | _ -> true
       | exception (Parser.Parse_error _ | Lexer.Lex_error _) -> true)
-
-let prop_datalog_parser_total =
-  QCheck2.Test.make ~name:"datalog rule parser is total up to Datalog_error" ~count:500
-    printable_gen (fun input ->
-      match Datalog.parse_rule input with
-      | _ -> true
-      | exception Datalog.Datalog_error _ -> true)
 
 let prop_csv_parser_total =
   QCheck2.Test.make ~name:"csv parser is total up to Csv_error" ~count:500
@@ -193,7 +185,6 @@ let suite =
     [
       prop_lexer_total;
       prop_parser_total;
-      prop_datalog_parser_total;
       prop_csv_parser_total;
       prop_snapshot_decoder_total;
       prop_pipeline_differential;

@@ -116,7 +116,7 @@ let test_with_page_mutates_in_place () =
         (Bytes.get (Pager.read_page p2 a) 0);
       Pager.close p2)
 
-let test_repair_partial_truncates () =
+let test_torn_page_ignored_then_overwritten () =
   with_temp_file (fun path ->
       let p = Pager.create path in
       let a = Pager.allocate p in
@@ -126,10 +126,20 @@ let test_repair_partial_truncates () =
       let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
       ignore (Unix.write_substring fd (String.make 100 'g') 0 100);
       Unix.close fd;
-      let p2 = Pager.create ~repair_partial:true path in
-      Alcotest.(check int) "partial page truncated away" 1 (Pager.page_count p2);
+      let size () = (Unix.stat path).Unix.st_size in
+      let p2 = Pager.create path in
+      Alcotest.(check int) "torn page not counted" 1 (Pager.page_count p2);
+      Alcotest.(check int) "opening leaves the file as it is" (Pager.page_size + 100) (size ());
       Alcotest.(check char) "whole pages intact" 'k' (Bytes.get (Pager.read_page p2 a) 0);
-      Pager.close p2)
+      let b = Pager.allocate p2 in
+      Alcotest.(check int) "allocate reuses the torn page's slot" 1 b;
+      Alcotest.(check int) "file back on a page boundary" (2 * Pager.page_size) (size ());
+      Alcotest.(check char) "torn bytes overwritten" '\000' (Bytes.get (Pager.read_page p2 b) 0);
+      Pager.close p2;
+      let p3 = Pager.create path in
+      Alcotest.(check int) "two whole pages after reopen" 2 (Pager.page_count p3);
+      Alcotest.(check char) "new page zeroed on disk" '\000' (Bytes.get (Pager.read_page p3 b) 0);
+      Pager.close p3)
 
 let test_out_of_range () =
   with_temp_file (fun path ->
@@ -149,7 +159,7 @@ let suite =
     Alcotest.test_case "evictions counted" `Quick test_evictions_counted;
     Alcotest.test_case "LRU evicts the coldest slot" `Quick test_lru_order;
     Alcotest.test_case "with_page mutates in place" `Quick test_with_page_mutates_in_place;
-    Alcotest.test_case "repair_partial truncates a torn page" `Quick
-      test_repair_partial_truncates;
+    Alcotest.test_case "torn trailing page is ignored, then overwritten by the next allocate"
+      `Quick test_torn_page_ignored_then_overwritten;
     Alcotest.test_case "out of range" `Quick test_out_of_range;
   ]

@@ -340,18 +340,26 @@ let bulk_world n =
   done;
   Buffer.contents b
 
+(* Checkpoint [bulk_world n], run [delta], checkpoint again: the page
+   writes (and store sizes) of the full and the delta checkpoint. *)
+let full_then_delta db n delta =
+  let exec script = match Db.exec db script with Ok _ -> () | Error e -> failwith e in
+  exec (bulk_world n);
+  Db.checkpoint db;
+  let full, total1 = Db.last_checkpoint_pages db in
+  exec delta;
+  Db.checkpoint db;
+  let incr, total2 = Db.last_checkpoint_pages db in
+  (full, total1, incr, total2)
+
 let test_incremental_checkpoint_cost () =
   with_temp_dir (fun dir ->
       let db = Db.open_dir dir in
-      (match Db.exec db (bulk_world 800) with Ok _ -> () | Error e -> failwith e);
-      Db.checkpoint db;
-      let full, total1 = Db.last_checkpoint_pages db in
+      let full, total1, incr, total2 =
+        full_then_delta db 800
+          "DELETE FROM owns VALUES (item0001); INSERT INTO owns VALUES (+ item0001);"
+      in
       Alcotest.(check bool) "first checkpoint writes many pages" true (full > 10);
-      (match Db.exec db "DELETE FROM owns VALUES (item0001); INSERT INTO owns VALUES (+ item0001);" with
-      | Ok _ -> ()
-      | Error e -> failwith e);
-      Db.checkpoint db;
-      let incr, total2 = Db.last_checkpoint_pages db in
       Alcotest.(check bool) "incremental checkpoint is proportional to the delta" true
         (incr * 3 <= full);
       Alcotest.(check bool) "store did not balloon" true (total2 <= total1 + 4);
@@ -359,6 +367,23 @@ let test_incremental_checkpoint_cost () =
       Db.checkpoint db;
       let idle, _ = Db.last_checkpoint_pages db in
       Alcotest.(check bool) "idle checkpoint is O(metadata)" true (idle <= 4);
+      Db.close db);
+  (* 3,000 instances and rows, then ten sign flips — a real net change
+     the delta checkpoint must persist — still cost at least 5x fewer
+     page writes than the full checkpoint *)
+  with_temp_dir (fun dir ->
+      let db = Db.open_dir ~fsync:false dir in
+      let flips =
+        List.init 10 (fun i ->
+            let item = Printf.sprintf "item%04d" (1 + (i * 7)) in
+            Printf.sprintf "DELETE FROM owns VALUES (%s); INSERT INTO owns VALUES (- %s);"
+              item item)
+      in
+      let full, _, incr, _ = full_then_delta db 3000 (String.concat "\n" flips) in
+      Alcotest.(check bool)
+        (Printf.sprintf "delta checkpoint (%d pages) >= 5x fewer than full (%d)" incr full)
+        true
+        (incr * 5 <= full);
       Db.close db)
 
 (* The paged store reports its work through the metrics registry (and so
