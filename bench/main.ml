@@ -781,6 +781,18 @@ let write_metrics_json path experiment_ids =
       output_char oc '\n');
   Format.printf "metrics report written to %s@." path
 
+(* A malformed command line names what is on offer and exits 2, before
+   any experiment runs. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      prerr_endline
+        ("available experiments: " ^ String.concat " " (List.map fst experiments));
+      prerr_endline "flags: --quota SECONDS, --metrics-json FILE";
+      exit 2)
+    fmt
+
 (* argv: experiment ids freely mixed with [--metrics-json FILE] and
    [--quota SECONDS]. *)
 let rec parse_args = function
@@ -791,30 +803,23 @@ let rec parse_args = function
   | "--quota" :: s :: rest ->
     (match float_of_string_opt s with
     | Some q when q > 0. -> quota_s := q
-    | _ ->
-      prerr_endline ("bench: invalid --quota " ^ s);
-      exit 2);
+    | _ -> usage_error "invalid --quota %s" s);
     parse_args rest
-  | ("--metrics-json" | "--quota") :: [] ->
-    prerr_endline "bench: missing argument to flag";
-    exit 2
-  | id :: rest -> id :: parse_args rest
+  | (("--metrics-json" | "--quota") as flag) :: [] -> usage_error "missing argument to %s" flag
+  | flag :: _ when String.starts_with ~prefix:"-" flag -> usage_error "unknown flag %s" flag
+  | id :: rest ->
+    if not (List.mem_assoc id experiments) then usage_error "no such experiment %s" id;
+    id :: parse_args rest
 
 let () =
+  let requested = parse_args (List.tl (Array.to_list Sys.argv)) in
   Format.printf
     "hierel benchmark harness — experiments C1..C15 (see DESIGN.md / EXPERIMENTS.md)@.";
-  let requested = parse_args (List.tl (Array.to_list Sys.argv)) in
   let selected =
     match requested with
     | [] -> experiments
-    | _ ->
-      List.filter
-        (fun (id, _) -> List.exists (String.equal id) requested)
-        experiments
+    | _ -> List.filter (fun (id, _) -> List.mem id requested) experiments
   in
-  if selected = [] then
-    Format.printf "no such experiment; available: %s@."
-      (String.concat " " (List.map fst experiments))
-  else List.iter (fun (_, run) -> run ()) selected;
+  List.iter (fun (_, run) -> run ()) selected;
   Option.iter (fun path -> write_metrics_json path (List.map fst selected)) !metrics_json_path;
   Format.printf "@.done.@."

@@ -224,13 +224,7 @@ let rec walk src e =
           | Some i when Hierarchy.mem (Schema.hierarchy schema i) vname ->
             let h = Schema.hierarchy schema i in
             let vnode = Hierarchy.find_exn h vname in
-            let matches =
-              List.length
-                (List.filter
-                   (fun (t : Relation.tuple) ->
-                     Hierarchy.intersects h (Item.coord t.Relation.item i) vnode)
-                   (Relation.tuples rel))
-            in
+            let matches = List.length (Relation.meeting rel i vnode) in
             (* intersection is equality on instances, so the count is
                exact when neither side has a cone to expand *)
             let flat =

@@ -15,6 +15,10 @@ let c_inter = op_counters "inter"
 let c_diff = op_counters "diff"
 let c_rename = op_counters "rename"
 
+(* Tuples the binding index handed a selection: compare with its
+   [rows_out] and with the operand's size. *)
+let c_select_candidates = Hr_obs.Metrics.counter "core.ops.select.candidates"
+
 let tally (calls, rows_out) rel =
   Hr_obs.Metrics.incr calls;
   Hr_obs.Metrics.add rows_out (Relation.cardinality rel);
@@ -74,33 +78,27 @@ let union ?(name = "union") a b = tally c_union (combine ~name ( || ) a b)
 let inter ?(name = "inter") a b = tally c_inter (combine ~name ( && ) a b)
 let diff ?(name = "diff") a b = tally c_diff (combine ~name (fun x y -> x && not y) a b)
 
-let select_seeds rel i v =
+(* Only the tuples whose coordinate [i] meets [v] yield seeds — one
+   per maximal common descendant — and the binding index finds them
+   without a scan. *)
+let select_with ~name rel ~attr ~value =
   let schema = Relation.schema rel in
+  let i = Schema.index_of schema attr in
   let h = Schema.hierarchy schema i in
-  Relation.fold
-    (fun (t : Relation.tuple) acc ->
-      let meets = Hierarchy.maximal_common_descendants h (Item.coord t.Relation.item i) v in
-      List.fold_left (fun acc m -> Item.substitute t.Relation.item i m :: acc) acc meets)
-    rel []
-
-let select ?(name = "select") rel ~attr ~value =
-  let schema = Relation.schema rel in
-  let i = Schema.index_of schema attr in
-  let v = Hierarchy.find_exn (Schema.hierarchy schema i) value in
-  tally c_select (refine ~name schema (Binding.truth rel) (select_seeds rel i v))
-
-let select_justified ?name rel ~attr ~value =
-  let schema = Relation.schema rel in
-  let i = Schema.index_of schema attr in
-  let v = Hierarchy.find_exn (Schema.hierarchy schema i) value in
-  let result = select ?name rel ~attr ~value in
-  let applicable =
-    List.filter
-      (fun (t : Relation.tuple) ->
-        Hierarchy.intersects (Schema.hierarchy schema i) (Item.coord t.Relation.item i) v)
-      (Relation.tuples rel)
+  let v = Hierarchy.find_exn h value in
+  let applicable = Relation.meeting rel i v in
+  Hr_obs.Metrics.add c_select_candidates (List.length applicable);
+  let seeds =
+    List.fold_left
+      (fun acc (t : Relation.tuple) ->
+        let meets = Hierarchy.maximal_common_descendants h (Item.coord t.Relation.item i) v in
+        List.fold_left (fun acc m -> Item.substitute t.Relation.item i m :: acc) acc meets)
+      [] applicable
   in
-  (result, applicable)
+  (tally c_select (refine ~name schema (Binding.truth rel) seeds), applicable)
+
+let select ?(name = "select") rel ~attr ~value = fst (select_with ~name rel ~attr ~value)
+let select_justified ?(name = "select") rel ~attr ~value = select_with ~name rel ~attr ~value
 
 let project ?(name = "project") rel attrs =
   let schema = Relation.schema rel in

@@ -29,7 +29,14 @@ val refine :
 val select : ?name:string -> Relation.t -> attr:string -> value:string -> Relation.t
 (** [select r ~attr ~value] restricts [r] to the region where [attr] lies
     in the extension of [value] (a class or instance name of that
-    attribute's hierarchy). Figs. 7–9 of the paper. *)
+    attribute's hierarchy). Figs. 7–9 of the paper.
+
+    The seeds are the maximal common descendants of [value] and the
+    [attr] coordinate of each tuple that meets it; those tuples come
+    from the binding index ({!Relation.meeting}), not from a scan, in
+    time O(min(cone of [value], distinct [attr] coordinates)) plus their
+    number. {!refine} then closes the seeds, quadratically in their
+    count. Counted in [core.ops.select.candidates]. *)
 
 val select_justified :
   ?name:string ->
@@ -38,7 +45,8 @@ val select_justified :
   value:string ->
   Relation.t * Relation.tuple list
 (** Like {!select} but also returns the applicable tuples of the operand —
-    the paper's justification facility (Fig. 9b). *)
+    those whose [attr] coordinate meets [value], in structural order: the
+    paper's justification facility (Fig. 9b). *)
 
 val project : ?name:string -> Relation.t -> string list -> Relation.t
 (** Syntactic projection: drops the other attributes from every stored

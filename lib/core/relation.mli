@@ -88,6 +88,16 @@ val candidates : t -> Item.t -> tuple list
     update produces a fresh value with its own (unbuilt) index, so stale
     reads are impossible. *)
 
+val meeting : t -> int -> Hr_hierarchy.Hierarchy.node -> tuple list
+(** [meeting r i v]: the tuples whose coordinate [i] intersects node [v]
+    ({!Hr_hierarchy.Hierarchy.intersects}), in structural item order —
+    the tuples a selection on [v] can draw from. Reads the same memoized
+    index as {!candidates}: the buckets of the nodes that intersect [v]
+    or, when those outnumber the nodes bucketed at [i] (a selection on a
+    domain root), the bucketed nodes tested one by one. Costs
+    O(min(cone of [v], distinct coordinates at [i])) plus the output;
+    allocates nothing proportional to the relation beyond the index. *)
+
 val of_tuples : ?name:string -> Schema.t -> (Types.sign * string list) list -> t
 (** Build from signed rows of names; convenient for tests and examples. *)
 

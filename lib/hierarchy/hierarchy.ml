@@ -305,18 +305,56 @@ let leaves_under h v =
   check_node h v;
   filter_descendants h v (fun w -> h.instance.(w))
 
-(* Both ranges ascend, so filtering either one by membership under the
-   other node yields the same list; filter the shorter. *)
-let common_descendants h a b =
-  let { start; _ } = descendant_index h and anc = isa_anc h in
+(* The common descendants of [a] and [b] are the members of the shorter
+   descendant range that lie under the other node; both ranges ascend,
+   so either one filtered yields the same list. *)
+let shorter_first h a b =
+  let { start; _ } = descendant_index h in
   let count v = start.(v + 1) - start.(v) in
-  let keep, other = if count a <= count b then (a, b) else (b, a) in
+  if count a <= count b then (a, b) else (b, a)
+
+let common_descendants h a b =
+  let keep, other = shorter_first h a b and anc = isa_anc h in
   filter_descendants h keep (fun w -> Dag.Ancestry.mem anc.(w) other)
 
+(* [common_descendants h a b <> []], stopping at the first witness. *)
 let intersects h a b =
   check_node h a;
   check_node h b;
-  common_descendants h a b <> []
+  let keep, other = shorter_first h a b and anc = isa_anc h in
+  let { start; ids } = descendant_index h in
+  let rec scan k = k < start.(keep + 1) && (Dag.Ancestry.mem anc.(ids.(k)) other || scan (k + 1)) in
+  scan start.(keep)
+
+(* Two nodes intersect iff one is an ancestor of a descendant of the
+   other, so mark [v]'s descendants and climb isa parents from them.
+   Stop once more than [limit] nodes are marked: the work is bounded by
+   the marked nodes and their parent edges, never by the hierarchy. *)
+let intersecting h v ~limit =
+  check_node h v;
+  let { start; ids } = descendant_index h in
+  if start.(v + 1) - start.(v) > limit then None
+  else begin
+    let seen = Hashtbl.create 16 in
+    for k = start.(v) to start.(v + 1) - 1 do
+      Hashtbl.replace seen ids.(k) ()
+    done;
+    let exception Over in
+    let rec climb w =
+      if not (Hashtbl.mem seen w) then begin
+        Hashtbl.replace seen w ();
+        if Hashtbl.length seen > limit then raise Over;
+        List.iter climb (Dag.preds h.graph ~kinds:isa_kind w)
+      end
+    in
+    match
+      for k = start.(v) to start.(v + 1) - 1 do
+        List.iter climb (Dag.preds h.graph ~kinds:isa_kind ids.(k))
+      done
+    with
+    | () -> Some (List.sort Int.compare (Hashtbl.fold (fun w () acc -> w :: acc) seen []))
+    | exception Over -> None
+  end
 
 (* Descendant sets are down-closed, so their intersection is down-closed:
    a common descendant has a strict ancestor in the set iff one of its

@@ -141,6 +141,12 @@ val intersects : t -> node -> node -> bool
 (** Optimistic intersection test (paper, §3.1): [true] iff an explicit
     common descendant — class or instance — exists. *)
 
+val intersecting : t -> node -> limit:int -> node list option
+(** [intersecting h v ~limit] is every node that {!intersects} [v] — the
+    ancestors of [v]'s descendants — ascending, or [None] when there are
+    more than [limit] of them. The cost is bounded by [limit] nodes and
+    their parent edges, whatever the size of the hierarchy. *)
+
 val maximal_common_descendants : t -> node -> node -> node list
 (** The most general common descendants of two nodes: the per-coordinate
     building block of the paper's minimal conflict resolution set. Empty

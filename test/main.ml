@@ -14,6 +14,7 @@ let () =
       ("consolidate", Test_consolidate.suite);
       ("explicate", Test_explicate.suite);
       ("ops", Test_ops.suite);
+      ("select", Test_select.suite);
       ("txn", Test_txn.suite);
       ("rel_diff", Test_rel_diff.suite);
       ("flat", Test_flat.suite);
