@@ -15,17 +15,23 @@ let explicate ?over ?keep_negated rel =
   let order =
     List.filter (fun v -> v <> Subsumption.root g) (List.rev (Subsumption.topological g))
   in
-  let result = ref (Relation.empty ~name:(Relation.name rel) schema) in
-  List.iter
-    (fun v ->
-      let t = Subsumption.tuple g v in
-      List.iter
-        (fun item ->
-          if not (Relation.mem !result item) then
-            result := Relation.set !result item t.Relation.sign)
-        (Item.atomic_extension schema ~over:positions t.Relation.item))
-    order;
-  if keep_negated then !result
-  else Relation.filter (fun t -> Types.bool_of_sign t.Relation.sign) !result
+  (* First insertion wins: [update] leaves a bound item alone. The body
+     is one map, turned into a relation once. *)
+  let first sign = function None -> Some sign | kept -> kept in
+  let body =
+    List.fold_left
+      (fun body v ->
+        let t = Subsumption.tuple g v in
+        List.fold_left
+          (fun body item -> Relation.Item_map.update item (first t.Relation.sign) body)
+          body
+          (Item.atomic_extension schema ~over:positions t.Relation.item))
+      Relation.Item_map.empty order
+  in
+  let body =
+    if keep_negated then body
+    else Relation.Item_map.filter (fun _ sign -> Types.bool_of_sign sign) body
+  in
+  Relation.of_map ~name:(Relation.name rel) schema body
 
 let extension_size rel = Relation.cardinality (explicate rel)

@@ -3,17 +3,15 @@ module Item_set = Set.Make (Item)
 let m_extensions = Hr_obs.Metrics.counter "core.flatten.extensions"
 let m_items_out = Hr_obs.Metrics.counter "core.flatten.items_out"
 
-let extension rel =
+(* A full explication keeps only positive atomic tuples, so its items,
+   already in item order, are the extension. *)
+let extension_list rel =
   Hr_obs.Metrics.incr m_extensions;
-  let ext =
-    Relation.fold
-      (fun (t : Relation.tuple) acc -> Item_set.add t.Relation.item acc)
-      (Explicate.explicate rel) Item_set.empty
-  in
-  Hr_obs.Metrics.add m_items_out (Item_set.cardinal ext);
-  ext
+  let items = Relation.items (Explicate.explicate rel) in
+  Hr_obs.Metrics.add m_items_out (List.length items);
+  items
 
-let extension_list rel = Item_set.elements (extension rel)
+let extension rel = Item_set.of_list (extension_list rel)
 
 let equal_extension a b =
   Schema.equal (Relation.schema a) (Relation.schema b)

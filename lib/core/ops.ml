@@ -24,30 +24,61 @@ let tally (calls, rows_out) rel =
   Hr_obs.Metrics.add rows_out (Relation.cardinality rel);
   rel
 
+(* Pair tests made by the closure: compare with the number of items it
+   accepts. *)
+let c_closure_pairs = Hr_obs.Metrics.counter "core.ops.closure.pairs"
+
 (* Close a candidate item set under maximal common descendants of
-   incomparable intersecting pairs. Worklist: each new item is paired with
-   every item already accepted. *)
+   incomparable intersecting pairs. Worklist: each accepted item is filed
+   under its node in one bucket table per coordinate. An item can only
+   intersect items whose every coordinate meets its own, so a popped item
+   is paired only with the buckets that meet it on one coordinate
+   ([Hierarchy.buckets_meeting]), the coordinate that yields the shortest
+   list; every pair of accepted items is still tested once, when the
+   later of the two is popped. *)
 let close_under_mcd schema seeds =
+  let arity = Schema.arity schema in
   let accepted = ref Item_set.empty in
+  let buckets = Array.init arity (fun _ -> Hashtbl.create 64) in
   let queue = Queue.create () in
   let enqueue item =
     if not (Item_set.mem item !accepted) then begin
       accepted := Item_set.add item !accepted;
+      Array.iteri
+        (fun i tbl ->
+          let c = Item.coord item i in
+          Hashtbl.replace tbl c (item :: Option.value (Hashtbl.find_opt tbl c) ~default:[]))
+        buckets;
       Queue.add item queue
     end
+  in
+  let meeting item i =
+    let hits =
+      Hierarchy.buckets_meeting (Schema.hierarchy schema i) (Item.coord item i) buckets.(i)
+    in
+    (hits, List.fold_left (fun n b -> n + List.length b) 0 hits)
+  in
+  (* The item itself is always on the list, so a list of one is as short
+     as it gets. *)
+  let rec shortest item i ((_, n) as best) =
+    if i >= arity || n <= 1 then fst best
+    else
+      let (_, m) as here = meeting item i in
+      shortest item (i + 1) (if m < n then here else best)
   in
   List.iter enqueue seeds;
   while not (Queue.is_empty queue) do
     let item = Queue.pop queue in
-    let others = Item_set.elements !accepted in
+    (* Arity 0 has a single item, which pairs with nothing. *)
+    let hits = if arity = 0 then [] else shortest item 1 (meeting item 0) in
     List.iter
-      (fun other ->
-        if
-          (not (Item.equal item other))
-          && (not (Item.comparable schema item other))
-          && Item.intersects schema item other
-        then List.iter enqueue (Item.maximal_common_descendants schema item other))
-      others
+      (List.iter (fun other ->
+           if not (Item.equal item other) then begin
+             Hr_obs.Metrics.incr c_closure_pairs;
+             if (not (Item.comparable schema item other)) && Item.intersects schema item other
+             then List.iter enqueue (Item.maximal_common_descendants schema item other)
+           end))
+      hits
   done;
   Item_set.elements !accepted
 

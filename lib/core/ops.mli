@@ -24,7 +24,18 @@ val refine :
   Item.t list ->
   Relation.t
 (** [refine schema eval seeds]: the closure-evaluate-consolidate pipeline.
-    [consolidate] defaults to [true]. *)
+    [consolidate] defaults to [true].
+
+    The closure files every accepted item in one bucket table per
+    coordinate (node -> accepted items) and pairs a new item only with
+    the items whose coordinate meets its own
+    ({!Hr_hierarchy.Hierarchy.buckets_meeting}, the probe rule of
+    {!Relation.meeting}), on the coordinate that yields the fewest; the
+    full incomparable-and-intersecting test runs on that shortlist. Each
+    test counts one [core.ops.closure.pairs]. Consolidation builds the
+    subsumption graph through the binding index ({!Subsumption.build}).
+    So the cost follows the pairs of items that meet, not the square of
+    the item count: n pairwise-disjoint seeds make O(n) pair tests. *)
 
 val select : ?name:string -> Relation.t -> attr:string -> value:string -> Relation.t
 (** [select r ~attr ~value] restricts [r] to the region where [attr] lies
@@ -35,8 +46,9 @@ val select : ?name:string -> Relation.t -> attr:string -> value:string -> Relati
     [attr] coordinate of each tuple that meets it; those tuples come
     from the binding index ({!Relation.meeting}), not from a scan, in
     time O(min(cone of [value], distinct [attr] coordinates)) plus their
-    number. {!refine} then closes the seeds, quadratically in their
-    count. Counted in [core.ops.select.candidates]. *)
+    number. {!refine} then closes the seeds, pairing each only with the
+    seeds that meet it, and consolidates. Candidates are counted in
+    [core.ops.select.candidates]. *)
 
 val select_justified :
   ?name:string ->

@@ -164,23 +164,16 @@ let candidates r item =
 let meeting r i v =
   let h = Schema.hierarchy r.schema i in
   let ix = index r in
-  let buckets = ix.ix_buckets.(i) in
-  (* Read the buckets of the nodes that intersect [v], unless there are
-     more of those than bucketed nodes (a selection on a domain root):
-     then test the bucketed nodes instead. The shorter side is walked,
-     so this never costs more than a scan of the relation. *)
-  let hits =
-    match Hierarchy.intersecting h v ~limit:(Hashtbl.length buckets) with
-    | Some nodes -> List.filter_map (Hashtbl.find_opt buckets) nodes
-    | None ->
-      Hashtbl.fold
-        (fun node a acc -> if Hierarchy.intersects h node v then a :: acc else acc)
-        buckets []
-  in
+  let hits = Hierarchy.buckets_meeting h v ix.ix_buckets.(i) in
   let positions = Array.concat hits in
   (* Merge sort: about twice as fast here as [Array.sort]'s heap sort. *)
   Array.stable_sort Int.compare positions;
   Array.fold_right (fun pos acc -> ix.ix_tuples.(pos) :: acc) positions []
+
+let of_map ?name schema body =
+  let r = empty ?name schema in
+  Item_map.iter (fun item _ -> check_item r item) body;
+  { r with body }
 
 let of_tuples ?name schema rows =
   List.fold_left

@@ -92,11 +92,22 @@ val meeting : t -> int -> Hr_hierarchy.Hierarchy.node -> tuple list
 (** [meeting r i v]: the tuples whose coordinate [i] intersects node [v]
     ({!Hr_hierarchy.Hierarchy.intersects}), in structural item order —
     the tuples a selection on [v] can draw from. Reads the same memoized
-    index as {!candidates}: the buckets of the nodes that intersect [v]
-    or, when those outnumber the nodes bucketed at [i] (a selection on a
-    domain root), the bucketed nodes tested one by one. Costs
+    index as {!candidates}, through
+    {!Hr_hierarchy.Hierarchy.buckets_meeting}: the buckets of the nodes
+    that intersect [v] or, when those outnumber the nodes bucketed at [i]
+    (a selection on a domain root), the bucketed nodes tested one by one.
+    Costs
     O(min(cone of [v], distinct coordinates at [i])) plus the output;
     allocates nothing proportional to the relation beyond the index. *)
+
+module Item_map : Map.S with type key = Item.t
+(** Maps keyed by items in structural order: the body of a relation. *)
+
+val of_map : ?name:string -> Schema.t -> Types.sign Item_map.t -> t
+(** The relation whose tuples are exactly the bindings of the map, built
+    in one step — for constructions that assemble a whole body and
+    would otherwise allocate one relation value per {!set}. Raises
+    {!Types.Model_error} if an item's arity does not match the schema. *)
 
 val of_tuples : ?name:string -> Schema.t -> (Types.sign * string list) list -> t
 (** Build from signed rows of names; convenient for tests and examples. *)

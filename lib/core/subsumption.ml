@@ -17,14 +17,28 @@ let build relation =
   done;
   let root = n in
   let item i = tuples.(i).Relation.item in
-  let above = Array.make n [] in
-  (* ancestors of each tuple among the other tuples *)
-  for v = 0 to n - 1 do
-    for u = 0 to n - 1 do
-      if u <> v && Item.strictly_subsumes schema (item u) (item v) then
-        above.(v) <- u :: above.(v)
-    done
-  done;
+  (* [tuples] ascends in item order, like every [Relation] listing, so a
+     stored item's node is found by binary search. *)
+  let position it =
+    let rec search lo hi =
+      let mid = (lo + hi) / 2 in
+      let c = Item.compare (item mid) it in
+      if c = 0 then mid else if c < 0 then search (mid + 1) hi else search lo mid
+    in
+    search 0 n
+  in
+  (* Ancestors of each tuple among the other tuples, descending: the
+     binding index lists the tuples that may subsume it, ascending. *)
+  let above =
+    Array.init n (fun v ->
+        List.fold_left
+          (fun acc (t : Relation.tuple) ->
+            if Item.strictly_subsumes schema t.Relation.item (item v) then
+              position t.Relation.item :: acc
+            else acc)
+          []
+          (Relation.candidates relation (item v)))
+  in
   (* immediate predecessor: an ancestor with no other ancestor strictly
      below it *)
   for v = 0 to n - 1 do

@@ -9,6 +9,11 @@
 type t
 
 val build : Relation.t -> t
+(** Each tuple's strict subsumers come from the relation's binding index
+    ({!Relation.candidates}, built on first use), not from a test of
+    every other tuple: the cost is the sum over tuples of their candidate
+    lists plus, per tuple, the square of its subsumer count (for the
+    transitive reduction), instead of n² subsumption tests. *)
 
 val relation : t -> Relation.t
 (** The relation the graph was built from. *)

@@ -235,23 +235,47 @@ let transitive_reduction g =
         g.succ.(u))
     (live_nodes g)
 
+(* A node with no predecessor or no successor has no bypass edge to
+   add, so it is removed without ordering the graph. Otherwise each
+   predecessor [j] walks what it reaches once and grows that set with
+   every bypass edge it gains, instead of one reachability walk per
+   (predecessor, successor) pair: the same test against the same graph,
+   linear rather than quadratic in the successors of a node under a
+   wide class. *)
 let eliminate_node g ~on_path v =
   check_endpoint g v;
-  let order = topo_sort g in
-  let position = Array.make (max 1 g.n) 0 in
-  List.iteri (fun i x -> position.(x) <- i) order;
   let ps = preds g v in
   let ks = succs g v in
-  remove_node g v;
-  let ps = List.sort (fun a b -> Int.compare position.(b) position.(a)) ps in
-  let ks = List.sort (fun a b -> Int.compare position.(a) position.(b)) ks in
-  List.iter
-    (fun j ->
-      List.iter
-        (fun k ->
-          if on_path || not (reachable g j k) then add_edge g j k)
-        ks)
-    ps
+  if ps = [] || ks = [] then remove_node g v
+  else begin
+    let order = topo_sort g in
+    let position = Array.make (max 1 g.n) 0 in
+    List.iteri (fun i x -> position.(x) <- i) order;
+    remove_node g v;
+    let ps = List.sort (fun a b -> Int.compare position.(b) position.(a)) ps in
+    let ks = List.sort (fun a b -> Int.compare position.(a) position.(b)) ks in
+    List.iter
+      (fun j ->
+        if on_path then List.iter (add_edge g j) ks
+        else begin
+          let reached = Hashtbl.create 16 in
+          let rec mark x =
+            if not (Hashtbl.mem reached x) then begin
+              Hashtbl.add reached x ();
+              List.iter (fun (w, _) -> if g.alive.(w) then mark w) g.succ.(x)
+            end
+          in
+          mark j;
+          List.iter
+            (fun k ->
+              if not (Hashtbl.mem reached k) then begin
+                add_edge g j k;
+                mark k
+              end)
+            ks
+        end)
+      ps
+  end
 
 let to_dot ?(label = string_of_int) g =
   let buf = Buffer.create 256 in

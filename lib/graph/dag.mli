@@ -71,7 +71,10 @@ val eliminate_node : t -> on_path:bool -> int -> unit
     [on_path:false] this preserves the transitive reduction (off-path
     preemption); with [on_path:true] redundant bypass edges are retained
     (on-path preemption, paper Appendix). Bypass edges are [Isa] edges.
-    Requires the graph to be acyclic. *)
+    Requires the graph to be acyclic. A node without predecessors or
+    without successors is simply removed, without ordering the graph;
+    otherwise one topological sort plus, off-path, one walk per former
+    predecessor over what it reaches. *)
 
 val reachable : t -> ?kinds:(edge_kind -> bool) -> int -> int -> bool
 (** [reachable g u v] is [true] iff [u = v] or a directed path of live

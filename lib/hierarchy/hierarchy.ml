@@ -356,6 +356,12 @@ let intersecting h v ~limit =
     | exception Over -> None
   end
 
+let buckets_meeting h v buckets =
+  match intersecting h v ~limit:(Hashtbl.length buckets) with
+  | Some nodes -> List.filter_map (Hashtbl.find_opt buckets) nodes
+  | None ->
+    Hashtbl.fold (fun node b acc -> if intersects h node v then b :: acc else acc) buckets []
+
 (* Descendant sets are down-closed, so their intersection is down-closed:
    a common descendant has a strict ancestor in the set iff one of its
    immediate [isa] parents is in the set. *)

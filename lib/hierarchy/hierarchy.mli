@@ -147,6 +147,15 @@ val intersecting : t -> node -> limit:int -> node list option
     more than [limit] of them. The cost is bounded by [limit] nodes and
     their parent edges, whatever the size of the hierarchy. *)
 
+val buckets_meeting : t -> node -> (node, 'a) Hashtbl.t -> 'a list
+(** [buckets_meeting h v buckets]: the values that [buckets] (one
+    binding per key, keyed by nodes of [h]) holds under every node that
+    {!intersects} [v]. It reads the buckets of {!intersecting} with
+    [limit] the number of keys or, when the cone is larger than that (a
+    node near the root), tests each key with {!intersects}. The shorter
+    side is walked, so the cost is O(min(cone of [v], keys)) plus the
+    output, never more than testing every key. In no particular order. *)
+
 val maximal_common_descendants : t -> node -> node -> node list
 (** The most general common descendants of two nodes: the per-coordinate
     building block of the paper's minimal conflict resolution set. Empty

@@ -15,6 +15,7 @@ let () =
       ("explicate", Test_explicate.suite);
       ("ops", Test_ops.suite);
       ("select", Test_select.suite);
+      ("closure", Test_closure.suite);
       ("txn", Test_txn.suite);
       ("rel_diff", Test_rel_diff.suite);
       ("flat", Test_flat.suite);
