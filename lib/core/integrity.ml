@@ -6,69 +6,91 @@ type conflict = {
 
 let m_pairs = Hr_obs.Metrics.counter "core.integrity.pairs"
 
+module Item_set = Set.Make (Item)
+
+(* --- Candidate pairs through the binding index ------------------------ *)
+
+(* Calls [f pos neg] once for every opposite-sign pair with at least one
+   member in [affected] (every tuple when [None]) whose items meet on
+   the coordinate the index probes ({!Relation.partners}): a superset of
+   the pairs whose items intersect. Each affected tuple reads its
+   partners; a pair with both members affected is read only from the
+   member of the [lead] sign, the sign fewer affected tuples carry, so
+   the whole-relation sweep probes from that sign alone. Returns the
+   number of pairs. *)
+let candidate_pairs ?affected rel f =
+  let members, in_a =
+    match affected with
+    | None -> (Relation.tuples rel, fun _ -> true)
+    | Some a ->
+      (* the affected items as [rel] stores them, each once *)
+      let items = Item_set.of_list (List.map (fun (t : Relation.tuple) -> t.Relation.item) a) in
+      ( List.filter_map
+          (fun item -> Option.map (fun sign -> { Relation.item; sign }) (Relation.find rel item))
+          (Item_set.elements items),
+        fun (t : Relation.tuple) -> Item_set.mem t.Relation.item items )
+  in
+  let positives, negatives =
+    List.partition (fun (t : Relation.tuple) -> Types.bool_of_sign t.Relation.sign) members
+  in
+  let lead = if List.length negatives < List.length positives then Types.Neg else Types.Pos in
+  let pairs = ref 0 in
+  List.iter
+    (fun (a : Relation.tuple) ->
+      let leads = Types.sign_equal a.Relation.sign lead in
+      if leads || Option.is_some affected then
+        List.iter
+          (fun t ->
+            if leads || not (in_a t) then begin
+              incr pairs;
+              if Types.bool_of_sign a.Relation.sign then f a t else f t a
+            end)
+          (Relation.partners rel a))
+    members;
+  !pairs
+
 (* --- Off-path check: pairwise maximal-common-descendant witnesses ---- *)
 
 (* Opposite-sign pairs of incomparable, intersecting tuples; for each, the
    maximal-common-descendant witnesses whose verdict is a conflict. The
-   pairs are (i, j), i < j, in structural tuple order, restricted to those
-   with at least one member in [affected] (every tuple when [None]); a
-   tuple outside [affected] is only paired with the affected tuples, so
-   the work is about |affected| * n rather than n^2. Stops after the
-   first conflicting pair when [first]. The number of opposite-sign pairs
-   visited is added to [core.integrity.pairs] once per sweep. *)
+   candidate pairs come from the binding index ({!candidate_pairs}); the
+   incomparable, intersecting ones are then visited in the order of a
+   scan over (i, j), i < j, in structural tuple order, so the first
+   conflict found is the one a scan of every pair would report. Stops
+   after the first conflicting pair when [first]. The number of
+   candidate pairs is added to [core.integrity.pairs] once per sweep. *)
 let sweep_pairs ?affected ~first rel =
   let schema = Relation.schema rel in
-  let tuples = Array.of_list (Relation.tuples rel) in
-  let n = Array.length tuples in
-  let in_a =
-    match affected with
-    | None -> Array.make n true
-    | Some a ->
-      let module S = Set.Make (Item) in
-      let a = S.of_list (List.map (fun (t : Relation.tuple) -> t.Relation.item) a) in
-      Array.map (fun (t : Relation.tuple) -> S.mem t.Relation.item a) tuples
+  let clashing = ref [] in
+  let pairs =
+    candidate_pairs ?affected rel (fun pos neg ->
+        let a = pos.Relation.item and b = neg.Relation.item in
+        if (not (Item.comparable schema a b)) && Item.intersects schema a b then begin
+          let i, j = if Item.compare a b < 0 then (a, b) else (b, a) in
+          clashing := (i, j, pos, neg) :: !clashing
+        end)
   in
-  let a_idx = List.filter (fun i -> in_a.(i)) (List.init n Fun.id) in
-  let pairs = ref 0 in
-  let found = ref [] in
-  let exception Stop in
-  let visit i j =
-    let ti = tuples.(i) and tj = tuples.(j) in
-    if not (Types.sign_equal ti.Relation.sign tj.Relation.sign) then begin
-      incr pairs;
-      let pos, neg =
-        if Types.bool_of_sign ti.Relation.sign then ti, tj else tj, ti
+  Hr_obs.Metrics.add m_pairs pairs;
+  let by_position (i, j, _, _) (i', j', _, _) =
+    match Item.compare i i' with 0 -> Item.compare j j' | c -> c
+  in
+  let rec visit found = function
+    | [] -> List.rev found
+    | (_, _, pos, neg) :: rest ->
+      let witnesses =
+        List.filter
+          (fun w ->
+            match Binding.verdict rel w with
+            | Binding.Conflict _ -> true
+            | Binding.Asserted _ | Binding.Unasserted -> false)
+          (Item.maximal_common_descendants schema pos.Relation.item neg.Relation.item)
       in
-      if not (Item.comparable schema pos.Relation.item neg.Relation.item) then begin
-        let candidates =
-          Item.maximal_common_descendants schema pos.Relation.item neg.Relation.item
-        in
-        let witnesses =
-          List.filter
-            (fun w ->
-              match Binding.verdict rel w with
-              | Binding.Conflict _ -> true
-              | Binding.Asserted _ | Binding.Unasserted -> false)
-            candidates
-        in
-        if witnesses <> [] then begin
-          found := { pos; neg; witnesses } :: !found;
-          if first then raise Stop
-        end
-      end
-    end
+      if witnesses = [] then visit found rest
+      else
+        let found = { pos; neg; witnesses } :: found in
+        if first then List.rev found else visit found rest
   in
-  (try
-     for i = 0 to n - 1 do
-       if in_a.(i) then
-         for j = i + 1 to n - 1 do
-           visit i j
-         done
-       else List.iter (fun j -> if j > i then visit i j) a_idx
-     done
-   with Stop -> ());
-  Hr_obs.Metrics.add m_pairs !pairs;
-  List.rev !found
+  visit [] (List.sort by_position !clashing)
 
 type delta = { inserted : Relation.tuple list; deleted : Relation.tuple list }
 
@@ -86,23 +108,26 @@ let delta ~base rel touched =
     { inserted = []; deleted = [] }
     (List.sort_uniq Item.compare touched)
 
+(* A tuple exposed by a deletion binds above the deleted item on every
+   coordinate, so it is among the index's binding-order candidates. *)
 let affected rel { inserted; deleted } =
   let schema = Relation.schema rel in
-  let module S = Set.Make (Item) in
-  let fresh = S.of_list (List.map (fun (t : Relation.tuple) -> t.Relation.item) inserted) in
+  let fresh = Item_set.of_list (List.map (fun (t : Relation.tuple) -> t.Relation.item) inserted) in
   let exposed =
-    Relation.fold
-      (fun t acc ->
-        if
-          (not (S.mem t.Relation.item fresh))
-          && List.exists
-               (fun (d : Relation.tuple) -> Item.binds_below schema t.Relation.item d.Relation.item)
-               deleted
-        then t :: acc
-        else acc)
-      rel []
+    List.fold_left
+      (fun acc (d : Relation.tuple) ->
+        List.fold_left
+          (fun acc (t : Relation.tuple) ->
+            if
+              (not (Item_set.mem t.Relation.item fresh))
+              && Item.binds_below schema t.Relation.item d.Relation.item
+            then Relation.Item_map.add t.Relation.item t acc
+            else acc)
+          acc
+          (Relation.candidates ~binding:true rel d.Relation.item))
+      Relation.Item_map.empty deleted
   in
-  inserted @ exposed
+  inserted @ List.map snd (Relation.Item_map.bindings exposed)
 
 let sweep ?affected rel =
   match sweep_pairs ?affected ~first:true rel with
@@ -121,35 +146,26 @@ let sweep ?affected rel =
    equivalent flat relation. *)
 let exhaustive_conflicts_seq ~semantics rel =
   let schema = Relation.schema rel in
-  let tuples = Relation.tuples rel in
-  let module S = Set.Make (Item) in
-  let candidates = ref S.empty in
-  let add it = candidates := S.add it !candidates in
-  List.iter
+  let candidates = ref Item_set.empty in
+  let add it = candidates := Item_set.add it !candidates in
+  Relation.iter
     (fun (t : Relation.tuple) ->
       add t.Relation.item;
       if Types.sign_equal t.Relation.sign Types.Neg then
         List.iter add (Item.atomic_extension schema t.Relation.item))
-    tuples;
-  List.iter
-    (fun (a : Relation.tuple) ->
-      List.iter
-        (fun (b : Relation.tuple) ->
-          if
-            (not (Types.sign_equal a.Relation.sign b.Relation.sign))
-            && not (Item.comparable schema a.Relation.item b.Relation.item)
-          then
-            List.iter add
-              (Item.maximal_common_descendants schema a.Relation.item b.Relation.item))
-        tuples)
-    tuples;
+    rel;
+  ignore
+    (candidate_pairs rel (fun pos neg ->
+         let a = pos.Relation.item and b = neg.Relation.item in
+         if not (Item.comparable schema a b) then
+           List.iter add (Item.maximal_common_descendants schema a b)));
   Seq.filter_map
     (fun w ->
       match Binding.verdict ~semantics rel w with
       | Binding.Conflict { positive; negative } ->
         Some { pos = List.hd positive; neg = List.hd negative; witnesses = [ w ] }
       | Binding.Asserted _ | Binding.Unasserted -> None)
-    (S.to_seq !candidates)
+    (Item_set.to_seq !candidates)
 
 let check ?(semantics = Types.Off_path) rel =
   match semantics with

@@ -20,10 +20,23 @@
     set}: asserting one tuple per witness (or fewer, if an item binds more
     closely to several witnesses) always resolves the conflict.
 
+    {b Probing.} Only pairs whose items intersect have a witness, and two
+    items intersect only if they meet on {e every} coordinate. So the
+    pairs need not be enumerated: each tuple takes its partners from the
+    relation's binding index ({!Relation.partners}), the opposite-sign
+    tuples whose coordinate meets its own on the one attribute where
+    fewest do. Probing one coordinate loses no pair, and a pair of
+    tuples that never meet costs nothing. The incomparable, intersecting
+    pairs found are then visited in the order of a scan over all pairs
+    [(i, j)], [i < j], in structural tuple order, so the first conflict
+    reported, and the text built from it, is the scan's. The whole check
+    costs the sum of the probed lists, not [n⁺ × n⁻].
+
     Under [On_path] and [No_preemption] semantics a conflict can also
     arise below two {e comparable} tuples, so the check falls back to an
     exhaustive enumeration: the atomic extensions of all negated tuples
-    plus the stored items and MCD witnesses. (A conflicting item always
+    plus the stored items and the MCD witnesses of the pairs the same
+    probe finds. (A conflicting item always
     has a negative binder, so it lies below a negated tuple; conflicts
     confined to instance-free classes are invisible both to this
     enumeration and to the equivalent flat relation.) *)
@@ -37,9 +50,12 @@ type conflict = {
 }
 
 val check : ?semantics:Types.semantics -> Relation.t -> conflict list
-(** All unresolved conflicts. Empty iff the relation satisfies the
-    ambiguity constraint. The whole-relation reference: CHECK, fsck and
-    rejected commits report exactly this list. *)
+(** All unresolved conflicts, in scan order. Empty iff the relation
+    satisfies the ambiguity constraint. The whole-relation reference:
+    CHECK, fsck and rejected commits report exactly this list. Probes
+    from the tuples of whichever sign has fewer, so on a relation of
+    many positive instance tuples and a few negated classes it reads the
+    buckets of the few. *)
 
 (** {2 Delta-scoped checking}
 
@@ -86,16 +102,26 @@ val delta : base:Relation.t -> Relation.t -> Item.t list -> delta
     changed. *)
 
 val affected : Relation.t -> delta -> Relation.tuple list
-(** [affected rel d] is [A = I ∪ E] for the staged relation [rel]. *)
+(** [affected rel d] is [A = I ∪ E] for the staged relation [rel]: [I],
+    then [E] in structural order. A tuple in [E] binds above a deleted
+    item on every coordinate, so [E] is read from the index's
+    binding-order candidates of each deleted item
+    ([Relation.candidates ~binding:true]: the buckets of its
+    binding ancestors, [isa] and preference edges together), not from a
+    scan of the relation. *)
 
 val sweep : ?affected:Relation.tuple list -> Relation.t -> conflict option
 (** The off-path pair sweep at maximal-common-descendant witnesses, over
     the opposite-sign pairs with at least one member in [affected]
     (default: every tuple, the whole-relation sweep behind {!check}).
-    Returns the first conflicting pair. Adds the number of opposite-sign
-    pairs visited to the [core.integrity.pairs] counter. Only sound for
-    a restricted [affected] when the base the delta was taken from is
-    consistent (see the rule above). *)
+    Each affected tuple reads its partners from the binding index; a
+    pair with both members affected is read once. Returns the first
+    conflicting pair in scan order. Adds the number of candidate pairs
+    the probes returned to the [core.integrity.pairs] counter: for a
+    one-row write, the opposite-sign tuples that meet the affected
+    tuples, not the relation. Only sound for a restricted [affected]
+    when the base the delta was taken from is consistent (see the rule
+    above). *)
 
 val is_consistent : ?semantics:Types.semantics -> Relation.t -> bool
 

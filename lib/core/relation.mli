@@ -30,7 +30,9 @@ val with_schema : t -> Schema.t -> t
     The stamp records each hierarchy's {!Hr_hierarchy.Hierarchy.generation},
     so any later hierarchy mutation — in place or by copy-on-write —
     makes {!verified} false. Every constructor that changes the body or
-    the schema returns an unstamped value; {!with_name} keeps the stamp.
+    the schema returns an unstamped value; {!with_name} keeps the stamp,
+    and so do {!add}, {!set} and {!remove} when they leave the body as
+    it was (they return the relation itself).
     A stamp that {!verified} accepts is therefore always sound: only a
     passing check creates one. {!Catalog.define_relation} and
     {!Txn.commit} stamp; {!Txn.commit} relies on stamps to check only a
@@ -78,27 +80,54 @@ val fold : (tuple -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (tuple -> unit) -> t -> unit
 val filter : (tuple -> bool) -> t -> t
 
-val candidates : t -> Item.t -> tuple list
-(** Tuples that may subsume [item], in structural item order — a superset
-    of the subsuming tuples obtained by probing a memoized per-attribute
-    bucket index (hierarchy node of the cheapest coordinate -> tuples), so
-    binding lookups need not scan the whole body. The caller still applies
-    the full (strict) subsumption test. The index is built lazily on the
-    first probe and shared by all readers of this relation value; any
-    update produces a fresh value with its own (unbuilt) index, so stale
-    reads are impossible. *)
+(** {2 The binding index}
+
+    Probes read a per-relation binding index: per attribute, hierarchy
+    node -> the tuples whose coordinate is that node, each entry tagged
+    with its tuple's sign, plus the nodes that hold a tuple of each
+    sign. A relation built in one step ({!of_map}, {!filter}, {!empty}
+    and everything derived from an unindexed value) builds its index
+    from the whole body on its first probe, O(N), counted by
+    [core.binding.index_builds]. A version that {!add}, {!set} or
+    {!remove} derives from an {e indexed} one carries that index instead:
+    the same compact base plus an overlay of the changed items, so a
+    commit and the reads after it never rebuild. Once the overlay holds
+    more than max(16, sqrt N) changed items the derived version drops
+    it, and its next probe rebuilds; a bulk construction that starts
+    unindexed never pays per-row index upkeep. The base is immutable
+    once built and the overlay is persistent, so one index is shared by
+    every reader of a version and across reader domains. Every probe
+    returns tuples in structural item order. *)
+
+val candidates : ?binding:bool -> t -> Item.t -> tuple list
+(** Tuples that may subsume [item]: a superset of the subsuming tuples,
+    read from the buckets of the ancestors (inclusive) of [item]'s
+    coordinate on the attribute where those buckets hold the fewest
+    tuples. The caller still applies the full (strict) subsumption
+    test. With [~binding:true] the ancestors are taken in the binding
+    order ([isa] and preference edges), so the result is a superset of
+    the tuples [t] with [Item.binds_below schema t.item item]. *)
 
 val meeting : t -> int -> Hr_hierarchy.Hierarchy.node -> tuple list
 (** [meeting r i v]: the tuples whose coordinate [i] intersects node [v]
-    ({!Hr_hierarchy.Hierarchy.intersects}), in structural item order —
-    the tuples a selection on [v] can draw from. Reads the same memoized
-    index as {!candidates}, through
-    {!Hr_hierarchy.Hierarchy.buckets_meeting}: the buckets of the nodes
-    that intersect [v] or, when those outnumber the nodes bucketed at [i]
-    (a selection on a domain root), the bucketed nodes tested one by one.
-    Costs
-    O(min(cone of [v], distinct coordinates at [i])) plus the output;
-    allocates nothing proportional to the relation beyond the index. *)
+    ({!Hr_hierarchy.Hierarchy.intersects}) — the tuples a selection on
+    [v] can draw from. Reads the buckets through
+    {!Hr_hierarchy.Hierarchy.buckets_meeting}: those of the nodes that
+    intersect [v] or, when those outnumber the nodes bucketed at [i] (a
+    selection on a domain root), the bucketed nodes tested one by one.
+    Costs O(min(cone of [v], distinct coordinates at [i])) plus the
+    output; allocates nothing proportional to the relation beyond the
+    index. *)
+
+val partners : t -> tuple -> tuple list
+(** [partners r t]: the tuples of the opposite sign to [t] whose
+    coordinate meets [t]'s on one attribute, the one whose meeting
+    buckets hold the fewest tuples — a superset of the opposite-sign
+    tuples whose items intersect [t]'s ({!Item.intersects} needs every
+    coordinate to meet). The probe is {!meeting}'s "cone or keys" rule,
+    but the key walk tests only the nodes that hold an opposite-sign
+    tuple, and counts them as the limit. The candidate pairs of the
+    ambiguity sweep ([Integrity.sweep]). *)
 
 module Item_map : Map.S with type key = Item.t
 (** Maps keyed by items in structural order: the body of a relation. *)

@@ -390,4 +390,11 @@ module Ancestry = struct
     (start, out)
 
   let to_list s = Array.to_list s.ids
+
+  let fold f s acc =
+    let acc = ref acc in
+    for k = 0 to Array.length s.ids - 1 do
+      acc := f s.ids.(k) !acc
+    done;
+    !acc
 end

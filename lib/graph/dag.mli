@@ -153,4 +153,7 @@ module Ancestry : sig
 
   val to_list : set -> int list
   (** Ascending. *)
+
+  val fold : (int -> 'a -> 'a) -> set -> 'a -> 'a
+  (** Over the members in ascending order, allocating nothing. *)
 end

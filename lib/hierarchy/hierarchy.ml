@@ -301,6 +301,10 @@ let ancestors h v =
   check_node h v;
   Dag.Ancestry.to_list (isa_anc h).(v)
 
+let fold_ancestors ?(binding = false) h v f acc =
+  check_node h v;
+  Dag.Ancestry.fold f (if binding then bind_anc h else isa_anc h).(v) acc
+
 let leaves_under h v =
   check_node h v;
   filter_descendants h v (fun w -> h.instance.(w))
@@ -356,11 +360,18 @@ let intersecting h v ~limit =
     | exception Over -> None
   end
 
-let buckets_meeting h v buckets =
-  match intersecting h v ~limit:(Hashtbl.length buckets) with
+let buckets_meeting ?keys h v buckets =
+  let limit = match keys with Some k -> Array.length k | None -> Hashtbl.length buckets in
+  match intersecting h v ~limit with
   | Some nodes -> List.filter_map (Hashtbl.find_opt buckets) nodes
-  | None ->
-    Hashtbl.fold (fun node b acc -> if intersects h node v then b :: acc else acc) buckets []
+  | None -> (
+    match keys with
+    | None ->
+      Hashtbl.fold (fun node b acc -> if intersects h node v then b :: acc else acc) buckets []
+    | Some keys ->
+      Array.fold_left
+        (fun acc node -> if intersects h node v then Hashtbl.find buckets node :: acc else acc)
+        [] keys)
 
 (* Descendant sets are down-closed, so their intersection is down-closed:
    a common descendant has a strict ancestor in the set iff one of its

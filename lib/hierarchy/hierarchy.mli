@@ -137,6 +137,12 @@ val ancestors : t -> node -> node list
 (** All nodes that reach the argument over [isa] edges, inclusive, in
     ascending id order. *)
 
+val fold_ancestors : ?binding:bool -> t -> node -> (node -> 'a -> 'a) -> 'a -> 'a
+(** Folds over {!ancestors} in the same order without building the
+    list; with [~binding:true], over the nodes that reach the argument
+    over [isa] and preference edges together (the [a] with
+    [binds_below h a v]). *)
+
 val intersects : t -> node -> node -> bool
 (** Optimistic intersection test (paper, §3.1): [true] iff an explicit
     common descendant — class or instance — exists. *)
@@ -147,14 +153,21 @@ val intersecting : t -> node -> limit:int -> node list option
     more than [limit] of them. The cost is bounded by [limit] nodes and
     their parent edges, whatever the size of the hierarchy. *)
 
-val buckets_meeting : t -> node -> (node, 'a) Hashtbl.t -> 'a list
+val buckets_meeting : ?keys:node array -> t -> node -> (node, 'a) Hashtbl.t -> 'a list
 (** [buckets_meeting h v buckets]: the values that [buckets] (one
     binding per key, keyed by nodes of [h]) holds under every node that
     {!intersects} [v]. It reads the buckets of {!intersecting} with
     [limit] the number of keys or, when the cone is larger than that (a
     node near the root), tests each key with {!intersects}. The shorter
     side is walked, so the cost is O(min(cone of [v], keys)) plus the
-    output, never more than testing every key. In no particular order. *)
+    output, never more than testing every key. In no particular order.
+
+    [~keys] names the only buckets the caller wants (each must be bound
+    in [buckets]); their number is the limit and the walk tests only
+    them, so a probe for the few buckets that hold, say, a tuple of one
+    sign never walks the rest. The result then holds the buckets of
+    every key in [keys] that meets [v], and may hold other buckets that
+    meet [v] (those of the cone), which the caller passes over. *)
 
 val maximal_common_descendants : t -> node -> node -> node list
 (** The most general common descendants of two nodes: the per-coordinate

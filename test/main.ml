@@ -16,6 +16,7 @@ let () =
       ("ops", Test_ops.suite);
       ("select", Test_select.suite);
       ("closure", Test_closure.suite);
+      ("sweep", Test_sweep.suite);
       ("txn", Test_txn.suite);
       ("rel_diff", Test_rel_diff.suite);
       ("flat", Test_flat.suite);
