@@ -579,7 +579,6 @@ let bench_estimator () =
   section "C15 — estimator accuracy: estimated vs actual rows per plan node";
   let module Cost_model = Hr_analysis.Cost_model in
   let run_workload (name, cat, queries) =
-    let src = Cost_model.of_catalog cat in
     let qs = ref [] in
     let nodes = ref 0 in
     List.iter
@@ -592,7 +591,7 @@ let bench_estimator () =
           | Hr_query.Ast.Explain_estimate e -> e
           | _ -> failwith "C15: not an expression"
         in
-        match Cost_model.plan src expr with
+        match Cost_model.plan cat expr with
         | Error msg -> failwith ("C15 " ^ name ^ ": " ^ msg)
         | Ok (optimized, root) ->
           let _, actual = Hr_query.Eval.analyze_raw cat optimized in

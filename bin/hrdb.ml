@@ -348,11 +348,12 @@ let lint_cmd =
     [
       `S Manpage.s_description;
       `P
-        "Parses each script and abstractly interprets it against a simulated \
-         catalog: schema and hierarchy shape are tracked, no query is \
-         evaluated and no data is touched. Diagnostics carry stable codes \
-         (see docs/LINT.md) and source spans. A $(b,-) script reads from \
-         standard input.";
+        "Parses each script and dry-runs it: every DDL and DML statement \
+         runs through the evaluator on a private fork of the catalog, so \
+         an error is exactly a statement the evaluator rejects; queries \
+         are type-checked, never evaluated, and no data is touched. \
+         Diagnostics carry stable codes (see docs/LINT.md) and source \
+         spans. A $(b,-) script reads from standard input.";
       `P
         "Exits 1 when any error-severity diagnostic is reported (with \
          $(b,--strict): also on warnings), 0 otherwise. Perf notes \

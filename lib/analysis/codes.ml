@@ -141,10 +141,10 @@ let all =
        INSERT INTO flies VALUES (- ALL penguin);"
       "Negate a narrower class, or remove the shadowing positives.";
     w "W104" "ambiguity conflict"
-      "The insert leaves the relation violating the ambiguity constraint \
-       (paper, section 3.1): some item has incomparable strongest binders \
-       of opposite sign. The evaluator's transaction would reject this at \
-       commit."
+      "The insert (or delete) leaves the relation violating the ambiguity \
+       constraint (paper, section 3.1): some item has incomparable \
+       strongest binders of opposite sign, or a row directly contradicts \
+       a stored tuple. The evaluator rejects the statement."
       "CREATE DOMAIN animal;\n\
        CREATE CLASS bird UNDER animal;  CREATE CLASS swimmer UNDER animal;\n\
        CREATE CLASS penguin UNDER bird; CREATE ISA penguin UNDER swimmer;\n\
@@ -182,8 +182,8 @@ let all =
       "Drop the row; the more specific rows already cover it.";
     w "W108" "contradictory sign assertions across statements"
       "The row asserts the opposite sign on the exact item a previous \
-       statement of this script asserted: the later sign silently \
-       overwrites the earlier one."
+       statement of this script asserted. A stored sign is never \
+       overwritten: the evaluator rejects the statement (W104)."
       "CREATE DOMAIN animal; CREATE INSTANCE rex OF animal;\n\
        CREATE RELATION eats (who: animal);\n\
        INSERT INTO eats VALUES (+ rex);\n\

@@ -2,9 +2,9 @@
 
     Walks an optimized plan bottom-up and annotates every node with
     estimated output rows and cumulative cost, without evaluating
-    anything. Cardinalities come from a {!source} — either the live
-    catalog or the analyzer's {!Sim_catalog} — through one interface, so
-    `EXPLAIN ESTIMATE` and `hrdb lint` price plans the same way.
+    anything. Cardinalities come from a catalog — the live one for
+    `EXPLAIN ESTIMATE`, the lint's fork for `hrdb lint` — so both price
+    plans the same way.
 
     The model quantifies the paper's central claim: hierarchy keeps
     queries cheap until something flattens them. A stored tuple costs
@@ -19,37 +19,6 @@
 module Hierarchy = Hr_hierarchy.Hierarchy
 module Ast = Hr_query.Ast
 open Hierel
-
-(* ---- statistics sources ----------------------------------------------- *)
-
-type input = { rel : Relation.t; exact : bool }
-
-type source = {
-  find : string -> input option;
-  observed : rel:string -> label:string -> int option;
-      (* feedback from EXPLAIN ANALYZE (live catalogs only) *)
-  hierarchies : unit -> Hierarchy.t list;
-}
-
-let of_catalog cat =
-  {
-    find =
-      (fun name ->
-        Option.map (fun rel -> { rel; exact = true }) (Catalog.find_relation cat name));
-    observed = (fun ~rel ~label -> Catalog.observed_stat cat ~rel ~label);
-    hierarchies = (fun () -> Catalog.hierarchies cat);
-  }
-
-let of_sim sim =
-  {
-    find =
-      (fun name ->
-        match Sim_catalog.find_relation sim name with
-        | Some { Sim_catalog.rel; exact } -> Some { rel; exact }
-        | None -> None);
-    observed = (fun ~rel:_ ~label:_ -> None);
-    hierarchies = (fun () -> Sim_catalog.hierarchies sim);
-  }
 
 (* ---- hierarchy statistics --------------------------------------------- *)
 
@@ -69,8 +38,6 @@ let avg_extension h =
   float_of_int total /. float_of_int (max 1 (List.length nodes))
 
 (* ---- relation statistics ---------------------------------------------- *)
-
-let stored_rows rel = Relation.cardinality rel
 
 let exception_count rel =
   List.fold_left
@@ -120,27 +87,27 @@ let extension_rows ?over rel =
 
 (* ---- schema inference over plans -------------------------------------- *)
 
-let rec schema_of src e =
+let rec schema_of cat e =
   match e.Ast.expr with
   | Ast.Rel name ->
     Option.map
-      (fun { rel; _ } ->
+      (fun rel ->
         let s = Relation.schema rel in
         List.mapi (fun i n -> (n, Schema.hierarchy s i)) (Schema.names s))
-      (src.find name)
+      (Catalog.find_relation cat name)
   | Ast.Select (e, _, _) | Ast.Consolidated e | Ast.Explicated (e, _) ->
-    schema_of src e
+    schema_of cat e
   | Ast.Project (e, attrs) ->
-    Option.map (List.filter (fun (n, _) -> List.mem n attrs)) (schema_of src e)
+    Option.map (List.filter (fun (n, _) -> List.mem n attrs)) (schema_of cat e)
   | Ast.Rename (e, o, n) ->
     Option.map (List.map (fun (a, h) -> if a = o then (n, h) else (a, h)))
-      (schema_of src e)
+      (schema_of cat e)
   | Ast.Join (a, b) -> (
-    match schema_of src a, schema_of src b with
+    match schema_of cat a, schema_of cat b with
     | Some sa, Some sb ->
       Some (sa @ List.filter (fun (n, _) -> not (List.mem_assoc n sa)) sb)
     | _ -> None)
-  | Ast.Union (a, _) | Ast.Intersect (a, _) | Ast.Except (a, _) -> schema_of src a
+  | Ast.Union (a, _) | Ast.Intersect (a, _) | Ast.Except (a, _) -> schema_of cat a
 
 (* ---- the annotated plan ------------------------------------------------ *)
 
@@ -167,9 +134,9 @@ let default_selectivity = 1.0 /. 3.0
 
 (* Selectivity of [attr = v] when all we have is the value name: the
    share of the domain's atomic extension that [v]'s cone covers. *)
-let name_selectivity src vname =
+let name_selectivity cat vname =
   match
-    List.filter (fun h -> Hierarchy.mem h vname) (src.hierarchies ())
+    List.filter (fun h -> Hierarchy.mem h vname) (Catalog.hierarchies cat)
   with
   | [ h ] ->
     let v = Hierarchy.find_exn h vname in
@@ -185,7 +152,7 @@ let attr_index schema attr =
   in
   go 0 (Schema.names schema)
 
-let rec walk src e =
+let rec walk cat e =
   let mk ?(exact = false) ~kind ~rows ~cost children =
     {
       n_label = Hr_query.Eval.node_label e;
@@ -199,22 +166,22 @@ let rec walk src e =
   in
   match e.Ast.expr with
   | Ast.Rel name -> (
-    match src.find name with
+    match Catalog.find_relation cat name with
     | None -> raise (Unknown_relation name)
-    | Some { rel; exact } ->
-      let rows = float_of_int (stored_rows rel) in
-      (mk ~exact ~kind:(Scan name) ~rows ~cost:rows [], Some (rel, exact)))
+    | Some rel ->
+      let rows = float_of_int (Relation.cardinality rel) in
+      (mk ~exact:true ~kind:(Scan name) ~rows ~cost:rows [], Some rel))
   | Ast.Select (sub, attr, v) ->
-    let child, carried = walk src sub in
+    let child, carried = walk cat sub in
     let in_rows = child.n_rows in
     let vname = Ast.value_name v in
     let rows, exact =
       match carried with
-      | Some (rel, rel_exact) -> (
+      | Some rel -> (
         (* the stored relation is right beneath: count matching tuples
            statically, preferring a count EXPLAIN ANALYZE observed *)
         match
-          src.observed ~rel:(Relation.name rel)
+          Catalog.observed_stat cat ~rel:(Relation.name rel)
             ~label:(Printf.sprintf "%s=%s" attr vname)
         with
         | Some n -> (float_of_int n, false)
@@ -234,9 +201,9 @@ let rec walk src e =
                      Hierarchy.is_instance h (Item.coord t.Relation.item i))
                    (Relation.tuples rel)
             in
-            (float_of_int matches, rel_exact && flat)
-          | _ -> (in_rows *. name_selectivity src vname, false)))
-      | None -> (in_rows *. name_selectivity src vname, false)
+            (float_of_int matches, flat)
+          | _ -> (in_rows *. name_selectivity cat vname, false)))
+      | None -> (in_rows *. name_selectivity cat vname, false)
     in
     let selectivity = if in_rows > 0.0 then rows /. in_rows else 1.0 in
     ( mk ~exact
@@ -246,18 +213,18 @@ let rec walk src e =
         [ child ],
       None )
   | Ast.Project (sub, _) ->
-    let child, _ = walk src sub in
+    let child, _ = walk cat sub in
     ( mk ~kind:Opaque ~rows:child.n_rows ~cost:(child.n_cost +. child.n_rows)
         [ child ],
       None )
   | Ast.Rename (sub, _, _) ->
-    let child, carried = walk src sub in
+    let child, carried = walk cat sub in
     (mk ~exact:child.n_exact ~kind:Opaque ~rows:child.n_rows ~cost:child.n_cost [ child ], carried)
   | Ast.Join (a, b) ->
-    let na, _ = walk src a in
-    let nb, _ = walk src b in
+    let na, _ = walk cat a in
+    let nb, _ = walk cat b in
     let shared =
-      match schema_of src a, schema_of src b with
+      match schema_of cat a, schema_of cat b with
       | Some sa, Some sb -> List.filter (fun (n, _) -> List.mem_assoc n sb) sa
       | _ -> []
     in
@@ -278,27 +245,27 @@ let rec walk src e =
         [ na; nb ],
       None )
   | Ast.Union (a, b) ->
-    let na, _ = walk src a in
-    let nb, _ = walk src b in
+    let na, _ = walk cat a in
+    let nb, _ = walk cat b in
     let rows = na.n_rows +. nb.n_rows in
     (mk ~kind:Opaque ~rows ~cost:(na.n_cost +. nb.n_cost +. rows) [ na; nb ], None)
   | Ast.Intersect (a, b) ->
-    let na, _ = walk src a in
-    let nb, _ = walk src b in
+    let na, _ = walk cat a in
+    let nb, _ = walk cat b in
     ( mk ~kind:Opaque
         ~rows:(Float.min na.n_rows nb.n_rows)
         ~cost:(na.n_cost +. nb.n_cost +. (na.n_rows *. nb.n_rows))
         [ na; nb ],
       None )
   | Ast.Except (a, b) ->
-    let na, _ = walk src a in
-    let nb, _ = walk src b in
+    let na, _ = walk cat a in
+    let nb, _ = walk cat b in
     ( mk ~kind:Opaque ~rows:na.n_rows
         ~cost:(na.n_cost +. nb.n_cost +. (na.n_rows *. nb.n_rows))
         [ na; nb ],
       None )
   | Ast.Consolidated sub ->
-    let child, _ = walk src sub in
+    let child, _ = walk cat sub in
     (* pairwise redundancy sweep; consolidation only removes rows, so the
        input cardinality is a safe upper bound *)
     ( mk ~kind:Opaque ~rows:child.n_rows
@@ -306,15 +273,15 @@ let rec walk src e =
         [ child ],
       None )
   | Ast.Explicated (sub, over) ->
-    let child, carried = walk src sub in
+    let child, carried = walk cat sub in
     let rows, exact =
       match carried with
-      | Some (rel, rel_exact) ->
+      | Some rel ->
         let rows = float_of_int (extension_rows ?over rel) in
-        (rows, rel_exact && is_flat rel && exception_count rel = 0)
+        (rows, is_flat rel && exception_count rel = 0)
       | None ->
         let expansion =
-          match schema_of src sub with
+          match schema_of cat sub with
           | Some schema ->
             List.fold_left (fun acc (_, h) -> acc *. avg_extension h) 1.0 schema
           | None -> 1.0
@@ -329,9 +296,9 @@ let rec walk src e =
         [ child ],
       None )
 
-let plan src expr =
+let plan cat expr =
   let optimized = Hr_query.Optimizer.optimize expr in
-  match walk src optimized with
+  match walk cat optimized with
   | root, _ -> Ok (optimized, root)
   | exception Unknown_relation name ->
     Error (Printf.sprintf "unknown relation %S" name)

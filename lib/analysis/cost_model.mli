@@ -1,33 +1,13 @@
 (** Hierarchy-aware cardinality and cost model for optimized HRQL plans.
 
     Prices a plan {e statically} — no operator is evaluated, no tuple
-    materialized. Statistics come from a {!source}, which abstracts over
-    the two catalogs the analyzer meets: the live {!Hierel.Catalog.t}
-    (per-class extension counts, exception counts and cone sizes read
-    straight from the stored relations and hierarchies, plus actual row
-    counts fed back by [EXPLAIN ANALYZE]) and the lint-time
-    {!Sim_catalog} (symbolic counts from the rows the analyzed script
-    itself asserts). Costs are abstract work units: 1 unit ≈ one tuple
-    visit or one closure-index probe. See [docs/COST.md]. *)
-
-(** {1 Statistics sources} *)
-
-type input = { rel : Hierel.Relation.t; exact : bool }
-
-type source = {
-  find : string -> input option;
-  observed : rel:string -> label:string -> int option;
-  hierarchies : unit -> Hr_hierarchy.Hierarchy.t list;
-}
-
-val of_catalog : Hierel.Catalog.t -> source
-(** Live statistics; [observed] consults the catalog's feedback store
-    ({!Hierel.Catalog.observed_stat}). *)
-
-val of_sim : Sim_catalog.t -> source
-(** Symbolic statistics from shadow relations; [observed] is always
-    [None]. Shadow relations carry their {e exact} flag through, so
-    rows asserted by the script itself still price exactly. *)
+    materialized. Statistics come from a catalog — the live one, or the
+    fork a lint runs its script on: per-class extension counts,
+    exception counts and cone sizes read straight from the stored
+    relations and hierarchies, plus actual row counts fed back by
+    [EXPLAIN ANALYZE] ({!Hierel.Catalog.observed_stat}). Costs are
+    abstract work units: 1 unit ≈ one tuple visit or one closure-index
+    probe. See [docs/COST.md]. *)
 
 (** {1 Primitive statistics} *)
 
@@ -37,17 +17,6 @@ val extension_count : Hr_hierarchy.Hierarchy.t -> Hr_hierarchy.Hierarchy.node ->
 
 val cone_size : Hr_hierarchy.Hierarchy.t -> Hr_hierarchy.Hierarchy.node -> int
 (** Nodes isa-reachable from the node, inclusive. *)
-
-val domain_width : Hr_hierarchy.Hierarchy.t -> int
-(** Number of instances in the hierarchy (at least 1). *)
-
-val avg_extension : Hr_hierarchy.Hierarchy.t -> float
-(** Mean atomic extension over all nodes — the per-attribute expansion a
-    flattening applies when actual coordinates are unknown. *)
-
-val stored_rows : Hierel.Relation.t -> int
-val exception_count : Hierel.Relation.t -> int
-val is_flat : Hierel.Relation.t -> bool
 
 val extension_rows : ?over:string list -> Hierel.Relation.t -> int
 (** Estimated flat cardinality of [EXPLICATE rel]: per stored tuple, the
@@ -75,7 +44,9 @@ and kind =
   | Opaque
 
 val plan :
-  source -> Hr_query.Ast.query_expr -> (Hr_query.Ast.query_expr * node, string) result
+  Hierel.Catalog.t ->
+  Hr_query.Ast.query_expr ->
+  (Hr_query.Ast.query_expr * node, string) result
 (** Optimize the expression ({!Hr_query.Optimizer.optimize}) and price
     the optimized plan. Returns the optimized plan alongside the
     annotated root so callers can pair estimate nodes with the plan (or

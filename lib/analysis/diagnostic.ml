@@ -27,6 +27,33 @@ let hintf ?related ~code loc fmt = Format.kasprintf (hint ?related ~code loc) fm
 let perf ?related ~code loc message = make ?related Perf ~code loc message
 let perff ?related ~code loc fmt = Format.kasprintf (perf ?related ~code loc) fmt
 
+(* The one classification of the engine's rejections: each reason has
+   one stable code, and an error carries the engine's own message. The
+   two rejections the ambiguity constraint makes (paper, §3.1) are W104
+   warnings that name the row or the conflict. *)
+let of_rejection ?(verb = "insert") loc (reason, msg) =
+  let open Hierel in
+  let err code = error ~code loc msg in
+  match reason with
+  | Hr_query.Eval.Unknown_relation -> err "E001"
+  | Arity -> err "E002"
+  | Foreign_value -> err "E003"
+  | All_on_instance -> err "E004"
+  | Cycle -> err "E005"
+  | Unknown_name -> err "E008"
+  | Duplicate -> err "E009"
+  | Invalid -> err "E010"
+  | Contradiction { rel; row; item; sign = _ } ->
+    warningf ~code:"W104" loc
+      "row %d directly contradicts a stored tuple: %s is already asserted with the \
+       opposite sign in %s"
+      row
+      (Item.to_string (Relation.schema rel) item)
+      (Relation.name rel)
+  | Ambiguity { rel; conflict } ->
+    warningf ~code:"W104" loc "%s leaves %s ambiguous: %s" verb (Relation.name rel)
+      (Format.asprintf "%a" (Integrity.pp_conflict (Relation.schema rel)) conflict)
+
 let severity_label = function
   | Error -> "error"
   | Warning -> "warning"

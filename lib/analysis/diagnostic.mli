@@ -58,6 +58,14 @@ val perff :
   ('a, Format.formatter, unit, t) format4 ->
   'a
 
+val of_rejection :
+  ?verb:string -> Hr_query.Loc.t -> Hr_query.Eval.reason * string -> t
+(** The engine's rejection of a statement ({!Hr_query.Eval.attempt}),
+    under its stable code: E001–E005 and E008–E010 carry the engine's
+    message; a direct contradiction or an ambiguity-constraint
+    rejection is W104, whose conflict text starts with [verb] (default
+    ["insert"]). The one table from engine rejections to codes. *)
+
 val severity_label : severity -> string
 
 val compare : t -> t -> int

@@ -33,8 +33,8 @@ let render root =
   walk 0 root;
   Buffer.contents buf
 
-let explain src expr =
-  match Cost_model.plan src expr with
+let explain cat expr =
+  match Cost_model.plan cat expr with
   | Error msg -> Error msg
   | Ok (optimized, root) ->
     Hr_obs.Metrics.incr plans_counter;
@@ -44,10 +44,8 @@ let explain src expr =
          (Hr_query.Optimizer.describe optimized)
          (render root) root.Cost_model.n_cost)
 
-let explain_live cat expr = explain (Cost_model.of_catalog cat) expr
-
 (* [EXPLAIN ESTIMATE] statements evaluated anywhere in the process now
    route here. *)
-let () = Hr_query.Eval.set_estimator explain_live
+let () = Hr_query.Eval.set_estimator explain
 
 let ensure_registered () = ()

@@ -8,12 +8,9 @@ val render : Cost_model.node -> string
 (** The indented per-node tree (no [plan:] header). *)
 
 val explain :
-  Cost_model.source -> Hr_query.Ast.query_expr -> (string, string) result
-(** Full report: [plan:] header, per-node tree, total cost footer. *)
-
-val explain_live :
   Hierel.Catalog.t -> Hr_query.Ast.query_expr -> (string, string) result
-(** {!explain} over {!Cost_model.of_catalog} — the registered hook. *)
+(** Full report: [plan:] header, per-node tree, total cost footer — the
+    registered hook. *)
 
 val ensure_registered : unit -> unit
 (** No-op whose call forces this module to be linked (and therefore the

@@ -1,5 +1,8 @@
-(** Static checking of HRQL query expressions: schema inference over the
-    simulated catalog, without evaluating anything.
+(** Static checking of HRQL query expressions: schema inference over a
+    catalog (the lint's fork), without evaluating anything. Names are
+    looked up as the engine looks them up ({!Hr_query.Eval.relation},
+    {!Hr_query.Eval.resolve_value}), so an unknown name gets the
+    engine's own rejection.
 
     [infer] returns the expression's schema when it can be determined —
     attribute names in order, each with its domain hierarchy — and
@@ -9,6 +12,7 @@
 
 module Hierarchy = Hr_hierarchy.Hierarchy
 module Ast = Hr_query.Ast
+module Eval = Hr_query.Eval
 open Hierel
 
 type attr = { aname : string; hier : Hierarchy.t }
@@ -16,7 +20,7 @@ type attr = { aname : string; hier : Hierarchy.t }
 let pp_schema attrs =
   "("
   ^ String.concat ", "
-      (List.map (fun a -> a.aname ^ ": " ^ Resolve.domain_name a.hier) attrs)
+      (List.map (fun a -> a.aname ^ ": " ^ Eval.domain_name a.hier) attrs)
   ^ ")"
 
 let of_relation rel =
@@ -34,12 +38,18 @@ let find_attr attrs name = List.find_opt (fun a -> a.aname = name) attrs
 (* The stored relation an expression re-represents, reached through
    schema- and position-preserving operators only. Used by checks that
    need contents (H202). *)
-let rec base_entry sim e =
+let rec base_relation cat e =
   match e.Ast.expr with
-  | Ast.Rel name -> Sim_catalog.find_relation sim name
+  | Ast.Rel name -> Catalog.find_relation cat name
   | Ast.Select (inner, _, _) | Ast.Consolidated inner | Ast.Explicated (inner, _) ->
-    base_entry sim inner
+    base_relation cat inner
   | _ -> None
+
+(* [f ()], or [None] after reporting the engine's rejection. *)
+let engine ~emit loc f =
+  try Some (f ()) with Eval.Rejected rejection ->
+    emit (Diagnostic.of_rejection loc rejection);
+    None
 
 (* The chain of selections directly under [e], innermost last — for
    detecting contradictory ANDed conditions (W105). *)
@@ -48,18 +58,13 @@ let rec inner_selections acc e =
   | Ast.Select (inner, attr, v) -> inner_selections ((attr, v) :: acc) inner
   | _ -> acc
 
-let rec infer sim ~emit (e : Ast.query_expr) =
+let rec infer cat ~emit (e : Ast.query_expr) =
   let loc = e.Ast.eloc in
   match e.Ast.expr with
-  | Ast.Rel name -> (
-    match Sim_catalog.find_relation sim name with
-    | Some { rel; _ } -> Some (of_relation rel)
-    | None ->
-      if not (Sim_catalog.is_poisoned sim name) then
-        emit (Diagnostic.errorf ~code:"E001" loc "unknown relation %S" name);
-      None)
+  | Ast.Rel name ->
+    Option.map of_relation (engine ~emit loc (fun () -> Eval.relation cat name))
   | Ast.Select (inner, attr, v) -> (
-    let si = infer sim ~emit inner in
+    let si = infer cat ~emit inner in
     match si with
     | None -> None
     | Some attrs -> (
@@ -70,7 +75,11 @@ let rec infer sim ~emit (e : Ast.query_expr) =
              "selection on unknown attribute %S (schema is %s)" attr
              (pp_schema attrs))
       | Some { hier; _ } -> (
-        match Resolve.value sim hier ~loc ~emit v with
+        (* a selection reads only the value's name: [ALL] is not checked *)
+        match
+          engine ~emit loc (fun () ->
+              Eval.resolve_value ~cat hier (Ast.Atom (Ast.value_name v)))
+        with
         | None -> ()
         | Some node ->
           (* contradictory ANDed selections on the same attribute *)
@@ -84,12 +93,12 @@ let rec infer sim ~emit (e : Ast.query_expr) =
                        "selection is unsatisfiable: %s = %s contradicts %s = %s \
                         (disjoint in domain %s)"
                        attr (Ast.value_name v) attr' (Ast.value_name v')
-                       (Resolve.domain_name hier))
+                       (Eval.domain_name hier))
                 | _ -> ())
             (inner_selections [] inner)));
       si))
   | Ast.Project (inner, names) -> (
-    let si = infer sim ~emit inner in
+    let si = infer cat ~emit inner in
     match si with
     | None -> None
     | Some attrs ->
@@ -117,11 +126,11 @@ let rec infer sim ~emit (e : Ast.query_expr) =
       in
       if List.length known <> List.length names || dup <> None then None
       else begin
-        check_projected_exceptions sim ~emit ~loc inner attrs names;
+        check_projected_exceptions cat ~emit ~loc inner names;
         Some known
       end)
   | Ast.Join (a, b) -> (
-    let sa = infer sim ~emit a and sb = infer sim ~emit b in
+    let sa = infer cat ~emit a and sb = infer cat ~emit b in
     match sa, sb with
     | Some sa, Some sb ->
       let shared =
@@ -134,7 +143,7 @@ let rec infer sim ~emit (e : Ast.query_expr) =
             emit
               (Diagnostic.errorf ~code:"E007" loc
                  "join on attribute %S over disjoint domains %s and %s" x.aname
-                 (Resolve.domain_name x.hier) (Resolve.domain_name y.hier))
+                 (Eval.domain_name x.hier) (Eval.domain_name y.hier))
           | _ -> ())
         shared;
       if List.exists
@@ -147,11 +156,11 @@ let rec infer sim ~emit (e : Ast.query_expr) =
       else
         Some (sa @ List.filter (fun y -> Option.is_none (find_attr sa y.aname)) sb)
     | _ -> None)
-  | Ast.Union (a, b) -> set_op sim ~emit ~loc "UNION" a b
-  | Ast.Intersect (a, b) -> set_op sim ~emit ~loc "INTERSECT" a b
-  | Ast.Except (a, b) -> set_op sim ~emit ~loc "EXCEPT" a b
+  | Ast.Union (a, b) -> set_op cat ~emit ~loc "UNION" a b
+  | Ast.Intersect (a, b) -> set_op cat ~emit ~loc "INTERSECT" a b
+  | Ast.Except (a, b) -> set_op cat ~emit ~loc "EXCEPT" a b
   | Ast.Rename (inner, old_name, new_name) -> (
-    let si = infer sim ~emit inner in
+    let si = infer cat ~emit inner in
     match si with
     | None -> None
     | Some attrs -> (
@@ -173,9 +182,9 @@ let rec infer sim ~emit (e : Ast.query_expr) =
           (List.map
              (fun a -> if a.aname = old_name then { a with aname = new_name } else a)
              attrs)))
-  | Ast.Consolidated inner -> infer sim ~emit inner
+  | Ast.Consolidated inner -> infer cat ~emit inner
   | Ast.Explicated (inner, over) -> (
-    let si = infer sim ~emit inner in
+    let si = infer cat ~emit inner in
     match si, over with
     | Some attrs, Some names ->
       List.iter
@@ -189,8 +198,8 @@ let rec infer sim ~emit (e : Ast.query_expr) =
       si
     | _ -> si)
 
-and set_op sim ~emit ~loc op a b =
-  let sa = infer sim ~emit a and sb = infer sim ~emit b in
+and set_op cat ~emit ~loc op a b =
+  let sa = infer cat ~emit a and sb = infer cat ~emit b in
   match sa, sb with
   | Some sa, Some sb ->
     if compatible sa sb then Some sa
@@ -209,10 +218,10 @@ and set_op sim ~emit ~loc op a b =
    carves its exception loses the exception structure (the paper's Fig.
    11c caveat; [Ops.project] resolves collisions in favour of the
    positive tuple). Only checked when the projected expression
-   re-represents a stored relation with known contents. *)
-and check_projected_exceptions sim ~emit ~loc inner attrs names =
-  match base_entry sim inner with
-  | Some { rel; exact = true } ->
+   re-represents a stored relation. *)
+and check_projected_exceptions cat ~emit ~loc inner names =
+  match base_relation cat inner with
+  | Some rel ->
     let schema = Relation.schema rel in
     let dropped =
       List.mapi (fun i n -> (i, n)) (Schema.names schema)
@@ -237,6 +246,4 @@ and check_projected_exceptions sim ~emit ~loc inner attrs names =
            "projection drops attribute %S, on which %s carries a negated class \
             tuple; the exception structure is lost (positives win on collision)"
            n (Relation.name rel)))
-  | _ ->
-    ignore attrs;
-    ()
+  | None -> ()

@@ -30,7 +30,7 @@ type t =
 val of_statement :
   find:(string -> Hierel.Relation.t option) -> Hr_query.Ast.statement -> t
 (** [find] resolves relation names against whatever catalog the caller
-    trusts (live {!Hierel.Catalog}, analyzer {!Sim_catalog}, router
+    trusts (live {!Hierel.Catalog}, the lint's fork of it, router
     local catalog) — cones from two footprints are only comparable when
     both were resolved through the same catalog state. *)
 

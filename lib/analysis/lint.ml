@@ -1,36 +1,219 @@
-module Hierarchy = Hr_hierarchy.Hierarchy
+module Ast = Hr_query.Ast
+module Eval = Hr_query.Eval
 module Loc = Hr_query.Loc
 module Lexer = Hr_query.Lexer
 module Parser = Hr_query.Parser
 open Hierel
 
-(* One statement, all internal failures converted to diagnostics: the
-   analyzer must never raise, whatever the script or catalog looks
-   like. Model/hierarchy errors this deep mean a check above missed a
-   precondition the simulated operation enforces — still worth
-   reporting, at the statement's span. *)
-let analyze_statement sim (lstmt : Hr_query.Ast.located_statement) =
+(* ---- provenance (W106 / W108) ----------------------------------------- *)
+
+(* Which statement of the script asserted which stored tuple, and when
+   each relation was last read. Only rows the script itself asserted
+   have a record, so these checks never fire on pre-existing data. *)
+type write = { w_item : Item.t; w_sign : Types.sign; w_loc : Loc.t; w_stmt : int }
+
+type provenance = {
+  mutable stmt : int;  (* the statement being checked, from 1 *)
+  writes : (string, write list) Hashtbl.t;  (* per relation *)
+  reads : (string, int) Hashtbl.t;  (* relation -> last statement reading it *)
+}
+
+let writes_of p rel = Option.value ~default:[] (Hashtbl.find_opt p.writes rel)
+let find_write p rel item = List.find_opt (fun w -> Item.equal w.w_item item) (writes_of p rel)
+
+let forget_write p rel item =
+  Hashtbl.replace p.writes rel
+    (List.filter (fun w -> not (Item.equal w.w_item item)) (writes_of p rel))
+
+let record_write p rel item sign loc =
+  forget_write p rel item;
+  Hashtbl.replace p.writes rel
+    (writes_of p rel @ [ { w_item = item; w_sign = sign; w_loc = loc; w_stmt = p.stmt } ])
+
+(* Relation names a statement reads: those its footprint reads. A read
+   makes every earlier write to that relation observable, which is what
+   keeps W106 (dead write) from firing on rows a query in between
+   actually used. *)
+let reads_of = function
+  | Footprint.Opaque _ -> []
+  | Footprint.Atoms atoms ->
+    List.filter_map
+      (fun (a : Footprint.atom) ->
+        if a.Footprint.mode = Footprint.Read then Some a.rel else None)
+      atoms
+
+(* W106: a row this script asserted is unconditionally destroyed (exact
+   DELETE, or the whole relation dropped) with no read of the relation in
+   between — the write could not have been observed. Reported at the
+   write's own span so the fix (delete the insert) is where the cursor
+   lands; the destroying statement is the related note. *)
+let dead_write p ~emit rel schema ~verb ~at w =
+  let last_read = Option.value ~default:0 (Hashtbl.find_opt p.reads rel) in
+  if w.w_stmt < p.stmt && last_read < w.w_stmt then
+    emit
+      (Diagnostic.warningf ~code:"W106"
+         ~related:[ Format.asprintf "%s at %a" verb Loc.pp at ]
+         w.w_loc "dead write: %a %s is asserted here but %s before %s is ever read"
+         Types.pp_sign w.w_sign
+         (Item.to_string schema w.w_item)
+         verb rel)
+
+(* W108: the rejected row contradicts a tuple an earlier statement of
+   this script asserted. *)
+let contradicted p ~emit loc rel ~row item sign =
+  match find_write p (Relation.name rel) item with
+  | Some w when w.w_stmt < p.stmt ->
+    emit
+      (Diagnostic.warningf ~code:"W108"
+         ~related:[ Format.asprintf "the contradicted assertion is at %a" Loc.pp w.w_loc ]
+         loc
+         "row %d asserts %a %s, contradicting the %a asserted earlier in this \
+          script; a stored sign is never overwritten, so the statement is rejected"
+         row Types.pp_sign sign
+         (Item.to_string (Relation.schema rel) item)
+         Types.pp_sign w.w_sign)
+  | _ -> ()
+
+(* ---- one statement ----------------------------------------------------- *)
+
+let replay_hint ~emit loc verb rel =
+  emit
+    (Diagnostic.hintf ~code:"H203" loc
+       "%s is logged as its source text: a replica re-derives the rewritten \
+        contents of %s at apply time; verify convergence with hrdb fsck --against"
+       verb rel)
+
+(* An accepted mutation: the advisory passes, which compare the fork
+   with [before] (the relations as the statement found them) and with
+   [issues] (the edited hierarchy's [validate] report before an ISA
+   edge), and the provenance it leaves. *)
+let accepted p ~before ~issues cat ~emit loc stmt =
+  match stmt with
+  | Ast.Create_isa { super; _ } ->
+    Advisory.redundant_isa ~emit loc ~before:issues (Eval.hierarchy_containing cat super)
+  | Ast.Insert { rel; rows } ->
+    let r = Catalog.relation before rel in
+    let schema = Relation.schema r in
+    let rows =
+      List.map
+        (fun (row : Ast.signed_row) -> (row, Eval.resolve_values schema row.values))
+        rows
+    in
+    Advisory.insert_rows ~emit loc r rows;
+    List.iter (fun ({ Ast.sign; _ }, item) -> record_write p rel item sign loc) rows
+  | Ast.Delete { rel; rows } ->
+    let schema = Relation.schema (Catalog.relation before rel) in
+    List.iter
+      (fun values ->
+        let item = Eval.resolve_values schema values in
+        Option.iter
+          (dead_write p ~emit rel schema ~verb:"deleted" ~at:loc)
+          (find_write p rel item);
+        forget_write p rel item)
+      rows
+  | Ast.Drop_relation rel ->
+    let schema = Relation.schema (Catalog.relation before rel) in
+    List.iter
+      (dead_write p ~emit rel schema ~verb:"the relation is dropped" ~at:loc)
+      (writes_of p rel);
+    Hashtbl.remove p.writes rel
+  | Ast.Let_binding { name; _ } -> Hashtbl.remove p.writes name
+  | Ast.Consolidate rel -> replay_hint ~emit loc "CONSOLIDATE" rel
+  | Ast.Explicate { rel; _ } ->
+    replay_hint ~emit loc "EXPLICATE" rel;
+    Hashtbl.remove p.writes rel
+  | _ -> ()
+
+let mutation p cat ~emit loc stmt =
+  (* DDL may edit a hierarchy in place, so what W101 compares with is
+     taken now; relation values are immutable, so a snapshot keeps them *)
+  let before = Catalog.snapshot cat in
+  let issues =
+    match stmt with
+    | Ast.Create_isa { super; _ } -> (
+      try Hr_hierarchy.Hierarchy.validate (Eval.hierarchy_containing cat super)
+      with Eval.Rejected _ -> [])
+    | _ -> []
+  in
+  (* A LET's expression is typed for spans; when typing already reports
+     an error, the engine's rejection of the same expression is not
+     repeated. *)
+  let typed = ref false in
+  (match stmt with
+  | Ast.Let_binding { expr; _ } ->
+    ignore
+      (Expr_check.infer cat expr ~emit:(fun d ->
+           typed := !typed || d.Diagnostic.severity = Diagnostic.Error;
+           emit d))
+  | _ -> ());
+  match Eval.attempt cat stmt with
+  | Ok _ -> accepted p ~before ~issues cat ~emit loc stmt
+  | Error rejection ->
+    let verb = match stmt with Ast.Delete _ -> "delete" | _ -> "insert" in
+    if not !typed then emit (Diagnostic.of_rejection ~verb loc rejection);
+    match rejection with
+    | Eval.Contradiction { rel; row; item; sign }, _ ->
+      contradicted p ~emit loc rel ~row item sign
+    | _ -> ()
+
+let read_only cat ~emit loc stmt =
+  let engine f = ignore (Expr_check.engine ~emit loc f) in
+  let infer e = Expr_check.infer cat ~emit e in
+  match stmt with
+  | Ast.Select_query { expr; _ } | Ast.Explain_analyze expr | Ast.Explain_estimate expr ->
+    ignore (infer expr)
+  | Ast.Count { expr; by } -> (
+    match (infer expr, by) with
+    | Some attrs, Some attr when Option.is_none (Expr_check.find_attr attrs attr) ->
+      emit
+        (Diagnostic.errorf ~code:"E008" loc "COUNT BY unknown attribute %S (schema is %s)"
+           attr (Expr_check.pp_schema attrs))
+    | _ -> ())
+  | Ast.Diff { prev; next } -> (
+    match (infer prev, infer next) with
+    | Some sp, Some sn when not (Expr_check.compatible sp sn) ->
+      emit
+        (Diagnostic.errorf ~code:"E006" loc
+           "DIFF operands must have identical schemas: %s vs %s" (Expr_check.pp_schema sp)
+           (Expr_check.pp_schema sn))
+    | _ -> ())
+  | Ast.Ask { rel; values; _ } | Ast.Explain { rel; values } ->
+    engine (fun () ->
+        let schema = Relation.schema (Eval.relation cat rel) in
+        ignore (Eval.resolve_values ~cat ~rel schema values);
+        Advisory.bare_classes ~emit loc schema values)
+  | Ast.Check rel -> engine (fun () -> ignore (Eval.relation cat rel))
+  | Ast.Show_hierarchy name -> engine (fun () -> ignore (Eval.domain cat name))
+  (* EXPLAIN PLAN only prints the plan and EXPLAIN EFFECTS never runs
+     its statement: the engine accepts both whatever they name. *)
+  | _ -> ()
+
+(* Every diagnostic of one statement, in emission order; all internal
+   failures become diagnostics — the analyzer must never raise, whatever
+   the script or catalog looks like. *)
+let check_statement p cat ~fp ({ Ast.stmt; sloc = loc } as lstmt) =
+  p.stmt <- p.stmt + 1;
+  List.iter (fun rel -> Hashtbl.replace p.reads rel p.stmt) (reads_of fp);
   let acc = ref [] in
   let emit d = acc := d :: !acc in
-  (try Stmt_check.check sim ~emit lstmt with
-  | Types.Model_error msg | Hierarchy.Error msg | Failure msg ->
-    emit (Diagnostic.errorf ~code:"E010" lstmt.Hr_query.Ast.sloc "%s" msg)
-  | exn ->
-    emit
-      (Diagnostic.errorf ~code:"E999" lstmt.Hr_query.Ast.sloc
-         "internal analyzer error: %s" (Printexc.to_string exn)));
-  (* Performance lints (P3xx) run after the correctness checks so the
-     cost model prices the statement against the post-statement sim; a
-     statement that already failed to check is skipped rather than
-     priced on garbage. *)
-  (if not (Diagnostic.has_errors !acc) then
-     try Perf_check.check sim ~emit lstmt
-     with _ -> () (* advisory only: never let pricing break the lint *));
-  Diagnostic.sort (List.rev !acc)
+  (* Performance lints (P3xx) price the statement against the catalog it
+     runs on, and are dropped when the statement has errors. *)
+  let perf = ref [] in
+  (try Perf_check.check cat ~emit:(fun d -> perf := d :: !perf) lstmt
+   with _ -> () (* advisory only: never let pricing break the lint *));
+  (try
+     if Ast.mutating stmt then mutation p cat ~emit loc stmt
+     else read_only cat ~emit loc stmt
+   with exn ->
+     emit
+       (Diagnostic.errorf ~code:"E999" loc "internal analyzer error: %s"
+          (Printexc.to_string exn)));
+  let ds = List.rev !acc in
+  if Diagnostic.has_errors ds then ds else ds @ List.rev !perf
 
 (* ---- whole-script effect pass (W110 / P306) --------------------------- *)
 
-(* Footprints are taken against the sim {e before} each statement runs
+(* Footprints are taken against the fork {e before} each statement runs
    (so an INSERT's cones resolve against the world it executes in), and
    compared after the walk. Comparing across a DDL boundary is safe:
    DDL footprints are opaque, and every oracle answer involving an
@@ -46,56 +229,36 @@ let order_sensitive (a : Footprint.atom) (b : Footprint.atom) =
   | Some sa, Some sb -> sa <> sb
   | None, _ | _, None -> true
 
-let write_write_incomparable overlaps =
-  List.exists
-    (fun (o : Effect.overlap) ->
-      o.Effect.o_incomparable
-      && o.Effect.o_left.Footprint.mode = Footprint.Write
-      && o.Effect.o_right.Footprint.mode = Footprint.Write
-      && order_sensitive o.Effect.o_left o.Effect.o_right)
-    overlaps
-
 (* W110: a later statement provably conflicts with an earlier one on
    incomparable write cones. Subsumption-related overlaps are the
    paper's exception idiom and stay silent. *)
-let conflict_pairs muts =
-  let rec pairs acc = function
-    | [] -> List.rev acc
-    | (l1, fp1) :: rest ->
-      let acc =
-        List.fold_left
-          (fun acc (l2, fp2) ->
-            match Effect.commutes_fp fp1 fp2 with
-            | Effect.Conflict overlaps when write_write_incomparable overlaps ->
-              let rel =
-                match
-                  List.find_opt
-                    (fun (o : Effect.overlap) ->
-                      o.Effect.o_incomparable
-                      && order_sensitive o.Effect.o_left o.Effect.o_right)
-                    overlaps
-                with
-                | Some o -> o.Effect.o_rel
-                | None -> "?"
-              in
-              Diagnostic.warningf ~code:"W110"
-                ~related:
-                  [
-                    Format.asprintf "conflicts with the statement at %a"
-                      Hr_query.Loc.pp l1.Hr_query.Ast.sloc;
-                  ]
-                l2.Hr_query.Ast.sloc
-                "statement writes a cone of %s that overlaps an earlier \
-                 statement's write but subsumes neither way: the outcome \
-                 depends on statement order"
-                rel
-              :: acc
-            | _ -> acc)
-          acc rest
-      in
-      pairs acc rest
-  in
-  pairs [] muts
+let write_conflict fp1 fp2 =
+  match Effect.commutes_fp fp1 fp2 with
+  | Effect.Conflict overlaps ->
+    List.find_opt
+      (fun (o : Effect.overlap) ->
+        o.o_incomparable && o.o_left.mode = Footprint.Write && o.o_right.mode = Footprint.Write
+        && order_sensitive o.o_left o.o_right)
+      overlaps
+  | Effect.Commute | Effect.Unknown _ -> None
+
+let rec conflict_pairs = function
+  | [] -> []
+  | (l1, fp1) :: rest ->
+    List.filter_map
+      (fun (l2, fp2) ->
+        Option.map
+          (fun (o : Effect.overlap) ->
+            Diagnostic.warningf ~code:"W110"
+              ~related:
+                [ Format.asprintf "conflicts with the statement at %a" Loc.pp l1.Ast.sloc ]
+              l2.Ast.sloc
+              "statement writes a cone of %s that overlaps an earlier statement's write \
+               but subsumes neither way: the outcome depends on statement order"
+              o.o_rel)
+          (write_conflict fp1 fp2))
+      rest
+    @ conflict_pairs rest
 
 (* P306: a maximal run of >= 2 consecutive mutating statements that
    pairwise commute; relation-level grouping gives the degree of
@@ -114,15 +277,10 @@ let commuting_runs stmts_fps =
       let last, _ = List.nth members (List.length members - 1) in
       diags :=
         Diagnostic.perff ~code:"P306"
-          ~related:
-            [
-              Format.asprintf "run ends at %a" Hr_query.Loc.pp
-                last.Hr_query.Ast.sloc;
-            ]
-          first.Hr_query.Ast.sloc
-          "%d consecutive statements provably commute (%d independent \
-           relation group%s): the shard router overlaps them, and \
-           batching them loses nothing"
+          ~related:[ Format.asprintf "run ends at %a" Loc.pp last.Ast.sloc ]
+          first.Ast.sloc
+          "%d consecutive statements provably commute (%d independent relation group%s): \
+           the shard router overlaps them, and batching them loses nothing"
           (List.length members) (List.length rels)
           (if List.length rels = 1 then "" else "s")
         :: !diags
@@ -132,14 +290,11 @@ let commuting_runs stmts_fps =
     List.fold_left
       (fun run (lstmt, fp) ->
         let opaque = match fp with Footprint.Opaque _ -> true | _ -> false in
-        if (not (Hr_query.Ast.mutating lstmt.Hr_query.Ast.stmt)) || opaque then begin
+        if (not (Ast.mutating lstmt.Ast.stmt)) || opaque then begin
           flush run;
           []
         end
-        else if
-          List.for_all
-            (fun (_, fp') -> Effect.commutes_fp fp' fp = Effect.Commute)
-            run
+        else if List.for_all (fun (_, fp') -> Effect.commutes_fp fp' fp = Effect.Commute) run
         then (lstmt, fp) :: run
         else begin
           flush run;
@@ -151,12 +306,8 @@ let commuting_runs stmts_fps =
   !diags
 
 let effect_pass stmts_fps =
-  let muts =
-    List.filter
-      (fun (l, _) -> Hr_query.Ast.mutating l.Hr_query.Ast.stmt)
-      stmts_fps
-  in
-  conflict_pairs muts @ commuting_runs stmts_fps
+  conflict_pairs (List.filter (fun (l, _) -> Ast.mutating l.Ast.stmt) stmts_fps)
+  @ commuting_runs stmts_fps
 
 let analyze_script ?catalog input =
   match Parser.parse input with
@@ -165,31 +316,22 @@ let analyze_script ?catalog input =
   | exception Lexer.Lex_error { msg; loc } ->
     [ Diagnostic.error ~code:"E000" loc ("syntax error: " ^ msg) ]
   | stmts ->
-    let sim =
-      match catalog with
-      | Some cat -> Sim_catalog.of_catalog cat
-      | None -> Sim_catalog.empty ()
-    in
-    let find name =
-      Option.map
-        (fun (e : Sim_catalog.entry) -> e.Sim_catalog.rel)
-        (Sim_catalog.find_relation sim name)
-    in
+    let cat = match catalog with Some c -> Catalog.fork c | None -> Catalog.create () in
+    let p = { stmt = 0; writes = Hashtbl.create 8; reads = Hashtbl.create 8 } in
     let stmts_fps, diags =
       List.fold_left
         (fun (fps, diags) lstmt ->
-          (* footprint first: the statement itself then advances the sim *)
+          (* footprint first: the statement itself then advances the fork *)
           let fp =
-            try Effect.footprint ~find lstmt.Hr_query.Ast.stmt
+            try Effect.footprint ~find:(Catalog.find_relation cat) lstmt.Ast.stmt
             with _ -> Footprint.Opaque "footprint analysis failed"
           in
-          let ds = analyze_statement sim lstmt in
+          let ds = check_statement p cat ~fp lstmt in
           (* a statement the analyzer already rejects never executes, so
              it neither joins a commuting run nor pairs for W110 — treat
              it as a barrier instead of reasoning about its footprint *)
           let fp =
-            if List.exists (fun d -> d.Diagnostic.severity = Diagnostic.Error) ds
-            then Footprint.Opaque "statement has error diagnostics"
+            if Diagnostic.has_errors ds then Footprint.Opaque "statement has error diagnostics"
             else fp
           in
           ((lstmt, fp) :: fps, ds :: diags))

@@ -1,10 +1,15 @@
 (** The HRQL static analyzer ("hrdb lint").
 
-    Checks a parsed script without executing it: DDL and DML are
-    abstractly interpreted against a {!Sim_catalog} (schemas and
-    hierarchy shapes plus script-asserted rows — no query is ever
-    evaluated), and every problem is reported as a {!Diagnostic} with a
-    stable code and a source span.
+    Checks a parsed script by a dry run: every mutating statement runs
+    through the engine ({!Hr_query.Eval.attempt}) on a private
+    {!Hierel.Catalog.fork}, so the engine alone decides whether it is
+    accepted, and a rejection is reported under a stable code
+    ({!Diagnostic.of_rejection}). Read-only statements are never run:
+    their expressions are typed against the fork ({!Expr_check}), for
+    the sub-expression spans of E006/E007/E008/W105/H202. A lint costs
+    at most the script's own mutations, and the catalog it starts from
+    is never touched. Every problem is reported as a {!Diagnostic} with
+    a stable code and a source span.
 
     Codes: E000 syntax error, E001 unknown relation, E002 arity
     mismatch, E003 domain mismatch, E004 ALL on an instance, E005 isa
@@ -16,32 +21,28 @@
     drops exceptions. [docs/LINT.md] documents each with a minimal
     trigger.
 
-    The {e dataflow} checks track asserted tuples, their signs and the
-    hierarchy edits across the whole script (provenance lives in the
-    {!Sim_catalog}): W106 dead write — a row the script asserts and then
-    unconditionally destroys (exact [DELETE] or [DROP RELATION]) before
-    any statement reads the relation; W107 no-op under flattening — an
-    insert whose every atom already receives the same sign from the
-    stored tuples (a patchwork of narrower rows or an exact duplicate;
-    W102's single-generalization case is reported as W102); W108
-    cross-statement contradiction — the same item asserted with opposite
-    signs by two statements, where the later one silently overwrites;
-    W109 exception erasing its generalization — a negation covering the
-    {e entire} extension of a stored positive class tuple; H203 replica
-    replay advisory — [CONSOLIDATE]/[EXPLICATE] are logged as source
-    text and re-derived on replicas (verify with [hrdb fsck --against]).
-    These checks only ever fire on rows the analyzed script itself
-    asserted, never on pre-existing catalog data. *)
+    The {e dataflow} checks follow the rows the script itself asserts,
+    their signs and the hierarchy edits across the whole script: W106
+    dead write — a row the script asserts and then unconditionally
+    destroys (exact [DELETE] or [DROP RELATION]) before any statement
+    reads the relation; W107 no-op under flattening — an insert whose
+    every atom already receives the same sign from the stored tuples (a
+    patchwork of narrower rows or an exact duplicate; W102's
+    single-generalization case is reported as W102); W108
+    cross-statement contradiction — a rejected row whose item an
+    earlier statement asserted with the opposite sign; W109 exception
+    erasing its generalization — a negation covering the {e entire}
+    extension of a stored positive class tuple; H203 replica replay
+    advisory — [CONSOLIDATE]/[EXPLICATE] are logged as source text and
+    re-derived on replicas (verify with [hrdb fsck --against]). W106
+    and W108 only ever fire on rows the analyzed script itself asserted,
+    never on pre-existing catalog data. *)
 
 val analyze_script : ?catalog:Hierel.Catalog.t -> string -> Diagnostic.t list
 (** Lex, parse and check a whole script. A lex/parse failure yields a
-    single E000 diagnostic. When [catalog] is given, the analysis starts
-    from a snapshot of it (copies — the live catalog is never touched);
-    otherwise from an empty world. Diagnostics are sorted by location,
+    single E000 diagnostic. When [catalog] is given, the script runs on
+    a {!Hierel.Catalog.fork} of it — the catalog itself, its relation
+    values, hierarchies and observed statistics are never changed;
+    otherwise on an empty catalog. Diagnostics are sorted by location,
     then severity, then code. The analyzer never raises: statements
     whose checking fails internally produce an E999 diagnostic. *)
-
-val analyze_statement :
-  Sim_catalog.t -> Hr_query.Ast.located_statement -> Diagnostic.t list
-(** Check one parsed statement against (and update) an existing
-    simulated catalog — the REPL pre-flight entry point. Never raises. *)

@@ -1,8 +1,8 @@
 (** Performance lints P300–P305.
 
     Each check prices the statement's (optimized) query plans with
-    {!Cost_model} over the simulated catalog and flags shapes the cost
-    model predicts to be needlessly expensive. Every diagnostic carries
+    {!Cost_model} over the lint's fork of the catalog and flags shapes
+    the cost model predicts to be needlessly expensive. Every diagnostic carries
     {!Diagnostic.Perf} severity — always advisory, never affecting exit
     codes — and quotes the estimate that triggered it, so the number a
     reader sees is the number the model computed. Thresholds live in
@@ -39,11 +39,11 @@ let reorder_min_rows = 4.0
    to every shard, which usually surprises: the user restricted the
    query, just not on the routable coordinate. Bare unselected scans
    are not flagged (nothing suggests a restriction was intended). *)
-let check_routing ~emit src expr =
+let check_routing ~emit cat expr =
   let first_attr name =
-    match src.Cost_model.find name with
+    match Hierel.Catalog.find_relation cat name with
     | None -> None
-    | Some { Cost_model.rel; _ } ->
+    | Some rel ->
       let schema = Hierel.Relation.schema rel in
       if Hierel.Schema.arity schema = 0 then None
       else
@@ -85,11 +85,11 @@ let check_routing ~emit src expr =
   in
   walk [] expr
 
-let check_expr ~emit src expr =
-  match Cost_model.plan src expr with
+let check_expr ~emit cat expr =
+  match Cost_model.plan cat expr with
   | Error _ -> () (* unknown relation: E001 already reported *)
   | Ok (opt, root) ->
-    check_routing ~emit src opt;
+    check_routing ~emit cat opt;
     let open Cost_model in
     let seen_rederive = Hashtbl.create 8 in
     let counts = Hashtbl.create 8 in
@@ -197,15 +197,14 @@ let exprs_of = function
   | Ast.Diff { prev; next } -> [ prev; next ]
   | _ -> []
 
-let check sim ~emit { Ast.stmt; sloc } =
-  let src = Cost_model.of_sim sim in
-  List.iter (check_expr ~emit src) (exprs_of stmt);
+let check cat ~emit { Ast.stmt; sloc } =
+  List.iter (check_expr ~emit cat) (exprs_of stmt);
   (* the statement form of EXPLICATE can carry no restricting predicate
      at all, so only the cone size matters *)
   match stmt with
   | Ast.Explicate { rel; over } -> (
-    match Sim_catalog.find_relation sim rel with
-    | Some { Sim_catalog.rel = r; _ } ->
+    match Hierel.Catalog.find_relation cat rel with
+    | Some r ->
       let rows = Cost_model.extension_rows ?over r in
       if float_of_int rows > Cost_model.explicate_cone_threshold then
         emit

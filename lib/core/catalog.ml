@@ -24,10 +24,14 @@ type observed = {
   obs_tbl : (string * string, int) Hashtbl.t;
 }
 
+(* [owned] says which hierarchies this value may edit in place while
+   they are unfrozen: all of them ([None]) for a catalog made by
+   {!create}, only those it defined or copied itself for a {!fork}. *)
 type t = {
   mutable hiers : Hierarchy.t Symbol.Map.t;
   mutable rels : Relation.t Symbol.Map.t;
   observed : observed;
+  mutable owned : Hierarchy.t list option;
 }
 
 let create () =
@@ -35,9 +39,28 @@ let create () =
     hiers = Symbol.Map.empty;
     rels = Symbol.Map.empty;
     observed = { obs_mu = Mutex.create (); obs_tbl = Hashtbl.create 16 };
+    owned = None;
   }
 
-let snapshot t = { hiers = t.hiers; rels = t.rels; observed = t.observed }
+let snapshot t = { hiers = t.hiers; rels = t.rels; observed = t.observed; owned = t.owned }
+
+(* Shares every binding, like [snapshot], but owns no hierarchy, so its
+   first edit of each one copies it ([update_hierarchy]), and keeps its
+   own copy of the observed statistics. *)
+let fork t =
+  let o = t.observed in
+  Mutex.lock o.obs_mu;
+  let tbl = Hashtbl.copy o.obs_tbl in
+  Mutex.unlock o.obs_mu;
+  {
+    hiers = t.hiers;
+    rels = t.rels;
+    observed = { obs_mu = Mutex.create (); obs_tbl = tbl };
+    owned = Some [];
+  }
+
+let owns t h = match t.owned with None -> true | Some l -> List.memq h l
+let take t h = match t.owned with None -> () | Some l -> t.owned <- Some (h :: l)
 
 let same_bindings a b = a.hiers == b.hiers && a.rels == b.rels
 
@@ -47,6 +70,7 @@ let define_hierarchy t h =
   let key = Hierarchy.domain h in
   if Symbol.Map.mem key t.hiers then
     Types.model_error "hierarchy %a already defined" Symbol.pp key;
+  take t h;
   t.hiers <- Symbol.Map.add key h t.hiers
 
 let find_hierarchy t name = Symbol.Map.find_opt (Symbol.intern name) t.hiers
@@ -58,17 +82,18 @@ let hierarchy t name =
 
 let hierarchies t = Symbol.Map.fold (fun _ h acc -> h :: acc) t.hiers []
 
-(* Copy-on-write mutation of a registered hierarchy. Unfrozen (REPL,
-   WAL replay, tests — no snapshot shares it), the mutation runs in
-   place, exactly the historical behavior and cost. Frozen (the server
-   has published a version pinning it), the mutation runs on a private
+(* Copy-on-write mutation of a registered hierarchy. Unfrozen and owned
+   (REPL, WAL replay, tests — no snapshot or fork shares it), the
+   mutation runs in place, exactly the historical behavior and cost.
+   Frozen (the server has published a version pinning it), or not owned
+   (a fork shares it with its parent), the mutation runs on a private
    {!Hierarchy.copy}; on success the copy replaces the original in the
    hierarchy map {e and} in the schema of every relation bound to the
    original (same node ids, so bodies carry over untouched). Published
-   snapshots keep the original — readers pinned to them are unaffected.
-   If [f] raises, nothing is swapped. *)
+   snapshots and the fork's parent keep the original. If [f] raises,
+   nothing is swapped. *)
 let update_hierarchy t h f =
-  if not (Hierarchy.frozen h) then f h
+  if (not (Hierarchy.frozen h)) && owns t h then f h
   else begin
     let h' = Hierarchy.copy h in
     let result = f h' in
@@ -84,6 +109,7 @@ let update_hierarchy t h f =
             Relation.with_schema rel (Schema.rebind s ~old_h:h ~new_h:h')
           else rel)
         t.rels;
+    take t h';
     result
   end
 

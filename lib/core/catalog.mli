@@ -26,6 +26,17 @@ val snapshot : t -> t
 (** An immutable capture of the current bindings (O(1), shares all
     structure). The live catalog continues to evolve independently. *)
 
+val fork : t -> t
+(** A private, writable copy of the current bindings, for running
+    statements that must not reach [t] (a lint's dry run). O(1) like
+    {!snapshot}: it shares every relation value and every hierarchy.
+    Its first edit of a hierarchy runs on a copy, even an unfrozen one
+    ({!update_hierarchy}); its relation and hierarchy bindings are its
+    own; and it keeps its own copy of the observed statistics, so
+    [drop_relation] or [EXPLAIN ANALYZE] on the fork never reaches
+    [t]'s. A fork never mutates a value it shares with [t], so forking
+    a frozen snapshot is safe on any domain. *)
+
 val same_bindings : t -> t -> bool
 (** Physical equality of both map roots — true iff no binding has been
     added, replaced or dropped between the two captures. O(1); used by
@@ -39,12 +50,14 @@ val freeze : t -> unit
 
 val update_hierarchy : t -> Hr_hierarchy.Hierarchy.t -> (Hr_hierarchy.Hierarchy.t -> 'a) -> 'a
 (** [update_hierarchy t h f] mutates registered hierarchy [h] through
-    [f]. Unfrozen, [f] runs on [h] in place (the historical path).
-    Frozen, [f] runs on a private copy which — on success — replaces
-    [h] in the catalog and in the schema of every relation bound to it
-    (node ids are preserved, so relation bodies carry over); snapshots
-    taken earlier keep the original. If [f] raises, the catalog is
-    unchanged. *)
+    [f]. Unfrozen, [f] runs on [h] in place (the historical path) —
+    unless [t] is a {!fork} that has not yet copied [h]. Frozen, or
+    shared with a fork's parent, [f] runs on a private copy which — on
+    success — replaces [h] in the catalog and in the schema of every
+    relation bound to it (node ids are preserved, so relation bodies
+    carry over); snapshots
+    taken earlier, and a fork's parent, keep the original. If [f]
+    raises, the catalog is unchanged. *)
 
 val define_hierarchy : t -> Hr_hierarchy.Hierarchy.t -> unit
 (** Registers a hierarchy under its domain name. Raises

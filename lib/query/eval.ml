@@ -5,7 +5,9 @@
     [Error _] rather than raised, so a REPL can keep going. Inserts and
     deletes run inside a transaction and are rejected wholesale if the
     resulting relation would violate the ambiguity constraint, exactly as
-    §3.1 of the paper requires. *)
+    §3.1 of the paper requires. This module is the one place that
+    decides whether a statement is accepted: [attempt] also says why it
+    refused one, which is what [hrdb lint] reports. *)
 
 module Hierarchy = Hr_hierarchy.Hierarchy
 open Hierel
@@ -17,31 +19,89 @@ let buf_fmt f =
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
-(* The hierarchy (registered in the catalog) that defines [name]. *)
-let hierarchy_containing cat name =
-  match List.filter (fun h -> Hierarchy.mem h name) (Catalog.hierarchies cat) with
-  | [ h ] -> h
-  | [] -> Types.model_error "no hierarchy defines %S" name
-  | _ :: _ :: _ -> Types.model_error "%S is ambiguous across hierarchies" name
+(* ---- rejections -------------------------------------------------------- *)
 
-let resolve_values schema values =
-  if List.length values <> Schema.arity schema then
-    Types.model_error "expected %d values, got %d" (Schema.arity schema)
-      (List.length values);
-  let coords =
-    List.mapi
-      (fun i v ->
-        let h = Schema.hierarchy schema i in
-        let node = Hierarchy.find_exn h (Ast.value_name v) in
-        (match v with
-        | Ast.All _ when Hierarchy.is_instance h node ->
-          Types.model_error "ALL %s: %s is an instance, not a class"
-            (Ast.value_name v) (Ast.value_name v)
-        | Ast.All _ | Ast.Atom _ -> ());
-        node)
-      values
-  in
-  Item.make schema (Array.of_list coords)
+(* Why the engine refused a statement. [exec] reports only the message;
+   the linter reports each reason under one stable code
+   ([Hr_analysis.Diagnostic.of_rejection], docs/LINT.md). *)
+type reason =
+  | Unknown_relation
+  | Arity
+  | Foreign_value  (* a name that belongs to another domain *)
+  | All_on_instance
+  | Cycle
+  | Unknown_name
+  | Duplicate
+  | Invalid  (* any other refusal: an invalid hierarchy edit, an ambiguous name *)
+  | Contradiction of { rel : Relation.t; row : int; item : Item.t; sign : Types.sign }
+      (* row [row] asserts the opposite sign of a tuple stored on [item] *)
+  | Ambiguity of { rel : Relation.t; conflict : Integrity.conflict }
+      (* the commit would leave the staged [rel] ambiguous (paper, §3.1) *)
+
+exception Rejected of (reason * string)
+
+let reject reason fmt = Format.kasprintf (fun msg -> raise (Rejected (reason, msg))) fmt
+
+let domain_name h = Hr_util.Symbol.name (Hierarchy.domain h)
+
+(* ---- names -------------------------------------------------------------- *)
+
+(* The one name lookup: the registered hierarchies that define the class
+   or instance [name] (a domain's root included). DDL keeps names unique
+   across the catalog, so this is at most one hierarchy. *)
+let defining cat name = List.filter (fun h -> Hierarchy.mem h name) (Catalog.hierarchies cat)
+
+(* The hierarchy that defines [name]. *)
+let hierarchy_containing cat name =
+  match defining cat name with
+  | [ h ] -> h
+  | [] -> reject Unknown_name "unknown class or instance %S" name
+  | _ :: _ :: _ -> reject Invalid "%S is ambiguous across hierarchies" name
+
+(* A new class or instance name must be defined nowhere yet, or
+   [hierarchy_containing] could no longer place it. *)
+let require_fresh cat name =
+  if defining cat name <> [] then
+    reject Duplicate "%S is already defined; class and instance names must be unique" name
+
+let relation cat name =
+  match Catalog.find_relation cat name with
+  | Some r -> r
+  | None -> reject Unknown_relation "unknown relation %S" name
+
+let domain cat name =
+  match Catalog.find_hierarchy cat name with
+  | Some h -> h
+  | None -> reject Unknown_name "unknown domain %S" name
+
+(* A value in the position of an attribute whose domain is [h]. [cat]
+   lets a name from another domain be reported as such. *)
+let resolve_value ?cat h v =
+  let name = Ast.value_name v in
+  match Hierarchy.find h name with
+  | Some node -> (
+    match v with
+    | Ast.All _ when Hierarchy.is_instance h node ->
+      reject All_on_instance "ALL %s: %s is an instance, not a class" name name
+    | Ast.All _ | Ast.Atom _ -> node)
+  | None -> (
+    match Option.map (fun cat -> defining cat name) cat with
+    | Some (other :: _) ->
+      reject Foreign_value "%S belongs to domain %s, not %s (the attribute's domain)" name
+        (domain_name other) (domain_name h)
+    | Some [] | None -> reject Unknown_name "unknown class or instance %S" name)
+
+(* Row [row] of a statement on relation [rel]: one node per attribute. *)
+let resolve_values ?cat ?rel ?(row = 1) schema values =
+  let arity = Schema.arity schema and n = List.length values in
+  if n <> arity then (
+    match rel with
+    | Some rel ->
+      reject Arity "relation %s has arity %d but row %d has %d value(s)" rel arity row n
+    | None -> reject Arity "expected %d values, got %d" arity n);
+  Item.make schema
+    (Array.of_list
+       (List.mapi (fun i v -> resolve_value ?cat (Schema.hierarchy schema i) v) values))
 
 (* Static span names: picking the label by pattern match keeps a
    disabled [with_span] allocation-free. *)
@@ -62,7 +122,7 @@ let rec eval_raw cat e =
   Hr_obs.Trace.with_span (span_name e) (fun () ->
       let result =
         match e.Ast.expr with
-        | Ast.Rel name -> Catalog.relation cat name
+        | Ast.Rel name -> relation cat name
         | Ast.Select (e, attr, v) ->
           Ops.select (eval_raw cat e) ~attr ~value:(Ast.value_name v)
         | Ast.Project (e, attrs) -> Ops.project (eval_raw cat e) attrs
@@ -127,7 +187,7 @@ let rec analyze_raw cat e =
       (op ra rb, [ aa; ab ])
     in
     match e.Ast.expr with
-    | Ast.Rel name -> (Catalog.relation cat name, [])
+    | Ast.Rel name -> (relation cat name, [])
     | Ast.Select (sub, attr, v) ->
       let r, kids = one sub in
       (Ops.select r ~attr ~value:(Ast.value_name v), kids)
@@ -263,181 +323,245 @@ let render_conflicts schema = function
           (fun c -> Format.fprintf ppf "%a@." (Integrity.pp_conflict schema) c)
           conflicts)
 
-let violation_report (violations : Txn.violation list) =
-  buf_fmt (fun ppf ->
-      Format.fprintf ppf "rejected: update would violate the ambiguity constraint@.";
-      List.iter
-        (fun (v : Txn.violation) ->
-          Format.fprintf ppf "relation %s: %d conflict(s)@." v.Txn.relation_name
-            (List.length v.Txn.conflicts))
-        violations)
+(* A commit the ambiguity constraint refuses: the report [exec] has
+   always printed, and the first conflict for the linter. *)
+let commit txn =
+  match Txn.commit txn with
+  | Ok () -> ()
+  | Error violations -> (
+    let msg =
+      buf_fmt (fun ppf ->
+          Format.fprintf ppf "rejected: update would violate the ambiguity constraint@.";
+          List.iter
+            (fun (v : Txn.violation) ->
+              Format.fprintf ppf "relation %s: %d conflict(s)@." v.relation_name
+                (List.length v.conflicts))
+            violations)
+    in
+    match violations with
+    | { Txn.relation_name; conflicts = conflict :: _ } :: _ ->
+      reject (Ambiguity { rel = Txn.current txn relation_name; conflict }) "%s" msg
+    | _ -> reject Invalid "%s" msg)
 
-let exec cat stmt =
-  try
-    Ok
-      (match stmt with
-      | Ast.Create_domain name ->
-        Catalog.define_hierarchy cat (Hierarchy.create name);
-        Printf.sprintf "domain %s created" name
-      (* Hierarchy DDL goes through the catalog's copy-on-write path:
-         in-place when the hierarchy is unfrozen (REPL, replay, tests),
-         copy-swap-rebind when a published snapshot shares it. *)
-      | Ast.Create_class { name; parents } ->
-        let h = hierarchy_containing cat (List.hd parents) in
-        Catalog.update_hierarchy cat h (fun h ->
-            ignore (Hierarchy.add_class h ~parents name));
-        Printf.sprintf "class %s created" name
-      | Ast.Create_instance { name; parents } ->
-        let h = hierarchy_containing cat (List.hd parents) in
-        Catalog.update_hierarchy cat h (fun h ->
-            ignore (Hierarchy.add_instance h ~parents name));
-        Printf.sprintf "instance %s created" name
-      | Ast.Create_isa { sub; super } ->
-        let h = hierarchy_containing cat super in
-        Catalog.update_hierarchy cat h (fun h -> Hierarchy.add_isa h ~sub ~super);
-        Printf.sprintf "isa edge %s -> %s created" super sub
-      | Ast.Create_preference { weaker; stronger } ->
-        let h = hierarchy_containing cat weaker in
-        Catalog.update_hierarchy cat h (fun h ->
-            Hierarchy.add_preference h ~weaker ~stronger);
-        Printf.sprintf "preference %s over %s created" stronger weaker
-      | Ast.Create_relation { name; attrs } ->
-        let schema =
-          Schema.make (List.map (fun (a, d) -> (a, Catalog.hierarchy cat d)) attrs)
-        in
-        Catalog.define_relation cat (Relation.empty ~name schema);
-        Printf.sprintf "relation %s created" name
-      | Ast.Drop_relation name ->
-        ignore (Catalog.relation cat name);
-        Catalog.drop_relation cat name;
-        Printf.sprintf "relation %s dropped" name
-      | Ast.Insert { rel; rows } -> (
-        let txn = Txn.begin_ cat in
-        let schema = Relation.schema (Catalog.relation cat rel) in
+(* CREATE CLASS / CREATE INSTANCE: a fresh name under parents that all
+   live in one hierarchy and are classes. *)
+let create_node cat ~kind ~add name parents =
+  require_fresh cat name;
+  let h = hierarchy_containing cat (List.hd parents) in
+  List.iter
+    (fun p ->
+      match Hierarchy.find h p with
+      | None when defining cat p = [] ->
+        reject Unknown_name "unknown parent %S for %s %s" p kind name
+      | None ->
+        reject Foreign_value "parent %S of %s %s is not in domain %s" p kind name
+          (domain_name h)
+      | Some node when Hierarchy.is_instance h node ->
+        reject Invalid "%S is an instance and cannot have children" p
+      | Some _ -> ())
+    parents;
+  (* Hierarchy DDL goes through the catalog's copy-on-write path:
+     in-place when the hierarchy is unfrozen (REPL, replay, tests),
+     copy-swap-rebind when a published snapshot or a fork's parent
+     shares it. *)
+  Catalog.update_hierarchy cat h (fun h -> ignore (add h ?parents:(Some parents) name));
+  Printf.sprintf "%s %s created" kind name
+
+(* The second name of an ISA or PREFERENCE edge, in [h]. *)
+let edge_end cat h ~edge name =
+  match Hierarchy.find h name with
+  | Some node -> node
+  | None when defining cat name = [] -> reject Unknown_name "unknown class or instance %S" name
+  | None ->
+    reject Foreign_value "%S is not in domain %s; %s edges cannot cross domains" name
+      (domain_name h) edge
+
+let exec_statement cat stmt =
+  match stmt with
+  | Ast.Create_domain name ->
+    if Option.is_some (Catalog.find_hierarchy cat name) then
+      reject Duplicate "domain %S already exists" name;
+    if defining cat name <> [] then
+      reject Duplicate "%S is already defined as a class or instance" name;
+    Catalog.define_hierarchy cat (Hierarchy.create name);
+    Printf.sprintf "domain %s created" name
+  | Ast.Create_class { name; parents } ->
+    create_node cat ~kind:"class" ~add:Hierarchy.add_class name parents
+  | Ast.Create_instance { name; parents } ->
+    create_node cat ~kind:"instance" ~add:Hierarchy.add_instance name parents
+  | Ast.Create_isa { sub; super } ->
+    let h = hierarchy_containing cat super in
+    let sub_node = edge_end cat h ~edge:"isa" sub in
+    if Hierarchy.subsumes h sub_node (Hierarchy.find_exn h super) then
+      reject Cycle "isa edge %s -> %s would create a cycle: %s already subsumes %s"
+        super sub sub super;
+    Catalog.update_hierarchy cat h (fun h -> Hierarchy.add_isa h ~sub ~super);
+    Printf.sprintf "isa edge %s -> %s created" super sub
+  | Ast.Create_preference { weaker; stronger } ->
+    let h = hierarchy_containing cat weaker in
+    ignore (edge_end cat h ~edge:"preference" stronger);
+    Catalog.update_hierarchy cat h (fun h -> Hierarchy.add_preference h ~weaker ~stronger);
+    Printf.sprintf "preference %s over %s created" stronger weaker
+  | Ast.Create_relation { name; attrs } ->
+    if Option.is_some (Catalog.find_relation cat name) then
+      reject Duplicate "relation %S already exists" name;
+    let names = List.map fst attrs in
+    if List.length (List.sort_uniq String.compare names) <> List.length names then
+      reject Duplicate "relation %S declares a duplicate attribute name" name;
+    let domain_of (a, d) =
+      match Catalog.find_hierarchy cat d with
+      | Some h -> (a, h)
+      | None -> reject Unknown_name "unknown domain %S for attribute %S" d a
+    in
+    let schema = Schema.make (List.map domain_of attrs) in
+    Catalog.define_relation cat (Relation.empty ~name schema);
+    Printf.sprintf "relation %s created" name
+  | Ast.Drop_relation name ->
+    ignore (relation cat name);
+    Catalog.drop_relation cat name;
+    Printf.sprintf "relation %s dropped" name
+  | Ast.Insert { rel; rows } ->
+    let schema = Relation.schema (relation cat rel) in
+    let txn = Txn.begin_ cat in
+    List.iteri
+      (fun i { Ast.sign; values } ->
+        let row = i + 1 in
+        let item = resolve_values ~cat ~rel ~row schema values in
+        (* the item has the relation's schema, so [Relation.add] can only
+           refuse it as a direct contradiction *)
+        try Txn.insert_item txn ~rel sign item
+        with Types.Model_error msg ->
+          reject (Contradiction { rel = Txn.current txn rel; row; item; sign }) "%s" msg)
+      rows;
+    commit txn;
+    Printf.sprintf "%d tuple(s) inserted into %s" (List.length rows) rel
+  | Ast.Delete { rel; rows } ->
+    let schema = Relation.schema (relation cat rel) in
+    let txn = Txn.begin_ cat in
+    List.iteri
+      (fun i values ->
+        Txn.delete_item txn ~rel (resolve_values ~cat ~rel ~row:(i + 1) schema values))
+      rows;
+    commit txn;
+    Printf.sprintf "%d tuple(s) deleted from %s" (List.length rows) rel
+  | Ast.Select_query { expr; justified } -> (
+    match expr.Ast.expr, justified with
+    | Ast.Select ({ Ast.expr = Ast.Rel name; _ }, attr, v), true ->
+      let rel = relation cat name in
+      let result, applicable =
+        Ops.select_justified rel ~attr ~value:(Ast.value_name v)
+      in
+      render_relation result ^ "justification (applicable tuples):\n"
+      ^ render_tuples (Relation.schema rel) applicable
+    | _, true ->
+      render_relation (eval_expr cat expr)
+      ^ "note: WITH JUSTIFICATION applies to a simple SELECT on a stored relation\n"
+    | _, false -> render_relation (eval_expr cat expr))
+  | Ast.Let_binding { name; expr } ->
+    let rel = Relation.with_name (eval_expr cat expr) name in
+    (match Catalog.find_relation cat name with
+    | Some _ -> Catalog.replace_relation cat rel
+    | None -> Catalog.define_relation cat rel);
+    Printf.sprintf "%s defined (%d tuples)" name (Relation.cardinality rel)
+  | Ast.Ask { rel = name; values; semantics } ->
+    let r = relation cat name in
+    let schema = Relation.schema r in
+    let item = resolve_values ~cat ~rel:name schema values in
+    buf_fmt (fun ppf ->
+        Binding.pp_verdict schema ppf (Binding.verdict ?semantics r item))
+  | Ast.Consolidate name ->
+    let rel = relation cat name in
+    let consolidated, removed = Consolidate.consolidate_verbose rel in
+    Catalog.replace_relation cat consolidated;
+    Printf.sprintf "%s consolidated: %d redundant tuple(s) removed, %d remain" name
+      (List.length removed)
+      (Relation.cardinality consolidated)
+  | Ast.Explicate { rel; over } ->
+    let r = relation cat rel in
+    List.iter
+      (fun n ->
+        if Option.is_none (Schema.find_index (Relation.schema r) n) then
+          reject Unknown_name "explication over unknown attribute %S of %s" n rel)
+      (Option.value ~default:[] over);
+    let explicated = Explicate.explicate ?over r in
+    Catalog.replace_relation cat explicated;
+    Printf.sprintf "%s explicated: %d tuple(s)" rel (Relation.cardinality explicated)
+  | Ast.Check name ->
+    let rel = relation cat name in
+    render_conflicts (Relation.schema rel) (Integrity.check rel)
+  | Ast.Show_hierarchy name ->
+    let h = domain cat name in
+    buf_fmt (fun ppf -> Hierarchy.pp ppf h)
+  | Ast.Show_relations ->
+    buf_fmt (fun ppf ->
         List.iter
-          (fun { Ast.sign; values } ->
-            Txn.insert_item txn ~rel sign (resolve_values schema values))
-          rows;
-        match Txn.commit txn with
-        | Ok () -> Printf.sprintf "%d tuple(s) inserted into %s" (List.length rows) rel
-        | Error violations -> failwith (violation_report violations))
-      | Ast.Delete { rel; rows } -> (
-        let txn = Txn.begin_ cat in
-        let schema = Relation.schema (Catalog.relation cat rel) in
+          (fun r ->
+            Format.fprintf ppf "%s %a (%d tuples)@." (Relation.name r) Schema.pp
+              (Relation.schema r) (Relation.cardinality r))
+          (List.sort
+             (fun a b -> String.compare (Relation.name a) (Relation.name b))
+             (Catalog.relations cat)))
+  | Ast.Show_hierarchies ->
+    buf_fmt (fun ppf ->
         List.iter
-          (fun values -> Txn.delete_item txn ~rel (resolve_values schema values))
-          rows;
-        match Txn.commit txn with
-        | Ok () -> Printf.sprintf "%d tuple(s) deleted from %s" (List.length rows) rel
-        | Error violations -> failwith (violation_report violations))
-      | Ast.Select_query { expr; justified } -> (
-        match expr.Ast.expr, justified with
-        | Ast.Select ({ Ast.expr = Ast.Rel name; _ }, attr, v), true ->
-          let rel = Catalog.relation cat name in
-          let result, applicable =
-            Ops.select_justified rel ~attr ~value:(Ast.value_name v)
-          in
-          render_relation result ^ "justification (applicable tuples):\n"
-          ^ render_tuples (Relation.schema rel) applicable
-        | _, true ->
-          render_relation (eval_expr cat expr)
-          ^ "note: WITH JUSTIFICATION applies to a simple SELECT on a stored relation\n"
-        | _, false -> render_relation (eval_expr cat expr))
-      | Ast.Let_binding { name; expr } ->
-        let rel = Relation.with_name (eval_expr cat expr) name in
-        (match Catalog.find_relation cat name with
-        | Some _ -> Catalog.replace_relation cat rel
-        | None -> Catalog.define_relation cat rel);
-        Printf.sprintf "%s defined (%d tuples)" name (Relation.cardinality rel)
-      | Ast.Ask { rel; values; semantics } ->
-        let r = Catalog.relation cat rel in
-        let schema = Relation.schema r in
-        let item = resolve_values schema values in
-        buf_fmt (fun ppf ->
-            Binding.pp_verdict schema ppf (Binding.verdict ?semantics r item))
-      | Ast.Consolidate name ->
-        let rel = Catalog.relation cat name in
-        let consolidated, removed = Consolidate.consolidate_verbose rel in
-        Catalog.replace_relation cat consolidated;
-        Printf.sprintf "%s consolidated: %d redundant tuple(s) removed, %d remain" name
-          (List.length removed)
-          (Relation.cardinality consolidated)
-      | Ast.Explicate { rel; over } ->
-        let r = Catalog.relation cat rel in
-        let explicated = Explicate.explicate ?over r in
-        Catalog.replace_relation cat explicated;
-        Printf.sprintf "%s explicated: %d tuple(s)" rel (Relation.cardinality explicated)
-      | Ast.Check name ->
-        let rel = Catalog.relation cat name in
-        render_conflicts (Relation.schema rel) (Integrity.check rel)
-      | Ast.Show_hierarchy name ->
-        let h = Catalog.hierarchy cat name in
-        buf_fmt (fun ppf -> Hierarchy.pp ppf h)
-      | Ast.Show_relations ->
-        buf_fmt (fun ppf ->
-            List.iter
-              (fun r ->
-                Format.fprintf ppf "%s %a (%d tuples)@." (Relation.name r) Schema.pp
-                  (Relation.schema r) (Relation.cardinality r))
-              (List.sort
-                 (fun a b -> String.compare (Relation.name a) (Relation.name b))
-                 (Catalog.relations cat)))
-      | Ast.Show_hierarchies ->
-        buf_fmt (fun ppf ->
-            List.iter
-              (fun h ->
-                Format.fprintf ppf "%a (%d nodes)@." Hr_util.Symbol.pp
-                  (Hierarchy.domain h) (Hierarchy.node_count h))
-              (List.sort
-                 (fun a b ->
-                   Hr_util.Symbol.compare (Hierarchy.domain a) (Hierarchy.domain b))
-                 (Catalog.hierarchies cat)))
-      | Ast.Explain_plan expr ->
-        Printf.sprintf "naive:     %s\noptimized: %s"
-          (Optimizer.describe expr)
-          (Optimizer.describe (Optimizer.optimize expr))
-      | Ast.Explain_analyze expr -> explain_analyze cat expr
-      | Ast.Explain_estimate expr -> (
-        match !estimator cat expr with Ok out -> out | Error msg -> failwith msg)
-      | Ast.Explain_effects stmt -> (
-        match !effects_renderer cat stmt with
-        | Ok out -> out
-        | Error msg -> failwith msg)
-      | Ast.Stats { json } ->
-        let snap = Hr_obs.Metrics.snapshot () in
-        if json then Hr_obs.Metrics.render_json snap
-        else Hr_obs.Metrics.render_text snap
-      | Ast.Stats_reset ->
-        Hr_obs.Metrics.reset ();
-        "metrics registry reset"
-      | Ast.Count { expr; by } -> (
-        let rel = eval_expr cat expr in
-        match by with
-        | None -> Printf.sprintf "count: %d" (Aggregate.count rel)
-        | Some attr ->
-          let rows =
-            List.map (fun (label, n) -> [ label; string_of_int n ])
-              (Aggregate.histogram rel ~attr)
-          in
-          Hr_util.Texttable.render_rows ~headers:[ attr; "count" ] rows)
-      | Ast.Diff { prev; next } ->
-        let prev = eval_expr cat prev and next = eval_expr cat next in
-        let d = Rel_diff.diff ~prev ~next in
-        buf_fmt (fun ppf -> Rel_diff.pp (Relation.schema prev) ppf d)
-      | Ast.Explain { rel; values } ->
-        let r = Catalog.relation cat rel in
-        let schema = Relation.schema r in
-        let item = resolve_values schema values in
-        let verdict = Binding.verdict r item in
-        let applicable = Binding.justification r item in
-        buf_fmt (fun ppf ->
-            Format.fprintf ppf "verdict: %a@.applicable tuples:@.%s"
-              (Binding.pp_verdict schema) verdict
-              (render_tuples schema applicable)))
-  with
-  | Types.Model_error msg -> Error msg
-  | Hierarchy.Error msg -> Error msg
-  | Failure msg -> Error msg
+          (fun h ->
+            Format.fprintf ppf "%a (%d nodes)@." Hr_util.Symbol.pp
+              (Hierarchy.domain h) (Hierarchy.node_count h))
+          (List.sort
+             (fun a b ->
+               Hr_util.Symbol.compare (Hierarchy.domain a) (Hierarchy.domain b))
+             (Catalog.hierarchies cat)))
+  | Ast.Explain_plan expr ->
+    Printf.sprintf "naive:     %s\noptimized: %s"
+      (Optimizer.describe expr)
+      (Optimizer.describe (Optimizer.optimize expr))
+  | Ast.Explain_analyze expr -> explain_analyze cat expr
+  | Ast.Explain_estimate expr -> (
+    match !estimator cat expr with Ok out -> out | Error msg -> failwith msg)
+  | Ast.Explain_effects stmt -> (
+    match !effects_renderer cat stmt with
+    | Ok out -> out
+    | Error msg -> failwith msg)
+  | Ast.Stats { json } ->
+    let snap = Hr_obs.Metrics.snapshot () in
+    if json then Hr_obs.Metrics.render_json snap
+    else Hr_obs.Metrics.render_text snap
+  | Ast.Stats_reset ->
+    Hr_obs.Metrics.reset ();
+    "metrics registry reset"
+  | Ast.Count { expr; by } -> (
+    let rel = eval_expr cat expr in
+    match by with
+    | None -> Printf.sprintf "count: %d" (Aggregate.count rel)
+    | Some attr ->
+      let rows =
+        List.map (fun (label, n) -> [ label; string_of_int n ])
+          (Aggregate.histogram rel ~attr)
+      in
+      Hr_util.Texttable.render_rows ~headers:[ attr; "count" ] rows)
+  | Ast.Diff { prev; next } ->
+    let prev = eval_expr cat prev and next = eval_expr cat next in
+    let d = Rel_diff.diff ~prev ~next in
+    buf_fmt (fun ppf -> Rel_diff.pp (Relation.schema prev) ppf d)
+  | Ast.Explain { rel = name; values } ->
+    let r = relation cat name in
+    let schema = Relation.schema r in
+    let item = resolve_values ~cat ~rel:name schema values in
+    let verdict = Binding.verdict r item in
+    let applicable = Binding.justification r item in
+    buf_fmt (fun ppf ->
+        Format.fprintf ppf "verdict: %a@.applicable tuples:@.%s"
+          (Binding.pp_verdict schema) verdict
+          (render_tuples schema applicable))
+
+(* Run one statement, or say why the engine refuses it. A refused
+   statement leaves the catalog as it was. *)
+let attempt cat stmt =
+  try Ok (exec_statement cat stmt) with
+  | Rejected rejection -> Error rejection
+  | Types.Model_error msg | Hierarchy.Error msg | Failure msg -> Error (Invalid, msg)
+
+let exec cat stmt = Result.map_error snd (attempt cat stmt)
 
 let run_script cat input =
   match Parser.parse input with

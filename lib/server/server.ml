@@ -172,7 +172,7 @@ let explain_estimate_catalog cat payload =
   | exception Hr_query.Parser.Parse_error { msg; _ } -> Error ("parse error: " ^ msg)
   | exception Hr_query.Lexer.Lex_error { msg; _ } -> Error ("lex error: " ^ msg)
   | { Hr_query.Ast.stmt = Hr_query.Ast.Explain_estimate expr; _ } ->
-    Hr_analysis.Estimate.explain_live cat expr
+    Hr_analysis.Estimate.explain cat expr
   | _ -> Error "ESTIMATE expects a single query expression"
 
 let explain_estimate t payload = explain_estimate_catalog (catalog t) payload

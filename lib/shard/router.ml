@@ -154,9 +154,12 @@ let strip_located msg =
 
 let first_coord item = Item.coord item 0
 
-let cover_of_row t schema values =
+(* Row [i] (from 0) of a statement on [rel], resolved as the engine
+   resolves it, so a bad row is refused with a single node's error text. *)
+let cover_of_row t ~rel schema i values =
   let h = Schema.hierarchy schema 0 in
-  Shard_map.cover t.map h (first_coord (Eval.resolve_values schema values))
+  Shard_map.cover t.map h
+    (first_coord (Eval.resolve_values ~cat:t.cat ~rel ~row:(i + 1) schema values))
 
 (* Relation names a statement's evaluation can touch, filtered to names
    the catalog knows — unknown names are left for the local evaluator,
@@ -482,9 +485,11 @@ let exec_stmt t stmt =
     require_up t (Shard_map.ids t.map);
     Eval.exec t.cat stmt
   | Ast.Insert { rel; rows } ->
-    let schema = Relation.schema (Catalog.relation t.cat rel) in
+    let schema = Relation.schema (Eval.relation t.cat rel) in
     let covers =
-      List.map (fun (r : Ast.signed_row) -> (r, cover_of_row t schema r.Ast.values)) rows
+      List.mapi
+        (fun i (r : Ast.signed_row) -> (r, cover_of_row t ~rel schema i r.Ast.values))
+        rows
     in
     scatter_mutation t ~rel ~covers
       ~render:(fun rows ->
@@ -494,8 +499,10 @@ let exec_stmt t stmt =
       ~compensate:
         (Some (fun rows -> Render.delete rel (List.map (fun (r : Ast.signed_row) -> r.Ast.values) rows)))
   | Ast.Delete { rel; rows } ->
-    let schema = Relation.schema (Catalog.relation t.cat rel) in
-    let covers = List.map (fun values -> (values, cover_of_row t schema values)) rows in
+    let schema = Relation.schema (Eval.relation t.cat rel) in
+    let covers =
+      List.mapi (fun i values -> (values, cover_of_row t ~rel schema i values)) rows
+    in
     scatter_mutation t ~rel ~covers
       ~render:(fun rows -> Render.delete rel rows)
       ~reply_fmt:(format_of_string "%d tuple(s) deleted from %s")
@@ -549,7 +556,11 @@ let exec_stmt t stmt =
 let located sloc f =
   let r =
     try f () with
-    | Types.Model_error msg | Hierarchy.Error msg | Failure msg -> Error msg
+    | Eval.Rejected (_, msg)
+    | Types.Model_error msg
+    | Hierarchy.Error msg
+    | Failure msg ->
+      Error msg
     | Shard_down (sc, msg) -> Error (down_msg sc msg)
     | Reply_err msg -> Error (strip_located msg)
   in
@@ -649,8 +660,8 @@ let classify_pipelined t payload =
     match
       let schema = Relation.schema (Catalog.relation t.cat rel) in
       plan rel
-        (List.map
-           (fun (r : Ast.signed_row) -> (r, cover_of_row t schema r.Ast.values))
+        (List.mapi
+           (fun i (r : Ast.signed_row) -> (r, cover_of_row t ~rel schema i r.Ast.values))
            rows)
         ~render:(fun rows ->
           Render.insert rel
@@ -667,7 +678,7 @@ let classify_pipelined t payload =
     match
       let schema = Relation.schema (Catalog.relation t.cat rel) in
       plan rel
-        (List.map (fun values -> (values, cover_of_row t schema values)) rows)
+        (List.mapi (fun i values -> (values, cover_of_row t ~rel schema i values)) rows)
         ~render:(fun rows -> Render.delete rel rows)
         ~compensate:(fun _ -> None)
         ~reply_fmt:(format_of_string "%d tuple(s) deleted from %s")

@@ -35,6 +35,7 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("obs", Test_obs.suite);
       ("analysis", Test_analysis.suite);
+      ("lint_engine", Test_analysis.engine_suite);
       ("estimate", Test_estimate.suite);
       ("render", Test_render.suite);
       ("soak", Test_soak.suite);

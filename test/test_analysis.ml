@@ -4,7 +4,6 @@
 
 module Lint = Hr_analysis.Lint
 module Diagnostic = Hr_analysis.Diagnostic
-module Sim_catalog = Hr_analysis.Sim_catalog
 module Lexer = Hr_query.Lexer
 module Parser = Hr_query.Parser
 module Loc = Hr_query.Loc
@@ -92,6 +91,21 @@ let test_e009 () =
   check_codes "fresh names are clean" []
     (world ^ "CREATE RELATION flew (who: animal); CREATE CLASS fish UNDER animal;")
 
+(* A class, instance or domain name is unique across the catalog: the
+   engine rejects a second definition in another hierarchy, as lint
+   says it does. *)
+let test_global_names () =
+  List.iter
+    (fun script ->
+      (match Eval.run_script (Catalog.create ()) script with
+      | Ok _ -> Alcotest.failf "the engine accepted %S" script
+      | Error _ -> ());
+      Alcotest.(check bool) ("E009 on " ^ script) true (List.mem "E009" (codes script)))
+    [
+      "CREATE DOMAIN a; CREATE CLASS bird UNDER a; CREATE DOMAIN bird;";
+      "CREATE DOMAIN d; CREATE DOMAIN e; CREATE CLASS a UNDER d; CREATE CLASS a UNDER e;";
+    ]
+
 let test_e010 () =
   check_codes "children under an instance" [ "E010" ]
     (world ^ "CREATE CLASS chick UNDER tweety;");
@@ -108,17 +122,13 @@ let test_w102 () =
     (world
    ^ "INSERT INTO flies VALUES (+ ALL bird);\nINSERT INTO flies VALUES (+ opus);");
   (* an intersecting negation makes the subsumed row load-bearing: it is
-     the disambiguating assertion, exactly the paper's Respects example —
-     the W104 on the negation is expected (plus W110: the incomparable
-     opposite writes are also order-sensitive), the resolving row is
-     NOT dead *)
-  check_codes "subsumed row that resolves a conflict is not dead"
-    [ "W104"; "W110" ]
+     the disambiguating assertion, exactly the paper's Respects example.
+     The engine accepts the three rows only together — the negation
+     alone would be ambiguous — and the resolving row is NOT dead *)
+  check_codes "subsumed row that resolves a conflict is not dead" []
     (world
    ^ "CREATE CLASS swimmer UNDER animal; CREATE ISA penguin UNDER swimmer;\n\
-      INSERT INTO flies VALUES (+ ALL bird);\n\
-      INSERT INTO flies VALUES (- ALL swimmer);\n\
-      INSERT INTO flies VALUES (+ ALL penguin);")
+      INSERT INTO flies VALUES (+ ALL bird), (- ALL swimmer), (+ ALL penguin);")
 
 let test_w103 () =
   check_codes "negation fully re-covered by closer positives" [ "W103" ]
@@ -197,7 +207,9 @@ let test_w107 () =
       INSERT INTO flies VALUES (+ ALL bird);")
 
 let test_w108 () =
-  check_codes "cross-statement contradiction" [ "W108" ]
+  (* the engine rejects the later row (W104); W108 points at the
+     assertion it contradicts *)
+  check_codes "cross-statement contradiction" [ "W104"; "W108" ]
     (world
    ^ "INSERT INTO flies VALUES (+ rex);\nINSERT INTO flies VALUES (- rex);");
   (* within one statement the overwrite is a plain direct contradiction *)
@@ -250,12 +262,15 @@ let test_h202 () =
       INSERT INTO lives VALUES (- ALL penguin, antarctica);\n\
       SELECT * FROM PROJECT lives ON (who);")
 
-(* -- cascading-error suppression --------------------------------------- *)
+(* -- a failed definition ------------------------------------------------ *)
 
-let test_poisoning () =
-  check_codes "a bad LET poisons its name" [ "E001" ]
+(* A definition the engine rejects defines nothing: every later
+   statement that names it is rejected too, and each is an error. *)
+let test_failed_definitions () =
+  check_codes "a bad LET leaves its name unknown" [ "E001"; "E001"; "E001"; "E001" ]
     "LET x = nosuch;\nSELECT * FROM x;\nSELECT * FROM x JOIN x;";
-  check_codes "a failed CREATE RELATION poisons its name" [ "E008" ]
+  check_codes "a failed CREATE RELATION leaves its name unknown"
+    [ "E008"; "E001"; "E001" ]
     "CREATE RELATION r (v: nodomain);\nINSERT INTO r VALUES (+ x);\nSELECT * FROM r;"
 
 (* -- spans -------------------------------------------------------------- *)
@@ -313,7 +328,7 @@ let test_golden () =
     [
       "P306"; "E001"; "E002"; "E003"; "E004"; "E005"; "E006"; "E007"; "E008";
       "E009"; "E010"; "W101"; "W102"; "W103"; "W104"; "W110"; "W105"; "W106";
-      "W107"; "P306"; "W108"; "W109"; "P306"; "H201"; "H202"; "H203"; "P306";
+      "W107"; "P306"; "W104"; "W108"; "W109"; "P306"; "H201"; "H202"; "H203"; "P306";
       "P300"; "P301"; "P302"; "P303"; "P304"; "P305"; "P306";
     ]
     all_codes
@@ -330,36 +345,97 @@ let test_catalog_seeding () =
     (codes ~catalog:cat
        "INSERT INTO flies VALUES (+ ALL bird);\nINSERT INTO flies VALUES (+ opus);")
 
+(* Lint [script] against [cat] and check that nothing of [cat] changed:
+   the same relation values (physically), the same hierarchy objects in
+   the same state, the same observed statistics. *)
+let check_pure what cat script =
+  let rels = Catalog.relations cat in
+  let hiers = List.map (fun h -> (h, Hierarchy.generation h)) (Catalog.hierarchies cat) in
+  let stats = Catalog.observed_stats cat in
+  let diags = Lint.analyze_script ~catalog:cat script in
+  Alcotest.(check bool) (what ^ ": the script was accepted") false
+    (Diagnostic.has_errors diags);
+  Alcotest.(check int) (what ^ ": relation count") (List.length rels)
+    (List.length (Catalog.relations cat));
+  List.iter
+    (fun r ->
+      match Catalog.find_relation cat (Relation.name r) with
+      | Some r' when r' == r -> ()
+      | _ -> Alcotest.failf "%s: relation %s was replaced" what (Relation.name r))
+    rels;
+  Alcotest.(check int) (what ^ ": hierarchy count") (List.length hiers)
+    (List.length (Catalog.hierarchies cat));
+  List.iter
+    (fun (h, generation) ->
+      let name = Hr_util.Symbol.name (Hierarchy.domain h) in
+      Alcotest.(check bool) (what ^ ": hierarchy " ^ name ^ " kept") true
+        (Catalog.hierarchy cat name == h);
+      Alcotest.(check int) (what ^ ": hierarchy " ^ name ^ " unchanged") generation
+        (Hierarchy.generation h))
+    hiers;
+  Alcotest.(check (list (pair (pair string string) int)))
+    (what ^ ": observed statistics") stats (Catalog.observed_stats cat)
+
 let test_purity () =
   let cat = seeded_catalog () in
-  (match Eval.run_script cat "INSERT INTO flies VALUES (+ ALL bird);" with
+  (* a stat for the DROP RELATION below to find *)
+  (match
+     Eval.run_script cat
+       "INSERT INTO flies VALUES (+ ALL bird);\n\
+        EXPLAIN ANALYZE SELECT flies WHERE who = bird;"
+   with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "seed insert failed: %s" e);
-  let before_card = Relation.cardinality (Catalog.relation cat "flies") in
-  let before_nodes = Hierarchy.node_count (Catalog.hierarchy cat "animal") in
-  (* a script full of DDL and DML: none of it may leak into the catalog *)
+  | Error e -> Alcotest.failf "seed failed: %s" e);
+  Alcotest.(check bool) "a statistic to keep" true (Catalog.observed_stats cat <> []);
+  (* a script full of accepted DDL and DML: none of it may leak *)
   let script =
     "CREATE DOMAIN fish;\n\
      CREATE CLASS seabird UNDER animal;\n\
      CREATE ISA penguin UNDER seabird;\n\
      CREATE RELATION eats (who: animal);\n\
      INSERT INTO flies VALUES (+ rex), (- ALL penguin);\n\
+     LET birds = SELECT flies WHERE who = bird;\n\
      DROP RELATION flies;\n\
-     SELECT * FROM nosuch;"
+     INSERT INTO eats VALUES (+ ALL seabird);"
   in
-  ignore (Lint.analyze_script ~catalog:cat script);
-  Alcotest.(check int)
-    "relation untouched" before_card
-    (Relation.cardinality (Catalog.relation cat "flies"));
-  Alcotest.(check int)
-    "hierarchy untouched" before_nodes
-    (Hierarchy.node_count (Catalog.hierarchy cat "animal"));
-  Alcotest.(check bool)
-    "no new domain appeared" false
+  check_pure "unfrozen catalog" cat script;
+  Alcotest.(check bool) "no new domain appeared" false
     (Option.is_some (Catalog.find_hierarchy cat "fish"));
-  Alcotest.(check bool)
-    "no new relation appeared" false
-    (Option.is_some (Catalog.find_relation cat "eats"))
+  Catalog.freeze cat;
+  check_pure "frozen snapshot" (Catalog.snapshot cat) script
+
+(* Linting a one-row INSERT into a relation shaped like the benchmark's
+   hb (9,016 tuples) costs the write, as executing it does: a few pair
+   tests and no index rebuilt — no copy of the relation, no whole
+   check. *)
+let test_lint_cost () =
+  Hr_obs.Metrics.with_enabled true (fun () ->
+      let hr, hw, rel = Test_sweep.hb () in
+      let cat = Catalog.create () in
+      Catalog.define_hierarchy cat hr;
+      Catalog.define_hierarchy cat hw;
+      Catalog.define_relation cat rel;
+      let schema = Relation.schema rel in
+      let w =
+        List.find
+          (fun w -> not (Relation.mem rel (Item.of_names schema [ "cost_i0"; w ])))
+          (List.init 32 (Printf.sprintf "cost_w%d"))
+      in
+      (* build the live relation's index, as a served catalog has *)
+      let item = Item.of_names schema [ "cost_i0"; w ] in
+      ignore (Binding.verdict (Catalog.relation cat "cost_hb") item);
+      let counter = Hr_obs.Metrics.counter_value in
+      let pairs0 = counter "core.integrity.pairs"
+      and builds0 = counter "core.binding.index_builds" in
+      let diags =
+        Lint.analyze_script ~catalog:cat
+          (Printf.sprintf "INSERT INTO cost_hb VALUES (- cost_i0, %s);" w)
+      in
+      Alcotest.(check bool) "the insert is accepted" false (Diagnostic.has_errors diags);
+      let pairs = counter "core.integrity.pairs" - pairs0 in
+      Alcotest.(check bool) (Printf.sprintf "%d pair tests <= 8" pairs) true (pairs <= 8);
+      Alcotest.(check int) "no index built" 0
+        (counter "core.binding.index_builds" - builds0))
 
 (* -- totality: the analyzer never raises -------------------------------- *)
 
@@ -371,25 +447,50 @@ let prop_analyzer_total =
     (fun input ->
       match Lint.analyze_script input with _ -> true)
 
-(* Statement-shaped inputs reach much deeper than uniform strings do. *)
+(* Statement-shaped inputs reach much deeper than uniform strings do.
+   Most names are [world]'s, so against it many statements run; a few
+   are fresh, and each pool also draws from the others. *)
 let statement_gen =
   let open QCheck2.Gen in
-  let name = oneofl [ "animal"; "bird"; "tweety"; "flies"; "nosuch"; "x" ] in
+  let member =
+    oneofl
+      [
+        "animal"; "bird"; "swimmer"; "penguin"; "tweety"; "opus"; "rex"; "place";
+        "antarctica";
+      ]
+  in
+  let fresh = oneofl [ "x"; "y"; "fish" ] in
+  let rel = frequency [ (6, pure "flies"); (2, fresh); (1, pure "nosuch"); (1, member) ] in
+  let name = frequency [ (3, member); (2, fresh); (1, pure "flies") ] in
+  let new_name = frequency [ (3, fresh); (1, member) ] in
   let value = oneof [ map (fun n -> "ALL " ^ n) name; name ] in
+  let sign = oneofl [ "+"; "-" ] in
   oneof
     [
-      map (fun n -> Printf.sprintf "CREATE DOMAIN %s;" n) name;
-      map2 (fun a b -> Printf.sprintf "CREATE CLASS %s UNDER %s;" a b) name name;
+      map (fun n -> Printf.sprintf "CREATE DOMAIN %s;" n) new_name;
+      map2 (fun a b -> Printf.sprintf "CREATE CLASS %s UNDER %s;" a b) new_name name;
+      map3
+        (fun a b c -> Printf.sprintf "CREATE CLASS %s UNDER %s, %s;" a b c)
+        new_name name name;
+      map2 (fun a b -> Printf.sprintf "CREATE INSTANCE %s OF %s;" a b) new_name name;
+      map3
+        (fun a b c -> Printf.sprintf "CREATE INSTANCE %s OF %s, %s;" a b c)
+        new_name name name;
       map2 (fun a b -> Printf.sprintf "CREATE ISA %s UNDER %s;" a b) name name;
-      map2 (fun r v -> Printf.sprintf "INSERT INTO %s VALUES (+ %s);" r v) name value;
-      map2 (fun r v -> Printf.sprintf "INSERT INTO %s VALUES (- %s);" r v) name value;
-      map (fun r -> Printf.sprintf "SELECT * FROM %s;" r) name;
-      map2
-        (fun a b -> Printf.sprintf "SELECT * FROM %s JOIN %s;" a b)
-        name name;
-      map2 (fun n r -> Printf.sprintf "LET %s = %s;" n r) name name;
-      map (fun r -> Printf.sprintf "CONSOLIDATE %s;" r) name;
-      map (fun r -> Printf.sprintf "DROP RELATION %s;" r) name;
+      map2 (fun a b -> Printf.sprintf "CREATE PREFERENCE %s OVER %s;" a b) name name;
+      map2 (fun r d -> Printf.sprintf "CREATE RELATION %s (who: %s);" r d) rel name;
+      map3
+        (fun r s v -> Printf.sprintf "INSERT INTO %s VALUES (%s %s);" r s v)
+        rel sign value;
+      map3
+        (fun r v w -> Printf.sprintf "INSERT INTO %s VALUES (+ %s), (- %s);" r v w)
+        rel value value;
+      map2 (fun r v -> Printf.sprintf "DELETE FROM %s VALUES (%s);" r v) rel value;
+      map (fun r -> Printf.sprintf "SELECT * FROM %s;" r) rel;
+      map2 (fun a b -> Printf.sprintf "SELECT * FROM %s JOIN %s;" a b) rel rel;
+      map2 (fun n r -> Printf.sprintf "LET %s = %s;" n r) rel rel;
+      map (fun r -> Printf.sprintf "CONSOLIDATE %s;" r) rel;
+      map (fun r -> Printf.sprintf "DROP RELATION %s;" r) rel;
     ]
 
 let script_gen =
@@ -413,6 +514,7 @@ let suite =
     Alcotest.test_case "E007 join on disjoint domains" `Quick test_e007;
     Alcotest.test_case "E008 unknown name" `Quick test_e008;
     Alcotest.test_case "E009 duplicate definition" `Quick test_e009;
+    Alcotest.test_case "E009 names are global" `Quick test_global_names;
     Alcotest.test_case "E010 invalid hierarchy edit" `Quick test_e010;
     Alcotest.test_case "W101 redundant isa edge" `Quick test_w101;
     Alcotest.test_case "W102 dead row" `Quick test_w102;
@@ -428,12 +530,85 @@ let suite =
     Alcotest.test_case "H201 bare class value" `Quick test_h201;
     Alcotest.test_case "H202 projection drops exceptions" `Quick test_h202;
     Alcotest.test_case "H203 replica replay advisory" `Quick test_h203;
-    Alcotest.test_case "cascade suppression" `Quick test_poisoning;
+    Alcotest.test_case "failed definitions stay unknown" `Quick test_failed_definitions;
     Alcotest.test_case "diagnostic spans" `Quick test_spans;
     Alcotest.test_case "lexer positions" `Quick test_lexer_spans;
     Alcotest.test_case "all-codes golden fixture" `Quick test_golden;
     Alcotest.test_case "live-catalog seeding" `Quick test_catalog_seeding;
     Alcotest.test_case "analysis never mutates the catalog" `Quick test_purity;
+    Alcotest.test_case "linting a one-row write costs the write" `Quick test_lint_cost;
     QCheck_alcotest.to_alcotest prop_analyzer_total;
     QCheck_alcotest.to_alcotest prop_analyzer_total_on_scripts;
   ]
+
+(* -- lint errors <=> engine rejections ----------------------------------- *)
+
+(* The dry-run contract, statement by statement: the linter reports an
+   error or a W104 exactly when the engine, executing the same script
+   on a live catalog, rejects the statement. Scripts are drawn from
+   [statement_gen], one statement per line, against [engine_world]; the seed
+   honours HRDB_TEST_SEED, and seed 1 always runs too. *)
+let seed =
+  match Sys.getenv_opt "HRDB_TEST_SEED" with
+  | Some s -> (
+    match int_of_string_opt (String.trim s) with
+    | Some n -> n
+    | None -> failwith (Printf.sprintf "HRDB_TEST_SEED must be an integer, got %S" s))
+  | None -> Int64.to_int (Int64.rem (Int64.of_float (Unix.gettimeofday () *. 1e6)) 0xFFFFFFL)
+
+let lint_rejects (d : Diagnostic.t) =
+  d.Diagnostic.severity = Diagnostic.Error || d.code = "W104"
+
+(* [world] plus a second parent of penguin, so two rows can clash *)
+let engine_world () =
+  let cat = seeded_catalog () in
+  (match
+     Eval.run_script cat
+       "CREATE CLASS swimmer UNDER animal;\nCREATE ISA penguin UNDER swimmer;"
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "world script failed: %s" e);
+  cat
+
+let check_against_engine seed =
+  let rand = Random.State.make [| seed |] in
+  let accepted = ref 0 and rejected = ref 0 in
+  for _ = 1 to 300 do
+    let lines =
+      QCheck2.Gen.(generate1 ~rand (list_size (int_range 1 12) statement_gen))
+    in
+    let script = String.concat "\n" lines in
+    let diags = Lint.analyze_script ~catalog:(engine_world ()) script in
+    let live = engine_world () in
+    List.iteri
+      (fun i line ->
+        let stmt = (Parser.parse_statement line).Hr_query.Ast.stmt in
+        let engine = Eval.exec live stmt in
+        incr (if Result.is_ok engine then accepted else rejected);
+        let mine =
+          List.filter
+            (fun (d : Diagnostic.t) -> d.Diagnostic.loc.Loc.lo.Loc.line = i + 1)
+            diags
+        in
+        if List.exists lint_rejects mine <> Result.is_error engine then
+          Alcotest.failf
+            "seed %d, statement %d of\n%s\nlint: [%s]\nengine: %s" seed (i + 1) script
+            (String.concat "; "
+               (List.map (fun (d : Diagnostic.t) -> d.code ^ " " ^ d.message) mine))
+            (match engine with
+            | Ok out -> "accepted: " ^ out
+            | Error msg -> "rejected: " ^ msg))
+      lines
+  done;
+  Printf.eprintf "test_analysis: seed %d: %d statements accepted, %d rejected\n%!" seed
+    !accepted !rejected;
+  Alcotest.(check bool) "some statements accepted" true (!accepted > 300);
+  Alcotest.(check bool) "some statements rejected" true (!rejected > 300)
+
+let test_against_engine () =
+  Printf.eprintf "test_analysis: lint/engine seed %d (replay with HRDB_TEST_SEED=%d)\n%!"
+    seed seed;
+  List.iter check_against_engine (List.sort_uniq Int.compare [ 1; seed ])
+
+let engine_suite =
+  [ Alcotest.test_case "lint errors = engine rejections" `Quick test_against_engine ]

@@ -1,14 +1,13 @@
 (* The static cost & cardinality estimator (lib/analysis/cost_model,
    lib/analysis/estimate): exactness on flat relations, monotonicity
-   under added exceptions, symbolic-vs-live agreement, EXPLAIN ANALYZE
-   feedback and its snapshot persistence, and the no-side-effect
+   under added exceptions, EXPLAIN ANALYZE feedback and its snapshot
+   persistence, and the no-side-effect
    guarantee of EXPLAIN ESTIMATE — in the storage path and over the
    wire. *)
 
 module Hierarchy = Hr_hierarchy.Hierarchy
 module Cost_model = Hr_analysis.Cost_model
 module Estimate = Hr_analysis.Estimate
-module Sim_catalog = Hr_analysis.Sim_catalog
 module Eval = Hr_query.Eval
 module Parser = Hr_query.Parser
 module Ast = Hr_query.Ast
@@ -37,7 +36,7 @@ let expr_of q =
   | _ -> Alcotest.fail "not a query expression"
 
 let estimate cat q =
-  match Cost_model.plan (Cost_model.of_catalog cat) (expr_of q) with
+  match Cost_model.plan cat (expr_of q) with
   | Ok (_, root) -> root
   | Error msg -> Alcotest.failf "plan %s: %s" q msg
 
@@ -96,51 +95,6 @@ let test_monotone_exceptions () =
     (flat0 >= flat1 && flat1 >= flat2);
   Alcotest.(check bool) "exceptions actually shrink the estimate" true
     (flat2 < flat0)
-
-(* -- symbolic (lint-time) vs live statistics ---------------------------- *)
-
-let rec same_tree (a : Cost_model.node) (b : Cost_model.node) =
-  Alcotest.(check string) "label" a.Cost_model.n_label b.Cost_model.n_label;
-  Alcotest.(check (float 1e-9)) "rows" a.Cost_model.n_rows b.Cost_model.n_rows;
-  Alcotest.(check (float 1e-9)) "cost" a.Cost_model.n_cost b.Cost_model.n_cost;
-  List.iter2 same_tree a.Cost_model.n_children b.Cost_model.n_children
-
-let test_symbolic_vs_live () =
-  let script =
-    {|
-    CREATE DOMAIN animal;
-    CREATE CLASS bird UNDER animal;
-    CREATE CLASS penguin UNDER bird;
-    CREATE INSTANCE tweety OF bird;
-    CREATE INSTANCE paul OF penguin;
-    CREATE RELATION jack (creature: animal);
-    CREATE RELATION jill (creature: animal);
-    INSERT INTO jack VALUES (+ ALL bird), (- ALL penguin);
-    INSERT INTO jill VALUES (+ ALL penguin);
-    |}
-  in
-  let cat = Catalog.create () in
-  run cat script;
-  let sim = Sim_catalog.empty () in
-  List.iter
-    (fun ls -> Hr_analysis.Stmt_check.check sim ~emit:(fun _ -> ()) ls)
-    (Parser.parse script);
-  let live = Cost_model.of_catalog cat and sym = Cost_model.of_sim sim in
-  List.iter
-    (fun q ->
-      let price src =
-        match Cost_model.plan src (expr_of q) with
-        | Ok (_, root) -> root
-        | Error msg -> Alcotest.failf "plan %s: %s" q msg
-      in
-      same_tree (price live) (price sym))
-    [
-      "jack";
-      "SELECT jack WHERE creature = penguin";
-      "jack UNION jill";
-      "EXPLICATED jack";
-      "jack JOIN jill";
-    ]
 
 (* -- EXPLAIN ANALYZE feedback and snapshot persistence ------------------ *)
 
@@ -281,8 +235,6 @@ let suite =
     Alcotest.test_case "flat relations price exactly" `Quick test_flat_exact;
     Alcotest.test_case "estimates are monotone under exceptions" `Quick
       test_monotone_exceptions;
-    Alcotest.test_case "symbolic and live statistics agree" `Quick
-      test_symbolic_vs_live;
     Alcotest.test_case "EXPLAIN ANALYZE feedback persists" `Quick
       test_feedback;
     Alcotest.test_case "EXPLAIN ESTIMATE leaves the WAL untouched" `Quick
