@@ -426,8 +426,8 @@ let fsck_cmd =
       `S Manpage.s_description;
       `P
         "Opens the directory read-only (no lock is taken, nothing is written) \
-         and checks the pages.db page store (page seals, B-tree, index and \
-         heap agreement, free-space map), WAL framing and LSN continuity \
+         and checks the pages.db page store (page seals, heap records, \
+         free-space map), WAL framing and LSN continuity \
          from the store's base LSN, replay, hierarchy DAG acyclicity and \
          irredundancy, the ambiguity constraint, and — with \
          $(b,--against) — primary/replica convergence, or, when the \

@@ -316,7 +316,8 @@ let all =
     (* ---- fsck findings (docs/FSCK.md) -------------------------------- *)
     (* Retired with the pre-paged files they checked, never reused: F002
        (meta), F003/F004 (snapshot.bin), F014/F015 (graphs.bin), F019
-       (meta's published_lsn). *)
+       (meta's published_lsn); and with the coordinate B-tree, F026
+       (dangling TID), F027 (duplicate TID) and F028 (B-tree order). *)
     fc "F000" "internal fsck error"
       "A check raised; never expected." "Please report the directory layout that triggers it.";
     fc "F001" "not a database directory"
@@ -378,24 +379,13 @@ let all =
        replicates every DDL statement, so a shard missed one."
       "Replay the missing DDL on the lagging shard, or rebuild it.";
     fc "F025" "page seal violation"
-      "A pages.db page fails its CRC or header seal, the meta roots do \
-       not decode, or the file has a partial trailing page (warning: a \
+      "A pages.db page fails its CRC or header seal, a live heap record \
+       does not decode, the meta roots do not decode, or the file has a partial trailing page (warning: a \
        crash mid-extension leaves one, no committed state can reference \
        it, and it is overwritten by the next extension)."
       "Restore from a replica or a snapshot image; the shadow-paged \
        commit never overwrites the previous root, so the prior epoch \
        may still open.";
-    fc "F026" "dangling TID"
-      "A B-tree index entry points at a tombstoned or absent tuple slot."
-      "Rebuild the store from a snapshot image (hrdb dump + restore).";
-    fc "F027" "duplicate TID reference"
-      "One tuple slot is referenced twice by the index under the same \
-       attribute; binding lookups would double-count it."
-      "Rebuild the store from a snapshot image.";
-    fc "F028" "B-tree order violation"
-      "Keys out of order, a separator interval breached, or an index \
-       key that disagrees with the tuple its TID addresses."
-      "Rebuild the store from a snapshot image.";
     fw "F029" "free-space map inaccurate"
       "A free-space map entry disagrees with the page it describes; \
        placement may waste space or retry, but stored data is intact."

@@ -60,9 +60,9 @@ type state = {
 let s_head st =
   List.fold_left (fun h { Wal.lsn; _ } -> max h lsn) st.s_base st.s_scan.Wal.records
 
-(* Page-level battery (F025–F029) for paged directories: open the page
-   store, sweep the page seals, B-tree, index↔heap agreement and
-   free-space map, and hand back the materialized catalog plus the LSN
+(* Page-level battery (F025, F029) for paged directories: open the page
+   store, sweep the page seals, heap records and free-space map, and
+   hand back the materialized catalog plus the LSN
    the store covers through. A partial trailing page is a warning —
    only a crash mid-extension leaves one, and the commit ordering
    (data flushed before the meta-root swap) guarantees no committed
@@ -88,9 +88,6 @@ let check_pages acc dir =
           (fun { Page_store.kind; detail } ->
             match kind with
             | Page_store.Checksum -> emit acc Critical "F025" path "%s" detail
-            | Page_store.Dangling_tid -> emit acc Critical "F026" path "%s" detail
-            | Page_store.Duplicate_tid -> emit acc Critical "F027" path "%s" detail
-            | Page_store.Btree_order -> emit acc Critical "F028" path "%s" detail
             | Page_store.Freemap -> emit acc Warning "F029" path "%s" detail)
           (Page_store.check store);
         match Page_store.to_catalog store with

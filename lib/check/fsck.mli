@@ -14,8 +14,8 @@
     - the directory has the one layout this build opens: [pages.db] +
       [wal.log] (a pre-paged [snapshot.bin] without [pages.db] is
       critical [F001]);
-    - [pages.db]: page seals, B-tree order, index↔heap agreement and
-      the free-space map ([F025]–[F029]); its meta root's [base_lsn] is
+    - [pages.db]: page seals, heap record decoding ([F025]) and the
+      free-space map ([F029]); its meta root's [base_lsn] is
       the replay base (an empty catalog at LSN 0 without a store);
     - [wal.log] framing: the shared {!Hr_storage.Wal.scan} reader finds
       monotone, contiguous LSNs, and distinguishes a crash-torn tail

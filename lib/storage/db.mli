@@ -1,9 +1,9 @@
 (** A durable database: paged tuple store + write-ahead log + HRQL.
 
     A database lives in a directory holding exactly [pages.db] (the
-    {!Page_store}: shadow-paged slotted tuple pages, B-tree index,
-    free-space map, DDL blob, and in its meta root the LSN the store is
-    valid through), [wal.log] (statements applied since the last
+    {!Page_store}: shadow-paged slotted tuple pages, free-space map,
+    DDL blob, and in its meta root the LSN the store is valid
+    through), [wal.log] (statements applied since the last
     checkpoint, {!Wal} format) and [LOCK]. {!open_dir} loads the page
     store and replays the log onto it; {!exec} runs HRQL statements, appending each successful
     mutating statement to the log before acknowledging it (so

@@ -1,19 +1,20 @@
 (* The paged durable store: all state lives in one [pages.db] file of
    4 KiB pages behind {!Pager}. Tuples sit in slotted heap pages and are
-   addressed by TIDs; a {!Btree} keyed on (relation, attribute, label)
-   indexes every tuple coordinate; a free-space map page set records
-   per-heap-page fill; a small DDL blob (a skeleton {!Snapshot} plus the
-   relation-id map) carries hierarchies, schemas and observed stats.
+   addressed by TIDs; a free-space map page set records per-heap-page
+   fill; a small DDL blob (a skeleton {!Snapshot} plus the relation-id
+   map) carries hierarchies, schemas and observed stats. There is no
+   on-disk index: recovery rebuilds the catalog, and with it the binding
+   index, from a heap scan.
 
    Durability is shadow paging: committed pages are never overwritten.
    A logical->physical page table gives every page a stable logical id
-   (TIDs and B-tree child pointers use logical ids); the first
-   modification of a logical page in a checkpoint cycle relocates it to
-   a free physical page. Commit stamps each dirty page with its logical
-   id and a CRC, flushes and fsyncs data, writes a fresh page table,
-   then publishes everything by writing the alternate of two meta pages
-   (physical 0 and 1, picked at open by valid CRC + highest epoch) and
-   fsyncing again. A crash at any point leaves the previous epoch fully
+   (TIDs and the meta's blob and free-map lists use logical ids); the
+   first modification of a logical page in a checkpoint cycle relocates
+   it to a free physical page. Commit stamps each dirty page with its
+   logical id and a CRC, flushes and fsyncs data, writes a fresh page
+   table, then publishes everything by writing the alternate of two meta
+   pages (physical 0 and 1, picked at open by valid CRC + highest epoch)
+   and fsyncing again. A crash at any point leaves the previous epoch fully
    intact. *)
 
 module Hierarchy = Hr_hierarchy.Hierarchy
@@ -32,10 +33,11 @@ let page_size = Pager.page_size
 let header = 16
 let tag_heap = 1
 let tag_freemap = 2
-(* 3 and 4 are the B-tree's leaf/internal tags *)
+(* 3 and 4 were the retired coordinate B-tree's leaf/internal tags;
+   only a version-1 store still maps such pages (see [open_]). *)
 let tag_blob = 5
 let meta_magic = "HRPGMETA"
-let meta_version = 1
+let meta_version = 2
 
 (* Free-space map entries are 8 bytes: [u32 heap page][u16 free][u16 live]. *)
 let fm_per_page = (page_size - header) / 8
@@ -63,7 +65,6 @@ type t = {
   mutable free_phys : int list;
   mutable pending_free : int list; (* physicals released after the next commit *)
   mutable pt_pages : int list; (* physical pages holding the live page table *)
-  mutable btree_root : int; (* logical *)
   mutable blob : string;
   mutable blob_pages : int list; (* logical *)
   mutable freemap_pages : int list; (* logical, in slot order *)
@@ -148,14 +149,6 @@ let free_logical_page t l =
   Hashtbl.remove t.dirty l;
   Hashtbl.remove t.shadowed l
 
-let bt_pages t =
-  {
-    Btree.read = (fun l -> read_logical t l);
-    modify = (fun l f -> modify_logical t l f);
-    alloc = (fun () -> alloc_logical t);
-    free = (fun l -> free_logical_page t l);
-  }
-
 (* ---- meta pages -------------------------------------------------------- *)
 
 let encode_meta t ~epoch ~base_lsn ~pt_pages =
@@ -165,7 +158,6 @@ let encode_meta t ~epoch ~base_lsn ~pt_pages =
   W.u32 w epoch;
   W.u32 w base_lsn;
   W.u32 w t.n_logical;
-  W.u32 w t.btree_root;
   W.list w W.u32 t.blob_pages;
   W.list w W.u32 t.freemap_pages;
   W.list w W.u32 pt_pages;
@@ -180,10 +172,10 @@ let encode_meta t ~epoch ~base_lsn ~pt_pages =
   page
 
 type meta = {
+  m_version : int;
   m_epoch : int;
   m_base_lsn : int;
   m_n_logical : int;
-  m_btree_root : int;
   m_blob_pages : int list;
   m_freemap_pages : int list;
   m_pt_pages : int list;
@@ -197,16 +189,20 @@ let decode_meta page =
     else begin
       let r = R.of_string body in
       if R.string r <> meta_magic then None
-      else if R.u32 r <> meta_version then None
       else
-        let m_epoch = R.u32 r in
-        let m_base_lsn = R.u32 r in
-        let m_n_logical = R.u32 r in
-        let m_btree_root = R.u32 r in
-        let m_blob_pages = R.list r R.u32 in
-        let m_freemap_pages = R.list r R.u32 in
-        let m_pt_pages = R.list r R.u32 in
-        Some { m_epoch; m_base_lsn; m_n_logical; m_btree_root; m_blob_pages; m_freemap_pages; m_pt_pages }
+        let m_version = R.u32 r in
+        if m_version <> 1 && m_version <> meta_version then None
+        else
+          let m_epoch = R.u32 r in
+          let m_base_lsn = R.u32 r in
+          let m_n_logical = R.u32 r in
+          (* version 1 stored the B-tree root here *)
+          if m_version = 1 then ignore (R.u32 r);
+          let m_blob_pages = R.list r R.u32 in
+          let m_freemap_pages = R.list r R.u32 in
+          let m_pt_pages = R.list r R.u32 in
+          Some
+            { m_version; m_epoch; m_base_lsn; m_n_logical; m_blob_pages; m_freemap_pages; m_pt_pages }
     end
   with R.Corrupt _ -> None
 
@@ -284,31 +280,6 @@ let decode_record s =
 
 let labels_key labels = String.concat "\x00" labels
 let split_key key = String.split_on_char '\x00' key
-
-(* B-tree key: rel id and attribute index big-endian (so byte order
-   groups by relation then attribute), then the label, truncated to the
-   tree's key bound. Truncation is safe: readers post-filter on the
-   record's full label. *)
-let bt_key ~rel_id ~attr label =
-  let lab =
-    if String.length label > Btree.max_key - 6 then String.sub label 0 (Btree.max_key - 6)
-    else label
-  in
-  let b = Bytes.create (6 + String.length lab) in
-  Bytes.set b 0 (Char.chr ((rel_id lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((rel_id lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((rel_id lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (rel_id land 0xff));
-  Bytes.set b 4 (Char.chr ((attr lsr 8) land 0xff));
-  Bytes.set b 5 (Char.chr (attr land 0xff));
-  Bytes.blit_string lab 0 b 6 (String.length lab);
-  Bytes.to_string b
-
-let parse_bt_key key =
-  let byte i = Char.code key.[i] in
-  let rel_id = (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3 in
-  let attr = (byte 4 lsl 8) lor byte 5 in
-  (rel_id, attr, String.sub key 6 (String.length key - 6))
 
 (* ---- free-space map ----------------------------------------------------
 
@@ -421,16 +392,9 @@ let insert_tuple t ~rel ~rel_id ~sign labels =
   in
   Hashtbl.replace t.free_space l ((free - len - if !new_slot then 4 else 0), live + 1);
   fm_update t l;
-  let tid = tid_of ~page:l ~slot:!slot in
-  let pages = bt_pages t in
-  List.iteri
-    (fun attr label ->
-      t.btree_root <- Btree.insert pages ~root:t.btree_root ~key:(bt_key ~rel_id ~attr label) ~tid)
-    labels;
-  Hashtbl.replace (rel_tids t rel) (labels_key labels) tid;
-  tid
+  Hashtbl.replace (rel_tids t rel) (labels_key labels) (tid_of ~page:l ~slot:!slot)
 
-let delete_tuple t ~rel ~rel_id labels =
+let delete_tuple t ~rel labels =
   let key = labels_key labels in
   let tbl = rel_tids t rel in
   match Hashtbl.find_opt tbl key with
@@ -448,11 +412,6 @@ let delete_tuple t ~rel ~rel_id labels =
     in
     Hashtbl.replace t.free_space l (free + !len, live - 1);
     fm_update t l;
-    let pages = bt_pages t in
-    List.iteri
-      (fun attr label ->
-        t.btree_root <- Btree.delete pages ~root:t.btree_root ~key:(bt_key ~rel_id ~attr label) ~tid)
-      labels;
     Hashtbl.remove tbl key
 
 (* ---- DDL blob ----------------------------------------------------------
@@ -614,7 +573,6 @@ let fresh pager =
     free_phys = [];
     pending_free = [];
     pt_pages = [];
-    btree_root = 0;
     blob = "";
     blob_pages = [];
     freemap_pages = [];
@@ -635,9 +593,7 @@ let create ?(pool_pages = 256) path =
   (* physicals 0 and 1 are the two meta slots, forever *)
   ignore (Pager.allocate pager);
   ignore (Pager.allocate pager);
-  let t = fresh pager in
-  t.btree_root <- Btree.create (bt_pages t);
-  t
+  fresh pager
 
 let open_ ?(pool_pages = 256) path =
   let pager = Pager.create ~pool_pages path in
@@ -656,7 +612,6 @@ let open_ ?(pool_pages = 256) path =
   t.epoch <- pick.m_epoch;
   t.base_lsn <- pick.m_base_lsn;
   t.n_logical <- pick.m_n_logical;
-  t.btree_root <- pick.m_btree_root;
   t.blob_pages <- pick.m_blob_pages;
   t.freemap_pages <- pick.m_freemap_pages;
   t.pt_pages <- pick.m_pt_pages;
@@ -713,13 +668,32 @@ let open_ ?(pool_pages = 256) path =
       done;
       t.fm_next_slot <- (ordinal * fm_per_page) + count)
     t.freemap_pages;
+  (* A version-1 store also maps the retired coordinate B-tree. Nothing
+     reads it, so its pages are found from metadata alone — every mapped
+     page that is not a heap page keyed in the free-space map, a freemap
+     page or a blob page — and freed in memory only: opening stays
+     read-only, and the next commit drops them from the page table.
+     Their physicals are reusable at once: should that commit crash
+     after overwriting some, the version-1 root it leaves is reopened
+     the same way, without reading them. *)
+  if pick.m_version = 1 then begin
+    let kept = Hashtbl.create 64 in
+    Hashtbl.iter (fun l _ -> Hashtbl.replace kept l ()) t.free_space;
+    List.iter (fun l -> Hashtbl.replace kept l ()) (t.freemap_pages @ t.blob_pages);
+    for l = 0 to t.n_logical - 1 do
+      if t.pt.(l) <> 0 && not (Hashtbl.mem kept l) then begin
+        t.free_phys <- t.pt.(l) :: t.free_phys;
+        t.pt.(l) <- 0;
+        t.free_logical <- l :: t.free_logical
+      end
+    done
+  end;
   t
 
 let close t = Pager.close t.pager
 let base_lsn t = t.base_lsn
 let epoch t = t.epoch
 let pager t = t.pager
-let btree_root t = t.btree_root
 
 (* ---- catalog reconstruction (recovery) --------------------------------- *)
 
@@ -821,10 +795,8 @@ let apply_relation t ?old rel =
   let name = Relation.name rel in
   let rel_id = rel_id_of t name in
   let schema = Relation.schema rel in
-  let del o tu = delete_tuple t ~rel:name ~rel_id (tuple_labels (Relation.schema o) tu) in
-  let ins tu =
-    ignore (insert_tuple t ~rel:name ~rel_id ~sign:tu.Relation.sign (tuple_labels schema tu))
-  in
+  let del o tu = delete_tuple t ~rel:name (tuple_labels (Relation.schema o) tu) in
+  let ins tu = insert_tuple t ~rel:name ~rel_id ~sign:tu.Relation.sign (tuple_labels schema tu) in
   match old with
   | None -> List.iter ins (Relation.tuples rel)
   | Some o ->
@@ -864,32 +836,29 @@ let apply_relation t ?old rel =
     walk (Relation.tuples o) (Relation.tuples rel)
 
 let drop_relation t name =
-  match List.assoc_opt name t.rel_ids with
+  (match Hashtbl.find_opt t.tids name with
   | None -> ()
-  | Some rel_id ->
-    (match Hashtbl.find_opt t.tids name with
-    | None -> ()
-    | Some tbl ->
-      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
-      List.iter (fun key -> delete_tuple t ~rel:name ~rel_id (split_key key)) keys);
-    Hashtbl.remove t.tids name;
-    t.rel_ids <- List.filter (fun (n, _) -> n <> name) t.rel_ids
+  | Some tbl ->
+    let keys = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
+    List.iter (fun key -> delete_tuple t ~rel:name (split_key key)) keys);
+  Hashtbl.remove t.tids name;
+  t.rel_ids <- List.filter (fun (n, _) -> n <> name) t.rel_ids
 
 let apply_catalog t cat =
   List.iter (fun rel -> apply_relation t rel) (Catalog.relations cat)
 
 (* ---- integrity checks (fsck) ------------------------------------------- *)
 
-type fault_kind = Checksum | Dangling_tid | Duplicate_tid | Btree_order | Freemap
+type fault_kind = Checksum | Freemap
 type fault = { kind : fault_kind; detail : string }
 
 let check t =
   let faults = ref [] in
   let fault kind fmt = Format.kasprintf (fun detail -> faults := { kind; detail } :: !faults) fmt in
-  (* per-page seals *)
   for l = 0 to t.n_logical - 1 do
     if t.pt.(l) <> 0 then begin
       let b = read_logical t l in
+      (* the page seal *)
       let stored = get_u32 b 12 in
       let copy = Bytes.copy b in
       set_u32 copy 12 0;
@@ -897,60 +866,8 @@ let check t =
       if stored <> actual then
         fault Checksum "logical page %d: CRC stored %08x, computed %08x" l stored actual
       else if get_u32 b 8 <> l then
-        fault Checksum "logical page %d: header claims logical id %d" l (get_u32 b 8)
-    end
-  done;
-  (* B-tree structure *)
-  let pages = bt_pages t in
-  let bt_faults = Btree.check pages ~root:t.btree_root in
-  List.iter (fun d -> fault Btree_order "%s" d) bt_faults;
-  (* The cross-sweeps walk the tree and probe it per heap label; both
-     would raise rather than report on nodes that do not decode, so they
-     only run over a structurally sound tree. *)
-  if bt_faults = [] then begin
-  (* B-tree -> heap: every entry resolves to a live, matching tuple *)
-  let seen = Hashtbl.create 1024 in
-  Btree.iter pages ~root:t.btree_root (fun key tid ->
-      let rel_id, attr, lab = parse_bt_key key in
-      if Hashtbl.mem seen (rel_id, attr, tid) then
-        fault Duplicate_tid "tid %d referenced twice for relation %d attribute %d" tid rel_id attr
-      else Hashtbl.replace seen (rel_id, attr, tid) ();
-      let l = tid_page tid and s = tid_slot tid in
-      if l >= t.n_logical || t.pt.(l) = 0 then
-        fault Dangling_tid "index entry %S -> tid %d: page %d unmapped" lab tid l
-      else begin
-        let b = read_logical t l in
-        if Char.code (Bytes.get b 0) <> tag_heap then
-          fault Dangling_tid "index entry %S -> tid %d: page %d is not a heap page" lab tid l
-        else if s >= get_u16 b 2 || get_u16 b (slot_off s) = 0 then
-          fault Dangling_tid "index entry %S -> tid %d: slot is a tombstone" lab tid
-        else begin
-          let off = get_u16 b (slot_off s) in
-          let len = get_u16 b (slot_off s + 2) in
-          match decode_record (Bytes.sub_string b off len) with
-          | exception _ -> fault Dangling_tid "tid %d: record does not decode" tid
-          | rec_rel, _, labels ->
-            if rec_rel <> rel_id then
-              fault Btree_order "tid %d: index says relation %d, record says %d" tid rel_id rec_rel
-            else if attr >= List.length labels then
-              fault Btree_order "tid %d: index attribute %d out of record arity" tid attr
-            else begin
-              let full = List.nth labels attr in
-              let trunc =
-                if String.length full > Btree.max_key - 6 then
-                  String.sub full 0 (Btree.max_key - 6)
-                else full
-              in
-              if not (String.equal trunc lab) then
-                fault Btree_order "tid %d attribute %d: leaf key %S disagrees with heap label %S"
-                  tid attr lab full
-            end
-        end
-      end);
-  (* heap -> B-tree and free-map accuracy *)
-  for l = 0 to t.n_logical - 1 do
-    if t.pt.(l) <> 0 then begin
-      let b = read_logical t l in
+        fault Checksum "logical page %d: header claims logical id %d" l (get_u32 b 8);
+      (* every live heap record decodes, and the free-space map agrees *)
       if Char.code (Bytes.get b 0) = tag_heap then begin
         let count = get_u16 b 2 in
         let live = ref 0 in
@@ -961,15 +878,7 @@ let check t =
             let len = get_u16 b (slot_off s + 2) in
             match decode_record (Bytes.sub_string b off len) with
             | exception _ -> fault Checksum "page %d slot %d: record does not decode" l s
-            | rel_id, _, labels ->
-              let tid = tid_of ~page:l ~slot:s in
-              List.iteri
-                (fun attr label ->
-                  let tids = Btree.lookup pages ~root:t.btree_root (bt_key ~rel_id ~attr label) in
-                  if not (List.mem tid tids) then
-                    fault Btree_order "tid %d attribute %d (%S) missing from the index" tid attr
-                      label)
-                labels
+            | _ -> ()
           end
         done;
         let free = computed_free b in
@@ -981,8 +890,7 @@ let check t =
               fm_free fm_live free !live
       end
     end
-  done
-  end;
+  done;
   (* free-map entries must point at live heap pages *)
   Hashtbl.iter
     (fun l _ ->
@@ -1007,10 +915,6 @@ module Testing = struct
         if restamp then stamp_crc b);
     Pager.flush t.pager
 
-  let corrupt_page t =
-    edit ~restamp:false t t.btree_root (fun b ->
-        Bytes.set b (header + 1) (Char.chr (Char.code (Bytes.get b (header + 1)) lxor 0xff)))
-
   let first_live_slot t =
     let found = ref None in
     (try
@@ -1020,60 +924,25 @@ module Testing = struct
      with Exit -> ());
     match !found with Some tid -> tid | None -> failwith "store has no live tuples"
 
-  let kill_slot t =
+  let corrupt_page t =
+    edit ~restamp:false t (tid_page (first_live_slot t)) (fun b ->
+        let last = page_size - 1 in
+        Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 0xff)))
+
+  (* A record's first label length points past the record's end. *)
+  let garble_record t =
     let tid = first_live_slot t in
-    let heap_l = tid_page tid in
-    let free = ref 0 and live = ref 0 in
-    edit t heap_l (fun b ->
-        set_u16 b (slot_off (tid_slot tid)) 0;
-        set_u16 b 6 (get_u16 b 6 - 1);
-        free := computed_free b;
-        live := get_u16 b 6);
-    (* keep the on-disk free-space map consistent so only the dangling
-       index entry is reported *)
-    let slot = Hashtbl.find t.fm_slot heap_l in
-    let fm_l = List.nth t.freemap_pages (slot / fm_per_page) in
-    edit t fm_l (fun b ->
-        let off = header + (8 * (slot mod fm_per_page)) in
-        set_u16 b (off + 4) !free;
-        set_u16 b (off + 6) !live);
-    tid
+    edit t (tid_page tid) (fun b -> set_u32 b (get_u16 b (slot_off (tid_slot tid)) + 9) 0xffff)
 
-  let rec first_leaf t l =
-    let b = read_logical t l in
-    match Char.code (Bytes.get b 0) with
-    | 3 -> l
-    | 4 -> first_leaf t (get_u32 b header)
-    | tag -> failwith (Printf.sprintf "unexpected page tag %d under btree root" tag)
-
-  let swap_btree_keys t =
-    let leaf = first_leaf t t.btree_root in
-    edit t leaf (fun b ->
-        let count = get_u16 b 2 in
-        if count < 2 then failwith "first leaf has fewer than two entries";
-        (* swap the first two entries' payloads wholesale *)
-        let off1 = header in
-        let len1 = 10 + get_u16 b off1 in
-        let off2 = off1 + len1 in
-        let len2 = 10 + get_u16 b off2 in
-        let e1 = Bytes.sub b off1 len1 in
-        let e2 = Bytes.sub b off2 len2 in
-        Bytes.blit e2 0 b off1 len2;
-        Bytes.blit e1 0 b (off1 + len2) len1)
-
-  let dup_btree_ref t =
-    let tid = first_live_slot t in
-    let b = read_logical t (tid_page tid) in
-    let off = get_u16 b (slot_off (tid_slot tid)) in
-    let len = get_u16 b (slot_off (tid_slot tid) + 2) in
-    let rel_id, _, labels = decode_record (Bytes.sub_string b off len) in
-    let label = List.hd labels in
-    t.btree_root <-
-      Btree.insert (bt_pages t) ~root:t.btree_root
-        ~key:(bt_key ~rel_id ~attr:0 (label ^ "~dup"))
-        ~tid;
-    (* persist the inconsistency through a normal commit *)
-    ignore (commit t ~base_lsn:t.base_lsn ())
+  let page_tags t =
+    let counts = Hashtbl.create 8 in
+    for l = 0 to t.n_logical - 1 do
+      if t.pt.(l) <> 0 then begin
+        let tag = Char.code (Bytes.get (read_logical t l) 0) in
+        Hashtbl.replace counts tag (1 + Option.value ~default:0 (Hashtbl.find_opt counts tag))
+      end
+    done;
+    List.sort compare (List.of_seq (Hashtbl.to_seq counts))
 
   let skew_freemap t =
     let heap_l =

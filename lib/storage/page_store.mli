@@ -1,7 +1,8 @@
 (** The paged durable store behind {!Db}: one [pages.db] file of
     shadow-paged 4 KiB pages holding slotted heap pages of TID-addressed
-    tuples, a {!Btree} over (relation, attribute, label), a free-space
-    map, and a DDL blob (skeleton {!Snapshot} + relation-id map).
+    tuples, a free-space map, and a DDL blob (skeleton {!Snapshot} +
+    relation-id map). It keeps no on-disk index: the catalog, and with it
+    the in-memory binding index, is rebuilt from a heap scan.
 
     Mutations accumulate in relocated copies of the affected pages;
     nothing becomes visible to a reopen until {!commit} publishes a new
@@ -16,8 +17,8 @@ exception Corrupt of string
     (bad meta CRCs, out-of-range page table, undecodable records). *)
 
 val create : ?pool_pages:int -> string -> t
-(** A fresh store at [path] (truncating any existing file), with meta
-    slots and an empty B-tree initialised but nothing committed — call
+(** A fresh store at [path] (truncating any existing file), with its
+    two meta slots allocated but nothing committed — call
     {!commit} to make it openable. Builders write to a temp path and
     rename over [pages.db] so a crash mid-build never strands a
     half-written store. *)
@@ -25,13 +26,15 @@ val create : ?pool_pages:int -> string -> t
 val open_ : ?pool_pages:int -> string -> t
 (** Load the newest valid epoch: pick the meta root, rebuild the page
     table, free lists, DDL blob and free-space map. O(metadata); tuple
-    pages are only read by {!to_catalog} / {!check}. *)
+    pages are only read by {!to_catalog} / {!check}. A meta version 1
+    store also maps the pages of a retired coordinate B-tree: they are
+    found from metadata alone and freed in memory, so the file is not
+    written and the next {!commit} drops them from the page table. *)
 
 val close : t -> unit
 val base_lsn : t -> int
 val epoch : t -> int
 val pager : t -> Pager.t
-val btree_root : t -> int
 
 val to_catalog : t -> Hierel.Catalog.t
 (** Rebuild the in-memory catalog from pages (heap scan + skeleton
@@ -58,7 +61,7 @@ val apply_relation : t -> ?old:Hierel.Relation.t -> Hierel.Relation.t -> unit
     absent means every tuple is new (initial load). *)
 
 val drop_relation : t -> string -> unit
-(** Delete every tuple and index entry of the named relation. *)
+(** Delete every tuple of the named relation. *)
 
 val apply_catalog : t -> Hierel.Catalog.t -> unit
 (** {!apply_relation} with no [old] for every relation — full loads
@@ -76,20 +79,17 @@ val commit : t -> ?fsync:bool -> base_lsn:int -> unit -> int * int
     [(pages_written, pages_total)] and sets the
     [storage.checkpoint.dirty_pages] / [pages_total] gauges. *)
 
-(** {2 Integrity (fsck F025–F029)} *)
+(** {2 Integrity (fsck F025 and F029)} *)
 
 type fault_kind =
-  | Checksum  (** F025: page CRC / header seal violations *)
-  | Dangling_tid  (** F026: index entry pointing at a dead or absent tuple *)
-  | Duplicate_tid  (** F027: one TID referenced twice for the same attribute *)
-  | Btree_order  (** F028: key order or leaf/heap disagreement *)
+  | Checksum  (** F025: page CRC / header seal violation, undecodable heap record *)
   | Freemap  (** F029: free-space map inaccurate *)
 
 type fault = { kind : fault_kind; detail : string }
 
 val check : t -> fault list
-(** Full sweep: page seals, B-tree structure, index↔heap agreement in
-    both directions, free-map accuracy. Empty list means sound. *)
+(** Full sweep: page seals, a decode of every live heap record,
+    free-map accuracy. Empty list means sound. *)
 
 (** Seeded corruption and crash hooks for the test suite. The edits
     write committed pages in place (deliberately bypassing shadowing)
@@ -100,18 +100,16 @@ module Testing : sig
       flush but before the meta-root swap. *)
 
   val corrupt_page : t -> unit
-  (** Flip a byte under the B-tree root's seal (F025). *)
+  (** Flip a record byte under a heap page's seal (F025). *)
 
-  val kill_slot : t -> int
-  (** Tombstone a live tuple's slot without touching the index; returns
-      the now-dangling TID (F026). *)
+  val garble_record : t -> unit
+  (** Make a live heap record undecodable, keeping its page's seal and
+      slot lengths valid (F025). *)
 
-  val dup_btree_ref : t -> unit
-  (** Insert a second index entry for an existing TID under the same
-      attribute and commit it (F027). *)
-
-  val swap_btree_keys : t -> unit
-  (** Swap the first two entries of the leftmost leaf (F028). *)
+  val page_tags : t -> (int * int) list
+  (** [(page type, count)] over the live page table's mapped pages,
+      ascending by type (1 heap, 2 free-space map, 5 blob; 3 and 4 only
+      in a version-1 store's retired B-tree). *)
 
   val skew_freemap : t -> unit
   (** Inflate one free-space map entry's free-byte count (F029). *)

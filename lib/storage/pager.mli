@@ -5,7 +5,7 @@
     intrusive doubly-linked list, so every pool touch — hit, fault-in,
     eviction — is O(1) regardless of pool size. This is the conventional
     bottom layer of a disk-resident database; {!Page_store} builds the
-    shadow-paged tuple store (slotted pages, TIDs, B-trees) the database
+    shadow-paged tuple store (slotted pages, TIDs) the database
     checkpoints through on top of it.
 
     Single-process, no concurrency control; all sizes in bytes. *)

@@ -156,3 +156,26 @@ let is_conflict = function
 let check_holds rel names expected msg =
   let it = Item.of_names (Relation.schema rel) names in
   Alcotest.(check bool) msg expected (Binding.holds rel it)
+
+(* -- Checked-in fixture files ----------------------------------------- *)
+
+(* Paths that do not depend on the working directory, which is
+   _build/default/test under [dune runtest] but wherever the command was
+   typed under [dune exec test/main.exe]. The executable itself is built
+   at <root>/_build/default/test/main.exe. *)
+let exe_dir = Filename.dirname Sys.executable_name
+let source_root = Filename.dirname (Filename.dirname (Filename.dirname exe_dir))
+
+(* The path of [name] under test/fixtures: the copy [dune runtest] makes
+   beside the executable, else the source tree's (a bare [dune exec]
+   need not make the copy). *)
+let file name =
+  let built = Filename.concat (Filename.concat exe_dir "fixtures") name in
+  if Sys.file_exists built then built
+  else List.fold_left Filename.concat source_root [ "test"; "fixtures"; name ]
+
+let read name =
+  let ic = open_in_bin (file name) in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))

@@ -30,7 +30,6 @@ let () =
       ("persist", Test_persist.suite);
       ("storage", Test_storage.suite);
       ("pager", Test_pager.suite);
-      ("btree", Test_btree.suite);
       ("properties", Test_props.suite);
       ("fuzz", Test_fuzz.suite);
       ("obs", Test_obs.suite);

@@ -307,15 +307,9 @@ let test_lexer_spans () =
 
 (* -- the all-codes golden fixture --------------------------------------- *)
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let test_golden () =
-  let script = read_file "fixtures/lint_all_codes.hrql" in
-  let expected = read_file "fixtures/lint_all_codes.expected" in
+  let script = Fixtures.read "lint_all_codes.hrql" in
+  let expected = Fixtures.read "lint_all_codes.expected" in
   let actual = Diagnostic.render_text (Lint.analyze_script script) in
   Alcotest.(check string) "full report matches" expected actual;
   let all_codes = codes script in

@@ -196,7 +196,7 @@ let test_torn_tail_truncated_on_reopen () =
       | Ok _ | Error _ -> Alcotest.fail "ask after reopen failed");
       Db.close db)
 
-(* ---- seeded page-store corruption (F025–F029) -------------------------- *)
+(* ---- seeded page-store corruption (F025, F029) ------------------------- *)
 
 module Page_store = Hr_storage.Page_store
 
@@ -206,7 +206,7 @@ module Page_store = Hr_storage.Page_store
 let with_injected_fault inject f =
   with_temp_dir (fun dir ->
       let db = seed dir in
-      (* a couple more tuples so the first leaf has several entries *)
+      (* a couple more tuples so the heap page holds several records *)
       exec db "INSERT INTO flies VALUES (+ opus);";
       exec db "INSERT INTO flies VALUES (- tweety);";
       Db.checkpoint db;
@@ -221,21 +221,16 @@ let test_page_checksum () =
       Alcotest.(check bool) "F025 reported" true (List.mem "F025" (codes r));
       Alcotest.(check bool) "critical" true (Fsck.has_critical r))
 
-let test_dangling_tid () =
-  with_injected_fault
-    (fun s -> ignore (Page_store.Testing.kill_slot s))
-    (fun r ->
-      Alcotest.(check bool) "F026 reported" true (List.mem "F026" (codes r));
-      Alcotest.(check bool) "critical" true (Fsck.has_critical r))
-
-let test_duplicate_tid () =
-  with_injected_fault Page_store.Testing.dup_btree_ref (fun r ->
-      Alcotest.(check bool) "F027 reported" true (List.mem "F027" (codes r));
-      Alcotest.(check bool) "critical" true (Fsck.has_critical r))
-
-let test_btree_order () =
-  with_injected_fault Page_store.Testing.swap_btree_keys (fun r ->
-      Alcotest.(check bool) "F028 reported" true (List.mem "F028" (codes r));
+(* The page seal holds, so only the record decode pins the fault. *)
+let test_undecodable_record () =
+  with_injected_fault Page_store.Testing.garble_record (fun r ->
+      Alcotest.(check bool) "F025 reported" true (List.mem "F025" (codes r));
+      Alcotest.(check bool) "names the record" true
+        (List.exists
+           (fun f ->
+             f.Fsck.code = "F025"
+             && Test_util.contains ~sub:"record does not decode" f.Fsck.message)
+           r.Fsck.findings);
       Alcotest.(check bool) "critical" true (Fsck.has_critical r))
 
 let test_freemap_skew () =
@@ -442,9 +437,8 @@ let suite =
     Alcotest.test_case "pre-paged layout is F001" `Quick test_pre_paged_layout;
     Alcotest.test_case "seeded: WAL skips base+1 (F009)" `Quick test_wal_skips_base;
     Alcotest.test_case "seeded: page checksum (F025)" `Quick test_page_checksum;
-    Alcotest.test_case "seeded: dangling TID (F026)" `Quick test_dangling_tid;
-    Alcotest.test_case "seeded: duplicate TID (F027)" `Quick test_duplicate_tid;
-    Alcotest.test_case "seeded: B-tree order (F028)" `Quick test_btree_order;
+    Alcotest.test_case "seeded: undecodable heap record (F025)" `Quick
+      test_undecodable_record;
     Alcotest.test_case "seeded: free-map skew (F029)" `Quick test_freemap_skew;
     Alcotest.test_case "partial trailing page is a warning" `Quick
       test_partial_trailing_page;

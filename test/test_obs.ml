@@ -214,12 +214,6 @@ let golden_setup =
     INSERT INTO gold_flies VALUES (+ ALL gold_bird), (- ALL gold_penguin);
     INSERT INTO gold_swims VALUES (+ ALL gold_penguin), (+ gold_rex);|}
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let explain_analyze_golden () =
   let cat = Catalog.create () in
   (match Eval.run_script cat golden_setup with
@@ -234,7 +228,7 @@ let explain_analyze_golden () =
     | Ok outs -> Alcotest.failf "expected one output, got %d" (List.length outs)
     | Error e -> Alcotest.failf "EXPLAIN ANALYZE failed: %s" e
   in
-  let expected = read_file "fixtures/explain_analyze.expected" in
+  let expected = Fixtures.read "explain_analyze.expected" in
   Alcotest.(check string) "golden EXPLAIN ANALYZE" expected got
 
 (* ---- STATS statements ------------------------------------------------- *)

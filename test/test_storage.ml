@@ -21,6 +21,16 @@ let with_temp_dir f =
       end)
     (fun () -> f dir)
 
+let read_bytes path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_bytes path data =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data)
+
 (* ---- codec ---------------------------------------------------------- *)
 
 let test_codec_roundtrip () =
@@ -272,21 +282,7 @@ let test_db_full_paper_script () =
   (* the complete paper script runs durably, checkpoints, and survives a
      reopen with nothing but the binary snapshot *)
   with_temp_dir (fun dir ->
-      let script =
-        (* cwd is the test dir under `dune runtest` but the repo root
-           under `dune exec test/main.exe` (the CI seed-sweep lanes), so
-           walk up until the examples dir appears *)
-        let rec find base depth =
-          let candidate = Filename.concat base "examples/paper.hrql" in
-          if Sys.file_exists candidate then candidate
-          else if depth = 0 then candidate
-          else find (Filename.concat base Filename.parent_dir_name) (depth - 1)
-        in
-        let ic = open_in (find Filename.current_dir_name 4) in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
+      let script = read_bytes (Filename.concat Fixtures.source_root "examples/paper.hrql") in
       let db = Db.open_dir dir in
       (match Db.exec db script with Ok _ -> () | Error e -> Alcotest.failf "script: %s" e);
       Db.checkpoint db;
@@ -387,29 +383,148 @@ let test_incremental_checkpoint_cost () =
       Db.close db)
 
 (* The paged store reports its work through the metrics registry (and so
-   through STATS / STATS JSON): B-tree maintenance counters move when
-   tuples land, and the checkpoint gauges mirror last_checkpoint_pages. *)
+   through STATS / STATS JSON): the checkpoint gauges mirror
+   last_checkpoint_pages. *)
 let test_storage_metrics_wired () =
   with_temp_dir (fun dir ->
       let module M = Hr_obs.Metrics in
-      let ins0 = M.counter_value "storage.btree.inserts" in
-      let del0 = M.counter_value "storage.btree.deletes" in
       let db = Db.open_dir dir in
       (match Db.exec db (bulk_world 50) with Ok _ -> () | Error e -> failwith e);
       Db.checkpoint db;
-      Alcotest.(check bool) "btree inserts counted" true
-        (M.counter_value "storage.btree.inserts" >= ins0 + 50);
       (match Db.exec db "DELETE FROM owns VALUES (item0001);" with
       | Ok _ -> ()
       | Error e -> failwith e);
       Db.checkpoint db;
-      Alcotest.(check bool) "btree deletes counted" true
-        (M.counter_value "storage.btree.deletes" > del0);
       let written, total = Db.last_checkpoint_pages db in
       Alcotest.(check int) "dirty-pages gauge mirrors the checkpoint" written
         (M.gauge_value "storage.checkpoint.dirty_pages");
       Alcotest.(check int) "pages-total gauge mirrors the store" total
         (M.gauge_value "storage.checkpoint.pages_total");
+      Db.close db)
+
+(* Live pages of each type in a closed store: [(type, count)]. *)
+let page_tags pages =
+  let s = Page_store.open_ pages in
+  Fun.protect ~finally:(fun () -> Page_store.close s) (fun () -> Page_store.Testing.page_tags s)
+
+let pages_of_type tags ty = Option.value ~default:0 (List.assoc_opt ty tags)
+
+(* An hb-shaped bulk load, as perfbench's hier_read builds it: a domain
+   of 4,096 instances under 4 -> 16 -> 64 -> 256 classes crossed with a
+   flat domain of 32 values, and a relation of 16 class tuples (four
+   nested exception chains) plus 9,000 distinct instance pairs. Its first
+   checkpoint writes each heap, free-space-map, blob and page-table page
+   once, plus the meta root; no page is spent per tuple coordinate. *)
+let test_bulk_checkpoint_writes_only_the_heap () =
+  with_temp_dir (fun dir ->
+      let db = Db.open_dir ~auto_checkpoint_every:0 ~fsync:false dir in
+      let b = Buffer.create 200_000 in
+      Buffer.add_string b "CREATE DOMAIN hr;\nCREATE DOMAIN hw;\n";
+      for k = 0 to 31 do
+        Printf.bprintf b "CREATE INSTANCE hw_%d OF hw;\n" k
+      done;
+      List.iter
+        (fun (level, parent, n, up) ->
+          for k = 0 to n - 1 do
+            if up = 0 then Printf.bprintf b "CREATE CLASS hr_%s%d UNDER hr;\n" level k
+            else Printf.bprintf b "CREATE CLASS hr_%s%d UNDER hr_%s%d;\n" level k parent (k mod up)
+          done)
+        [ ("a", "", 4, 0); ("b", "a", 16, 4); ("c", "b", 64, 16); ("d", "c", 256, 64) ];
+      for j = 0 to 4095 do
+        Printf.bprintf b "CREATE INSTANCE hr_i%d OF hr_d%d;\n" j (j mod 256)
+      done;
+      Buffer.add_string b "CREATE RELATION hb (v: hr, w: hw);";
+      (match Db.exec db (Buffer.contents b) with Ok _ -> () | Error e -> failwith e);
+      let cat = Db.catalog db in
+      let chains =
+        List.concat_map
+          (fun k ->
+            List.map
+              (fun (sign, level) -> (sign, [ Printf.sprintf "hr_%s%d" level k; "hw" ]))
+              [ (Types.Pos, "a"); (Types.Neg, "b"); (Types.Pos, "c"); (Types.Neg, "d") ])
+          [ 0; 1; 2; 3 ]
+      in
+      (* 7919 is odd, so i -> 7919 i mod 2^17 never repeats a pair *)
+      let pairs =
+        List.init 9_000 (fun i ->
+            let p = i * 7919 mod (4096 * 32) in
+            (Types.Pos, [ Printf.sprintf "hr_i%d" (p / 32); Printf.sprintf "hw_%d" (p mod 32) ]))
+      in
+      let hb =
+        List.fold_left
+          (fun r (sign, names) -> Relation.add_named r sign names)
+          (Catalog.relation cat "hb") (chains @ pairs)
+      in
+      Alcotest.(check int) "hb-shaped" 9_016 (Relation.cardinality hb);
+      Catalog.replace_relation cat hb;
+      Db.checkpoint db;
+      let written, _ = Db.last_checkpoint_pages db in
+      Db.close db;
+      let tags = page_tags (Filename.concat dir "pages.db") in
+      let mapped = List.fold_left (fun n (_, c) -> n + c) 0 tags in
+      let page_table = max 1 ((mapped + 1023) / 1024) in
+      let bound =
+        pages_of_type tags 1 + pages_of_type tags 2 + pages_of_type tags 5 + page_table + 1
+      in
+      Alcotest.(check (list int)) "only heap, free-space-map and blob pages" [ 1; 2; 5 ]
+        (List.map fst tags);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d pages written, at most %d (heap + map + blob + table + meta)" written
+           bound)
+        true (written <= bound))
+
+(* test/fixtures/v1_store was written by a build whose stores still kept
+   a coordinate B-tree (meta version 1): three relations checkpointed
+   twice, the B-tree split into two leaves, then a WAL tail of four
+   statements. v1_store.expected is what that build read back from it. *)
+let v1_reads =
+  [
+    "SHOW HIERARCHIES;"; "SHOW HIERARCHY animal;"; "SHOW HIERARCHY food;"; "SHOW RELATIONS;";
+    "SELECT * FROM flies;"; "SELECT * FROM eats;"; "SELECT * FROM tagged;";
+  ]
+
+let read_v1 db =
+  String.concat "\n"
+    (List.map
+       (fun s -> match Db.exec db s with Ok l -> String.concat "\n" l | Error e -> "ERROR " ^ e)
+       v1_reads)
+  ^ "\n"
+
+(* The version field of each meta slot: it follows the magic string's
+   4-byte length and 8 bytes. *)
+let meta_versions pages =
+  let data = read_bytes pages in
+  List.map (fun slot -> Char.code data.[(slot * Pager.page_size) + 12]) [ 0; 1 ]
+
+let test_v1_store_opens () =
+  with_temp_dir (fun dir ->
+      List.iter
+        (fun f -> write_bytes (Filename.concat dir f) (Fixtures.read ("v1_store/" ^ f)))
+        [ "pages.db"; "wal.log" ];
+      let pages = Filename.concat dir "pages.db" in
+      let v1_bytes = read_bytes pages in
+      let fsck_codes () =
+        List.map (fun f -> f.Hr_check.Fsck.code) (Hr_check.Fsck.run dir).Hr_check.Fsck.findings
+      in
+      Alcotest.(check (list string)) "fsck clean on the version-1 store" [] (fsck_codes ());
+      Alcotest.(check bool) "fsck leaves pages.db byte-identical" true
+        (String.equal v1_bytes (read_bytes pages));
+      Alcotest.(check (list int)) "both meta slots are version 1" [ 1; 1 ] (meta_versions pages);
+      let db = Db.open_dir dir in
+      Alcotest.(check string) "catalog as the version-1 build read it"
+        (Fixtures.read "v1_store.expected") (read_v1 db);
+      Db.checkpoint db;
+      Db.close db;
+      Alcotest.(check (list int)) "the checkpoint wrote a version-2 root" [ 1; 2 ]
+        (List.sort compare (meta_versions pages));
+      Alcotest.(check (list int)) "no B-tree page left after a checkpoint" []
+        (List.filter (fun ty -> ty = 3 || ty = 4) (List.map fst (page_tags pages)));
+      Alcotest.(check bool) "pages.db did not grow" true
+        (String.length (read_bytes pages) <= String.length v1_bytes);
+      Alcotest.(check (list string)) "fsck clean after the checkpoint" [] (fsck_codes ());
+      let db = Db.open_dir dir in
+      Alcotest.(check string) "same catalog after the upgrade"
+        (Fixtures.read "v1_store.expected") (read_v1 db);
       Db.close db)
 
 let test_tid_reuse_after_delete () =
@@ -580,16 +695,6 @@ let test_randomized_durability_vs_oracle () =
 
 (* ---- one durable layout ---------------------------------------------- *)
 
-let read_bytes path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_bytes path data =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data)
-
 let listing dir = List.sort compare (Array.to_list (Sys.readdir dir))
 
 (* What a pre-paged build's directory held after a checkpoint and one
@@ -751,6 +856,10 @@ let suite =
       test_incremental_checkpoint_cost;
     Alcotest.test_case "storage metrics wired to the registry" `Quick
       test_storage_metrics_wired;
+    Alcotest.test_case "bulk checkpoint writes only heap-side pages" `Quick
+      test_bulk_checkpoint_writes_only_the_heap;
+    Alcotest.test_case "version-1 store opens, upgrades at checkpoint" `Quick
+      test_v1_store_opens;
     Alcotest.test_case "TIDs reused after tombstoning" `Quick test_tid_reuse_after_delete;
     Alcotest.test_case "data larger than the pager pool" `Quick test_data_larger_than_pool;
     Alcotest.test_case "kill -9 mid-checkpoint recovers exactly" `Quick
