@@ -99,10 +99,13 @@ let decide ?(semantics = Types.Off_path) schema item ~exact ~relevant =
         assert false
       | _ :: _, _ :: _ -> Conflict { positive; negative }))
 
+(* [decide] answers a stored item from its own tuple, so the index is
+   probed only for an item that is not stored. *)
 let verdict ?semantics rel item =
   Hr_obs.Metrics.incr m_verdicts;
-  decide ?semantics (Relation.schema rel) item ~exact:(Relation.find rel item)
-    ~relevant:(relevant rel item)
+  let exact = Relation.find rel item in
+  let relevant = match exact with Some _ -> [] | None -> relevant rel item in
+  decide ?semantics (Relation.schema rel) item ~exact ~relevant
 
 let truth ?semantics rel item =
   match verdict ?semantics rel item with

@@ -35,6 +35,8 @@ val relevant : Relation.t -> Item.t -> Relation.tuple list
     bumps the [core.binding.index_probes] counter. *)
 
 val verdict : ?semantics:Types.semantics -> Relation.t -> Item.t -> verdict
+(** A stored item is answered from its own tuple, which always wins, and
+    costs no index probe; any other item probes {!relevant} once. *)
 
 val decide :
   ?semantics:Types.semantics ->

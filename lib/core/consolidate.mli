@@ -11,13 +11,24 @@
     flat relation is untouched.
 
     Subsumption here is set inclusion over [isa] edges; preference edges
-    play no role, exactly as in the paper. *)
+    play no role, exactly as in the paper.
+
+    An atomic tuple (every coordinate an instance) is a sink of the
+    graph, so the walk runs over the non-atomic tuples only, and each
+    atomic tuple is then decided against the minimal surviving tuples
+    that subsume it ({!Subsumption.minimal}), with the universal negated
+    tuple standing in when there is none. This removes the same tuples
+    as walking the whole graph (docs/SEMANTICS.md §5, Lemma B); the
+    graph costs only the non-atomic tuples, and an atomic one costs one
+    {!Relation.candidates} lookup. *)
 
 val consolidate : Relation.t -> Relation.t
 (** The unique minimal equivalent relation. *)
 
 val consolidate_verbose : Relation.t -> Relation.t * Relation.tuple list
-(** Also reports the removed tuples, in removal order. *)
+(** Also reports the removed tuples, in removal order: the walk's
+    removals in walk (topological) order, then the atomic ones in item
+    order. *)
 
 val redundant_tuples : Relation.t -> Relation.tuple list
 (** The tuples {!consolidate} would remove (without removing them). *)

@@ -24,14 +24,34 @@ let coords t = Array.copy t
 let coord t i = t.(i)
 let arity = Array.length
 
-let compare (a : t) (b : t) = Stdlib.compare a b
-let equal (a : t) (b : t) = a = b
+(* The order [Stdlib.compare] gives int arrays — length first, then
+   lexicographic — without its polymorphic dispatch. The loops are
+   top-level functions so that a comparison allocates no closure. *)
+let rec compare_from (a : t) (b : t) i n =
+  if i >= n then 0
+  else
+    let c = Int.compare (Array.unsafe_get a i) (Array.unsafe_get b i) in
+    if c <> 0 then c else compare_from a b (i + 1) n
+
+let compare (a : t) (b : t) =
+  let n = Array.length a in
+  let c = Int.compare n (Array.length b) in
+  if c <> 0 then c else compare_from a b 0 n
+
+let rec equal_from (a : t) (b : t) i n =
+  i >= n || (Int.equal (Array.unsafe_get a i) (Array.unsafe_get b i) && equal_from a b (i + 1) n)
+
+let equal (a : t) (b : t) =
+  let n = Array.length a in
+  n = Array.length b && equal_from a b 0 n
+
 let hash (t : t) = Hashtbl.hash t
 
-let is_atomic schema t =
-  let ok = ref true in
-  Array.iteri (fun i v -> if not (Hierarchy.is_instance (Schema.hierarchy schema i) v) then ok := false) t;
-  !ok
+let rec atomic_from schema t i =
+  i >= Array.length t
+  || (Hierarchy.is_instance (Schema.hierarchy schema i) t.(i) && atomic_from schema t (i + 1))
+
+let is_atomic schema t = atomic_from schema t 0
 
 let forall2 schema p a b =
   let n = Array.length a in

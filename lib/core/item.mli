@@ -27,7 +27,9 @@ val coord : t -> int -> Hr_hierarchy.Hierarchy.node
 val arity : t -> int
 
 val compare : t -> t -> int
-(** Structural (lexicographic) order — a total order for container keys,
+(** Structural order — arity first, then lexicographic over the
+    coordinates, the order [Stdlib.compare] gives int arrays. A total
+    order for container keys ([Relation.Item_map] and every item set),
     unrelated to subsumption. *)
 
 val equal : t -> t -> bool

@@ -35,7 +35,9 @@ let c_closure_pairs = Hr_obs.Metrics.counter "core.ops.closure.pairs"
    is paired only with the buckets that meet it on one coordinate
    ([Hierarchy.buckets_meeting]), the coordinate that yields the shortest
    list; every pair of accepted items is still tested once, when the
-   later of the two is popped. *)
+   later of the two is popped. An atomic item is accepted but neither
+   filed nor popped: it meets only the items that subsume it, so it has
+   no incomparable intersecting partner (docs/SEMANTICS.md §3). *)
 let close_under_mcd schema seeds =
   let arity = Schema.arity schema in
   let accepted = ref Item_set.empty in
@@ -44,12 +46,14 @@ let close_under_mcd schema seeds =
   let enqueue item =
     if not (Item_set.mem item !accepted) then begin
       accepted := Item_set.add item !accepted;
-      Array.iteri
-        (fun i tbl ->
-          let c = Item.coord item i in
-          Hashtbl.replace tbl c (item :: Option.value (Hashtbl.find_opt tbl c) ~default:[]))
-        buckets;
-      Queue.add item queue
+      if not (Item.is_atomic schema item) then begin
+        Array.iteri
+          (fun i tbl ->
+            let c = Item.coord item i in
+            Hashtbl.replace tbl c (item :: Option.value (Hashtbl.find_opt tbl c) ~default:[]))
+          buckets;
+        Queue.add item queue
+      end
     end
   in
   let meeting item i =
@@ -68,9 +72,9 @@ let close_under_mcd schema seeds =
   in
   List.iter enqueue seeds;
   while not (Queue.is_empty queue) do
+    (* Only non-atomic items are queued, so the arity is at least 1. *)
     let item = Queue.pop queue in
-    (* Arity 0 has a single item, which pairs with nothing. *)
-    let hits = if arity = 0 then [] else shortest item 1 (meeting item 0) in
+    let hits = shortest item 1 (meeting item 0) in
     List.iter
       (List.iter (fun other ->
            if not (Item.equal item other) then begin

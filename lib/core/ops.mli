@@ -26,16 +26,23 @@ val refine :
 (** [refine schema eval seeds]: the closure-evaluate-consolidate pipeline.
     [consolidate] defaults to [true].
 
-    The closure files every accepted item in one bucket table per
-    coordinate (node -> accepted items) and pairs a new item only with
-    the items whose coordinate meets its own
+    The closure accepts every item but pairs only the non-atomic ones:
+    an atomic item (every coordinate an instance) meets only items that
+    subsume it, so it can yield no maximal common descendant
+    (docs/SEMANTICS.md §3, Lemma A). It files each accepted non-atomic
+    item in one bucket table per coordinate (node -> items) and pairs a
+    new one only with the items whose coordinate meets its own
     ({!Hr_hierarchy.Hierarchy.buckets_meeting}, the probe rule of
     {!Relation.meeting}), on the coordinate that yields the fewest; the
     full incomparable-and-intersecting test runs on that shortlist. Each
-    test counts one [core.ops.closure.pairs]. Consolidation builds the
-    subsumption graph through the binding index ({!Subsumption.build}).
-    So the cost follows the pairs of items that meet, not the square of
-    the item count: n pairwise-disjoint seeds make O(n) pair tests. *)
+    test counts one [core.ops.closure.pairs]. Operand verdicts come from
+    {!Binding.verdict}, which answers a stored item from its tuple
+    without an index probe. Consolidation builds the subsumption graph
+    of the non-atomic items only and decides each atomic one against
+    its minimal surviving subsumers ({!Consolidate.consolidate}). So the
+    cost follows the pairs of non-atomic items that meet, not the square
+    of the item count: n pairwise-disjoint instance seeds under one
+    class make no pair tests. *)
 
 val select : ?name:string -> Relation.t -> attr:string -> value:string -> Relation.t
 (** [select r ~attr ~value] restricts [r] to the region where [attr] lies

@@ -153,7 +153,9 @@ let items r = List.map (fun t -> t.item) (tuples r)
 let fold f r init = Item_map.fold (fun item sign acc -> f { item; sign } acc) r.body init
 let iter f r = Item_map.iter (fun item sign -> f { item; sign }) r.body
 
-let filter p r = with_body r (Item_map.filter (fun item sign -> p { item; sign }) r.body)
+let filter p r =
+  let body = Item_map.filter (fun item sign -> p { item; sign }) r.body in
+  if body == r.body then r else with_body r body
 
 (* Per node while building: its codes, descending, and which signs it
    has seen. *)

@@ -31,8 +31,9 @@ val with_schema : t -> Schema.t -> t
     so any later hierarchy mutation — in place or by copy-on-write —
     makes {!verified} false. Every constructor that changes the body or
     the schema returns an unstamped value; {!with_name} keeps the stamp,
-    and so do {!add}, {!set} and {!remove} when they leave the body as
-    it was (they return the relation itself).
+    and so do {!add}, {!set}, {!remove} and {!filter} when they leave
+    the body as it was (they return the relation itself, index
+    included).
     A stamp that {!verified} accepts is therefore always sound: only a
     passing check creates one. {!Catalog.define_relation} and
     {!Txn.commit} stamp; {!Txn.commit} relies on stamps to check only a
@@ -85,10 +86,10 @@ val filter : (tuple -> bool) -> t -> t
     Probes read a per-relation binding index: per attribute, hierarchy
     node -> the tuples whose coordinate is that node, each entry tagged
     with its tuple's sign, plus the nodes that hold a tuple of each
-    sign. A relation built in one step ({!of_map}, {!filter}, {!empty}
-    and everything derived from an unindexed value) builds its index
-    from the whole body on its first probe, O(N), counted by
-    [core.binding.index_builds]. A version that {!add}, {!set} or
+    sign. A relation built in one step ({!of_map}, a {!filter} that
+    drops a tuple, {!empty} and everything derived from an unindexed
+    value) builds its index from the whole body on its first probe,
+    O(N), counted by [core.binding.index_builds]. A version that {!add}, {!set} or
     {!remove} derives from an {e indexed} one carries that index instead:
     the same compact base plus an overlay of the changed items, so a
     commit and the reads after it never rebuild. Once the overlay holds

@@ -7,6 +7,13 @@ type t = {
   root : int;
 }
 
+(* Immediate predecessors: the subsumers with no other subsumer strictly
+   below them. *)
+let minimal schema item above =
+  List.filter
+    (fun u -> not (List.exists (fun w -> Item.strictly_subsumes schema (item u) (item w)) above))
+    above
+
 let build relation =
   let schema = Relation.schema relation in
   let tuples = Array.of_list (Relation.tuples relation) in
@@ -39,18 +46,8 @@ let build relation =
           []
           (Relation.candidates relation (item v)))
   in
-  (* immediate predecessor: an ancestor with no other ancestor strictly
-     below it *)
   for v = 0 to n - 1 do
-    List.iter
-      (fun u ->
-        let blocked =
-          List.exists
-            (fun w -> w <> u && Item.strictly_subsumes schema (item u) (item w))
-            above.(v)
-        in
-        if not blocked then Dag.add_edge dag u v)
-      above.(v);
+    List.iter (fun u -> Dag.add_edge dag u v) (minimal schema item above.(v));
     if above.(v) = [] then Dag.add_edge dag root v
   done;
   { relation; tuples; dag; root }

@@ -15,6 +15,13 @@ val build : Relation.t -> t
     lists plus, per tuple, the square of its subsumer count (for the
     transitive reduction), instead of n² subsumption tests. *)
 
+val minimal : Schema.t -> ('a -> Item.t) -> 'a list -> 'a list
+(** [minimal schema item above]: given the strict subsumers [above] of
+    one item (through [item]), those that strictly subsume no other
+    member of [above], in the order of [above] — the item's immediate
+    predecessors among them. The test {!build} draws each edge with, and
+    the one consolidation decides an atomic tuple by. *)
+
 val relation : t -> Relation.t
 (** The relation the graph was built from. *)
 

@@ -14,10 +14,15 @@
      builds the graph the n² way and re-sorts it for every elimination,
      and [Dag.eliminate_node] against that elimination on random DAGs
      that need not be transitively reduced;
+   - the same comparisons on mostly atomic relations, where
+     consolidation decides each atomic tuple after its walk, against
+     the minimal surviving tuples that subsume it;
    - on a selection under a class with n pairwise-disjoint instance
      seeds, the closure makes O(n) pair tests and consolidating the
      result O(n) subsumption checks, where pairing everything makes
-     about n²/2.
+     about n²/2; since those seeds are atomic, the closure in fact
+     makes none, and since they are stored, their verdicts probe no
+     index.
 
    The random part is replayable: [HRDB_TEST_SEED=n dune runtest]. *)
 
@@ -115,23 +120,25 @@ let resorting_eliminate g ~on_path v =
       List.iter (fun k -> if on_path || not (Dag.reachable g j k) then Dag.add_edge g j k) ks)
     ps
 
+(* The consolidated relation and the tuples removed, walking every
+   tuple, atomic or not, through the one graph. *)
 let resorting_consolidate rel =
   let tuples, dag = pairwise_graph rel in
   let root = Array.length tuples in
   let sign u = if u = root then Types.Neg else tuples.(u).Relation.sign in
   List.fold_left
-    (fun result v ->
-      if v = root then result
+    (fun ((result, removed) as acc) v ->
+      if v = root then acc
       else begin
         let preds = Dag.preds dag v in
         if preds <> [] && List.for_all (fun u -> Types.sign_equal (sign u) (sign v)) preds
         then begin
           resorting_eliminate dag ~on_path:false v;
-          Relation.remove result tuples.(v).Relation.item
+          (Relation.remove result tuples.(v).Relation.item, tuples.(v) :: removed)
         end
-        else result
+        else acc
       end)
-    rel (Dag.topo_sort dag)
+    (rel, []) (Dag.topo_sort dag)
 
 (* ---- comparisons ----------------------------------------------------- *)
 
@@ -146,6 +153,15 @@ let edges dag =
 let show_edges es = String.concat " " (List.map (fun (u, v) -> Printf.sprintf "%d>%d" u v) es)
 let show rel = Format.asprintf "%a" Relation.pp rel
 
+(* [refine]'s closure of [seeds], which must equal the pairwise one. *)
+let check_closure ~ctx schema rel seeds =
+  let closed = Ops.refine ~consolidate:false schema (Binding.truth rel) seeds in
+  let want = pairwise_closure schema seeds in
+  if Relation.items closed <> want then
+    Alcotest.failf "%s: bucketed closure has %d items, the pairwise one %d\n%s" ctx
+      (Relation.cardinality closed) (List.length want) (show closed);
+  closed
+
 let check_graph ~ctx rel =
   let g = Subsumption.build rel in
   let _, want = pairwise_graph rel in
@@ -155,10 +171,24 @@ let check_graph ~ctx rel =
       (Relation.cardinality rel) (show_edges got) (show_edges want)
 
 let check_consolidate ~ctx rel =
-  let got = Consolidate.consolidate rel and want = resorting_consolidate rel in
+  let got, got_removed = Consolidate.consolidate_verbose rel in
+  let want, want_removed = resorting_consolidate rel in
   if not (Relation.equal got want) then
     Alcotest.failf "%s: consolidation differs\ngot:\n%s\nre-sorting:\n%s" ctx (show got)
-      (show want)
+      (show want);
+  (* the same tuples, whatever order each walk removed them in *)
+  let sorted removed =
+    List.sort String.compare
+      (List.map
+         (fun (t : Relation.tuple) ->
+           Format.asprintf "%a%s" Types.pp_sign t.Relation.sign
+             (Item.to_string (Relation.schema rel) t.Relation.item))
+         removed)
+  in
+  let got_removed = sorted got_removed and want_removed = sorted want_removed in
+  if got_removed <> want_removed then
+    Alcotest.failf "%s: consolidation removes different tuples\ngot:        %s\nre-sorting: %s"
+      ctx (String.concat " " got_removed) (String.concat " " want_removed)
 
 (* ---- random schemas and seed sets ------------------------------------ *)
 
@@ -206,12 +236,8 @@ let random_closures () =
   for round = 1 to 60 do
     let schema, rel, seeds = random_round g round in
     let ctx = Printf.sprintf "round %d (arity %d)" round (Schema.arity schema) in
-    let closed = Ops.refine ~consolidate:false schema (Binding.truth rel) seeds in
-    let want = pairwise_closure schema seeds in
-    if Relation.items closed <> want then
-      Alcotest.failf "%s: bucketed closure has %d items, the pairwise one %d\n%s" ctx
-        (Relation.cardinality closed) (List.length want) (show closed);
-    if List.length want > List.length (List.sort_uniq Item.compare seeds) then incr grew;
+    let closed = check_closure ~ctx schema rel seeds in
+    if Relation.cardinality closed > List.length (List.sort_uniq Item.compare seeds) then incr grew;
     check_graph ~ctx:(ctx ^ ", closure") closed;
     check_graph ~ctx:(ctx ^ ", relation") rel;
     check_consolidate ~ctx:(ctx ^ ", closure") closed;
@@ -219,6 +245,93 @@ let random_closures () =
   done;
   (* the closure must have had work to do *)
   Alcotest.(check bool) (Printf.sprintf "%d of 60 closures added items" !grew) true (!grew >= 10)
+
+(* ---- mostly atomic relations ----------------------------------------- *)
+
+(* The shape of a selection over instance data: nine in ten coordinates
+   are instances, under a few class tuples of both signs, so most tuples
+   are atomic sinks that consolidation decides after its walk. *)
+let atomic_round g round =
+  let arity = 1 + Prng.int g 3 in
+  let hier k =
+    Workload.random_hierarchy g
+      {
+        Workload.name = Printf.sprintf "atm%d_%d_%d" seed round k;
+        classes = 3 + Prng.int g 5;
+        instances = 4 + Prng.int g 6;
+        multi_parent_prob = 0.5;
+      }
+  in
+  let schema = Schema.make (List.init arity (fun k -> (Printf.sprintf "a%d" k, hier k))) in
+  let rel =
+    Workload.random_relation g schema
+      {
+        Workload.rel_name = Printf.sprintf "atm%d" round;
+        tuples = 8 + Prng.int g 16;
+        neg_fraction = 0.4;
+        instance_fraction = 0.9;
+      }
+  in
+  let classes =
+    Workload.random_relation g schema
+      {
+        Workload.rel_name = "classes";
+        tuples = 2 + Prng.int g 3;
+        neg_fraction = 0.5;
+        instance_fraction = 0.0;
+      }
+  in
+  let rel =
+    Relation.fold
+      (fun (t : Relation.tuple) r ->
+        if Relation.mem r t.Relation.item then r else Relation.add r t.Relation.item t.Relation.sign)
+      classes rel
+  in
+  (schema, Workload.repair g rel)
+
+(* How many atomic tuples have no, one and several immediate
+   predecessors in the full graph, and how many of those with none are
+   negative. *)
+let sink_shapes rel =
+  let schema = Relation.schema rel in
+  let tuples, dag = pairwise_graph rel in
+  let root = Array.length tuples in
+  let counts = Array.make 4 0 in
+  Array.iteri
+    (fun v (t : Relation.tuple) ->
+      if Item.is_atomic schema t.Relation.item then begin
+        let k =
+          match Dag.preds dag v with
+          | [ u ] when u = root -> if Types.sign_equal t.Relation.sign Types.Neg then 3 else 0
+          | [ _ ] -> 1
+          | _ -> 2
+        in
+        counts.(k) <- counts.(k) + 1
+      end)
+    tuples;
+  counts
+
+let atomic_sinks () =
+  let g = Prng.create (Int64.of_int (seed + 2)) in
+  let shapes = Array.make 4 0 in
+  for round = 1 to 60 do
+    let schema, rel = atomic_round g round in
+    let ctx = Printf.sprintf "atomic round %d (arity %d)" round (Schema.arity schema) in
+    let closed = check_closure ~ctx schema rel (Relation.items rel) in
+    check_graph ~ctx rel;
+    check_consolidate ~ctx:(ctx ^ ", relation") rel;
+    check_consolidate ~ctx:(ctx ^ ", closure") closed;
+    Array.iteri (fun k n -> shapes.(k) <- shapes.(k) + n) (sink_shapes rel)
+  done;
+  let covered what k =
+    Alcotest.(check bool)
+      (Printf.sprintf "%d atomic tuples with %s" shapes.(k) what)
+      true (shapes.(k) > 0)
+  in
+  covered "no subsumer, positive" 0;
+  covered "one minimal subsumer" 1;
+  covered "several minimal subsumers" 2;
+  covered "no subsumer, negative" 3
 
 (* ---- node elimination on random DAGs --------------------------------- *)
 
@@ -284,14 +397,22 @@ let disjoint_seeds () =
            (Types.Neg, [ Printf.sprintf "cst_i%d" j; Printf.sprintf "csw_%d" (j mod 8) ]))
   in
   let rel = Relation.of_tuples ~name:"cst_r" schema rows in
-  let selected, pairs =
-    work "core.ops.closure.pairs" (fun () -> Ops.select rel ~attr:"v" ~value:"cst_k")
+  let (selected, pairs), probes =
+    work "core.binding.index_probes" (fun () ->
+        work "core.ops.closure.pairs" (fun () -> Ops.select rel ~attr:"v" ~value:"cst_k"))
   in
   Alcotest.(check int) "every tuple survives" (n + 1) (Relation.cardinality selected);
   Alcotest.(check bool)
     (Printf.sprintf "closure pair tests %d <= 4n = %d" pairs (4 * n))
     true
     (pairs <= 4 * n);
+  (* The instance seeds are atomic and the class seed pairs with no
+     other non-atomic item; every seed is a stored item, answered from
+     its tuple. *)
+  Alcotest.(check int) "atomic seeds make no closure pairs" 0 pairs;
+  Alcotest.(check bool)
+    (Printf.sprintf "index probes %d <= 1" probes)
+    true (probes <= 1);
   let consolidated, checks =
     work "hierarchy.subsumption_checks" (fun () -> Consolidate.consolidate selected)
   in
@@ -305,6 +426,7 @@ let suite =
   [
     Alcotest.test_case "closure, graph, consolidate = pairwise on random DAGs" `Quick
       random_closures;
+    Alcotest.test_case "atomic sinks consolidate as in the full walk" `Quick atomic_sinks;
     Alcotest.test_case "eliminate_node = re-sorting elimination" `Quick random_eliminations;
     Alcotest.test_case "n disjoint seeds cost O(n) pairs and checks" `Quick disjoint_seeds;
   ]

@@ -116,6 +116,40 @@ let test_structural_order_total () =
   let sorted = List.sort_uniq Item.compare items in
   Alcotest.(check int) "three distinct" 3 (List.length sorted)
 
+(* [Item.compare] is a hand-written loop; it must order items exactly as
+   [Stdlib.compare] orders their coordinate arrays (arity first, then
+   lexicographic), since every item map and set is keyed by it. Arrays
+   of arity 0-4 over one 40-node hierarchy; coordinates are drawn often
+   from the first three nodes so equal prefixes are common. *)
+let prop_compare_is_stdlib =
+  let h = Hierarchy.create "ord" in
+  for k = 1 to 39 do
+    ignore (Hierarchy.add_class h (Printf.sprintf "ord%d" k))
+  done;
+  let nodes = Array.of_list (Hierarchy.nodes h) in
+  let schema = Schema.make (List.init 4 (fun i -> (Printf.sprintf "a%d" i, h))) in
+  (* an item of arity n is the first n coordinates of a 4-ary one *)
+  let item c =
+    let n = Array.length c in
+    let padded = Array.init 4 (fun i -> if i < n then c.(i) else nodes.(0)) in
+    Item.project (Item.make schema padded) (List.init n Fun.id)
+  in
+  let gen_coords =
+    let open QCheck2.Gen in
+    let node = oneof [ int_range 0 2; int_range 0 (Array.length nodes - 1) ] in
+    map (fun l -> Array.of_list (List.map (fun k -> nodes.(k)) l)) (list_size (int_range 0 4) node)
+  in
+  let print (a, b) =
+    let show a = String.concat ";" (List.map string_of_int (Array.to_list a)) in
+    Printf.sprintf "[|%s|] vs [|%s|]" (show a) (show b)
+  in
+  QCheck2.Test.make ~name:"Item.compare agrees with Stdlib.compare" ~count:2000 ~print
+    QCheck2.Gen.(pair gen_coords gen_coords)
+    (fun (a, b) ->
+      let x = item a and y = item b in
+      Int.compare (Item.compare x y) 0 = Int.compare (Stdlib.compare a b) 0
+      && Item.equal x y = (a = b))
+
 let suite =
   [
     Alcotest.test_case "make and coords" `Quick test_make_and_coords;
@@ -129,4 +163,5 @@ let suite =
     Alcotest.test_case "atomic extension" `Quick test_atomic_extension;
     Alcotest.test_case "quantifier rendering" `Quick test_pp_quantifier;
     Alcotest.test_case "structural order" `Quick test_structural_order_total;
+    QCheck_alcotest.to_alcotest prop_compare_is_stdlib;
   ]
