@@ -161,3 +161,14 @@ let parse_lsn_prefixed payload =
     | Some lsn when lsn >= 0 ->
       Ok (lsn, String.sub payload (i + 1) (String.length payload - i - 1))
     | Some _ | None -> Error (Printf.sprintf "malformed LSN prefix in %S" payload))
+
+let ack_body ~held outputs =
+  String.concat "\n" (String.concat "," (List.map string_of_int held) :: outputs)
+
+let held_rows body =
+  let eol = Option.value (String.index_opt body '\n') ~default:(String.length body) in
+  match String.sub body 0 eol with
+  | "" -> Ok []
+  | line -> (
+    try Ok (List.map int_of_string (String.split_on_char ',' line))
+    with Failure _ -> Error (Printf.sprintf "malformed held rows %S" line))

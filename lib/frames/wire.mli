@@ -71,9 +71,12 @@ val shard_exec : string
     message on failure). *)
 
 val shard_ack : string
-(** [SHARD_ACK] (shard → router): payload is ["<lsn>\n<reply>"] — the
-    shard's head LSN after applying, then the evaluator's reply lines.
-    Like {!shard_part}, withheld until the covering fsync. *)
+(** [SHARD_ACK] (shard → router): payload is ["<lsn>\n<held>\n<reply>"]
+    — the shard's head LSN after applying; the comma-joined numbers
+    (from 1) of the [INSERT] rows the shard stored before the script,
+    which a router's undo must not delete (empty when none); then the
+    evaluator's reply lines. Like {!shard_part}, withheld until the
+    covering fsync. *)
 
 (** {1 Blocking I/O} *)
 
@@ -113,4 +116,10 @@ val parse_lsn : string -> (int, string) result
 
 val lsn_prefixed : int -> string -> string
 val parse_lsn_prefixed : string -> (int * string, string) result
-(** ["<lsn>\n<rest>"] payloads ([REPL_SNAPSHOT] / [REPL_RECORD]). *)
+(** ["<lsn>\n<rest>"] payloads ([REPL_SNAPSHOT] / [REPL_RECORD] and the
+    [SHARD_*] replies). *)
+
+val ack_body : held:int list -> string list -> string
+val held_rows : string -> (int list, string) result
+(** A {!shard_ack} body (after its LSN prefix): the held row numbers,
+    then the reply lines. *)

@@ -376,7 +376,10 @@ let edge_end cat h ~edge name =
     reject Foreign_value "%S is not in domain %s; %s edges cannot cross domains" name
       (domain_name h) edge
 
-let exec_statement cat stmt =
+(* [on_held], when given, is called with the number (from 1) of each
+   INSERT row whose signed item the relation stored before the
+   statement: adding it again changes nothing. *)
+let exec_statement ?on_held cat stmt =
   match stmt with
   | Ast.Create_domain name ->
     if Option.is_some (Catalog.find_hierarchy cat name) then
@@ -421,12 +424,16 @@ let exec_statement cat stmt =
     Catalog.drop_relation cat name;
     Printf.sprintf "relation %s dropped" name
   | Ast.Insert { rel; rows } ->
-    let schema = Relation.schema (relation cat rel) in
+    let base = relation cat rel in
+    let schema = Relation.schema base in
     let txn = Txn.begin_ cat in
     List.iteri
       (fun i { Ast.sign; values } ->
         let row = i + 1 in
         let item = resolve_values ~cat ~rel ~row schema values in
+        (match on_held with
+        | Some f when Relation.find base item = Some sign -> f row
+        | _ -> ());
         (* the item has the relation's schema, so [Relation.add] can only
            refuse it as a direct contradiction *)
         try Txn.insert_item txn ~rel sign item
@@ -556,14 +563,14 @@ let exec_statement cat stmt =
 
 (* Run one statement, or say why the engine refuses it. A refused
    statement leaves the catalog as it was. *)
-let attempt cat stmt =
-  try Ok (exec_statement cat stmt) with
+let attempt ?on_held cat stmt =
+  try Ok (exec_statement ?on_held cat stmt) with
   | Rejected rejection -> Error rejection
   | Types.Model_error msg | Hierarchy.Error msg | Failure msg -> Error (Invalid, msg)
 
-let exec cat stmt = Result.map_error snd (attempt cat stmt)
+let exec ?on_held cat stmt = Result.map_error snd (attempt ?on_held cat stmt)
 
-let run_script cat input =
+let run_script ?on_held cat input =
   match Parser.parse input with
   | exception Parser.Parse_error { msg; _ } -> Error ("parse error: " ^ msg)
   | exception Lexer.Lex_error { msg; _ } -> Error ("lex error: " ^ msg)
@@ -571,7 +578,7 @@ let run_script cat input =
     let rec loop acc = function
       | [] -> Ok (List.rev acc)
       | { Ast.stmt; sloc } :: rest -> (
-        match exec cat stmt with
+        match exec ?on_held cat stmt with
         | Ok out -> loop (out :: acc) rest
         | Error msg ->
           Error (Format.asprintf "at %a: %s" Loc.pp_prose sloc msg))

@@ -138,10 +138,10 @@ let port t = t.bound_port
    logic in [poll]) owns the shared sync. Until it runs, the [Ok] here
    must not reach the client — [holding] below withholds all output
    while unsynced records exist. *)
-let run_script t script =
+let run_script ?on_held t script =
   match t.backend with
-  | Memory cat -> Hr_query.Eval.run_script cat script
-  | Durable db -> Hr_storage.Db.exec_buffered db script
+  | Memory cat -> Hr_query.Eval.run_script ?on_held cat script
+  | Durable db -> Hr_storage.Db.exec_buffered ?on_held db script
 
 (* True while acks must be withheld: some executed statement is not yet
    durable. No conn output may drain while this holds. *)
@@ -454,17 +454,19 @@ let handle t conn tag payload =
         (Wire.lsn_prefixed (head_lsn t) (Buffer.contents b)))
   | tag when tag = Wire.shard_exec -> (
     (* Router write path: like EXEC but the ack carries this shard's
-       head LSN so the router can track per-shard progress. Always
-       inline — the payload is (almost) always mutating. *)
+       head LSN so the router can track per-shard progress, and the
+       INSERT rows it already held, which an undo must not delete.
+       Always inline — the payload is (almost) always mutating. *)
     match (if t.read_only then Hr_storage.Db.script_mutation payload else None) with
     | Some src ->
       send_conn t conn "ERR"
         (Printf.sprintf "read-only replica: refusing mutating statement %S (execute it on the primary)" src)
     | None -> (
-      match run_script t payload with
+      let held = ref [] in
+      match run_script ~on_held:(fun row -> held := row :: !held) t payload with
       | Ok outputs ->
         send_conn t conn Wire.shard_ack
-          (Wire.lsn_prefixed (head_lsn t) (String.concat "\n" outputs))
+          (Wire.lsn_prefixed (head_lsn t) (Wire.ack_body ~held:(List.rev !held) outputs))
       | Error msg -> send_conn t conn "ERR" msg))
   | tag when tag = Wire.repl_ack -> (
     match Wire.parse_lsn payload with

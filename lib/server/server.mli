@@ -46,7 +46,8 @@
     [SHARD_PULL] carries one relation name and answers [SHARD_PART]
     with the relation's stored tuple lines, LSN-prefixed with this
     shard's head; [SHARD_EXEC] carries an HRQL script and answers
-    [SHARD_ACK] (LSN-prefixed evaluator reply) or [ERR]. Both run
+    [SHARD_ACK] (LSN-prefixed: the [INSERT] rows it already stored,
+    then the evaluator reply) or [ERR]. Both run
     inline on the event loop against the live catalog, and their
     replies obey the group-commit hold: a router never observes state
     that is not yet durable on the shard.

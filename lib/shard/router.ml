@@ -368,104 +368,160 @@ let per_shard_section t infos =
     infos;
   Buffer.contents b
 
-(* ---- mutations -------------------------------------------------------- *)
+(* ---- SHARD_EXEC rounds ------------------------------------------------ *)
 
-(* Scatter one row-mutation statement: rows grouped by their covers,
-   one re-rendered sub-statement per covered shard, all sends before
-   any reply. The synthesized reply quotes the original row count, so
-   the client cannot tell it from a single node's. *)
-let scatter_mutation t ~rel ~covers ~render ~reply_fmt ~compensate =
-  let sids =
-    List.sort_uniq compare (List.concat_map (fun (_, cover) -> cover) covers)
+(* What a shard answered one SHARD_EXEC with. *)
+type ack =
+  | Acked of int list
+      (* the INSERT rows (numbered from 1) the shard stored before *)
+  | Rejected of string  (* the shard's evaluator error, location stripped *)
+  | Down of string  (* the shard is unreachable; the text names it *)
+
+(* One SHARD_EXEC per [(shard, script)], every frame out before any
+   reply is read. A shard the frame cannot reach already has its
+   answer: [Down]. *)
+let send t scripts =
+  List.map
+    (fun (sc, script) ->
+      match shard_send t sc Wire.shard_exec script with
+      | () -> (sc, None)
+      | exception Shard_down (sc, msg) -> (sc, Some (Down (down_msg sc msg))))
+    scripts
+
+(* Every shard's ack, in send order. Every reply owed is read, even
+   after a failure, so no shard's reply FIFO is left holding an ack the
+   next round would take for its own. *)
+let collect t sent =
+  let ack sc =
+    match
+      match Wire.held_rows (shard_recv t sc ~expected:Wire.shard_ack) with
+      | Ok held -> held
+      | Error msg -> mark_down t sc ("protocol error: " ^ msg)
+    with
+    | held -> Acked held
+    | exception Reply_err msg -> Rejected (strip_located msg)
+    | exception Shard_down (sc, msg) -> Down (down_msg sc msg)
   in
-  require_up t sids;
-  let sub_rows sid = List.filter (fun (_, cover) -> List.mem sid cover) covers in
-  List.iter
-    (fun sid ->
-      shard_send t (shard_of t sid) Wire.shard_exec
-        (render (List.map fst (sub_rows sid))))
-    sids;
-  Metrics.incr m_mutations;
-  Metrics.observe h_fanout (List.length sids);
-  let results =
-    List.map
-      (fun sid ->
-        let sc = shard_of t sid in
-        match shard_recv t sc ~expected:Wire.shard_ack with
-        | (_ : string) -> (sid, Ok ())
-        | exception Reply_err msg -> (sid, Error msg))
-      sids
-  in
-  match List.find_opt (fun (_, r) -> r <> Ok ()) results with
-  | None -> Ok (Printf.sprintf reply_fmt (List.length covers) rel)
-  | Some (_, Ok ()) -> assert false
-  | Some (_, Error msg) ->
-    (* Roll the shards that did apply back (best effort — a shard that
-       dies mid-compensation leaves divergence for fsck to find). Only
-       meaningful for inserts; deletes fail identically everywhere or
-       expose pre-existing divergence. *)
-    List.iter
-      (fun (sid, r) ->
-        if r = Ok () then
-          match compensate with
-          | None -> ()
-          | Some script_of -> (
-            let rows = List.map fst (sub_rows sid) in
-            try
-              shard_send t (shard_of t sid) Wire.shard_exec (script_of rows);
-              ignore (shard_recv t (shard_of t sid) ~expected:Wire.shard_ack)
-            with Reply_err _ | Shard_down _ -> ()))
-      results;
-    Error (strip_located msg)
+  List.map
+    (fun (sc, answered) -> (sc, match answered with Some a -> a | None -> ack sc))
+    sent
 
-(* ---- broadcast / repartition ----------------------------------------- *)
-
-let broadcast t script =
+(* A round every shard must accept: a DDL run or a repartition.
+   [rejected sc msg] words a shard's refusal. *)
+let everywhere t script_for ~rejected =
   let sids = Shard_map.ids t.map in
   require_up t sids;
-  List.iter (fun sid -> shard_send t (shard_of t sid) Wire.shard_exec script) sids;
   Metrics.incr m_broadcasts;
-  List.iter
-    (fun sid ->
-      let sc = shard_of t sid in
-      try ignore (shard_recv t sc ~expected:Wire.shard_ack)
-      with Reply_err msg ->
-        raise
-          (Reply_err
-             (Printf.sprintf
-                "shard %d rejected a replicated statement (%s); the deployment \
-                 has diverged — run hrdb fsck --against the shard map"
-                sc.sid (strip_located msg))))
-    sids
+  send t (List.map (fun sid -> let sc = shard_of t sid in (sc, script_for sc)) sids)
+  |> collect t
+  |> List.iter (function
+       | _, Acked _ -> ()
+       | sc, Rejected msg -> raise (Reply_err (rejected sc msg))
+       | _, Down msg -> raise (Reply_err msg))
+
+let broadcast t script =
+  everywhere t (fun _ -> script) ~rejected:(fun sc msg ->
+      Printf.sprintf
+        "shard %d rejected a replicated statement (%s); the deployment has \
+         diverged — run hrdb fsck --against the shard map"
+        sc.sid msg)
 
 (* Push a router-computed relation ([LET] / [CONSOLIDATE] / [EXPLICATE]
    result) back out: every shard rebuilds its slice from scratch. The
    slice is chosen by the same cover rule as routed inserts, so the
    placement invariant fsck checks holds for derived relations too. *)
 let repartition t rel ~present =
-  let schema = Relation.schema rel in
-  let h = Schema.hierarchy schema 0 in
-  let sids = Shard_map.ids t.map in
-  require_up t sids;
-  List.iter
-    (fun sid ->
-      let only (tu : Relation.tuple) =
-        List.mem sid (Shard_map.cover t.map h (first_coord tu.Relation.item))
+  let h = Schema.hierarchy (Relation.schema rel) 0 in
+  everywhere t
+    (fun sc ->
+      Render.rebuild rel ~present ~only:(fun (tu : Relation.tuple) ->
+          List.mem sc.sid (Shard_map.cover t.map h (first_coord tu.Relation.item))))
+    ~rejected:(fun sc msg ->
+      Printf.sprintf "rebuild of %s failed on shard %d: %s" (Relation.name rel)
+        sc.sid msg)
+
+(* ---- routed writes ---------------------------------------------------- *)
+
+(* A routed INSERT or DELETE: its rows grouped by their covers, one
+   re-rendered sub-statement per covered shard. The reply quotes the
+   original row count, so the client cannot tell it from a single
+   node's. *)
+type plan = {
+  rel : string;
+  parts : (shard * string * Ast.value list list) list;
+      (* covered shard (ascending sid), its sub-statement, and the rows
+         an INSERT sends it — what its undo may delete ([] for a DELETE) *)
+  reply : string;
+  footprint : Hr_analysis.Footprint.t Lazy.t;  (* for the commutativity oracle *)
+}
+
+(* Rows are resolved as the engine resolves them, so a bad row raises a
+   single node's error text. *)
+let plan t stmt =
+  let build rel rows ~values ~render ~undoable ~verb =
+    let schema = Relation.schema (Eval.relation t.cat rel) in
+    let covers =
+      List.mapi (fun i r -> (r, cover_of_row t ~rel schema i (values r))) rows
+    in
+    let part sid =
+      let mine =
+        List.filter_map (fun (r, c) -> if List.mem sid c then Some r else None) covers
       in
-      shard_send t (shard_of t sid) Wire.shard_exec
-        (Render.rebuild rel ~present ~only))
-    sids;
-  Metrics.incr m_broadcasts;
-  List.iter
-    (fun sid ->
-      let sc = shard_of t sid in
-      try ignore (shard_recv t sc ~expected:Wire.shard_ack)
-      with Reply_err msg ->
-        raise
-          (Reply_err
-             (Printf.sprintf "rebuild of %s failed on shard %d: %s"
-                (Relation.name rel) sc.sid (strip_located msg))))
-    sids
+      (shard_of t sid, render mine, if undoable then List.map values mine else [])
+    in
+    {
+      rel;
+      parts = List.map part (List.sort_uniq compare (List.concat_map snd covers));
+      reply = string_of_int (List.length rows) ^ " tuple(s) " ^ verb ^ " " ^ rel;
+      footprint =
+        lazy
+          (try Hr_analysis.Effect.footprint ~find:(Catalog.find_relation t.cat) stmt
+           with _ -> Hr_analysis.Footprint.Opaque "footprint analysis failed");
+    }
+  in
+  match stmt with
+  | Ast.Insert { rel; rows } ->
+    build rel rows
+      ~values:(fun (r : Ast.signed_row) -> r.Ast.values)
+      ~render:(fun rows ->
+        Render.insert rel
+          (List.map (fun (r : Ast.signed_row) -> (r.Ast.sign, r.Ast.values)) rows))
+      ~undoable:true ~verb:"inserted into"
+  | Ast.Delete { rel; rows } ->
+    build rel rows ~values:Fun.id ~render:(Render.delete rel) ~undoable:false
+      ~verb:"deleted from"
+  | _ -> invalid_arg "Router.plan: not an INSERT or DELETE"
+
+(* Sends the plan's sub-statements; [finish] collects them. *)
+let start t plan =
+  require_up t (List.map (fun (sc, _, _) -> sc.sid) plan.parts);
+  Metrics.incr m_mutations;
+  Metrics.observe h_fanout (List.length plan.parts);
+  send t (List.map (fun (sc, script, _) -> (sc, script)) plan.parts)
+
+(* The plan's reply (unlocated), and the undo a failure owes: for every
+   INSERT part a shard acknowledged, a DELETE of the rows that shard
+   newly stored. Deletes are never undone: they fail identically
+   everywhere or expose divergence that is already there. *)
+let finish t plan sent =
+  let acks = collect t sent in
+  let failure = function _, (Rejected m | Down m) -> Some m | _, Acked _ -> None in
+  match List.find_map failure acks with
+  | None -> (Ok plan.reply, [])
+  | Some msg ->
+    let owed (sc, ack) =
+      match (ack, List.find (fun (s, _, _) -> s == sc) plan.parts) with
+      | Acked held, (_, _, rows) -> (
+        match List.filteri (fun i _ -> not (List.mem (i + 1) held)) rows with
+        | [] -> None
+        | fresh -> Some (sc, Render.delete plan.rel fresh))
+      | (Rejected _ | Down _), _ -> None
+    in
+    (Error msg, List.filter_map owed acks)
+
+(* Best effort: a shard that dies mid-undo leaves divergence for fsck
+   to find. *)
+let undo t owed = ignore (collect t (send t owed))
 
 (* ---- statement dispatch ----------------------------------------------- *)
 
@@ -484,29 +540,11 @@ let exec_stmt t stmt =
        accepted ones reach the shards as a run ({!exec_script}). *)
     require_up t (Shard_map.ids t.map);
     Eval.exec t.cat stmt
-  | Ast.Insert { rel; rows } ->
-    let schema = Relation.schema (Eval.relation t.cat rel) in
-    let covers =
-      List.mapi
-        (fun i (r : Ast.signed_row) -> (r, cover_of_row t ~rel schema i r.Ast.values))
-        rows
-    in
-    scatter_mutation t ~rel ~covers
-      ~render:(fun rows ->
-        Render.insert rel
-          (List.map (fun (r : Ast.signed_row) -> (r.Ast.sign, r.Ast.values)) rows))
-      ~reply_fmt:(format_of_string "%d tuple(s) inserted into %s")
-      ~compensate:
-        (Some (fun rows -> Render.delete rel (List.map (fun (r : Ast.signed_row) -> r.Ast.values) rows)))
-  | Ast.Delete { rel; rows } ->
-    let schema = Relation.schema (Eval.relation t.cat rel) in
-    let covers =
-      List.mapi (fun i values -> (values, cover_of_row t ~rel schema i values)) rows
-    in
-    scatter_mutation t ~rel ~covers
-      ~render:(fun rows -> Render.delete rel rows)
-      ~reply_fmt:(format_of_string "%d tuple(s) deleted from %s")
-      ~compensate:None
+  | Ast.Insert _ | Ast.Delete _ ->
+    let plan = plan t stmt in
+    let result, owed = finish t plan (start t plan) in
+    undo t owed;
+    result
   | Ast.Let_binding { name; expr = _ } -> (
     let srcs = mentioned_relations t stmt in
     let present = Catalog.find_relation t.cat name <> None in
@@ -607,86 +645,6 @@ let exec_script t payload =
     in
     loop [] [] stmts
 
-(* ---- the fast path ---------------------------------------------------- *)
-
-(* A script that is exactly one INSERT or DELETE over connected shards
-   can be pipelined: its SHARD_EXEC frames go out before any earlier
-   statement's reply is awaited. [Single] (every row covers the same
-   one shard) needs no further proof — per-shard FIFO preserves arrival
-   order. [Scatter] (rows covering several shards) additionally carries
-   per-shard sub-statements and compensation scripts; whether it may
-   join the pipelined run is decided by the commutativity oracle at
-   admission time (see {!poll}). Everything else falls back to the
-   synchronous path. *)
-type pipelined =
-  | Single of int * string  (* covering shard, rendered statement *)
-  | Scatter of (int * string * string option) list * string
-      (* per covered shard: sub-statement + the script compensating it
-         (inserts only); plus the synthesized success reply *)
-
-let classify_pipelined t payload =
-  let plan rel covers ~render ~compensate ~reply_fmt =
-    let sids =
-      List.sort_uniq compare (List.concat_map (fun (_, cover) -> cover) covers)
-    in
-    if
-      sids = []
-      || not (List.for_all (fun sid -> (shard_of t sid).conn <> None) sids)
-    then None
-    else
-      match sids with
-      | [ sid ] -> Some (Single (sid, render (List.map fst covers)))
-      | _ ->
-        let parts =
-          List.map
-            (fun sid ->
-              let rows =
-                List.filter_map
-                  (fun (r, cover) -> if List.mem sid cover then Some r else None)
-                  covers
-              in
-              (sid, render rows, compensate rows))
-            sids
-        in
-        Some (Scatter (parts, Printf.sprintf reply_fmt (List.length covers) rel))
-  in
-  let footprint stmt =
-    try Hr_analysis.Effect.footprint ~find:(Catalog.find_relation t.cat) stmt
-    with _ -> Hr_analysis.Footprint.Opaque "footprint analysis failed"
-  in
-  match Parser.parse payload with
-  | exception _ -> None
-  | [ { Ast.stmt = Ast.Insert { rel; rows } as stmt; sloc } ] -> (
-    match
-      let schema = Relation.schema (Catalog.relation t.cat rel) in
-      plan rel
-        (List.mapi
-           (fun i (r : Ast.signed_row) -> (r, cover_of_row t ~rel schema i r.Ast.values))
-           rows)
-        ~render:(fun rows ->
-          Render.insert rel
-            (List.map (fun (r : Ast.signed_row) -> (r.Ast.sign, r.Ast.values)) rows))
-        ~compensate:(fun rows ->
-          Some
-            (Render.delete rel
-               (List.map (fun (r : Ast.signed_row) -> r.Ast.values) rows)))
-        ~reply_fmt:(format_of_string "%d tuple(s) inserted into %s")
-    with
-    | Some cls -> Some (sloc, footprint stmt, cls)
-    | None | (exception _) -> None)
-  | [ { Ast.stmt = Ast.Delete { rel; rows } as stmt; sloc } ] -> (
-    match
-      let schema = Relation.schema (Catalog.relation t.cat rel) in
-      plan rel
-        (List.mapi (fun i values -> (values, cover_of_row t ~rel schema i values)) rows)
-        ~render:(fun rows -> Render.delete rel rows)
-        ~compensate:(fun _ -> None)
-        ~reply_fmt:(format_of_string "%d tuple(s) deleted from %s")
-    with
-    | Some cls -> Some (sloc, footprint stmt, cls)
-    | None | (exception _) -> None)
-  | _ -> None
-
 (* ---- client connections ----------------------------------------------- *)
 
 (* A client whose unsent replies pass the backlog bound is cut off; every
@@ -695,6 +653,12 @@ let reply c tag payload =
   Conn.append c tag payload;
   Conn.flush c;
   if Conn.over_backlog c then Conn.close c
+
+let answer c = function
+  | Ok out -> reply c "OK" out
+  | Error msg ->
+    Metrics.incr m_errors;
+    reply c "ERR" msg
 
 (* ---- frame handling (synchronous path) -------------------------------- *)
 
@@ -710,22 +674,12 @@ let explain_estimate t payload =
 
 let handle_frame t c tag payload =
   match tag with
-  | "EXEC" -> (
-    match exec_script t payload with
-    | Ok outputs -> reply c "OK" (String.concat "\n" outputs)
-    | Error msg ->
-      Metrics.incr m_errors;
-      reply c "ERR" msg)
+  | "EXEC" -> answer c (Result.map (String.concat "\n") (exec_script t payload))
   | "LINT" ->
     reply c "OK"
       (Hr_analysis.Diagnostic.render_json
          (Hr_analysis.Lint.analyze_script ~catalog:t.cat payload))
-  | "ESTIMATE" -> (
-    match explain_estimate t payload with
-    | Ok out -> reply c "OK" out
-    | Error msg ->
-      Metrics.incr m_errors;
-      reply c "ERR" msg)
+  | "ESTIMATE" -> answer c (explain_estimate t payload)
   | "STATS" ->
     let snap = Metrics.snapshot () in
     reply c "OK"
@@ -733,29 +687,26 @@ let handle_frame t c tag payload =
          Metrics.render_json snap
        else Metrics.render_text snap)
   | "FSCK" ->
-    Metrics.incr m_errors;
-    reply c "ERR"
-      "the router stores no tuples; run hrdb fsck DIR --against the shard map \
-       against each shard's directory offline"
-  | _ ->
-    Metrics.incr m_errors;
-    reply c "ERR" (Printf.sprintf "unknown request %S" tag)
+    answer c
+      (Error
+         "the router stores no tuples; run hrdb fsck DIR --against the shard \
+          map against each shard's directory offline")
+  | _ -> answer c (Error (Printf.sprintf "unknown request %S" tag))
 
 (* ---- event loop ------------------------------------------------------- *)
 
+(* An EXEC frame that is exactly one INSERT or DELETE, planned. A write
+   the engine refuses is left to the synchronous path, which answers it
+   with the engine's error. *)
+let routed_write t payload =
+  match Parser.parse payload with
+  | [ { Ast.stmt = (Ast.Insert _ | Ast.Delete _) as stmt; sloc } ] -> (
+    try Some (sloc, plan t stmt) with _ -> None)
+  | _ | (exception _) -> None
+
 type pending =
-  | Fast of Conn.t * shard * Loc.t
-  | Multi of {
-      mc : Conn.t;
-      msloc : Loc.t;
-      mparts : (shard * string option) list;
-          (* shards the statement actually reached, in send order, each
-             with the script compensating it (inserts only) *)
-      mok : string;  (* synthesized success reply *)
-      mfail : string option;
-          (* a send failed partway: the statement is already doomed and
-             every shard that acks it must be compensated *)
-    }
+  | Write of Conn.t * Loc.t * plan * (shard * ack option) list
+      (* a routed write of the pipelined run, and what [start] sent *)
   | Sync of Conn.t * string * string
   | Fail of Conn.t * string
 
@@ -772,22 +723,21 @@ let poll ?(timeout = 0.05) t =
       t.clients <- t.clients @ Conn.accept ~max_backlog:t.max_backlog t.socket;
     List.iter (fun c -> if List.mem (Conn.fd c) readable then Conn.read c) t.clients;
     (* Phase A: decode every complete frame, in arrival order. The
-       leading run of fast-path mutations is dispatched immediately —
-       their SHARD_EXEC frames are all in flight before any reply is
-       awaited, which is where the K-shard write speedup comes from.
-       Single-shard mutations always pipeline (per-shard FIFO preserves
-       arrival order); a multi-shard mutation joins the run only when
-       the commutativity oracle proves it commutes with {e every}
-       statement already in it — then even its rollback (on partial
-       failure, deferred past the run) commutes with everything applied
-       after it, so compensation stays sound. Once any multi-shard
-       member is in, later single-shard candidates must commute with
-       the multi-shard members for the same reason. The first frame
-       that cannot be admitted ends the run: later frames must not send
+       leading run of routed writes over connected shards is started at
+       once — their SHARD_EXEC frames are all in flight before any reply
+       is awaited, which is where the K-shard write speedup comes from.
+       A single-shard write always joins (per-shard FIFO preserves
+       arrival order); a multi-shard write joins only when the
+       commutativity oracle proves it commutes with {e every} write
+       already in the run — then even its undo (on partial failure,
+       deferred past the run) commutes with everything applied after it.
+       Once a multi-shard write is in, later single-shard writes must
+       commute with the multi-shard ones for the same reason. The first
+       frame that cannot join ends the run: later frames must not send
        to shards before it does, or the per-shard reply FIFOs would
        interleave. *)
-    let pendings = ref [] and fast_ok = ref true in
-    (* footprints of every admitted member / of the multi-shard ones *)
+    let pendings = ref [] and in_run = ref true in
+    (* footprints of every write in the run / of the multi-shard ones *)
     let run_fps = ref [] and multi_fps = ref [] in
     let commutes_all fp fps =
       List.for_all
@@ -796,6 +746,21 @@ let poll ?(timeout = 0.05) t =
           | Hr_analysis.Effect.Commute -> true
           | Hr_analysis.Effect.Conflict _ | Hr_analysis.Effect.Unknown _ -> false)
         fps
+    in
+    let join (plan : plan) =
+      let multi = List.compare_length_with plan.parts 1 > 0 in
+      let others = if multi then !run_fps else !multi_fps in
+      let fp = Lazy.force plan.footprint in
+      let joins =
+        List.for_all (fun (sc, _, _) -> sc.conn <> None) plan.parts
+        && commutes_all fp others
+      in
+      if joins then begin
+        if others <> [] then Hr_analysis.Effect.note_router_overlap ();
+        run_fps := fp :: !run_fps;
+        if multi then multi_fps := fp :: !multi_fps
+      end;
+      joins
     in
     List.iter
       (fun c ->
@@ -809,41 +774,10 @@ let poll ?(timeout = 0.05) t =
           | Ok (Some (tag, payload)) ->
             Metrics.incr m_frames;
             let p =
-              match
-                if !fast_ok && tag = "EXEC" then classify_pipelined t payload
-                else None
-              with
-              | Some (sloc, fp, Single (sid, script))
-                when commutes_all fp !multi_fps -> (
-                let sc = shard_of t sid in
-                match shard_send t sc Wire.shard_exec script with
-                | () ->
-                  Metrics.incr m_mutations;
-                  if !multi_fps <> [] then Hr_analysis.Effect.note_router_overlap ();
-                  run_fps := fp :: !run_fps;
-                  Fast (c, sc, sloc)
-                | exception Shard_down (sc, msg) -> Fail (c, down_msg sc msg))
-              | Some (sloc, fp, Scatter (parts, mok))
-                when commutes_all fp !run_fps ->
-                Metrics.incr m_mutations;
-                Metrics.observe h_fanout (List.length parts);
-                if !run_fps <> [] then Hr_analysis.Effect.note_router_overlap ();
-                run_fps := fp :: !run_fps;
-                multi_fps := fp :: !multi_fps;
-                let sent = ref [] and mfail = ref None in
-                (try
-                   List.iter
-                     (fun (sid, script, comp) ->
-                       let sc = shard_of t sid in
-                       shard_send t sc Wire.shard_exec script;
-                       sent := (sc, comp) :: !sent)
-                     parts
-                 with Shard_down (sc, msg) -> mfail := Some (down_msg sc msg));
-                Multi
-                  { mc = c; msloc = sloc; mparts = List.rev !sent; mok;
-                    mfail = !mfail }
+              match if !in_run && tag = "EXEC" then routed_write t payload else None with
+              | Some (sloc, plan) when join plan -> Write (c, sloc, plan, start t plan)
               | Some _ | None ->
-                fast_ok := false;
+                in_run := false;
                 Sync (c, tag, payload)
             in
             pendings := p :: !pendings;
@@ -851,74 +785,30 @@ let poll ?(timeout = 0.05) t =
         in
         drain ())
       t.clients;
-    (* Phase B: answer in order. Compensations of partially failed
-       multi-shard members are deferred until every pipelined reply is
-       consumed (running them earlier would desynchronize the per-shard
-       FIFOs) but before any synchronous member executes (those were
-       not oracle-checked, so they must not observe rolled-back rows).
-       All pipelined members precede all synchronous ones in
-       [pendings], so flushing at the first [Sync] covers both. *)
-    let deferred = ref [] in
-    let flush_compensations () =
-      List.iter
-        (fun (sc, script) ->
-          try
-            shard_send t sc Wire.shard_exec script;
-            ignore (shard_recv t sc ~expected:Wire.shard_ack)
-          with Reply_err _ | Shard_down _ -> ())
-        (List.rev !deferred);
-      deferred := []
+    (* Phase B: answer in order. The undo a failed write owes is
+       deferred until every write of the run has its replies (undoing
+       earlier would desynchronize the per-shard FIFOs), but runs before
+       any synchronous frame executes (those were not oracle-checked, so
+       they must not observe rows about to be undone). Every write of
+       the run precedes every synchronous frame in [pendings], so
+       settling at each [Sync] and at the end covers both. *)
+    let owed = ref [] in
+    let settle () =
+      undo t (List.rev !owed);
+      owed := []
     in
     List.iter
-      (fun p ->
-        match p with
-        | Fast (c, sc, sloc) -> (
-          match shard_recv t sc ~expected:Wire.shard_ack with
-          | body -> reply c "OK" body
-          | exception Reply_err msg ->
-            Metrics.incr m_errors;
-            reply c "ERR"
-              (Format.asprintf "at %a: %s" Loc.pp_prose sloc (strip_located msg))
-          | exception Shard_down (sc, msg) ->
-            reply c "ERR" (down_msg sc msg))
-        | Multi { mc = c; msloc; mparts; mok; mfail } -> (
-          let results =
-            List.map
-              (fun (sc, comp) ->
-                match shard_recv t sc ~expected:Wire.shard_ack with
-                | (_ : string) -> (sc, comp, Ok ())
-                | exception Reply_err msg -> (sc, comp, Error (strip_located msg))
-                | exception Shard_down (_, msg) -> (sc, comp, Error msg))
-              mparts
-          in
-          let failure =
-            match mfail with
-            | Some _ as f -> f
-            | None ->
-              List.find_map
-                (fun (_, _, r) ->
-                  match r with Error m -> Some m | Ok () -> None)
-                results
-          in
-          match failure with
-          | None -> reply c "OK" mok
-          | Some msg ->
-            Metrics.incr m_errors;
-            List.iter
-              (fun (sc, comp, r) ->
-                match (r, comp) with
-                | Ok (), Some script -> deferred := (sc, script) :: !deferred
-                | _ -> ())
-              results;
-            reply c "ERR" (Format.asprintf "at %a: %s" Loc.pp_prose msloc msg))
+      (function
+        | Write (c, sloc, plan, sent) ->
+          let result, owes = finish t plan sent in
+          owed := List.rev_append owes !owed;
+          answer c (located sloc (fun () -> result))
         | Sync (c, tag, payload) ->
-          flush_compensations ();
+          settle ();
           handle_frame t c tag payload
-        | Fail (c, msg) ->
-          Metrics.incr m_errors;
-          reply c "ERR" msg)
+        | Fail (c, msg) -> answer c (Error msg))
       (List.rev !pendings);
-    flush_compensations ();
+    settle ();
     List.iter (fun c -> if List.mem (Conn.fd c) writable then Conn.flush c) t.clients;
     (* the EOF rule: a client that half-closed still gets every reply *)
     t.clients <-

@@ -14,10 +14,17 @@
     on exactly one shard (the paper's locality argument — an exception
     clusters near its subtree), cross-subtree generalizations (e.g.
     [∀Bird] when [Penguin] and [Sparrow] live on different shards)
-    replicate to every covered shard. A script that is one single-shard
-    [INSERT]/[DELETE] takes the pipelined fast path: all such scripts
-    in one event-loop tick are dispatched to their shards before any
-    reply is awaited, so K shards commit concurrently.
+    replicate to every covered shard. There is one write path: each
+    routed write is planned once (a sub-statement per covered shard),
+    and one send/collect pair sends every sub-statement before reading
+    any ack. A frame that is one [INSERT]/[DELETE] over connected
+    shards joins the tick's pipelined run when the commutativity
+    oracle admits it, so K shards commit concurrently; anything else
+    runs the same pair synchronously. A write some shard rejects is
+    undone on the shards that acked it, deleting only the rows each
+    newly stored (a shard's ack names the rows it already held);
+    immediately on the synchronous path, after the run's last reply on
+    the pipelined one.
 
     {b Reads.} Every query statement gathers the stored tuples of the
     relations it mentions over [SHARD_PULL] (restricted to the cover of
@@ -34,7 +41,8 @@
     {b Failure.} Backend connections are opened with
     [Client.connect ~timeout], so a dead shard can never block the
     router indefinitely: any statement that needs an unreachable shard
-    answers [ERR "shard N (host:port) unreachable: ..."] while
+    answers [ERR "at line L, column C: shard N (host:port) unreachable:
+    ..."] while
     statements confined to live shards keep working (degraded reads).
     DDL and repartitions require every shard up before starting.
     Divergence the failure windows can leave behind is the offline
@@ -62,10 +70,10 @@ val create :
 val port : t -> int
 
 val poll : ?timeout:float -> t -> unit
-(** One event-loop tick: accept clients, read frames, dispatch the
-    fast-path prefix, then answer every pending frame in arrival
-    order, and close the clients that are finished (input ended and
-    replies drained). *)
+(** One event-loop tick: accept clients, read frames, start the
+    pipelined run of routed writes, then answer every pending frame in
+    arrival order, and close the clients that are finished (input ended
+    and replies drained). *)
 
 val serve_forever : t -> 'a
 (** {!poll} until the process dies. SIGPIPE is ignored: a client or

@@ -88,10 +88,13 @@ val exec : t -> string -> (string list, string) result
     The server's event loop uses this to make N statements from one
     select tick share a single write+fsync. *)
 
-val exec_buffered : t -> string -> (string list, string) result
+val exec_buffered :
+  ?on_held:(int -> unit) -> t -> string -> (string list, string) result
 (** {!exec} without the trailing sync. The returned [Ok] means "applied
     and staged", not "durable" — never surface it to a client before
-    {!sync} returns. *)
+    {!sync} returns. [on_held] is called with the number (from 1) of
+    each [INSERT] row whose signed item was stored before the
+    statement. *)
 
 val sync : t -> unit
 (** Makes every buffered WAL append durable (one flush + fsync, unless

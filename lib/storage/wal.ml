@@ -144,19 +144,12 @@ let recover path =
     Hr_obs.Metrics.add m_torn_records dropped_records);
   s
 
-let replay path =
-  let s = recover path in
-  (s.records, s.tail)
-
-let records path = (scan path).records
-
 let stream_from t lsn =
   (* Appends buffer in the channel until [sync]; push them to the OS so
      the file read below sees every appended record. No fsync — reading
      back our own writes needs visibility, not durability. *)
   flush t.oc;
-  let all = records t.path in
-  List.to_seq (List.filter (fun r -> r.lsn > lsn) all)
+  List.to_seq (List.filter (fun r -> r.lsn > lsn) (scan t.path).records)
 
 let truncate path =
   let oc = open_out_gen [ Open_trunc; Open_creat; Open_binary ] 0o644 path in

@@ -73,14 +73,6 @@ val recover : string -> scan_result
     [storage.wal.torn_tail_*]). The open path uses this; read-only
     inspectors (fsck, streaming) use {!scan}. *)
 
-val replay : string -> record list * torn_tail option
-(** [recover] in its historical shape: the intact records and the tail
-    report. *)
-
-val records : string -> record list
-(** {!scan} projected to just the records (convenience for callers that
-    already surfaced the tail). *)
-
 val stream_from : t -> int -> record Seq.t
 (** [stream_from t lsn] — the intact records with LSN strictly greater
     than [lsn], in order, re-read from the file after flushing buffered

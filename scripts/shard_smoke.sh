@@ -2,10 +2,12 @@
 # Sharding smoke test: three durable backend shards, a router over a
 # hierarchy-partitioned shard map, a mixed DDL/mutation/query workload
 # through the router checked byte-identical against a single-node
-# control server, kill -9 one shard (degraded reads: confined queries
-# keep answering, fan-out queries fail loudly), then offline placement
-# verification of every shard with `hrdb fsck --against MAP` — including
-# a seeded misplacement that F020 must catch. Run from the repository
+# control server (a partially rejected INSERT included, so the undo on
+# the shards that acked it is checked), kill -9 one shard (degraded
+# reads: confined queries keep answering, fan-out queries fail
+# loudly), then offline placement verification of every shard with
+# `hrdb fsck --against MAP` — including a seeded misplacement that F020
+# must catch. Run from the repository
 # root after `dune build`; CI runs it as the shard-smoke job.
 set -euo pipefail
 
@@ -84,6 +86,12 @@ run_both "CREATE DOMAIN animal; CREATE CLASS bird UNDER animal;
           CREATE RELATION flies (who: animal);"
 run_both "INSERT INTO flies VALUES (+ ALL bird), (+ rex);"
 run_both "INSERT INTO flies VALUES (- tweety);"
+# a multi-shard INSERT that shard 2 rejects: the shards that acked it
+# already held every row they got, so the undo must delete nothing
+run_both "INSERT INTO flies VALUES (+ jack);"
+run_both "INSERT INTO flies VALUES (- tweety), (+ ALL bird), (- jack);"
+run_both "ASK flies (tweety);"
+run_both "ASK flies (opus);"
 run_both "SELECT * FROM flies;"
 run_both "SELECT * FROM flies WHERE who = tweety;"
 run_both "SELECT * FROM flies WHERE who = ALL bird;"

@@ -145,7 +145,9 @@ let test_wal_skips_base () =
       exec db "INSERT INTO flies VALUES (- tweety);";
       Db.close db;
       let base = List.length world in
-      let kept = List.filter (fun { Wal.lsn; _ } -> lsn = base + 2) (Wal.records (wal dir)) in
+      let kept =
+        List.filter (fun { Wal.lsn; _ } -> lsn = base + 2) (Wal.scan (wal dir)).Wal.records
+      in
       Wal.truncate (wal dir);
       let w = Wal.open_ (wal dir) in
       List.iter (fun { Wal.lsn; stmt } -> Wal.append w ~lsn stmt) kept;

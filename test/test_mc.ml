@@ -152,7 +152,7 @@ type oracle = { cat : Catalog.t; mutable at : int; mutable log : (int * string) 
 let oracle_create () = { cat = Catalog.create (); at = 0; log = [] }
 
 let oracle_refresh o dir =
-  let records = Wal.records (Filename.concat dir "wal.log") in
+  let records = (Wal.scan (Filename.concat dir "wal.log")).Wal.records in
   let fresh =
     List.filter_map
       (fun { Wal.lsn; stmt } -> if lsn > o.at then Some (lsn, stmt) else None)
@@ -228,7 +228,7 @@ let torture ~readers ~reader_domains ~rounds ~unsafe_publish () : violation =
                 List.fold_left
                   (fun acc { Wal.lsn; _ } -> max acc lsn)
                   0
-                  (Wal.records (Filename.concat dir "wal.log"))
+                  ((Wal.scan (Filename.concat dir "wal.log")).Wal.records)
               in
               (* setup is itself a commit boundary *)
               Client.send writer "EXEC" setup_script;

@@ -78,7 +78,7 @@ let test_wal_torn_tail_metrics () =
       close_out oc;
       let bytes_before = Metrics.counter_value "storage.wal.torn_tail_bytes" in
       let records_before = Metrics.counter_value "storage.wal.torn_tail_records" in
-      let records, torn = Wal.replay path in
+      let { Wal.records; tail = torn; _ } = Wal.recover path in
       Alcotest.(check (list int)) "intact prefix survives" [ 1 ]
         (List.map (fun r -> r.Wal.lsn) records);
       (match torn with

@@ -229,6 +229,38 @@ let pull_tuples port rel =
         |> List.filter (fun l -> l <> "")
         |> List.sort compare)
 
+(* A shard's SHARD_ACK names the INSERT rows it stored before the
+   script, which the router's undo must leave in place. *)
+let test_ack_names_held_rows () =
+  let port, pid = spawn_server () in
+  Fun.protect
+    ~finally:(fun () -> kill pid)
+    (fun () ->
+      let conn = Client.connect ~timeout:10.0 ~port () in
+      ignore (exec_ok conn ddl);
+      let held script =
+        Client.send conn Wire.shard_exec script;
+        match Client.recv_any conn with
+        | Ok (tag, payload) when tag = Wire.shard_ack -> (
+          match
+            Result.bind (Wire.parse_lsn_prefixed payload) (fun (_, body) ->
+                Wire.held_rows body)
+          with
+          | Ok rows -> rows
+          | Error e -> Alcotest.failf "ack of %S: %s" script e)
+        | Ok (tag, payload) -> Alcotest.failf "%S answered %s %S" script tag payload
+        | Error e -> Alcotest.failf "%S: %s" script e
+      in
+      Alcotest.(check (list int)) "nothing held" []
+        (held "INSERT INTO flies VALUES (+ tweety);");
+      Alcotest.(check (list int)) "row 2 held; row 3 repeats a row of this INSERT" [ 2 ]
+        (held "INSERT INTO flies VALUES (+ jack), (+ tweety), (+ jack);");
+      Alcotest.(check (list int)) "a DELETE holds nothing" []
+        (held "DELETE FROM flies VALUES (tweety);");
+      Alcotest.(check bool) "a malformed row list is refused" true
+        (Result.is_error (Wire.held_rows "1,x\n1 tuple(s) inserted into flies"));
+      Client.close conn)
+
 let test_routing_and_fanout () =
   let _, _, rport, ports, pids, _ = deploy () in
   Fun.protect
@@ -274,6 +306,17 @@ let test_byte_identity () =
       let statements =
         [
           ddl;
+          (* a rejected multi-shard INSERT is undone on the shards that
+             acked it, but only for rows they newly stored: the penguin
+             shard already held (+ tweety) and must keep it, whether the
+             INSERT is a frame of its own (pipelined) or the first
+             statement of a script (synchronous) *)
+          "INSERT INTO flies VALUES (+ tweety), (+ jack);";
+          "INSERT INTO flies VALUES (+ tweety), (- jack);";
+          "ASK flies (tweety);";
+          "INSERT INTO flies VALUES (+ tweety), (- jack); ASK flies (jack);";
+          "ASK flies (tweety);";
+          "DELETE FROM flies VALUES (tweety), (jack);";
           "INSERT INTO flies VALUES (+ ALL bird), (+ rex);";
           "INSERT INTO flies VALUES (- tweety);";
           "SELECT * FROM flies;";
@@ -397,8 +440,9 @@ let test_randomized_identity () =
       for _ = 1 to 12 do
         (* one burst of single-statement EXEC frames sent back-to-back
            before any reply is read: this is the shape the router's
-           phase-A admission pipelines (Singles ride per-shard FIFOs,
-           Scatters join only when the oracle proves Commute) *)
+           phase-A admission pipelines (single-shard writes ride
+           per-shard FIFOs, multi-shard writes join only when the
+           oracle proves Commute) *)
         let batch =
           List.init (2 + Prng.int rng 4) (fun _ ->
               if Prng.bernoulli rng 0.2 then ddl_frame () else mutation ())
@@ -636,6 +680,16 @@ let test_degraded_reads () =
       ignore (exec_ok conn "INSERT INTO flies VALUES (+ tweety), (+ jack);");
       (* kill the sparrow shard (index 2 of [router; s0; s1; s2]) *)
       kill (List.nth pids 3);
+      (* the first write to it finds it dead: located, naming the shard,
+         as every later write is *)
+      (match Client.exec conn "INSERT INTO flies VALUES (+ jack);" with
+      | Ok out -> Alcotest.failf "expected the dead shard's error, got %S" out
+      | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "located, names shard 2: %s" msg)
+          true
+          (String.starts_with ~prefix:"at line 1, column 1: shard 2 (127.0.0.1:" msg
+          && contains msg "unreachable"));
       (* reads confined to live shards keep answering *)
       Alcotest.(check bool) "penguin subtree still answers" true
         (contains (exec_ok conn "SELECT * FROM flies WHERE who = tweety;")
@@ -708,6 +762,8 @@ let suite =
     Alcotest.test_case "shard map rejects malformed input" `Quick test_map_rejects;
     Alcotest.test_case "cover rule: locality and replication" `Quick test_cover;
     Alcotest.test_case "a DDL run packs into frame-sized scripts" `Quick test_run_scripts;
+    Alcotest.test_case "a shard's ack names the rows it already held" `Quick
+      test_ack_names_held_rows;
     Alcotest.test_case "routing and cross-subtree fan-out" `Quick
       test_routing_and_fanout;
     Alcotest.test_case "scatter-gather is byte-identical to one node" `Quick

@@ -115,7 +115,7 @@ let test_wal_append_replay () =
       Wal.append w ~lsn:1 "CREATE DOMAIN d;";
       Wal.append w ~lsn:2 "CREATE INSTANCE x OF d;";
       Wal.close w;
-      let records = Wal.records path in
+      let records = (Wal.scan path).Wal.records in
       Alcotest.(check (list string)) "replay in order"
         [ "CREATE DOMAIN d;"; "CREATE INSTANCE x OF d;" ]
         (stmts records);
@@ -136,7 +136,7 @@ let test_wal_torn_tail_dropped () =
       let oc = open_out_bin path in
       output_string oc (String.sub data 0 (String.length data - 5));
       close_out oc;
-      let records, torn = Wal.replay path in
+      let { Wal.records; tail = torn; _ } = Wal.recover path in
       Alcotest.(check (list string)) "tail dropped" [ "CREATE DOMAIN d;" ] (stmts records);
       match torn with
       | None -> Alcotest.fail "expected a torn-tail report"
@@ -146,7 +146,7 @@ let test_wal_torn_tail_dropped () =
 
 let test_wal_missing_file () =
   Alcotest.(check (list string)) "no file, no records" []
-    (stmts (Wal.records "/nonexistent/wal.log"))
+    (stmts (Wal.scan "/nonexistent/wal.log").Wal.records)
 
 (* ---- Db: recovery ----------------------------------------------------- *)
 
