@@ -172,3 +172,18 @@ let held_rows body =
   | line -> (
     try Ok (List.map int_of_string (String.split_on_char ',' line))
     with Failure _ -> Error (Printf.sprintf "malformed held rows %S" line))
+
+let reject_body ~row msg =
+  (match row with Some r -> string_of_int r | None -> "") ^ "\n" ^ msg
+
+let rejected_row payload =
+  match String.index_opt payload '\n' with
+  | None -> Error (Printf.sprintf "missing row line in %S" payload)
+  | Some i -> (
+    let msg = String.sub payload (i + 1) (String.length payload - i - 1) in
+    match String.sub payload 0 i with
+    | "" -> Ok (None, msg)
+    | line -> (
+      match int_of_string_opt line with
+      | Some r when r >= 1 -> Ok (Some r, msg)
+      | Some _ | None -> Error (Printf.sprintf "malformed rejected row %S" line)))

@@ -67,8 +67,11 @@ val shard_part : string
 
 val shard_exec : string
 (** [SHARD_EXEC] (router → shard): payload is an HRQL script to apply;
-    the shard answers {!shard_ack} (or [ERR] with the evaluator's
-    message on failure). *)
+    the shard answers {!shard_ack}, or [ERR] with payload
+    ["<row>\n<message>"] on failure: the number (from 1) of the row of
+    the failing statement that the engine refused, empty when the
+    refusal names no row (e.g. a commit-time ambiguity conflict), then
+    the evaluator's message. *)
 
 val shard_ack : string
 (** [SHARD_ACK] (shard → router): payload is ["<lsn>\n<held>\n<reply>"]
@@ -123,3 +126,8 @@ val ack_body : held:int list -> string list -> string
 val held_rows : string -> (int list, string) result
 (** A {!shard_ack} body (after its LSN prefix): the held row numbers,
     then the reply lines. *)
+
+val reject_body : row:int option -> string -> string
+val rejected_row : string -> (int option * string, string) result
+(** The [ERR] payload answering a {!shard_exec}: the refused row, then
+    the evaluator's message. *)

@@ -378,8 +378,9 @@ let edge_end cat h ~edge name =
 
 (* [on_held], when given, is called with the number (from 1) of each
    INSERT row whose signed item the relation stored before the
-   statement: adding it again changes nothing. *)
-let exec_statement ?on_held cat stmt =
+   statement: adding it again changes nothing. [on_refused] is called
+   with the number of the INSERT row refused as a direct contradiction. *)
+let exec_statement ?on_held ?on_refused cat stmt =
   match stmt with
   | Ast.Create_domain name ->
     if Option.is_some (Catalog.find_hierarchy cat name) then
@@ -438,6 +439,7 @@ let exec_statement ?on_held cat stmt =
            refuse it as a direct contradiction *)
         try Txn.insert_item txn ~rel sign item
         with Types.Model_error msg ->
+          Option.iter (fun f -> f row) on_refused;
           reject (Contradiction { rel = Txn.current txn rel; row; item; sign }) "%s" msg)
       rows;
     commit txn;
@@ -563,14 +565,15 @@ let exec_statement ?on_held cat stmt =
 
 (* Run one statement, or say why the engine refuses it. A refused
    statement leaves the catalog as it was. *)
-let attempt ?on_held cat stmt =
-  try Ok (exec_statement ?on_held cat stmt) with
+let attempt ?on_held ?on_refused cat stmt =
+  try Ok (exec_statement ?on_held ?on_refused cat stmt) with
   | Rejected rejection -> Error rejection
   | Types.Model_error msg | Hierarchy.Error msg | Failure msg -> Error (Invalid, msg)
 
-let exec ?on_held cat stmt = Result.map_error snd (attempt ?on_held cat stmt)
+let exec ?on_held ?on_refused cat stmt =
+  Result.map_error snd (attempt ?on_held ?on_refused cat stmt)
 
-let run_script ?on_held cat input =
+let run_script ?on_held ?on_refused cat input =
   match Parser.parse input with
   | exception Parser.Parse_error { msg; _ } -> Error ("parse error: " ^ msg)
   | exception Lexer.Lex_error { msg; _ } -> Error ("lex error: " ^ msg)
@@ -578,7 +581,7 @@ let run_script ?on_held cat input =
     let rec loop acc = function
       | [] -> Ok (List.rev acc)
       | { Ast.stmt; sloc } :: rest -> (
-        match exec ?on_held cat stmt with
+        match exec ?on_held ?on_refused cat stmt with
         | Ok out -> loop (out :: acc) rest
         | Error msg ->
           Error (Format.asprintf "at %a: %s" Loc.pp_prose sloc msg))

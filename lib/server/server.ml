@@ -138,10 +138,10 @@ let port t = t.bound_port
    logic in [poll]) owns the shared sync. Until it runs, the [Ok] here
    must not reach the client — [holding] below withholds all output
    while unsynced records exist. *)
-let run_script ?on_held t script =
+let run_script ?on_held ?on_refused t script =
   match t.backend with
-  | Memory cat -> Hr_query.Eval.run_script ?on_held cat script
-  | Durable db -> Hr_storage.Db.exec_buffered ?on_held db script
+  | Memory cat -> Hr_query.Eval.run_script ?on_held ?on_refused cat script
+  | Durable db -> Hr_storage.Db.exec_buffered ?on_held ?on_refused db script
 
 (* True while acks must be withheld: some executed statement is not yet
    durable. No conn output may drain while this holds. *)
@@ -455,19 +455,27 @@ let handle t conn tag payload =
   | tag when tag = Wire.shard_exec -> (
     (* Router write path: like EXEC but the ack carries this shard's
        head LSN so the router can track per-shard progress, and the
-       INSERT rows it already held, which an undo must not delete.
-       Always inline — the payload is (almost) always mutating. *)
+       INSERT rows it already held, which an undo must not delete; a
+       refusal names the row refused, so the router can report the
+       statement's earliest failing row as one node does. Always
+       inline — the payload is (almost) always mutating. *)
     match (if t.read_only then Hr_storage.Db.script_mutation payload else None) with
     | Some src ->
       send_conn t conn "ERR"
-        (Printf.sprintf "read-only replica: refusing mutating statement %S (execute it on the primary)" src)
+        (Wire.reject_body ~row:None
+           (Printf.sprintf "read-only replica: refusing mutating statement %S (execute it on the primary)" src))
     | None -> (
-      let held = ref [] in
-      match run_script ~on_held:(fun row -> held := row :: !held) t payload with
+      let held = ref [] and refused = ref None in
+      match
+        run_script
+          ~on_held:(fun row -> held := row :: !held)
+          ~on_refused:(fun row -> refused := Some row)
+          t payload
+      with
       | Ok outputs ->
         send_conn t conn Wire.shard_ack
           (Wire.lsn_prefixed (head_lsn t) (Wire.ack_body ~held:(List.rev !held) outputs))
-      | Error msg -> send_conn t conn "ERR" msg))
+      | Error msg -> send_conn t conn "ERR" (Wire.reject_body ~row:!refused msg)))
   | tag when tag = Wire.repl_ack -> (
     match Wire.parse_lsn payload with
     | Error msg ->

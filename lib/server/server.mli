@@ -47,7 +47,8 @@
     with the relation's stored tuple lines, LSN-prefixed with this
     shard's head; [SHARD_EXEC] carries an HRQL script and answers
     [SHARD_ACK] (LSN-prefixed: the [INSERT] rows it already stored,
-    then the evaluator reply) or [ERR]. Both run
+    then the evaluator reply) or [ERR] (the refused row's number, or an
+    empty line, then the message; {!Hr_frames.Wire.rejected_row}). Both run
     inline on the event loop against the live catalog, and their
     replies obey the group-commit hold: a router never observes state
     that is not yet durable on the shard.

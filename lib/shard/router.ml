@@ -51,10 +51,9 @@ type t = {
   mutable clients : Conn.t list;  (* in accept order *)
 }
 
-(* Infrastructure failure talking to a shard (vs [Reply_err]: the shard
-   answered, with an evaluator error). *)
-exception Shard_down of shard * string
-exception Reply_err of string
+(* A shard round failed: a shard is unreachable, diverged or refused.
+   The text is the client's error, unlocated. *)
+exception Shard_error of string
 
 let down_msg sc msg =
   Printf.sprintf "shard %d (%s:%d) unreachable: %s" sc.sid sc.shost sc.sport msg
@@ -67,15 +66,23 @@ let exn_msg = function
 
 let dead_count t = List.length (List.filter (fun s -> s.conn = None) t.shards)
 
-let mark_down t sc msg =
-  (match sc.conn with
-  | Some c -> Client.close c
-  | None -> ());
+(* What a shard answered one frame of a round with. *)
+type answer =
+  | Reply of string  (* the expected reply's body, after its LSN prefix *)
+  | Rejected of int option * string
+      (* the shard's error, location stripped, and the row of the
+         statement it refused when the error names one *)
+  | Down of string  (* the shard is unreachable; the text names it *)
+
+(* The shard is dropped: its connection closes, and it answers [Down]
+   until a reconnect. *)
+let drop t sc msg =
+  Option.iter Client.close sc.conn;
   sc.conn <- None;
   sc.last_attempt <- Metrics.now_ns ();
   Metrics.set g_dead (dead_count t);
   Metrics.incr m_errors;
-  raise (Shard_down (sc, msg))
+  Down (down_msg sc msg)
 
 (* Dial throttle: a dead shard is retried at most once a second so a
    write storm against a down subtree does not spend every statement's
@@ -87,7 +94,7 @@ let ensure_conn t sc =
   | Some c -> c
   | None ->
     if Metrics.now_ns () - sc.last_attempt < reconnect_throttle_ns then
-      raise (Shard_down (sc, "down (reconnect throttled)"));
+      raise (Shard_error (down_msg sc "down (reconnect throttled)"));
     sc.last_attempt <- Metrics.now_ns ();
     (match Client.connect ~host:sc.shost ~timeout:t.timeout ~port:sc.sport () with
     | conn ->
@@ -95,35 +102,7 @@ let ensure_conn t sc =
       Metrics.incr m_reconnects;
       Metrics.set g_dead (dead_count t);
       conn
-    | exception e -> raise (Shard_down (sc, exn_msg e)))
-
-let shard_send t sc tag payload =
-  let c = ensure_conn t sc in
-  try Client.send c tag payload with e -> mark_down t sc (exn_msg e)
-
-(* One reply off a shard connection, in FIFO order with its requests.
-   [expected]-tagged replies carry an LSN prefix (tracked per shard);
-   [ERR] raises {!Reply_err}; anything else is a protocol violation and
-   the shard is dropped. *)
-let shard_recv t sc ~expected =
-  (* [None] can happen mid-round: an earlier pipelined reply marked the
-     shard down while this statement's reply was still owed. *)
-  let c =
-    match sc.conn with
-    | Some c -> c
-    | None -> raise (Shard_down (sc, "down"))
-  in
-  match Client.recv_any c with
-  | Error msg -> mark_down t sc msg
-  | Ok ("ERR", payload) -> raise (Reply_err payload)
-  | Ok (tag, payload) when tag = expected -> (
-    match Wire.parse_lsn_prefixed payload with
-    | Error msg -> mark_down t sc msg
-    | Ok (lsn, body) ->
-      sc.lsn <- max sc.lsn lsn;
-      Metrics.set sc.g_lsn sc.lsn;
-      body)
-  | Ok (tag, _) -> mark_down t sc (Printf.sprintf "protocol error: unexpected %S" tag)
+    | exception e -> raise (Shard_error (down_msg sc (exn_msg e))))
 
 let shard_of t sid =
   match List.find_opt (fun s -> s.sid = sid) t.shards with
@@ -149,6 +128,66 @@ let strip_located msg =
     Scanf.sscanf msg "at line %d, column %d: %n" (fun _ _ n ->
         String.sub msg n (String.length msg - n))
   with Scanf.Scan_failure _ | Failure _ | End_of_file -> msg
+
+(* ---- shard rounds ----------------------------------------------------- *)
+
+(* Every exchange with the shards is a round: [send] puts one [tag]
+   frame per [(shard, payload)] out before any reply is read, and
+   [collect] reads every reply owed, even after a failure, so no shard's
+   reply FIFO is left holding a reply the next round would take for its
+   own. A shard the frame cannot reach already has its answer: [Down]. *)
+let send t tag frames =
+  List.map
+    (fun (sc, payload) ->
+      match Client.send (ensure_conn t sc) tag payload with
+      | () -> (sc, None)
+      | exception Shard_error msg -> (sc, Some (Down msg))
+      | exception e -> (sc, Some (drop t sc (exn_msg e))))
+    frames
+
+(* Every shard's answer, in send order. [expected]-tagged replies carry
+   an LSN prefix (tracked per shard); an [ERR] answering [SHARD_EXEC]
+   carries the refused row; anything else is a protocol violation and
+   the shard is dropped. *)
+let collect t ~expected sent =
+  let read sc c =
+    match Client.recv_any c with
+    | exception e -> drop t sc (exn_msg e)
+    | Error msg -> drop t sc msg
+    | Ok ("ERR", payload) when expected <> Wire.shard_ack ->
+      Rejected (None, strip_located payload)
+    | Ok ("ERR", payload) -> (
+      match Wire.rejected_row payload with
+      | Ok (row, msg) -> Rejected (row, strip_located msg)
+      | Error msg -> drop t sc ("protocol error: " ^ msg))
+    | Ok (tag, payload) when tag = expected -> (
+      match Wire.parse_lsn_prefixed payload with
+      | Error msg -> drop t sc msg
+      | Ok (lsn, body) ->
+        sc.lsn <- max sc.lsn lsn;
+        Metrics.set sc.g_lsn sc.lsn;
+        Reply body)
+    | Ok (tag, _) -> drop t sc (Printf.sprintf "protocol error: unexpected %S" tag)
+  in
+  List.map
+    (fun (sc, answered) ->
+      ( sc,
+        match (answered, sc.conn) with
+        | Some a, _ -> a
+        | None, Some c -> read sc c
+        (* an earlier reply of the round dropped the shard *)
+        | None, None -> Down (down_msg sc "down") ))
+    sent
+
+(* The first failure of a round, in send order, raised; [rejected sc
+   msg] words a shard's refusal. *)
+let raise_first ~rejected answers =
+  List.iter
+    (function
+      | _, Reply _ -> ()
+      | sc, Rejected (_, msg) -> raise (Shard_error (rejected sc msg))
+      | _, Down msg -> raise (Shard_error msg))
+    answers
 
 (* ---- scatter-gather reads -------------------------------------------- *)
 
@@ -183,13 +222,15 @@ let mentioned_relations t stmt =
   (match stmt with
   | Ast.Select_query { expr = e; _ }
   | Ast.Let_binding { expr = e; _ }
+  | Ast.Count { expr = e; _ }
   | Ast.Explain_plan e | Ast.Explain_analyze e | Ast.Explain_estimate e ->
     expr e
-  | Ast.Count { expr = e; _ } -> expr e
   | Ast.Diff { prev; next } ->
     expr prev;
     expr next
   | Ast.Ask { rel; _ }
+  | Ast.Insert { rel; _ }
+  | Ast.Delete { rel; _ }
   | Ast.Check rel
   | Ast.Explain { rel; _ }
   | Ast.Consolidate rel
@@ -208,33 +249,27 @@ let mentioned_relations t stmt =
    guarantees all such tuples live on the node's cover. *)
 let read_scope t stmt name =
   let all = Shard_map.ids t.map in
-  let cover_of_value v =
-    match Catalog.find_relation t.cat name with
-    | None -> all
-    | Some rel -> (
-      let schema = Relation.schema rel in
-      let h = Schema.hierarchy schema 0 in
+  match Catalog.find_relation t.cat name with
+  | None -> all
+  | Some rel -> (
+    let schema = Relation.schema rel in
+    let h = Schema.hierarchy schema 0 in
+    let cover_of_value v =
       match Hierarchy.find h (Ast.value_name v) with
       | Some n -> Shard_map.cover t.map h n
-      | None -> all)
-  in
-  let first_attr () =
-    match Catalog.find_relation t.cat name with
-    | None -> None
-    | Some rel ->
-      Some (Hr_util.Symbol.name (Schema.attr (Relation.schema rel) 0).Schema.name)
-  in
-  match stmt with
-  | Ast.Select_query { expr; justified = false } -> (
-    match (Optimizer.optimize expr).Ast.expr with
-    | Ast.Select ({ Ast.expr = Ast.Rel r; _ }, attr, v)
-      when r = name && first_attr () = Some attr ->
+      | None -> all
+    in
+    match stmt with
+    | Ast.Select_query { expr; justified = false } -> (
+      match (Optimizer.optimize expr).Ast.expr with
+      | Ast.Select ({ Ast.expr = Ast.Rel r; _ }, attr, v)
+        when r = name && attr = Hr_util.Symbol.name (Schema.attr schema 0).Schema.name ->
+        cover_of_value v
+      | _ -> all)
+    | (Ast.Ask { rel; values = v :: _; _ } | Ast.Explain { rel; values = v :: _ })
+      when rel = name ->
       cover_of_value v
     | _ -> all)
-  | (Ast.Ask { rel; values = v :: _; _ } | Ast.Explain { rel; values = v :: _ })
-    when rel = name ->
-    cover_of_value v
-  | _ -> all
 
 (* Decoded tuple lines from one shard, merged with exact-identity dedup:
    the same (item, sign) from several shards is one tuple (that is what
@@ -248,7 +283,7 @@ let merge_part name schema tbl sc body =
       if line <> "" then begin
         let fail () =
           raise
-            (Reply_err
+            (Shard_error
                (Printf.sprintf "shard %d sent a malformed tuple %S for %s" sc.sid
                   line name))
         in
@@ -270,7 +305,7 @@ let merge_part name schema tbl sc body =
           try Item.make schema coords
           with _ ->
             raise
-              (Reply_err
+              (Shard_error
                  (Printf.sprintf
                     "shard %d sent tuple %S outside %s's schema (cross-shard \
                      divergence; run hrdb fsck --against the shard map)"
@@ -283,7 +318,7 @@ let merge_part name schema tbl sc body =
         | Some s when s = sign -> Metrics.incr m_dedup
         | Some _ ->
           raise
-            (Reply_err
+            (Shard_error
                (Printf.sprintf
                   "cross-shard divergence on %s: shard %d disagrees on the sign \
                    of %s (run hrdb fsck --against the shard map)"
@@ -292,119 +327,81 @@ let merge_part name schema tbl sc body =
       end)
     lines
 
-type gather_info = { gi_name : string; gi_sid : int; gi_tuples : int; gi_lsn : int }
+type gather_info = { gi_name : string; gi_shard : shard; gi_tuples : int }
 
-(* Pull [names] (each from its scope's shards), pipelined: all PULL
-   frames go out before any reply is read, in a fixed order both sides
-   share, so each shard connection's FIFO stays aligned. The merged
-   extensions replace the local catalog's empty relations for the
-   duration of one statement. *)
+(* Pull [names] (each from its scope's shards) in one round. Only once
+   every reply is in does a failure raise: the first unreachable or
+   refusing shard in send order, else a divergence found while merging.
+   The merged extensions replace the local catalog's empty relations. *)
 let gather t scoped =
   let t0 = Metrics.now_ns () in
-  List.iter
-    (fun (name, sids) ->
-      List.iter
-        (fun sid ->
-          shard_send t (shard_of t sid) Wire.shard_pull name;
-          Metrics.incr m_pulls)
-        sids)
-    scoped;
-  let infos = ref [] in
-  List.iter
-    (fun (name, sids) ->
-      let schema = Relation.schema (Catalog.relation t.cat name) in
-      let tbl = Hashtbl.create 64 in
-      List.iter
-        (fun sid ->
-          let sc = shard_of t sid in
-          let body =
-            try shard_recv t sc ~expected:Wire.shard_part
-            with Reply_err msg ->
-              raise
-                (Reply_err
-                   (Printf.sprintf
-                      "shard %d (%s:%d) cannot serve %s: %s (cross-shard \
-                       divergence; run hrdb fsck --against the shard map)"
-                      sc.sid sc.shost sc.sport name (strip_located msg)))
-          in
-          let before = Hashtbl.length tbl in
-          merge_part name schema tbl sc body;
-          infos :=
-            { gi_name = name; gi_sid = sid; gi_tuples = Hashtbl.length tbl - before;
-              gi_lsn = sc.lsn }
-            :: !infos)
-        sids;
-      let rel =
-        Hashtbl.fold (fun item sign r -> Relation.set r item sign) tbl
-          (Relation.empty ~name schema)
-      in
-      Catalog.replace_relation t.cat rel;
-      Metrics.observe h_fanout (List.length sids))
-    scoped;
-  Metrics.observe h_gather (Metrics.now_ns () - t0);
-  List.rev !infos
-
-(* After evaluating, gathered extensions are dropped again: the router's
-   catalog stays schema-only between statements. *)
-let reset_relations t names =
-  List.iter
-    (fun name ->
-      match Catalog.find_relation t.cat name with
-      | None -> ()
-      | Some rel ->
+  let pull (name, sids) = List.map (fun sid -> (shard_of t sid, name)) sids in
+  let frames = List.concat_map pull scoped in
+  Metrics.add m_pulls (List.length frames);
+  let answers =
+    List.combine (List.map snd frames)
+      (collect t ~expected:Wire.shard_part (send t Wire.shard_pull frames))
+  in
+  let by_relation =
+    List.map
+      (fun (name, _) ->
+        let mine = List.filter_map (fun (n, a) -> if n = name then Some a else None) answers in
+        raise_first mine ~rejected:(fun sc msg ->
+            Printf.sprintf
+              "shard %d (%s:%d) cannot serve %s: %s (cross-shard divergence; run hrdb \
+               fsck --against the shard map)"
+              sc.sid sc.shost sc.sport name msg);
+        (name, mine))
+      scoped
+  in
+  let infos =
+    List.concat_map
+      (fun (name, answers) ->
+        let schema = Relation.schema (Catalog.relation t.cat name) in
+        let tbl = Hashtbl.create 64 in
+        let merge = function
+          | sc, Reply body ->
+            let before = Hashtbl.length tbl in
+            merge_part name schema tbl sc body;
+            Some { gi_name = name; gi_shard = sc; gi_tuples = Hashtbl.length tbl - before }
+          | _, (Rejected _ | Down _) -> None
+        in
+        let infos = List.filter_map merge answers in
         Catalog.replace_relation t.cat
-          (Relation.empty ~name (Relation.schema rel)))
-    names
+          (Hashtbl.fold (fun item sign r -> Relation.set r item sign) tbl
+             (Relation.empty ~name schema));
+        Metrics.observe h_fanout (List.length answers);
+        infos)
+      by_relation
+  in
+  Metrics.observe h_gather (Metrics.now_ns () - t0);
+  infos
 
-let per_shard_section t infos =
-  let b = Buffer.create 128 in
-  Buffer.add_string b "per-shard breakdown:";
-  List.iter
-    (fun gi ->
-      let sc = shard_of t gi.gi_sid in
-      Buffer.add_string b
-        (Printf.sprintf "\n  shard %d (%s:%d) lsn=%d: %s %d tuple(s)" gi.gi_sid
-           sc.shost sc.sport gi.gi_lsn gi.gi_name gi.gi_tuples))
-    infos;
-  Buffer.contents b
+(* [f] evaluates over the gathered extensions of [scoped]. Afterwards,
+   whether it answers or raises, those relations and [also] are emptied
+   again: the router's catalog stays schema-only between statements. *)
+let with_gathered ?(also = []) t scoped f =
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun name ->
+          match Catalog.find_relation t.cat name with
+          | Some rel ->
+            Catalog.replace_relation t.cat (Relation.empty ~name (Relation.schema rel))
+          | None -> ())
+        (also @ List.map fst scoped))
+    (fun () -> f (gather t scoped))
+
+let per_shard_section infos =
+  String.concat "\n  "
+    ("per-shard breakdown:"
+    :: List.map
+         (fun { gi_name; gi_shard = sc; gi_tuples } ->
+           Printf.sprintf "shard %d (%s:%d) lsn=%d: %s %d tuple(s)" sc.sid sc.shost sc.sport
+             sc.lsn gi_name gi_tuples)
+         infos)
 
 (* ---- SHARD_EXEC rounds ------------------------------------------------ *)
-
-(* What a shard answered one SHARD_EXEC with. *)
-type ack =
-  | Acked of int list
-      (* the INSERT rows (numbered from 1) the shard stored before *)
-  | Rejected of string  (* the shard's evaluator error, location stripped *)
-  | Down of string  (* the shard is unreachable; the text names it *)
-
-(* One SHARD_EXEC per [(shard, script)], every frame out before any
-   reply is read. A shard the frame cannot reach already has its
-   answer: [Down]. *)
-let send t scripts =
-  List.map
-    (fun (sc, script) ->
-      match shard_send t sc Wire.shard_exec script with
-      | () -> (sc, None)
-      | exception Shard_down (sc, msg) -> (sc, Some (Down (down_msg sc msg))))
-    scripts
-
-(* Every shard's ack, in send order. Every reply owed is read, even
-   after a failure, so no shard's reply FIFO is left holding an ack the
-   next round would take for its own. *)
-let collect t sent =
-  let ack sc =
-    match
-      match Wire.held_rows (shard_recv t sc ~expected:Wire.shard_ack) with
-      | Ok held -> held
-      | Error msg -> mark_down t sc ("protocol error: " ^ msg)
-    with
-    | held -> Acked held
-    | exception Reply_err msg -> Rejected (strip_located msg)
-    | exception Shard_down (sc, msg) -> Down (down_msg sc msg)
-  in
-  List.map
-    (fun (sc, answered) -> (sc, match answered with Some a -> a | None -> ack sc))
-    sent
 
 (* A round every shard must accept: a DDL run or a repartition.
    [rejected sc msg] words a shard's refusal. *)
@@ -412,12 +409,10 @@ let everywhere t script_for ~rejected =
   let sids = Shard_map.ids t.map in
   require_up t sids;
   Metrics.incr m_broadcasts;
-  send t (List.map (fun sid -> let sc = shard_of t sid in (sc, script_for sc)) sids)
-  |> collect t
-  |> List.iter (function
-       | _, Acked _ -> ()
-       | sc, Rejected msg -> raise (Reply_err (rejected sc msg))
-       | _, Down msg -> raise (Reply_err msg))
+  send t Wire.shard_exec
+    (List.map (fun sid -> let sc = shard_of t sid in (sc, script_for sc)) sids)
+  |> collect t ~expected:Wire.shard_ack
+  |> raise_first ~rejected
 
 let broadcast t script =
   everywhere t (fun _ -> script) ~rejected:(fun sc msg ->
@@ -448,9 +443,11 @@ let repartition t rel ~present =
    node's. *)
 type plan = {
   rel : string;
-  parts : (shard * string * Ast.value list list) list;
-      (* covered shard (ascending sid), its sub-statement, and the rows
-         an INSERT sends it — what its undo may delete ([] for a DELETE) *)
+  values : Ast.value list array;  (* each row's values, in statement order *)
+  parts : (shard * string * int list) list;
+      (* covered shard (ascending sid), its sub-statement, and the
+         statement's rows (numbered from 0) it carries, in order *)
+  undoable : bool;  (* an INSERT: a failure deletes what a shard newly stored *)
   reply : string;
   footprint : Hr_analysis.Footprint.t Lazy.t;  (* for the commutativity oracle *)
 }
@@ -460,19 +457,20 @@ type plan = {
 let plan t stmt =
   let build rel rows ~values ~render ~undoable ~verb =
     let schema = Relation.schema (Eval.relation t.cat rel) in
-    let covers =
-      List.mapi (fun i r -> (r, cover_of_row t ~rel schema i (values r))) rows
-    in
+    let rows = Array.of_list rows in
+    let covers = Array.mapi (fun i r -> cover_of_row t ~rel schema i (values r)) rows in
     let part sid =
       let mine =
-        List.filter_map (fun (r, c) -> if List.mem sid c then Some r else None) covers
+        List.filter (fun i -> List.mem sid covers.(i)) (List.init (Array.length rows) Fun.id)
       in
-      (shard_of t sid, render mine, if undoable then List.map values mine else [])
+      (shard_of t sid, render (List.map (Array.get rows) mine), mine)
     in
     {
       rel;
-      parts = List.map part (List.sort_uniq compare (List.concat_map snd covers));
-      reply = string_of_int (List.length rows) ^ " tuple(s) " ^ verb ^ " " ^ rel;
+      values = Array.map values rows;
+      parts = List.map part (List.sort_uniq compare (List.concat (Array.to_list covers)));
+      undoable;
+      reply = string_of_int (Array.length rows) ^ " tuple(s) " ^ verb ^ " " ^ rel;
       footprint =
         lazy
           (try Hr_analysis.Effect.footprint ~find:(Catalog.find_relation t.cat) stmt
@@ -497,31 +495,46 @@ let start t plan =
   require_up t (List.map (fun (sc, _, _) -> sc.sid) plan.parts);
   Metrics.incr m_mutations;
   Metrics.observe h_fanout (List.length plan.parts);
-  send t (List.map (fun (sc, script, _) -> (sc, script)) plan.parts)
+  send t Wire.shard_exec (List.map (fun (sc, script, _) -> (sc, script)) plan.parts)
 
 (* The plan's reply (unlocated), and the undo a failure owes: for every
    INSERT part a shard acknowledged, a DELETE of the rows that shard
-   newly stored. Deletes are never undone: they fail identically
-   everywhere or expose divergence that is already there. *)
+   newly stored. The failure reported is the one a single node gives:
+   an unreachable shard first, else the refusal of the statement's
+   earliest row, else a refusal naming no row (a node stages every row
+   before its commit-time check); ties go to send order. Deletes are
+   never undone: they fail identically everywhere or expose divergence
+   that is already there. *)
 let finish t plan sent =
-  let acks = collect t sent in
-  let failure = function _, (Rejected m | Down m) -> Some m | _, Acked _ -> None in
-  match List.find_map failure acks with
-  | None -> (Ok plan.reply, [])
-  | Some msg ->
-    let owed (sc, ack) =
-      match (ack, List.find (fun (s, _, _) -> s == sc) plan.parts) with
-      | Acked held, (_, _, rows) -> (
-        match List.filteri (fun i _ -> not (List.mem (i + 1) held)) rows with
+  (* [Ok held], or [Error (rank, message)] *)
+  let rec outcome ((_, _, mine) as part) (sc, answer) =
+    match answer with
+    | Reply body -> (
+      match Wire.held_rows body with
+      | Ok held -> Ok held
+      | Error msg -> outcome part (sc, drop t sc ("protocol error: " ^ msg)))
+    | Down msg -> Error (-1, msg)
+    | Rejected (row, msg) ->
+      let at = Option.bind row (fun r -> List.nth_opt mine (r - 1)) in
+      Error (Option.value at ~default:max_int, msg)
+  in
+  let outcomes = List.map2 outcome plan.parts (collect t ~expected:Wire.shard_ack sent) in
+  let failures = List.filter_map (function Error e -> Some e | Ok _ -> None) outcomes in
+  match List.stable_sort (fun (a, _) (b, _) -> compare a b) failures with
+  | [] -> (Ok plan.reply, [])
+  | (_, msg) :: _ ->
+    let owed (sc, _, mine) = function
+      | Ok held when plan.undoable -> (
+        match List.filteri (fun k _ -> not (List.mem (k + 1) held)) mine with
         | [] -> None
-        | fresh -> Some (sc, Render.delete plan.rel fresh))
-      | (Rejected _ | Down _), _ -> None
+        | fresh -> Some (sc, Render.delete plan.rel (List.map (Array.get plan.values) fresh)))
+      | Ok _ | Error _ -> None
     in
-    (Error msg, List.filter_map owed acks)
+    (Error msg, List.filter_map Fun.id (List.map2 owed plan.parts outcomes))
 
 (* Best effort: a shard that dies mid-undo leaves divergence for fsck
    to find. *)
-let undo t owed = ignore (collect t (send t owed))
+let undo t owed = ignore (collect t ~expected:Wire.shard_ack (send t Wire.shard_exec owed))
 
 (* ---- statement dispatch ----------------------------------------------- *)
 
@@ -540,50 +553,42 @@ let exec_stmt t stmt =
        accepted ones reach the shards as a run ({!exec_script}). *)
     require_up t (Shard_map.ids t.map);
     Eval.exec t.cat stmt
-  | Ast.Insert _ | Ast.Delete _ ->
-    let plan = plan t stmt in
-    let result, owed = finish t plan (start t plan) in
-    undo t owed;
-    result
-  | Ast.Let_binding { name; expr = _ } -> (
-    let srcs = mentioned_relations t stmt in
-    let present = Catalog.find_relation t.cat name <> None in
-    require_up t (Shard_map.ids t.map);
-    ignore (gather t (List.map (fun n -> (n, Shard_map.ids t.map)) srcs));
-    match Eval.exec t.cat stmt with
-    | Error _ as e ->
-      reset_relations t srcs;
-      e
-    | Ok out ->
-      let rel = Catalog.relation t.cat name in
-      repartition t rel ~present;
-      reset_relations t (name :: srcs);
-      Ok out)
-  | Ast.Consolidate rel_name | Ast.Explicate { rel = rel_name; _ } -> (
-    let srcs = mentioned_relations t stmt in
-    require_up t (Shard_map.ids t.map);
-    ignore (gather t (List.map (fun n -> (n, Shard_map.ids t.map)) srcs));
-    match Eval.exec t.cat stmt with
-    | Error _ as e ->
-      reset_relations t srcs;
-      e
-    | Ok out ->
-      let rel = Catalog.relation t.cat rel_name in
-      repartition t rel ~present:true;
-      reset_relations t srcs;
-      Ok out)
+  | Ast.Insert _ | Ast.Delete _ -> (
+    match plan t stmt with
+    | plan ->
+      let result, owed = finish t plan (start t plan) in
+      undo t owed;
+      result
+    | exception Eval.Rejected _ when mentioned_relations t stmt <> [] ->
+      (* A row names nothing, but one node refuses an earlier INSERT row
+         that contradicts first: evaluated over the stored tuples, the
+         statement fails as one node's does. *)
+      with_gathered t
+        (List.map (fun n -> (n, Shard_map.ids t.map)) (mentioned_relations t stmt))
+        (fun _ -> Eval.exec t.cat stmt))
+  | Ast.Let_binding { name = target; _ }
+  | Ast.Consolidate target
+  | Ast.Explicate { rel = target; _ } ->
+    (* gather from every shard, evaluate, repartition the result *)
+    let all = Shard_map.ids t.map in
+    let present = Catalog.find_relation t.cat target <> None in
+    require_up t all;
+    with_gathered t ~also:[ target ]
+      (List.map (fun n -> (n, all)) (mentioned_relations t stmt))
+      (fun _ ->
+        let r = Eval.exec t.cat stmt in
+        if Result.is_ok r then repartition t (Catalog.relation t.cat target) ~present;
+        r)
   | Ast.Select_query _ | Ast.Ask _ | Ast.Check _ | Ast.Count _ | Ast.Diff _
   | Ast.Explain _ | Ast.Explain_plan _ | Ast.Explain_analyze _
-  | Ast.Explain_estimate _ | Ast.Show_relations -> (
-    let names = mentioned_relations t stmt in
-    let scoped = List.map (fun n -> (n, read_scope t stmt n)) names in
-    let infos = gather t scoped in
-    let r = Eval.exec t.cat stmt in
-    reset_relations t names;
-    match (stmt, r) with
-    | Ast.Explain_analyze _, Ok out when infos <> [] ->
-      Ok (out ^ "\n" ^ per_shard_section t infos)
-    | _ -> r)
+  | Ast.Explain_estimate _ | Ast.Show_relations ->
+    with_gathered t
+      (List.map (fun n -> (n, read_scope t stmt n)) (mentioned_relations t stmt))
+      (fun infos ->
+        match (stmt, Eval.exec t.cat stmt) with
+        | Ast.Explain_analyze _, Ok out when infos <> [] ->
+          Ok (out ^ "\n" ^ per_shard_section infos)
+        | _, r -> r)
   (* SHOW HIERARCHY/HIERARCHIES, STATS and EXPLAIN EFFECTS read only
      the router's own catalog. EXPLAIN EFFECTS resolves cones against it
      — the router owns the DAG and every relation schema (DDL is
@@ -592,19 +597,17 @@ let exec_stmt t stmt =
   | _ -> Eval.exec t.cat stmt
 
 let located sloc f =
-  let r =
-    try f () with
-    | Eval.Rejected (_, msg)
-    | Types.Model_error msg
-    | Hierarchy.Error msg
-    | Failure msg ->
-      Error msg
-    | Shard_down (sc, msg) -> Error (down_msg sc msg)
-    | Reply_err msg -> Error (strip_located msg)
-  in
-  match r with
+  let at msg = Error (Format.asprintf "at %a: %s" Loc.pp_prose sloc msg) in
+  match f () with
   | Ok _ as ok -> ok
-  | Error msg -> Error (Format.asprintf "at %a: %s" Loc.pp_prose sloc msg)
+  | Error msg -> at msg
+  | exception
+      ( Eval.Rejected (_, msg)
+      | Types.Model_error msg
+      | Hierarchy.Error msg
+      | Failure msg
+      | Shard_error msg ) ->
+    at msg
 
 let exec_located t { Ast.stmt; sloc } = located sloc (fun () -> exec_stmt t stmt)
 
@@ -705,7 +708,7 @@ let routed_write t payload =
   | _ | (exception _) -> None
 
 type pending =
-  | Write of Conn.t * Loc.t * plan * (shard * ack option) list
+  | Write of Conn.t * Loc.t * plan * (shard * answer option) list
       (* a routed write of the pipelined run, and what [start] sent *)
   | Sync of Conn.t * string * string
   | Fail of Conn.t * string
@@ -865,9 +868,7 @@ let create ?(host = "127.0.0.1") ?(timeout = 5.0)
   in
   (* Eager dial so the common case starts connected; failures are fine
      here — the lazy reconnect path owns retries. *)
-  List.iter
-    (fun sc -> try ignore (ensure_conn t sc) with Shard_down _ -> ())
-    t.shards;
+  List.iter (fun sc -> try ignore (ensure_conn t sc) with Shard_error _ -> ()) t.shards;
   Metrics.set g_dead (dead_count t);
   t
 
@@ -879,9 +880,6 @@ let close t =
   t.clients <- [];
   List.iter
     (fun sc ->
-      match sc.conn with
-      | Some c ->
-        Client.close c;
-        sc.conn <- None
-      | None -> ())
+      Option.iter Client.close sc.conn;
+      sc.conn <- None)
     t.shards

@@ -15,38 +15,49 @@
     clusters near its subtree), cross-subtree generalizations (e.g.
     [∀Bird] when [Penguin] and [Sparrow] live on different shards)
     replicate to every covered shard. There is one write path: each
-    routed write is planned once (a sub-statement per covered shard),
-    and one send/collect pair sends every sub-statement before reading
-    any ack. A frame that is one [INSERT]/[DELETE] over connected
-    shards joins the tick's pipelined run when the commutativity
-    oracle admits it, so K shards commit concurrently; anything else
-    runs the same pair synchronously. A write some shard rejects is
-    undone on the shards that acked it, deleting only the rows each
-    newly stored (a shard's ack names the rows it already held);
-    immediately on the synchronous path, after the run's last reply on
-    the pipelined one.
+    routed write is planned once (a sub-statement per covered shard)
+    and runs as one shard round (below). A frame that is one
+    [INSERT]/[DELETE] over connected shards joins the tick's pipelined
+    run when the commutativity oracle admits it, so K shards commit
+    concurrently; anything else runs the same round synchronously. A
+    write some shard rejects is undone on the shards that acked it,
+    deleting only the rows each newly stored (a shard's ack names the
+    rows it already held); immediately on the synchronous path, after
+    the run's last reply on the pipelined one. Its error is a single
+    node's: a shard's refusal names the row it refused, and the
+    statement's earliest refused row is the one reported.
+
+    {b Shard rounds.} The router talks to shards only in rounds, through
+    one send/collect pair: every frame of a round ([SHARD_PULL] or
+    [SHARD_EXEC]) goes out before any reply is read, and every reply
+    owed is read before any failure is raised, so each shard
+    connection's reply FIFO stays in step whatever the round's outcome.
 
     {b Reads.} Every query statement gathers the stored tuples of the
-    relations it mentions over [SHARD_PULL] (restricted to the cover of
-    the selected subtree when the plan selects on a relation's first
-    attribute; all shards otherwise), merges them with exact-identity
-    dedup — a replica pair diverging in sign is reported as a
-    cross-shard divergence error, never silently resolved — and
+    relations it mentions in one [SHARD_PULL] round (restricted to the
+    cover of the selected subtree when the plan selects on a relation's
+    first attribute; all shards otherwise), merges them with
+    exact-identity dedup — a replica pair diverging in sign is reported
+    as a cross-shard divergence error, never silently resolved — and
     evaluates the statement locally on the merged catalog. The output
-    is byte-identical to a single-node server on the same script.
-    [EXPLAIN ANALYZE] appends a per-shard breakdown (tuples pulled,
-    head LSN per shard). [LET] / [CONSOLIDATE] / [EXPLICATE] gather,
-    compute locally, and repartition the result back to the shards.
+    is byte-identical to a single-node server on the same script. A
+    failed read reports the first unreachable or refusing shard in send
+    order, else the divergence, and leaves every shard in step for the
+    next round. [EXPLAIN ANALYZE] appends a per-shard breakdown (tuples
+    pulled, head LSN per shard). [LET] / [CONSOLIDATE] / [EXPLICATE]
+    gather, compute locally, and repartition the result back to the
+    shards.
 
     {b Failure.} Backend connections are opened with
     [Client.connect ~timeout], so a dead shard can never block the
     router indefinitely: any statement that needs an unreachable shard
     answers [ERR "at line L, column C: shard N (host:port) unreachable:
-    ..."] while
-    statements confined to live shards keep working (degraded reads).
-    DDL and repartitions require every shard up before starting.
-    Divergence the failure windows can leave behind is the offline
-    verifier's job: [hrdb fsck DIR --against MAP] (codes F020–F024).
+    ..."] while statements confined to live shards keep working
+    (degraded reads), the statement right after a failed fan-out read
+    included. DDL and repartitions require every shard up before
+    starting. Divergence the failure windows can leave behind is the
+    offline verifier's job: [hrdb fsck DIR --against MAP] (codes
+    F020–F024).
 
     {b Client sockets} are handled by {!Hr_frames.Conn}, exactly as in
     a single-node server: a client that pipelines and half-closes gets

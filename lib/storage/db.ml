@@ -269,7 +269,7 @@ let oversize rel bytes =
         holds"
        rel bytes Page_store.max_record_bytes)
 
-let eval_fitting ?on_held t stmt =
+let eval_fitting ?on_held ?on_refused t stmt =
   match stmt with
   | Ast.Insert { rel; rows } -> (
     let bytes { Ast.values; _ } =
@@ -277,7 +277,7 @@ let eval_fitting ?on_held t stmt =
     in
     match List.find_opt (fun row -> bytes row > Page_store.max_record_bytes) rows with
     | Some row -> oversize rel (bytes row)
-    | None -> Eval.exec ?on_held t.catalog stmt)
+    | None -> Eval.exec ?on_held ?on_refused t.catalog stmt)
   | Ast.Let_binding { name = rel; _ } | Ast.Explicate { rel; _ } -> (
     let before = Catalog.find_relation t.catalog rel in
     match Eval.exec t.catalog stmt with
@@ -295,7 +295,7 @@ let eval_fitting ?on_held t stmt =
 (* Executes a script, appending mutating statements to the WAL buffer
    without syncing. The caller owns the commit point: nothing run here
    may be acknowledged to a client until [sync] returns. *)
-let exec_buffered ?on_held t script =
+let exec_buffered ?on_held ?on_refused t script =
   let rec run acc = function
     | [] -> Ok (List.rev acc)
     | source :: rest -> (
@@ -311,7 +311,7 @@ let exec_buffered ?on_held t script =
       | exception Hr_query.Lexer.Lex_error { msg; _ } -> Error ("lex error: " ^ msg)
       | { Ast.stmt; _ } -> (
         Hr_obs.Metrics.incr m_statements;
-        match eval_fitting ?on_held t stmt with
+        match eval_fitting ?on_held ?on_refused t stmt with
         | Ok out ->
           (* log only acknowledged statements: a rejected update (e.g. an
              integrity violation) must not poison replay *)

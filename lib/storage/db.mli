@@ -89,12 +89,17 @@ val exec : t -> string -> (string list, string) result
     select tick share a single write+fsync. *)
 
 val exec_buffered :
-  ?on_held:(int -> unit) -> t -> string -> (string list, string) result
+  ?on_held:(int -> unit) ->
+  ?on_refused:(int -> unit) ->
+  t ->
+  string ->
+  (string list, string) result
 (** {!exec} without the trailing sync. The returned [Ok] means "applied
     and staged", not "durable" — never surface it to a client before
     {!sync} returns. [on_held] is called with the number (from 1) of
     each [INSERT] row whose signed item was stored before the
-    statement. *)
+    statement; [on_refused] with the number of the [INSERT] row refused
+    as a direct contradiction. *)
 
 val sync : t -> unit
 (** Makes every buffered WAL append durable (one flush + fsync, unless

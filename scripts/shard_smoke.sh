@@ -5,7 +5,7 @@
 # control server (a partially rejected INSERT included, so the undo on
 # the shards that acked it is checked), kill -9 one shard (degraded
 # reads: confined queries keep answering, fan-out queries fail
-# loudly), then offline placement verification of every shard with
+# loudly and leave the live shards writable), then offline placement verification of every shard with
 # `hrdb fsck --against MAP` — including a seeded misplacement that F020
 # must catch. Run from the repository
 # root after `dune build`; CI runs it as the shard-smoke job.
@@ -129,6 +129,18 @@ case "$out" in
   *unreachable*) ;;
   *) fail "expected an 'unreachable' error, got: $out" ;;
 esac
+# an all-shard read fails naming the dead shard, and must leave the live
+# shards' connections in step: the next write to the penguin subtree
+# commits
+if out=$(on "$RPORT" "SELECT * FROM flies;" 2>&1); then
+  fail "all-shard read with shard 2 dead unexpectedly succeeded: $out"
+fi
+case "$out" in
+  *"shard 2 "*unreachable*) ;;
+  *) fail "expected shard 2 named unreachable, got: $out" ;;
+esac
+on "$RPORT" "INSERT INTO flies VALUES (+ opus);" >/dev/null \
+  || fail "write to the penguin subtree failed after a failed all-shard read"
 on "$RPORT" "DELETE FROM flies VALUES (opus);" >/dev/null \
   || fail "write to a live subtree failed after shard death"
 

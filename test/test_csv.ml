@@ -1,102 +1,39 @@
-(* CSV bridge tests. *)
+(* Flat relations built directly, as an import would build them: set
+   semantics, the traditional export of a hierarchical extension, and a
+   flat member column organized into a hierarchical relation. (The suite
+   kept its name when the CSV bridge it once tested was deleted.) *)
 
-module Csv = Hr_flat.Csv
 module F = Hr_flat.Flat_relation
 
-let test_parse_simple () =
-  let r = Csv.parse "a,b\n1,x\n2,y\n" in
-  Alcotest.(check (list string)) "columns" [ "a"; "b" ] (F.columns r);
-  Alcotest.(check int) "rows" 2 (F.cardinality r);
-  Alcotest.(check bool) "row present" true (F.mem r [ "1"; "x" ])
-
-let test_parse_crlf_and_no_trailing_newline () =
-  let r = Csv.parse "a,b\r\n1,x\r\n2,y" in
-  Alcotest.(check int) "rows" 2 (F.cardinality r)
-
-let test_quoting () =
-  let r = Csv.parse "a,b\n\"hello, world\",\"say \"\"hi\"\"\"\n" in
-  Alcotest.(check bool) "comma kept" true (F.mem r [ "hello, world"; "say \"hi\"" ])
-
-let test_roundtrip () =
-  let r =
-    F.of_rows [ "name"; "note" ]
-      [ [ "plain"; "x" ]; [ "with,comma"; "y" ]; [ "with\"quote"; "multi\nline" ] ]
-  in
-  let r2 = Csv.parse (Csv.print r) in
-  Alcotest.(check bool) "round trip" true (F.equal r r2)
-
-let test_ragged_rejected () =
-  try
-    ignore (Csv.parse "a,b\n1\n");
-    Alcotest.fail "expected Csv_error"
-  with Csv.Csv_error _ -> ()
-
-let test_empty_rejected () =
-  try
-    ignore (Csv.parse "");
-    Alcotest.fail "expected Csv_error"
-  with Csv.Csv_error _ -> ()
-
-let test_unterminated_quote_rejected () =
-  try
-    ignore (Csv.parse "a\n\"oops\n");
-    Alcotest.fail "expected Csv_error"
-  with Csv.Csv_error _ -> ()
-
-let test_duplicate_header_rejected () =
-  try
-    ignore (Csv.parse "a,a\n1,2\n");
-    Alcotest.fail "expected Csv_error"
-  with Csv.Csv_error _ -> ()
-
 let test_dedup () =
-  let r = Csv.parse "a\nx\nx\ny\n" in
+  let r = F.of_rows [ "a" ] [ [ "x" ]; [ "x" ]; [ "y" ] ] in
   Alcotest.(check int) "set semantics" 2 (F.cardinality r)
 
 let test_export_hierarchical_extension () =
-  (* the natural pipeline: hierarchical relation -> extension -> CSV *)
+  (* Figure 1b's Flies, stored traditionally: one row per atomic item
+     that flies *)
   let h = Fixtures.animals () in
-  let flies = Fixtures.flies h in
-  let flat = Hr_flat.Traditional.extension_relation flies in
-  let csv = Csv.print flat in
-  let back = Csv.parse csv in
-  Alcotest.(check bool) "pipeline round trip" true (F.equal flat back)
+  let flat = Hr_flat.Traditional.extension_relation (Fixtures.flies h) in
+  let expected =
+    F.of_rows (F.columns flat) [ [ "pamela" ]; [ "patricia" ]; [ "peter" ]; [ "tweety" ] ]
+  in
+  Alcotest.(check (list (list string))) "the extension" (F.rows expected) (F.rows flat);
+  Alcotest.(check bool) "equal relations" true (F.equal expected flat)
 
 let test_csv_to_mine_pipeline () =
-  (* CSV of members -> Mine.organize -> compressed hierarchical relation *)
+  (* a flat member column -> Mine.organize -> compressed hierarchical relation *)
   let module Workload = Hr_workload.Workload in
   let module Hierarchy = Hr_hierarchy.Hierarchy in
   let module Mine = Hr_mine.Mine in
   let h = Workload.tree_hierarchy ~name:"cat" ~depth:2 ~fanout:3 ~instances_per_leaf:2 () in
   let members = List.map (Hierarchy.node_label h) (Hierarchy.instances h) in
-  let csv = "item\n" ^ String.concat "\n" members ^ "\n" in
-  let flat = Csv.parse csv in
-  let rel =
-    Mine.organize h ~members:(List.concat (F.rows flat))
-  in
+  let flat = F.of_rows [ "item" ] (List.map (fun m -> [ m ]) members) in
+  let rel = Mine.organize h ~members:(List.concat (F.rows flat)) in
   Alcotest.(check int) "compressed to one tuple" 1 (Hierel.Relation.cardinality rel)
-
-let test_file_roundtrip () =
-  let r = F.of_rows [ "x" ] [ [ "1" ]; [ "2" ] ] in
-  let path = Filename.temp_file "hrcsv" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Csv.write_file r path;
-      Alcotest.(check bool) "file round trip" true (F.equal r (Csv.read_file path)))
 
 let suite =
   [
-    Alcotest.test_case "parse simple" `Quick test_parse_simple;
-    Alcotest.test_case "crlf / no trailing newline" `Quick test_parse_crlf_and_no_trailing_newline;
-    Alcotest.test_case "quoting" `Quick test_quoting;
-    Alcotest.test_case "round trip" `Quick test_roundtrip;
-    Alcotest.test_case "ragged rows rejected" `Quick test_ragged_rejected;
-    Alcotest.test_case "empty rejected" `Quick test_empty_rejected;
-    Alcotest.test_case "unterminated quote rejected" `Quick test_unterminated_quote_rejected;
-    Alcotest.test_case "duplicate header rejected" `Quick test_duplicate_header_rejected;
     Alcotest.test_case "set semantics" `Quick test_dedup;
     Alcotest.test_case "hierarchical extension export" `Quick test_export_hierarchical_extension;
     Alcotest.test_case "csv -> mine pipeline" `Quick test_csv_to_mine_pipeline;
-    Alcotest.test_case "file round trip" `Quick test_file_roundtrip;
   ]

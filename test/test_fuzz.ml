@@ -6,7 +6,6 @@
 
 module Lexer = Hr_query.Lexer
 module Parser = Hr_query.Parser
-module Csv = Hr_flat.Csv
 module Flat_relation = Hr_flat.Flat_relation
 module Traditional = Hr_flat.Traditional
 module Workload = Hr_workload.Workload
@@ -46,14 +45,6 @@ let prop_parser_total =
       match Parser.parse input with
       | _ -> true
       | exception (Parser.Parse_error _ | Lexer.Lex_error _) -> true)
-
-let prop_csv_parser_total =
-  QCheck2.Test.make ~name:"csv parser is total up to Csv_error" ~count:500
-    QCheck2.Gen.(string_size ~gen:(char_range '\000' '~') (int_range 0 200))
-    (fun input ->
-      match Csv.parse input with
-      | _ -> true
-      | exception Csv.Csv_error _ -> true)
 
 let prop_snapshot_decoder_total =
   QCheck2.Test.make ~name:"snapshot decoder is total up to Corrupt_snapshot" ~count:300
@@ -185,7 +176,6 @@ let suite =
     [
       prop_lexer_total;
       prop_parser_total;
-      prop_csv_parser_total;
       prop_snapshot_decoder_total;
       prop_pipeline_differential;
       prop_select_over_join_differential;

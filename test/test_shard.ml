@@ -1,8 +1,9 @@
 (* Sharding tests: the shard map's cover rule, and a real 3-shard
    deployment — forked shard servers plus a forked router — checked for
    routing determinism, cross-subtree replication fan-out, byte-identity
-   with a single-node server, degraded reads after a shard dies, and the
-   offline placement verifier ([hrdb fsck --against MAP], F020/F021). *)
+   with a single-node server (also under injected shard faults), degraded
+   reads after a shard dies, and the offline placement verifier
+   ([hrdb fsck --against MAP], F020/F021). *)
 
 module Server = Hr_server.Server
 module Client = Server.Client
@@ -229,6 +230,31 @@ let pull_tuples port rel =
         |> List.filter (fun l -> l <> "")
         |> List.sort compare)
 
+(* A counter from a STATS reply ("  <name>  <value>" lines). *)
+let counter port name =
+  let conn = Client.connect ~timeout:10.0 ~port () in
+  Fun.protect
+    ~finally:(fun () -> Client.close conn)
+    (fun () ->
+      match Client.stats conn with
+      | Error e -> Alcotest.failf "stats: %s" e
+      | Ok text ->
+        List.find_map
+          (fun line ->
+            match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+            | [ n; v ] when n = name -> int_of_string_opt v
+            | _ -> None)
+          (String.split_on_char '\n' text)
+        |> Option.value ~default:0)
+
+(* The text a router error gives for shard [k] of [ports]. *)
+let unreachable ports k =
+  Printf.sprintf "shard %d (127.0.0.1:%d) unreachable" k (List.nth ports k)
+
+let exec_on port script =
+  let c = Client.connect ~timeout:10.0 ~port () in
+  Fun.protect ~finally:(fun () -> Client.close c) (fun () -> exec_ok c script)
+
 (* A shard's SHARD_ACK names the INSERT rows it stored before the
    script, which the router's undo must leave in place. *)
 let test_ack_names_held_rows () =
@@ -259,6 +285,23 @@ let test_ack_names_held_rows () =
         (held "DELETE FROM flies VALUES (tweety);");
       Alcotest.(check bool) "a malformed row list is refused" true
         (Result.is_error (Wire.held_rows "1,x\n1 tuple(s) inserted into flies"));
+      (* a refusal names the refused row of the failing statement *)
+      let refusal script =
+        Client.send conn Wire.shard_exec script;
+        match Client.recv_any conn with
+        | Ok ("ERR", payload) -> (
+          match Wire.rejected_row payload with
+          | Ok (row, _) -> row
+          | Error e -> Alcotest.failf "refusal of %S: %s" script e)
+        | Ok (tag, payload) -> Alcotest.failf "%S answered %s %S" script tag payload
+        | Error e -> Alcotest.failf "%S: %s" script e
+      in
+      Alcotest.(check (option int)) "row 2 contradicts a stored tuple" (Some 2)
+        (refusal "INSERT INTO flies VALUES (+ opus), (- jack), (- opus);");
+      Alcotest.(check (option int)) "row 3 contradicts row 1" (Some 3)
+        (refusal "INSERT INTO flies VALUES (+ rex), (+ opus), (- rex);");
+      Alcotest.(check (option int)) "an unknown relation names no row" None
+        (refusal "INSERT INTO nosuch VALUES (+ rex);");
       Client.close conn)
 
 let test_routing_and_fanout () =
@@ -368,14 +411,29 @@ let test_byte_identity () =
       Client.close r;
       Client.close s)
 
+(* Where the randomized harness stands: every shard healthy, one
+   shard's replica sign-flipped directly, or one shard killed. *)
+type fault = Healthy | Flipped | Dead of int
+
 (* Randomized byte-identity under the router's commutativity-driven
-   write pipelining: batches of several mutations per round-trip are
-   exactly what the oracle overlaps across shards, so any unsound
-   admission shows up as a divergence from the single node. The final
-   SELECT after every batch forces a synchronizing read, so per-batch
-   state is compared, not just the end state. *)
+   write pipelining, with faults injected between bursts. Batches of
+   several mutations per round-trip are exactly what the oracle overlaps
+   across shards, so any unsound admission shows up as a divergence from
+   the single node; the SELECT after every batch forces a synchronizing
+   read, so per-batch state is compared, not just the end state.
+
+   Fault windows: a replicated tuple's sign flipped directly on one
+   shard (which then also refuses writes), flipped back after one or two
+   bursts; and, last, one shard killed. No router reply ever contains a
+   protocol error, and [shard.dead] counts only the killed shard.
+   Outside a window every reply equals the single node's. Inside one,
+   the single node replays only what it can be compared on: a router
+   [Ok] must equal the single node's reply; a refusal is not replayed,
+   except that with a shard dead an error that does not name that shard
+   as unreachable must be the single node's own error. Once the flip is
+   repaired, the full extension matches the single node again. *)
 let test_randomized_identity () =
-  let _, _, rport, _, pids, _ = deploy () in
+  let _, _, rport, ports, pids, _ = deploy () in
   let sport, spid = spawn_server () in
   Fun.protect
     ~finally:(fun () -> List.iter kill (spid :: pids))
@@ -389,6 +447,7 @@ let test_randomized_identity () =
         if Prng.bernoulli rng 0.4 then "ALL " ^ Prng.pick rng !classes
         else Prng.pick rng !instances
       in
+      let sign () = if Prng.bernoulli rng 0.7 then "+" else "-" in
       (* A DDL run, possibly with INSERTs between its statements and
          sometimes a statement both sides must reject (a duplicate
          name). Names are registered as generated: a rejected run's
@@ -412,84 +471,128 @@ let test_randomized_identity () =
         in
         String.concat " " (List.init (1 + Prng.int rng 4) (fun _ -> stmt ()))
       in
+      (* Multi-row INSERTs name instances only, so the engine can refuse
+         one only as a direct contradiction, at a row. *)
       let mutation () =
-        if Prng.bernoulli rng 0.75 then
-          Printf.sprintf "INSERT INTO flies VALUES (%s %s);"
-            (if Prng.bernoulli rng 0.7 then "+" else "-")
-            (value ())
-        else Printf.sprintf "DELETE FROM flies VALUES (%s);" (value ())
+        if Prng.bernoulli rng 0.25 then Printf.sprintf "DELETE FROM flies VALUES (%s);" (value ())
+        else if Prng.bernoulli rng 0.3 then
+          Printf.sprintf "INSERT INTO flies VALUES %s;"
+            (String.concat ", "
+               (List.init (2 + Prng.int rng 2) (fun _ ->
+                    Printf.sprintf "(%s %s)" (sign ()) (Prng.pick rng !instances))))
+        else Printf.sprintf "INSERT INTO flies VALUES (%s %s);" (sign ()) (value ())
       in
-      let compare_exec stmt =
-        match (Client.exec r stmt, Client.exec s stmt) with
-        | Ok g, Ok w ->
-          Alcotest.(check string)
-            (Printf.sprintf "OK (seed %d) %S" seed stmt)
-            w g
-        | Error g, Error w ->
-          Alcotest.(check string)
-            (Printf.sprintf "ERR (seed %d) %S" seed stmt)
-            w g
-        | Ok g, Error w ->
-          Alcotest.failf "(seed %d) %S: router Ok %S, single node Error %S"
-            seed stmt g w
-        | Error g, Ok w ->
-          Alcotest.failf "(seed %d) %S: router Error %S, single node Ok %S"
-            seed stmt g w
+      let fault = ref Healthy in
+      let show = function
+        | Ok g -> Printf.sprintf "Ok %S" g
+        | Error g -> Printf.sprintf "Error %S" g
       in
-      compare_exec ddl;
-      for _ = 1 to 12 do
-        (* one burst of single-statement EXEC frames sent back-to-back
-           before any reply is read: this is the shape the router's
-           phase-A admission pipelines (single-shard writes ride
-           per-shard FIFOs, multi-shard writes join only when the
-           oracle proves Commute) *)
-        let batch =
-          List.init (2 + Prng.int rng 4) (fun _ ->
-              if Prng.bernoulli rng 0.2 then ddl_frame () else mutation ())
+      let mismatch stmt got want =
+        Alcotest.failf "(seed %d) %S: router %s, single node %s" seed stmt (show got)
+          (show want)
+      in
+      (* One burst of single-statement EXEC frames sent back-to-back
+         before any reply is read: this is the shape the router's phase-A
+         admission pipelines (single-shard writes ride per-shard FIFOs,
+         multi-shard writes join only when the oracle proves Commute).
+         Returns the router's replies. *)
+      let burst stmts =
+        List.iter (fun stmt -> Client.send r "EXEC" stmt) stmts;
+        if !fault = Healthy then List.iter (fun stmt -> Client.send s "EXEC" stmt) stmts;
+        List.map
+          (fun stmt ->
+            let got = Client.recv r in
+            (match got with
+            | (Ok g | Error g) when contains g "protocol error" ->
+              Alcotest.failf "(seed %d) %S: %s" seed stmt (show got)
+            | _ -> ());
+            (match (!fault, got) with
+            | Healthy, _ ->
+              let want = Client.recv s in
+              if got <> want then mismatch stmt got want
+            | Flipped, Error _ -> ()
+            | Dead k, Error g when contains g (unreachable ports k) -> ()
+            | (Flipped | Dead _), _ ->
+              let want = Client.exec s stmt in
+              if got <> want then mismatch stmt got want);
+            got)
+          stmts
+      in
+      let compare_exec stmt = List.hd (burst [ stmt ]) in
+      let check_dead () =
+        Alcotest.(check int)
+          (Printf.sprintf "(seed %d) shard.dead counts only the killed shard" seed)
+          (match !fault with Dead _ -> 1 | Healthy | Flipped -> 0)
+          (counter rport "shard.dead")
+      in
+      (* Flip shard k's replica of [ALL c] (stored on every shard: both
+         classes span the map); returns the repair. *)
+      let flip () =
+        let c = Prng.pick rng [| "bird"; "animal" |] in
+        let stored =
+          match compare_exec (Printf.sprintf "INSERT INTO flies VALUES (+ ALL %s);" c) with
+          | Ok _ -> "+"
+          | Error g when contains g "direct contradiction" -> "-"
+          | Error g -> Alcotest.failf "(seed %d) planting ALL %s: %s" seed c g
         in
-        List.iter
-          (fun stmt ->
-            Client.send r "EXEC" stmt;
-            Client.send s "EXEC" stmt)
-          batch;
-        List.iter
-          (fun stmt ->
-            let got = Client.recv r and want = Client.recv s in
-            if got <> want then
-              Alcotest.failf
-                "(seed %d) pipelined %S: router %s, single node %s" seed stmt
-                (match got with
-                | Ok g -> Printf.sprintf "Ok %S" g
-                | Error g -> Printf.sprintf "Error %S" g)
-                (match want with
-                | Ok w -> Printf.sprintf "Ok %S" w
-                | Error w -> Printf.sprintf "Error %S" w))
-          batch;
-        if Prng.bernoulli rng 0.5 then compare_exec (ddl_frame ());
-        compare_exec "SELECT * FROM flies;"
+        let port = List.nth ports (Prng.int rng 3) in
+        let rewrite sign =
+          Printf.sprintf
+            "DELETE FROM flies VALUES (ALL %s); INSERT INTO flies VALUES (%s ALL %s);" c
+            sign c
+        in
+        let before = pull_tuples port "flies" in
+        ignore (exec_on port (rewrite (if stored = "+" then "-" else "+")));
+        let flipped = List.filter (fun l -> not (List.mem l before)) (pull_tuples port "flies") in
+        Alcotest.(check int) "one tuple flipped" 1 (List.length flipped);
+        fault := Flipped;
+        fun () ->
+          (* a routed DELETE inside the window may have removed it everywhere *)
+          if List.mem (List.hd flipped) (pull_tuples port "flies") then
+            ignore (exec_on port (rewrite stored));
+          fault := Healthy;
+          ignore (compare_exec "SELECT * FROM flies;")
+      in
+      ignore (compare_exec ddl);
+      let flips = ref 0 and repair = ref None in
+      for round = 1 to 12 do
+        if !repair = None && round > 1 && (Prng.bernoulli rng 0.3 || (round = 6 && !flips = 0))
+        then begin
+          incr flips;
+          repair := Some (1 + Prng.int rng 2, flip ())
+        end;
+        let healthy = !fault = Healthy in
+        ignore
+          (burst
+             (List.init (2 + Prng.int rng 4) (fun _ ->
+                  if healthy && Prng.bernoulli rng 0.2 then ddl_frame () else mutation ())));
+        if healthy && Prng.bernoulli rng 0.5 then ignore (compare_exec (ddl_frame ()));
+        ignore (compare_exec "SELECT * FROM flies;");
+        check_dead ();
+        match !repair with
+        | Some (1, fix) ->
+          repair := None;
+          fix ()
+        | Some (n, fix) -> repair := Some (n - 1, fix)
+        | None -> ()
       done;
-      compare_exec "SHOW HIERARCHY animal;";
-      compare_exec "CONSOLIDATE flies;";
-      compare_exec "SELECT * FROM flies;";
+      ignore (compare_exec "SHOW HIERARCHY animal;");
+      ignore (compare_exec "CONSOLIDATE flies;");
+      ignore (compare_exec "SELECT * FROM flies;");
+      (* last: one shard killed; the read that finds it dead names it *)
+      let k = Prng.int rng 3 in
+      kill (List.nth pids (k + 1));
+      fault := Dead k;
+      (match compare_exec "SELECT * FROM flies;" with
+      | Error g when contains g (unreachable ports k) -> ()
+      | got -> Alcotest.failf "(seed %d) read after killing shard %d: %s" seed k (show got));
+      for _ = 1 to 3 do
+        ignore (burst (List.init (2 + Prng.int rng 4) (fun _ -> mutation ())));
+        ignore (compare_exec "SELECT * FROM flies;");
+        check_dead ()
+      done;
       Client.close r;
       Client.close s)
-
-(* A counter from a STATS reply ("  <name>  <value>" lines). *)
-let counter port name =
-  let conn = Client.connect ~timeout:10.0 ~port () in
-  Fun.protect
-    ~finally:(fun () -> Client.close conn)
-    (fun () ->
-      match Client.stats conn with
-      | Error e -> Alcotest.failf "stats: %s" e
-      | Ok text ->
-        List.find_map
-          (fun line ->
-            match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-            | [ n; v ] when n = name -> int_of_string_opt v
-            | _ -> None)
-          (String.split_on_char '\n' text)
-        |> Option.value ~default:0)
 
 (* A frame's run of DDL reaches each shard as one SHARD_EXEC, so each
    shard publishes once for it. A run the router rejects at statement k
@@ -709,6 +812,95 @@ let test_degraded_reads () =
         (exec_ok conn "ASK flies (opus);");
       Client.close conn)
 
+(* ---- failed reads and rejected writes leave every shard in step ------- *)
+
+(* A divergent read is reported once every shard's reply is in, so the
+   next round on the other shards reads its own replies. *)
+let test_divergent_read_keeps_shards_in_step () =
+  let _, _, rport, ports, pids, _ = deploy () in
+  Fun.protect
+    ~finally:(fun () -> List.iter kill pids)
+    (fun () ->
+      let conn = Client.connect ~timeout:10.0 ~port:rport () in
+      ignore (exec_ok conn ddl);
+      ignore (exec_ok conn "INSERT INTO flies VALUES (+ ALL bird);");
+      (* flip the penguin shard's replica directly *)
+      ignore
+        (exec_on (List.nth ports 1)
+           "DELETE FROM flies VALUES (ALL bird); INSERT INTO flies VALUES (- ALL bird);");
+      (match Client.exec conn "SELECT * FROM flies;" with
+      | Ok out -> Alcotest.failf "expected the divergence, got %S" out
+      | Error msg ->
+        Alcotest.(check bool) ("reports the divergence: " ^ msg) true
+          (contains msg "cross-shard divergence"));
+      Alcotest.(check string) "the next write reaches the sparrow shard"
+        "1 tuple(s) inserted into flies"
+        (exec_ok conn "INSERT INTO flies VALUES (+ jack);");
+      Alcotest.(check string) "and the default shard" "1 tuple(s) inserted into flies"
+        (exec_ok conn "INSERT INTO flies VALUES (+ rex);");
+      Alcotest.(check int) "no shard is down" 0 (counter rport "shard.dead");
+      Client.close conn)
+
+(* Rows rejected on several shards, or a row rejected before one that
+   names nothing: the router reports the earliest, as one node does. *)
+let test_earliest_rejected_row () =
+  let _, _, rport, _, pids, _ = deploy () in
+  let sport, spid = spawn_server () in
+  Fun.protect
+    ~finally:(fun () -> List.iter kill (spid :: pids))
+    (fun () ->
+      let r = Client.connect ~timeout:10.0 ~port:rport () in
+      let s = Client.connect ~timeout:10.0 ~port:sport () in
+      List.iter
+        (fun stmt ->
+          Alcotest.(check (result string string))
+            stmt (Client.exec s stmt) (Client.exec r stmt))
+        [
+          ddl;
+          "INSERT INTO flies VALUES (+ jack), (+ rex), (+ tweety);";
+          "INSERT INTO flies VALUES (- jack), (- rex);";
+          "INSERT INTO flies VALUES (- rex), (- jack);";
+          "INSERT INTO flies VALUES (+ opus), (- tweety), (- jack);";
+          (* a row that names nothing comes after one that contradicts *)
+          "INSERT INTO flies VALUES (+ opus), (- rex), (+ nope);";
+          "DELETE FROM flies VALUES (rex), (nope);";
+          (* the default shard's commit-time ambiguity on polly names no
+             row, so it ranks after the sparrow shard's row 3 *)
+          "CREATE CLASS pet UNDER animal; CREATE INSTANCE polly OF pet, bird;";
+          "INSERT INTO flies VALUES (+ ALL pet), (- ALL bird), (- jack);";
+          "SELECT * FROM flies;";
+        ];
+      Client.close r;
+      Client.close s)
+
+(* A read during a one-shard outage fails naming the dead shard, and
+   leaves the live shards' connections in step. *)
+let test_read_during_outage () =
+  let _, _, rport, ports, pids, _ = deploy () in
+  Fun.protect
+    ~finally:(fun () -> List.iter kill pids)
+    (fun () ->
+      let conn = Client.connect ~timeout:10.0 ~port:rport () in
+      ignore (exec_ok conn ddl);
+      kill (List.nth pids 3);
+      let fails_on_shard_2 stmt =
+        match Client.exec conn stmt with
+        | Ok out -> Alcotest.failf "%S: expected the dead shard's error, got %S" stmt out
+        | Error msg ->
+          Alcotest.(check bool) (Printf.sprintf "%S names shard 2: %s" stmt msg) true
+            (contains msg (unreachable ports 2))
+      in
+      fails_on_shard_2 "INSERT INTO flies VALUES (+ jack);";
+      fails_on_shard_2 "SELECT * FROM flies;";
+      Alcotest.(check string) "the default shard still commits"
+        "1 tuple(s) inserted into flies"
+        (exec_ok conn "INSERT INTO flies VALUES (+ rex);");
+      Alcotest.(check string) "the penguin shard still commits"
+        "1 tuple(s) inserted into flies"
+        (exec_ok conn "INSERT INTO flies VALUES (+ tweety);");
+      Alcotest.(check int) "only the killed shard is down" 1 (counter rport "shard.dead");
+      Client.close conn)
+
 (* Seeded misplacement: fsck in shard-map mode must pass on the healthy
    deployment and catch tuples planted on the wrong shard. *)
 let test_fsck_placement () =
@@ -779,6 +971,12 @@ let suite =
       test_burst_with_half_close;
     Alcotest.test_case "degraded reads around a dead shard" `Quick
       test_degraded_reads;
+    Alcotest.test_case "a divergent read leaves every shard in step" `Quick
+      test_divergent_read_keeps_shards_in_step;
+    Alcotest.test_case "the earliest rejected row is reported" `Quick
+      test_earliest_rejected_row;
+    Alcotest.test_case "a read during an outage spares live shards" `Quick
+      test_read_during_outage;
     Alcotest.test_case "fsck --against map catches misplacement" `Quick
       test_fsck_placement;
     Alcotest.test_case "fsck --against rejects a bad map" `Quick
