@@ -300,24 +300,14 @@ let all =
        SELECT * FROM lives WHERE where_at = zoo;"
       "Select on the first attribute too when possible, or order the \
        schema so the most-selected attribute comes first.";
-    p "P306" "batch is provably parallelizable"
-      "A run of consecutive mutating statements pairwise commutes (the \
-       oracle proved every write-cone pair disjoint): the shard router \
-       overlaps them, so batching them in one round trip loses nothing. \
-       Advisory, like every P code."
-      "CREATE DOMAIN animal; CREATE CLASS bird UNDER animal;\n\
-       CREATE CLASS fish UNDER animal;\n\
-       CREATE RELATION flies (who: animal);\n\
-       CREATE RELATION swims (who: animal);\n\
-       INSERT INTO flies VALUES (+ ALL bird);\n\
-       INSERT INTO swims VALUES (+ ALL fish);"
-      "Nothing to fix — pipeline the run (docs/EFFECTS.md) if the \
-       round trips matter.";
     (* ---- fsck findings (docs/FSCK.md) -------------------------------- *)
-    (* Retired with the pre-paged files they checked, never reused: F002
-       (meta), F003/F004 (snapshot.bin), F014/F015 (graphs.bin), F019
-       (meta's published_lsn); and with the coordinate B-tree, F026
-       (dangling TID), F027 (duplicate TID) and F028 (B-tree order). *)
+    (* Retired codes, never reused. With the pre-paged files they
+       checked: F002 (meta), F003/F004 (snapshot.bin), F014/F015
+       (graphs.bin), F019 (meta's published_lsn); with the coordinate
+       B-tree, F026 (dangling TID), F027 (duplicate TID) and F028
+       (B-tree order); and with the router's pipelined write run, lint
+       code P306 (a run of pairwise-commuting mutations the router would
+       overlap). *)
     fc "F000" "internal fsck error"
       "A check raised; never expected." "Please report the directory layout that triggers it.";
     fc "F001" "not a database directory"

@@ -18,11 +18,6 @@ let m_footprints = Hr_obs.Metrics.counter "effect.footprints"
 let m_commute = Hr_obs.Metrics.counter "effect.oracle_commute"
 let m_conflict = Hr_obs.Metrics.counter "effect.oracle_conflict"
 let m_unknown = Hr_obs.Metrics.counter "effect.oracle_unknown"
-let m_router_overlapped = Hr_obs.Metrics.counter "effect.router_overlapped"
-
-(* The shard router calls this when the oracle let it overlap a
-   cross-subtree mutation with an in-flight pipelined run. *)
-let note_router_overlap () = Hr_obs.Metrics.incr m_router_overlapped
 
 type overlap = {
   o_rel : string;

@@ -40,9 +40,6 @@ val commutes :
 
 val verdict_label : verdict -> string
 
-val note_router_overlap : unit -> unit
-(** Count one oracle-approved router overlap ([effect.router_overlapped]). *)
-
 val explain : Hierel.Catalog.t -> Hr_query.Ast.statement -> string
 (** The text behind [EXPLAIN EFFECTS <stmt>;]. *)
 

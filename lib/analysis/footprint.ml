@@ -119,11 +119,6 @@ let of_statement ~find stmt =
 
 (* ---- queries ----------------------------------------------------------- *)
 
-let relations = function
-  | Opaque _ -> None
-  | Atoms atoms ->
-    Some (List.sort_uniq String.compare (List.map (fun a -> a.rel) atoms))
-
 (* Pairwise cone comparison: [Disjoint] and [Overlap] are both proofs
    (some coordinate provably empty-intersects / every coordinate provably
    intersects); [May_overlap] is the honest rest. Nodes resolved against

@@ -34,9 +34,6 @@ val of_statement :
     local catalog) — cones from two footprints are only comparable when
     both were resolved through the same catalog state. *)
 
-val relations : t -> string list option
-(** Sorted distinct relation names touched; [None] for [Opaque]. *)
-
 type cone_cmp =
   | Disjoint  (** some coordinate pair provably never intersects *)
   | Overlap  (** every coordinate pair provably intersects *)

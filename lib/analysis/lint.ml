@@ -211,13 +211,13 @@ let check_statement p cat ~fp ({ Ast.stmt; sloc = loc } as lstmt) =
   let ds = List.rev !acc in
   if Diagnostic.has_errors ds then ds else ds @ List.rev !perf
 
-(* ---- whole-script effect pass (W110 / P306) --------------------------- *)
+(* ---- whole-script effect pass (W110) ---------------------------------- *)
 
 (* Footprints are taken against the fork {e before} each statement runs
    (so an INSERT's cones resolve against the world it executes in), and
    compared after the walk. Comparing across a DDL boundary is safe:
    DDL footprints are opaque, and every oracle answer involving an
-   opaque footprint is [Unknown] — never reported, never pipelined. *)
+   opaque footprint is [Unknown] — never reported. *)
 
 (* Only pairs whose order provably matters: opposite signs (which of
    the incomparable cones wins on their intersection flips), or a
@@ -260,55 +260,6 @@ let rec conflict_pairs = function
       rest
     @ conflict_pairs rest
 
-(* P306: a maximal run of >= 2 consecutive mutating statements that
-   pairwise commute; relation-level grouping gives the degree of
-   parallelism a replica would get. *)
-let commuting_runs stmts_fps =
-  let diags = ref [] in
-  let flush run =
-    match List.rev run with
-    | (first, _) :: _ :: _ as members ->
-      let rels =
-        List.sort_uniq String.compare
-          (List.concat_map
-             (fun (_, fp) -> Option.value ~default:[] (Footprint.relations fp))
-             members)
-      in
-      let last, _ = List.nth members (List.length members - 1) in
-      diags :=
-        Diagnostic.perff ~code:"P306"
-          ~related:[ Format.asprintf "run ends at %a" Loc.pp last.Ast.sloc ]
-          first.Ast.sloc
-          "%d consecutive statements provably commute (%d independent relation group%s): \
-           the shard router overlaps them, and batching them loses nothing"
-          (List.length members) (List.length rels)
-          (if List.length rels = 1 then "" else "s")
-        :: !diags
-    | _ -> ()
-  in
-  let run =
-    List.fold_left
-      (fun run (lstmt, fp) ->
-        let opaque = match fp with Footprint.Opaque _ -> true | _ -> false in
-        if (not (Ast.mutating lstmt.Ast.stmt)) || opaque then begin
-          flush run;
-          []
-        end
-        else if List.for_all (fun (_, fp') -> Effect.commutes_fp fp' fp = Effect.Commute) run
-        then (lstmt, fp) :: run
-        else begin
-          flush run;
-          [ (lstmt, fp) ]
-        end)
-      [] stmts_fps
-  in
-  flush run;
-  !diags
-
-let effect_pass stmts_fps =
-  conflict_pairs (List.filter (fun (l, _) -> Ast.mutating l.Ast.stmt) stmts_fps)
-  @ commuting_runs stmts_fps
-
 let analyze_script ?catalog input =
   match Parser.parse input with
   | exception Parser.Parse_error { msg; loc } ->
@@ -328,8 +279,8 @@ let analyze_script ?catalog input =
           in
           let ds = check_statement p cat ~fp lstmt in
           (* a statement the analyzer already rejects never executes, so
-             it neither joins a commuting run nor pairs for W110 — treat
-             it as a barrier instead of reasoning about its footprint *)
+             it never pairs for W110 — an opaque footprint instead of
+             reasoning about what it would have written *)
           let fp =
             if Diagnostic.has_errors ds then Footprint.Opaque "statement has error diagnostics"
             else fp
@@ -342,6 +293,7 @@ let analyze_script ?catalog input =
     let effect_diags =
       (* the whole-script effect pass is advisory; never let it break a
          lint run *)
-      try effect_pass stmts_fps with _ -> []
+      try conflict_pairs (List.filter (fun (l, _) -> Ast.mutating l.Ast.stmt) stmts_fps)
+      with _ -> []
     in
     Diagnostic.sort (diags @ effect_diags)

@@ -3,7 +3,6 @@ module Wal = Hr_storage.Wal
 module Page_store = Hr_storage.Page_store
 module Pager = Hr_storage.Pager
 module Hierarchy = Hr_hierarchy.Hierarchy
-module Eval = Hr_query.Eval
 module J = Hr_obs.Jsonout
 open Hierel
 
@@ -150,24 +149,12 @@ let check_wal acc dir ~base_lsn =
 (* WAL replay onto a freshly materialized base state; a record that
    fails means the base and the log disagree. *)
 let replay_records acc dir ~base_lsn scan cat =
-  let live = List.filter (fun { Wal.lsn; _ } -> lsn > base_lsn) scan.Wal.records in
-  let ok =
-    List.for_all
-      (fun { Wal.lsn; stmt } ->
-        match Eval.run_script cat stmt with
-        | Ok _ -> true
-        | Error msg ->
-          emit acc Critical "F010" (wal_path dir)
-            "record LSN %d (%S) fails to replay onto the checkpoint: %s" lsn stmt msg;
-          false
-        | exception e ->
-          emit acc Critical "F010" (wal_path dir)
-            "record LSN %d (%S) fails to replay onto the checkpoint: %s" lsn stmt
-            (Printexc.to_string e);
-          false)
-      live
-  in
-  if ok then Some cat else None
+  match Db.replay ~after:base_lsn cat scan.Wal.records with
+  | Ok () -> Some cat
+  | Error ({ Wal.lsn; stmt }, msg) ->
+    emit acc Critical "F010" (wal_path dir)
+      "record LSN %d (%S) fails to replay onto the checkpoint: %s" lsn stmt msg;
+    None
 
 (* ---- semantic checks on a materialized catalog ---------------------- *)
 
@@ -329,21 +316,10 @@ let materialize_at st ~at =
       else Ok (Catalog.create ())
     in
     Result.bind cat (fun cat ->
-        let live =
-          List.filter
-            (fun { Wal.lsn; _ } -> lsn > st.s_base && lsn <= at)
-            st.s_scan.Wal.records
-        in
-        let rec replay = function
-          | [] -> Ok cat
-          | { Wal.lsn; stmt } :: rest -> (
-            match Eval.run_script cat stmt with
-            | Ok _ -> replay rest
-            | Error msg -> Error (Printf.sprintf "replay of LSN %d: %s" lsn msg)
-            | exception e ->
-              Error (Printf.sprintf "replay of LSN %d: %s" lsn (Printexc.to_string e)))
-        in
-        replay live)
+        match Db.replay ~after:st.s_base ~upto:at cat st.s_scan.Wal.records with
+        | Ok () -> Ok cat
+        | Error ({ Wal.lsn; _ }, msg) ->
+          Error (Printf.sprintf "replay of LSN %d: %s" lsn msg))
 
 let check_divergence acc a b =
   let at = min (s_head a) (s_head b) in

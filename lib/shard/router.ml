@@ -449,7 +449,6 @@ type plan = {
          statement's rows (numbered from 0) it carries, in order *)
   undoable : bool;  (* an INSERT: a failure deletes what a shard newly stored *)
   reply : string;
-  footprint : Hr_analysis.Footprint.t Lazy.t;  (* for the commutativity oracle *)
 }
 
 (* Rows are resolved as the engine resolves them, so a bad row raises a
@@ -471,10 +470,6 @@ let plan t stmt =
       parts = List.map part (List.sort_uniq compare (List.concat (Array.to_list covers)));
       undoable;
       reply = string_of_int (Array.length rows) ^ " tuple(s) " ^ verb ^ " " ^ rel;
-      footprint =
-        lazy
-          (try Hr_analysis.Effect.footprint ~find:(Catalog.find_relation t.cat) stmt
-           with _ -> Hr_analysis.Footprint.Opaque "footprint analysis failed");
     }
   in
   match stmt with
@@ -490,22 +485,21 @@ let plan t stmt =
       ~verb:"deleted from"
   | _ -> invalid_arg "Router.plan: not an INSERT or DELETE"
 
-(* Sends the plan's sub-statements; [finish] collects them. *)
-let start t plan =
+(* Runs the plan as one round and answers with its reply (unlocated).
+   The failure reported is the one a single node gives: an unreachable
+   shard first, else the refusal of the statement's earliest row, else
+   a refusal naming no row (a node stages every row before its
+   commit-time check); ties go to send order. A failed INSERT is undone
+   at once, in a second round: every shard that acknowledged deletes
+   the rows it newly stored — best effort, a shard that dies mid-undo
+   leaves divergence for fsck to find. Deletes are never undone: they
+   fail identically everywhere or expose divergence that is already
+   there. *)
+let write t plan =
   require_up t (List.map (fun (sc, _, _) -> sc.sid) plan.parts);
   Metrics.incr m_mutations;
   Metrics.observe h_fanout (List.length plan.parts);
-  send t Wire.shard_exec (List.map (fun (sc, script, _) -> (sc, script)) plan.parts)
-
-(* The plan's reply (unlocated), and the undo a failure owes: for every
-   INSERT part a shard acknowledged, a DELETE of the rows that shard
-   newly stored. The failure reported is the one a single node gives:
-   an unreachable shard first, else the refusal of the statement's
-   earliest row, else a refusal naming no row (a node stages every row
-   before its commit-time check); ties go to send order. Deletes are
-   never undone: they fail identically everywhere or expose divergence
-   that is already there. *)
-let finish t plan sent =
+  let round frames = collect t ~expected:Wire.shard_ack (send t Wire.shard_exec frames) in
   (* [Ok held], or [Error (rank, message)] *)
   let rec outcome ((_, _, mine) as part) (sc, answer) =
     match answer with
@@ -518,10 +512,13 @@ let finish t plan sent =
       let at = Option.bind row (fun r -> List.nth_opt mine (r - 1)) in
       Error (Option.value at ~default:max_int, msg)
   in
-  let outcomes = List.map2 outcome plan.parts (collect t ~expected:Wire.shard_ack sent) in
+  let outcomes =
+    List.map2 outcome plan.parts
+      (round (List.map (fun (sc, script, _) -> (sc, script)) plan.parts))
+  in
   let failures = List.filter_map (function Error e -> Some e | Ok _ -> None) outcomes in
   match List.stable_sort (fun (a, _) (b, _) -> compare a b) failures with
-  | [] -> (Ok plan.reply, [])
+  | [] -> Ok plan.reply
   | (_, msg) :: _ ->
     let owed (sc, _, mine) = function
       | Ok held when plan.undoable -> (
@@ -530,11 +527,8 @@ let finish t plan sent =
         | fresh -> Some (sc, Render.delete plan.rel (List.map (Array.get plan.values) fresh)))
       | Ok _ | Error _ -> None
     in
-    (Error msg, List.filter_map Fun.id (List.map2 owed plan.parts outcomes))
-
-(* Best effort: a shard that dies mid-undo leaves divergence for fsck
-   to find. *)
-let undo t owed = ignore (collect t ~expected:Wire.shard_ack (send t Wire.shard_exec owed))
+    ignore (round (List.filter_map Fun.id (List.map2 owed plan.parts outcomes)));
+    Error msg
 
 (* ---- statement dispatch ----------------------------------------------- *)
 
@@ -555,10 +549,7 @@ let exec_stmt t stmt =
     Eval.exec t.cat stmt
   | Ast.Insert _ | Ast.Delete _ -> (
     match plan t stmt with
-    | plan ->
-      let result, owed = finish t plan (start t plan) in
-      undo t owed;
-      result
+    | plan -> write t plan
     | exception Eval.Rejected _ when mentioned_relations t stmt <> [] ->
       (* A row names nothing, but one node refuses an earlier INSERT row
          that contradicts first: evaluated over the stored tuples, the
@@ -663,7 +654,7 @@ let answer c = function
     Metrics.incr m_errors;
     reply c "ERR" msg
 
-(* ---- frame handling (synchronous path) -------------------------------- *)
+(* ---- frame handling --------------------------------------------------- *)
 
 let explain_estimate t payload =
   match Parser.parse_statement ("EXPLAIN ESTIMATE " ^ payload) with
@@ -698,21 +689,10 @@ let handle_frame t c tag payload =
 
 (* ---- event loop ------------------------------------------------------- *)
 
-(* An EXEC frame that is exactly one INSERT or DELETE, planned. A write
-   the engine refuses is left to the synchronous path, which answers it
-   with the engine's error. *)
-let routed_write t payload =
-  match Parser.parse payload with
-  | [ { Ast.stmt = (Ast.Insert _ | Ast.Delete _) as stmt; sloc } ] -> (
-    try Some (sloc, plan t stmt) with _ -> None)
-  | _ | (exception _) -> None
-
-type pending =
-  | Write of Conn.t * Loc.t * plan * (shard * answer option) list
-      (* a routed write of the pipelined run, and what [start] sent *)
-  | Sync of Conn.t * string * string
-  | Fail of Conn.t * string
-
+(* One tick: every complete frame is answered in arrival order, one at a
+   time, each running to its last shard reply before the next starts. A
+   malformed header is answered with one ERR in reply order; the input
+   ends there and the connection closes once its replies drain. *)
 let poll ?(timeout = 0.05) t =
   let fds_where p =
     List.filter_map (fun c -> if p c then Some (Conn.fd c) else None) t.clients
@@ -725,93 +705,19 @@ let poll ?(timeout = 0.05) t =
     if List.mem t.socket readable then
       t.clients <- t.clients @ Conn.accept ~max_backlog:t.max_backlog t.socket;
     List.iter (fun c -> if List.mem (Conn.fd c) readable then Conn.read c) t.clients;
-    (* Phase A: decode every complete frame, in arrival order. The
-       leading run of routed writes over connected shards is started at
-       once — their SHARD_EXEC frames are all in flight before any reply
-       is awaited, which is where the K-shard write speedup comes from.
-       A single-shard write always joins (per-shard FIFO preserves
-       arrival order); a multi-shard write joins only when the
-       commutativity oracle proves it commutes with {e every} write
-       already in the run — then even its undo (on partial failure,
-       deferred past the run) commutes with everything applied after it.
-       Once a multi-shard write is in, later single-shard writes must
-       commute with the multi-shard ones for the same reason. The first
-       frame that cannot join ends the run: later frames must not send
-       to shards before it does, or the per-shard reply FIFOs would
-       interleave. *)
-    let pendings = ref [] and in_run = ref true in
-    (* footprints of every write in the run / of the multi-shard ones *)
-    let run_fps = ref [] and multi_fps = ref [] in
-    let commutes_all fp fps =
-      List.for_all
-        (fun fp' ->
-          match Hr_analysis.Effect.commutes_fp fp fp' with
-          | Hr_analysis.Effect.Commute -> true
-          | Hr_analysis.Effect.Conflict _ | Hr_analysis.Effect.Unknown _ -> false)
-        fps
-    in
-    let join (plan : plan) =
-      let multi = List.compare_length_with plan.parts 1 > 0 in
-      let others = if multi then !run_fps else !multi_fps in
-      let fp = Lazy.force plan.footprint in
-      let joins =
-        List.for_all (fun (sc, _, _) -> sc.conn <> None) plan.parts
-        && commutes_all fp others
-      in
-      if joins then begin
-        if others <> [] then Hr_analysis.Effect.note_router_overlap ();
-        run_fps := fp :: !run_fps;
-        if multi then multi_fps := fp :: !multi_fps
-      end;
-      joins
-    in
     List.iter
       (fun c ->
         let rec drain () =
           match Conn.next c with
-          | Error msg ->
-            (* framing is lost: answered with one ERR in reply order, then
-               the connection closes once its replies drain *)
-            pendings := Fail (c, msg) :: !pendings
           | Ok None -> ()
           | Ok (Some (tag, payload)) ->
             Metrics.incr m_frames;
-            let p =
-              match if !in_run && tag = "EXEC" then routed_write t payload else None with
-              | Some (sloc, plan) when join plan -> Write (c, sloc, plan, start t plan)
-              | Some _ | None ->
-                in_run := false;
-                Sync (c, tag, payload)
-            in
-            pendings := p :: !pendings;
+            handle_frame t c tag payload;
             drain ()
+          | Error msg -> answer c (Error msg)
         in
         drain ())
       t.clients;
-    (* Phase B: answer in order. The undo a failed write owes is
-       deferred until every write of the run has its replies (undoing
-       earlier would desynchronize the per-shard FIFOs), but runs before
-       any synchronous frame executes (those were not oracle-checked, so
-       they must not observe rows about to be undone). Every write of
-       the run precedes every synchronous frame in [pendings], so
-       settling at each [Sync] and at the end covers both. *)
-    let owed = ref [] in
-    let settle () =
-      undo t (List.rev !owed);
-      owed := []
-    in
-    List.iter
-      (function
-        | Write (c, sloc, plan, sent) ->
-          let result, owes = finish t plan sent in
-          owed := List.rev_append owes !owed;
-          answer c (located sloc (fun () -> result))
-        | Sync (c, tag, payload) ->
-          settle ();
-          handle_frame t c tag payload
-        | Fail (c, msg) -> answer c (Error msg))
-      (List.rev !pendings);
-    settle ();
     List.iter (fun c -> if List.mem (Conn.fd c) writable then Conn.flush c) t.clients;
     (* the EOF rule: a client that half-closed still gets every reply *)
     t.clients <-

@@ -16,16 +16,13 @@
     [∀Bird] when [Penguin] and [Sparrow] live on different shards)
     replicate to every covered shard. There is one write path: each
     routed write is planned once (a sub-statement per covered shard)
-    and runs as one shard round (below). A frame that is one
-    [INSERT]/[DELETE] over connected shards joins the tick's pipelined
-    run when the commutativity oracle admits it, so K shards commit
-    concurrently; anything else runs the same round synchronously. A
-    write some shard rejects is undone on the shards that acked it,
-    deleting only the rows each newly stored (a shard's ack names the
-    rows it already held); immediately on the synchronous path, after
-    the run's last reply on the pipelined one. Its error is a single
-    node's: a shard's refusal names the row it refused, and the
-    statement's earliest refused row is the one reported.
+    and runs as one shard round (below), so its covered shards commit
+    concurrently; the write is answered only once every reply is in. A
+    write some shard rejects is undone at once on the shards that acked
+    it, deleting only the rows each newly stored (a shard's ack names
+    the rows it already held). Its error is a single node's: a shard's
+    refusal names the row it refused, and the statement's earliest
+    refused row is the one reported.
 
     {b Shard rounds.} The router talks to shards only in rounds, through
     one send/collect pair: every frame of a round ([SHARD_PULL] or
@@ -81,10 +78,10 @@ val create :
 val port : t -> int
 
 val poll : ?timeout:float -> t -> unit
-(** One event-loop tick: accept clients, read frames, start the
-    pipelined run of routed writes, then answer every pending frame in
-    arrival order, and close the clients that are finished (input ended
-    and replies drained). *)
+(** One event-loop tick: accept clients, read frames, answer every
+    complete frame in arrival order — one at a time, each running to
+    its last shard reply before the next starts — and close the clients
+    that are finished (input ended and replies drained). *)
 
 val serve_forever : t -> 'a
 (** {!poll} until the process dies. SIGPIPE is ignored: a client or

@@ -88,6 +88,18 @@ let build_store ~fsync ~base_lsn pages catalog =
   let s = Page_store.open_ pages in
   (s, Page_store.to_catalog s)
 
+let replay ?(upto = max_int) ~after catalog records =
+  let rec go = function
+    | [] -> Ok ()
+    | ({ Wal.lsn; stmt } as r) :: rest when lsn > after && lsn <= upto -> (
+      match Eval.run_script catalog stmt with
+      | Ok _ -> go rest
+      | Error msg -> Error (r, msg)
+      | exception e -> Error (r, Printexc.to_string e))
+    | _ :: rest -> go rest
+  in
+  go records
+
 let open_dir ?(auto_checkpoint_every = 10_000) ?(fsync = true) dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   (* Refuse before taking the lock: nothing in the directory is touched. *)
@@ -130,15 +142,12 @@ let open_dir ?(auto_checkpoint_every = 10_000) ?(fsync = true) dir =
      contains them, so replaying them would double-apply (or fail
      outright on e.g. a duplicate CREATE). *)
   let records = List.filter (fun { Wal.lsn; _ } -> lsn > base_lsn) records in
-  List.iter
-    (fun { Wal.stmt; _ } ->
-      match Eval.run_script catalog stmt with
-      | Ok _ -> ()
-      | Error msg ->
-        (* A logged statement failing on replay means the page store and
-           log disagree; refuse to continue on half-recovered state. *)
-        failwith (Printf.sprintf "WAL replay failed on %S: %s" stmt msg))
-    records;
+  (match replay ~after:base_lsn catalog records with
+  | Ok () -> ()
+  | Error ({ Wal.stmt; _ }, msg) ->
+    (* A logged statement failing on replay means the page store and
+       log disagree; refuse to continue on half-recovered state. *)
+    failwith (Printf.sprintf "WAL replay failed on %S: %s" stmt msg));
   let lsn =
     List.fold_left (fun acc { Wal.lsn; _ } -> max acc lsn) base_lsn records
   in

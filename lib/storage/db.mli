@@ -63,6 +63,18 @@ val open_dir : ?auto_checkpoint_every:int -> ?fsync:bool -> string -> t
     [Unix.fsync] — the [--no-fsync] escape hatch for benchmarks. With it
     off, "committed" means "flushed to the OS", not "on disk". *)
 
+val replay :
+  ?upto:int ->
+  after:int ->
+  Hierel.Catalog.t ->
+  Wal.record list ->
+  (unit, Wal.record * string) result
+(** [replay ~after cat records] runs, in order, each record's statement
+    whose LSN is past [after] (and at most [upto], default unbounded)
+    onto [cat]. It stops at the first one that fails — an evaluator
+    error or exception — and returns that record with the message.
+    Recovery ({!open_dir}) and fsck's replays all go through it. *)
+
 val catalog : t -> Hierel.Catalog.t
 
 val dir : t -> string

@@ -313,17 +313,15 @@ let test_golden () =
   let actual = Diagnostic.render_text (Lint.analyze_script script) in
   Alcotest.(check string) "full report matches" expected actual;
   let all_codes = codes script in
-  (* report order: the effect pass (W110 / P306) interleaves with the
-     per-statement codes — P306 first fires on the seeding block, W110
-     rides along with the W104 pair, and later P306 runs straddle the
-     W/H sections *)
+  (* report order: the effect pass (W110) interleaves with the
+     per-statement codes — W110 rides along with the W104 pair *)
   Alcotest.(check (list string))
-    "all thirty codes, in order"
+    "all twenty-nine codes, in order"
     [
-      "P306"; "E001"; "E002"; "E003"; "E004"; "E005"; "E006"; "E007"; "E008";
+      "E001"; "E002"; "E003"; "E004"; "E005"; "E006"; "E007"; "E008";
       "E009"; "E010"; "W101"; "W102"; "W103"; "W104"; "W110"; "W105"; "W106";
-      "W107"; "P306"; "W104"; "W108"; "W109"; "P306"; "H201"; "H202"; "H203"; "P306";
-      "P300"; "P301"; "P302"; "P303"; "P304"; "P305"; "P306";
+      "W107"; "W104"; "W108"; "W109"; "H201"; "H202"; "H203";
+      "P300"; "P301"; "P302"; "P303"; "P304"; "P305";
     ]
     all_codes
 

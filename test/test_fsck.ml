@@ -157,6 +157,33 @@ let test_wal_skips_base () =
       Alcotest.(check bool) "critical" true (Fsck.has_critical r);
       Alcotest.(check int) "base from the page store" base r.Fsck.base_lsn)
 
+(* A logged statement that fails on replay stops recovery and fsck at
+   the same record: open refuses the directory, fsck reports F010 at
+   that LSN and replays nothing after it. *)
+let test_record_fails_to_replay () =
+  with_temp_dir (fun dir ->
+      let bad = "INSERT INTO nosuch VALUES (+ rex);" in
+      let w = Wal.open_ (wal dir) in
+      List.iteri
+        (fun i stmt -> Wal.append w ~lsn:(i + 1) stmt)
+        [ "CREATE DOMAIN animal;"; bad; "CREATE DOMAIN place;" ];
+      Wal.close w;
+      let r = Fsck.run dir in
+      Alcotest.(check (list string)) "F010 and nothing else" [ "F010" ] (codes r);
+      Alcotest.(check bool) "names LSN 2" true
+        (List.exists
+           (fun f ->
+             String.starts_with ~prefix:(Printf.sprintf "record LSN 2 (%S)" bad)
+               f.Fsck.message)
+           r.Fsck.findings);
+      match Db.open_dir dir with
+      | db ->
+        Db.close db;
+        Alcotest.fail "open must refuse a log that fails to replay"
+      | exception Failure msg ->
+        Alcotest.(check bool) "open names the statement" true
+          (String.starts_with ~prefix:(Printf.sprintf "WAL replay failed on %S: " bad) msg))
+
 (* ---- tails and semantic state ----------------------------------- *)
 
 let test_torn_tail_is_warning () =
@@ -438,6 +465,8 @@ let suite =
     Alcotest.test_case "seeded: redundant isa edge" `Quick test_redundant_isa_edge;
     Alcotest.test_case "pre-paged layout is F001" `Quick test_pre_paged_layout;
     Alcotest.test_case "seeded: WAL skips base+1 (F009)" `Quick test_wal_skips_base;
+    Alcotest.test_case "seeded: record fails to replay (F010)" `Quick
+      test_record_fails_to_replay;
     Alcotest.test_case "seeded: page checksum (F025)" `Quick test_page_checksum;
     Alcotest.test_case "seeded: undecodable heap record (F025)" `Quick
       test_undecodable_record;

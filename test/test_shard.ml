@@ -352,8 +352,8 @@ let test_byte_identity () =
           (* a rejected multi-shard INSERT is undone on the shards that
              acked it, but only for rows they newly stored: the penguin
              shard already held (+ tweety) and must keep it, whether the
-             INSERT is a frame of its own (pipelined) or the first
-             statement of a script (synchronous) *)
+             INSERT is a frame of its own or the first statement of a
+             script *)
           "INSERT INTO flies VALUES (+ tweety), (+ jack);";
           "INSERT INTO flies VALUES (+ tweety), (- jack);";
           "ASK flies (tweety);";
@@ -415,12 +415,13 @@ let test_byte_identity () =
    shard's replica sign-flipped directly, or one shard killed. *)
 type fault = Healthy | Flipped | Dead of int
 
-(* Randomized byte-identity under the router's commutativity-driven
-   write pipelining, with faults injected between bursts. Batches of
-   several mutations per round-trip are exactly what the oracle overlaps
-   across shards, so any unsound admission shows up as a divergence from
-   the single node; the SELECT after every batch forces a synchronizing
-   read, so per-batch state is compared, not just the end state.
+(* Randomized byte-identity under client-pipelined writes, with faults
+   injected between bursts. The client sends a burst of several
+   mutations before reading any reply; the router answers it frame by
+   frame, each write running to its last shard reply before the next
+   starts, so any reordering or stale reply shows up as a divergence
+   from the single node; the SELECT after every batch is compared too,
+   so per-batch state is checked, not just the end state.
 
    Fault windows: a replicated tuple's sign flipped directly on one
    shard (which then also refuses writes), flipped back after one or two
@@ -492,10 +493,9 @@ let test_randomized_identity () =
           (show want)
       in
       (* One burst of single-statement EXEC frames sent back-to-back
-         before any reply is read: this is the shape the router's phase-A
-         admission pipelines (single-shard writes ride per-shard FIFOs,
-         multi-shard writes join only when the oracle proves Commute).
-         Returns the router's replies. *)
+         before any reply is read; the router answers them in arrival
+         order, one at a time, with no oracle admission. Returns the
+         router's replies. *)
       let burst stmts =
         List.iter (fun stmt -> Client.send r "EXEC" stmt) stmts;
         if !fault = Healthy then List.iter (fun stmt -> Client.send s "EXEC" stmt) stmts;
@@ -635,6 +635,36 @@ let test_ddl_run_is_one_broadcast () =
       Alcotest.(check string) "router agrees" want (exec_ok r "SHOW HIERARCHY animal;");
       Client.close r;
       Client.close s)
+
+(* A routed write is planned and sent, nothing more: a burst of
+   single-row INSERT frames, single- and multi-shard, is answered frame
+   by frame without asking the commutativity oracle for a footprint. *)
+let test_write_takes_no_footprint () =
+  let _, _, rport, _, pids, _ = deploy () in
+  Fun.protect
+    ~finally:(fun () -> List.iter kill pids)
+    (fun () ->
+      let r = Client.connect ~timeout:10.0 ~port:rport () in
+      ignore (exec_ok r ddl);
+      let writes =
+        List.map
+          (Printf.sprintf "INSERT INTO flies VALUES (+ %s);")
+          [ "tweety"; "jack"; "rex"; "ALL bird"; "opus" ]
+      in
+      let routed () = counter rport "shard.mutations_routed" in
+      let footprints () = counter rport "effect.footprints" in
+      let m0 = routed () and f0 = footprints () in
+      List.iter (Client.send r "EXEC") writes;
+      List.iter
+        (fun stmt ->
+          match Client.recv r with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "%S: %s" stmt e)
+        writes;
+      Alcotest.(check int) "every frame is one routed write"
+        (m0 + List.length writes) (routed ());
+      Alcotest.(check int) "no footprint taken" f0 (footprints ());
+      Client.close r)
 
 (* ---- client connections: the EOF rule and framing errors ------------- *)
 
@@ -963,6 +993,8 @@ let suite =
     Alcotest.test_case "randomized pipelined writes match one node" `Quick
       test_randomized_identity;
     Alcotest.test_case "a DDL run is one broadcast" `Quick test_ddl_run_is_one_broadcast;
+    Alcotest.test_case "a routed write takes no footprint" `Quick
+      test_write_takes_no_footprint;
     Alcotest.test_case "half-closed client gets every reply" `Quick
       test_half_close_gets_every_reply;
     Alcotest.test_case "malformed header: one ERR, then EOF" `Quick
