@@ -75,7 +75,7 @@ let bench_storage () =
       let flat = Traditional.extension_relation rel in
       Texttable.add_row table
         [
-          string_of_int (Explicate.extension_size rel);
+          string_of_int (Aggregate.count rel);
           string_of_int (Relation.cardinality rel);
           string_of_int (Flat_relation.cardinality flat);
           string_of_int (Flat_relation.approx_bytes flat);
@@ -191,7 +191,7 @@ let bench_explicate () =
               (Types.Neg, [ Hierarchy.node_label h some_leaf_class ]);
             ]
         in
-        (Explicate.extension_size rel, rel))
+        (Aggregate.count rel, rel))
       [ (4, 4); (8, 4); (8, 16) ]
   in
   let tests =
@@ -459,7 +459,7 @@ let bench_page_io () =
       let flat_rows, flat_pages = (Relation.cardinality flat, pages flat - base) in
       Texttable.add_row table
         [
-          string_of_int (Explicate.extension_size rel);
+          string_of_int (Aggregate.count rel);
           string_of_int hier_rows;
           string_of_int hier_pages;
           string_of_int flat_rows;

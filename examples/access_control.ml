@@ -82,4 +82,4 @@ let () =
   (* the whole policy is 3 tuples; the equivalent flat ACL would be *)
   Format.printf "@.stored policy tuples: %d; equivalent flat ACL entries: %d@."
     (Relation.cardinality can_write)
-    (Explicate.extension_size can_write)
+    (Aggregate.count can_write)

@@ -72,7 +72,7 @@ let atoms schema item =
   Array.iteri
     (fun i c ->
       if !size <= extension_cap then
-        size := !size * List.length (Hierarchy.leaves_under (Schema.hierarchy schema i) c))
+        size := !size * Hierarchy.instance_count (Schema.hierarchy schema i) c)
     (Item.coords item);
   if !size > extension_cap then [] else Item.atomic_extension schema item
 

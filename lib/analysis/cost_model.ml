@@ -22,8 +22,7 @@ open Hierel
 
 (* ---- hierarchy statistics --------------------------------------------- *)
 
-let extension_count h v =
-  if Hierarchy.is_instance h v then 1 else List.length (Hierarchy.leaves_under h v)
+let extension_count = Hierarchy.instance_count
 
 let cone_size h v = List.length (Hierarchy.descendants h v)
 

@@ -13,7 +13,7 @@
 
 val extension_count : Hr_hierarchy.Hierarchy.t -> Hr_hierarchy.Hierarchy.node -> int
 (** Atomic extension size: 1 for an instance, the leaf count of the cone
-    for a class. *)
+    for a class ({!Hr_hierarchy.Hierarchy.instance_count}). *)
 
 val cone_size : Hr_hierarchy.Hierarchy.t -> Hr_hierarchy.Hierarchy.node -> int
 (** Nodes isa-reachable from the node, inclusive. *)

@@ -2,10 +2,19 @@
 
     The paper motivates explication precisely here (§3.3.2): "This
     operator is useful when a count, average, or other statistical
-    operation is to be performed over the relation." These helpers
-    explicate internally (over the needed attributes only) and compute on
-    the resulting atomic tuples, so callers never mistake the stored
-    tuple count for the real cardinality. *)
+    operation is to be performed over the relation." These helpers count
+    the atoms of the equivalent flat relation without listing them, so
+    callers never mistake the stored tuple count for the real
+    cardinality. They close the operand's items under maximal common
+    descendants ({!Ops.refine} without consolidation) and give each
+    closure item a weight: 1 if its verdict ({!Binding.truth}) is
+    positive, else 0, less the weights of the closure items that
+    strictly subsume it. An item of weight [w] adds [w] times the size
+    of its atomic extension, read from
+    {!Hr_hierarchy.Hierarchy.instance_count} per coordinate
+    (docs/SEMANTICS.md §6, Lemma C). So a class tuple costs one closure
+    item, however many instances it covers. A conflict in the operand
+    raises {!Types.Model_error}, as a selection does. *)
 
 val count : Relation.t -> int
 (** Cardinality of the equivalent flat relation. *)

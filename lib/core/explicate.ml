@@ -33,5 +33,3 @@ let explicate ?over ?keep_negated rel =
     else Relation.Item_map.filter (fun _ sign -> Types.bool_of_sign sign) body
   in
   Relation.of_map ~name:(Relation.name rel) schema body
-
-let extension_size rel = Relation.cardinality (explicate rel)

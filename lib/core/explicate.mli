@@ -20,7 +20,3 @@ val explicate : ?over:string list -> ?keep_negated:bool -> Relation.t -> Relatio
     to [true] for partial explication. The input must be consistent
     (ambiguity-constraint-satisfying); on a conflicted relation the result
     is unspecified among the conflicting signs. *)
-
-val extension_size : Relation.t -> int
-(** Cardinality of the equivalent flat relation ([explicate] then count),
-    without retaining the tuples. *)

@@ -17,8 +17,8 @@ let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
 (* Node [v]'s isa descendants, itself included, are [ids.(start.(v))]
    to [ids.(start.(v + 1) - 1)], ascending: two flat arrays, not one per
-   node. *)
-type descendant_index = { start : int array; ids : node array }
+   node. [instances.(v)] counts the instances among them. *)
+type descendant_index = { start : int array; ids : node array; instances : int array }
 
 type t = {
   graph : Dag.t;
@@ -280,13 +280,21 @@ let descendant_index h =
   | Some d -> d
   | None ->
     let start, ids = Dag.Ancestry.invert (isa_anc h) (Dag.capacity h.graph) in
-    let d = { start; ids } in
+    let instances =
+      Array.init (Array.length start - 1) (fun v ->
+          let n = ref 0 in
+          for k = start.(v) to start.(v + 1) - 1 do
+            if h.instance.(ids.(k)) then incr n
+          done;
+          !n)
+    in
+    let d = { start; ids; instances } in
     h.desc <- Some d;
     d
 
 (* The descendants of [v] that satisfy [keep], ascending. *)
 let filter_descendants h v keep =
-  let { start; ids } = descendant_index h in
+  let { start; ids; _ } = descendant_index h in
   let acc = ref [] in
   for i = start.(v + 1) - 1 downto start.(v) do
     if keep ids.(i) then acc := ids.(i) :: !acc
@@ -309,6 +317,10 @@ let leaves_under h v =
   check_node h v;
   filter_descendants h v (fun w -> h.instance.(w))
 
+let instance_count h v =
+  check_node h v;
+  (descendant_index h).instances.(v)
+
 (* The common descendants of [a] and [b] are the members of the shorter
    descendant range that lie under the other node; both ranges ascend,
    so either one filtered yields the same list. *)
@@ -326,7 +338,7 @@ let intersects h a b =
   check_node h a;
   check_node h b;
   let keep, other = shorter_first h a b and anc = isa_anc h in
-  let { start; ids } = descendant_index h in
+  let { start; ids; _ } = descendant_index h in
   let rec scan k = k < start.(keep + 1) && (Dag.Ancestry.mem anc.(ids.(k)) other || scan (k + 1)) in
   scan start.(keep)
 
@@ -336,7 +348,7 @@ let intersects h a b =
    the marked nodes and their parent edges, never by the hierarchy. *)
 let intersecting h v ~limit =
   check_node h v;
-  let { start; ids } = descendant_index h in
+  let { start; ids; _ } = descendant_index h in
   if start.(v + 1) - start.(v) > limit then None
   else begin
     let seen = Hashtbl.create 16 in

@@ -130,6 +130,11 @@ val leaves_under : t -> node -> node list
     (the node itself if it is an instance). Classes with no instances have
     an empty extension. *)
 
+val instance_count : t -> node -> int
+(** [List.length (leaves_under h v)] in constant time: the size of [v]'s
+    atomic extension, counted once per node when the descendant index is
+    built ({!freeze} builds it). *)
+
 val descendants : t -> node -> node list
 (** All [isa]-reachable nodes, inclusive, in ascending id order. *)
 

@@ -97,4 +97,4 @@ let organize ?(name = "organized") h ~members =
 let compression_ratio rel =
   let stored = Relation.cardinality rel in
   if stored = 0 then 1.0
-  else float_of_int (Explicate.extension_size rel) /. float_of_int stored
+  else float_of_int (Aggregate.count rel) /. float_of_int stored

@@ -27,8 +27,9 @@ val organize :
     {!Hierel.Types.Model_error}. *)
 
 val compression_ratio : Hierel.Relation.t -> float
-(** extension size / stored tuple count — how much the hierarchical form
-    saves over flat enumeration (claim C1). *)
+(** extension size ({!Hierel.Aggregate.count}) / stored tuple count —
+    how much the hierarchical form saves over flat enumeration (claim
+    C1). *)
 
 val is_tree : Hr_hierarchy.Hierarchy.t -> bool
 (** True when every node has at most one parent — the case where

@@ -80,7 +80,8 @@ let test_explication_agrees_with_binding () =
 
 let test_extension_size () =
   let h = Fixtures.animals () in
-  Alcotest.(check int) "4 flying creatures" 4 (Explicate.extension_size (Fixtures.flies h))
+  Alcotest.(check int) "4 flying creatures" 4
+    (Relation.cardinality (Explicate.explicate (Fixtures.flies h)))
 
 let test_explicate_empty_class () =
   (* a class with no instances contributes nothing *)
@@ -90,7 +91,7 @@ let test_explicate_empty_class () =
   ignore (Hierarchy.add_instance h "solid");
   let schema = Schema.make [ ("v", h) ] in
   let r = Relation.of_tuples ~name:"r" schema [ (Types.Pos, [ "ghost" ]) ] in
-  Alcotest.(check int) "empty extension" 0 (Explicate.extension_size r)
+  Alcotest.(check int) "empty extension" 0 (Relation.cardinality (Explicate.explicate r))
 
 let suite =
   [

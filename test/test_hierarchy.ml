@@ -189,7 +189,7 @@ type answers = {
   binds : (int * int * bool) list;
   anc : (int * int list) list;
   desc : (int * int list) list;
-  leaves : (int * int list) list;
+  leaves : (int * int list * int) list;
   mcd : (int * int * int list) list;
   issues : (int * int) list;
 }
@@ -202,7 +202,8 @@ let observe h =
     binds = pairs (fun a b -> (a, b, Hierarchy.binds_below h a b));
     anc = List.map (fun v -> (v, Hierarchy.ancestors h v)) vs;
     desc = List.map (fun v -> (v, Hierarchy.descendants h v)) vs;
-    leaves = List.map (fun v -> (v, Hierarchy.leaves_under h v)) vs;
+    leaves =
+      List.map (fun v -> (v, Hierarchy.leaves_under h v, Hierarchy.instance_count h v)) vs;
     mcd = pairs (fun a b -> (a, b, Hierarchy.maximal_common_descendants h a b));
     issues =
       List.map (fun (Hierarchy.Redundant_isa_edge (u, v)) -> (u, v)) (Hierarchy.validate h);
@@ -232,7 +233,12 @@ let oracle g ~is_instance =
     binds = pairs (fun a b -> (a, b, Dag.reachable g a b));
     anc = List.map (fun v -> (v, Dag.ancestors g ~kinds:isa_only v)) vs;
     desc = List.map (fun v -> (v, desc v)) vs;
-    leaves = List.map (fun v -> (v, List.filter is_instance (desc v))) vs;
+    leaves =
+      List.map
+        (fun v ->
+          let l = List.filter is_instance (desc v) in
+          (v, l, List.length l))
+        vs;
     mcd = pairs (fun a b -> (a, b, mcd a b));
     issues = Dag.redundant_edges g;
   }
@@ -243,7 +249,7 @@ let check_answers ctx want got =
   if want.binds <> got.binds then fail "binds_below";
   if want.anc <> got.anc then fail "ancestors";
   if want.desc <> got.desc then fail "descendants";
-  if want.leaves <> got.leaves then fail "leaves_under";
+  if want.leaves <> got.leaves then fail "leaves_under or instance_count";
   if want.mcd <> got.mcd then fail "maximal_common_descendants";
   if want.issues <> got.issues then fail "validate"
 
