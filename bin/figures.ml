@@ -96,7 +96,7 @@ let fig1 () =
   let r = flies h in
   Format.printf "%a" Relation.pp r;
   section "Figure 1c" "the subsumption graph of Flies";
-  Format.printf "%a" Subsumption.pp (Subsumption.build r);
+  Format.printf "%a" Subsumption.pp r;
   section "Figure 1d" "the tuple-binding graph of Patricia";
   let schema = Relation.schema r in
   let patricia = Item.of_names schema [ "patricia" ] in
@@ -173,7 +173,7 @@ let fig5 () =
 let fig6 () =
   section "Figure 6" "subsumption graph of Respects and its consolidation";
   let r = respects (students ()) (teachers ()) in
-  Format.printf "(a) subsumption graph:@.%a" Subsumption.pp (Subsumption.build r);
+  Format.printf "(a) subsumption graph:@.%a" Subsumption.pp r;
   let consolidated, removed = Consolidate.consolidate_verbose r in
   Format.printf "(b) consolidation removes %d tuples:@.%a" (List.length removed)
     Relation.pp consolidated;

@@ -343,8 +343,9 @@ let all =
       "Two databases disagree at their greatest common LSN."
       "Rebuild the replica from a fresh snapshot of the primary.";
     fw "F017" "peers cannot be compared"
-      "For example, a checkpoint discarded the common prefix."
-      "Compare from a fresh base snapshot.";
+      "For example, a checkpoint discarded the common prefix, or a relation is \
+       conflicted and has no extension to compare."
+      "Compare from a fresh base snapshot; repair a conflicted relation (F018) first.";
     fw "F018" "ambiguity constraint violated"
       "A stored relation has an item with incomparable opposite-sign binders."
       "Add a preference edge or a disambiguating row, then re-store.";

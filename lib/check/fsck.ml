@@ -290,9 +290,13 @@ let rendered_hierarchy h =
   in
   (edges, instances, prefs)
 
+(* A conflicted relation has no extension ([Flatten] raises, as a
+   selection does); F018 reports the conflict itself. *)
 let rendered_extension rel =
   let schema = Relation.schema rel in
-  Flatten.extension_list rel |> List.map (Item.to_string schema) |> List.sort compare
+  match Flatten.extension_list rel with
+  | items -> Ok (List.sort compare (List.map (Item.to_string schema) items))
+  | exception Types.Model_error msg -> Error msg
 
 (* The peer state at LSN [at]: the checkpoint base (the page store, or
    an empty catalog without one) + the records up to [at]. *)
@@ -361,9 +365,14 @@ let check_divergence acc a b =
             Schema.names (Relation.schema la) <> Schema.names (Relation.schema lb)
           then
             emit acc Critical "F016" where "relation %s: schemas differ" n
-          else if rendered_extension la <> rendered_extension lb then
-            emit acc Critical "F016" where
-              "relation %s: flattened extensions differ at LSN %d" n at)
+          else
+            match (rendered_extension la, rendered_extension lb) with
+            | Ok ea, Ok eb ->
+              if ea <> eb then
+                emit acc Critical "F016" where
+                  "relation %s: flattened extensions differ at LSN %d" n at
+            | Error msg, _ | Ok _, Error msg ->
+              emit acc Warning "F017" where "relation %s: cannot flatten: %s" n msg)
         ra
 
 (* ---- shard-map mode (F020–F024) -------------------------------------- *)

@@ -10,7 +10,8 @@ module Item_set : Set.S with type elt = Item.t
 val extension : Relation.t -> Item_set.t
 (** The set of atomic items satisfying the relation (positive tuples of a
     full explication). Finite because class extensions enumerate declared
-    instances. *)
+    instances. A conflicted relation raises {!Types.Model_error}, as a
+    selection does. *)
 
 val extension_list : Relation.t -> Item.t list
 

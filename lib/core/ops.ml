@@ -93,6 +93,9 @@ let refine ?(name = "q") ?(consolidate = true) schema eval seeds =
   in
   if consolidate then Relation.with_name (Consolidate.consolidate rel) name else rel
 
+let consolidated rel =
+  refine ~name:(Relation.name rel) (Relation.schema rel) (Binding.truth rel) (Relation.items rel)
+
 let require_equal_schemas a b =
   if not (Schema.equal (Relation.schema a) (Relation.schema b)) then
     Types.model_error "schemas of %S and %S differ" (Relation.name a) (Relation.name b)
@@ -152,8 +155,6 @@ let project ?(name = "project") rel attrs =
     rel
     (Relation.empty ~name out_schema)
   |> tally c_project
-
-let project_exact ?name rel attrs = project ?name (Explicate.explicate rel) attrs
 
 let join ?(name = "join") a b =
   let sa = Relation.schema a and sb = Relation.schema b in

@@ -37,12 +37,25 @@ val refine :
     full incomparable-and-intersecting test runs on that shortlist. Each
     test counts one [core.ops.closure.pairs]. Operand verdicts come from
     {!Binding.verdict}, which answers a stored item from its tuple
-    without an index probe. Consolidation builds the subsumption graph
-    of the non-atomic items only and decides each atomic one against
-    its minimal surviving subsumers ({!Consolidate.consolidate}). So the
-    cost follows the pairs of non-atomic items that meet, not the square
-    of the item count: n pairwise-disjoint instance seeds under one
-    class make no pair tests. *)
+    without an index probe. Consolidation decides each item against its
+    minimal surviving subsumers, read from the binding index of the
+    non-atomic items ({!Consolidate.consolidate}). So the cost follows
+    the pairs of non-atomic items that meet, not the square of the item
+    count: n pairwise-disjoint instance seeds under one class make no
+    pair tests. *)
+
+val consolidated : Relation.t -> Relation.t
+(** The [CONSOLIDATED] operator and the [CONSOLIDATE] statement: the
+    operand's items closed under maximal common descendants, each
+    carrying the operand's verdict, then consolidated — the form a
+    selection returns. Every atom keeps its verdict, preference edges
+    included, which {!Consolidate.consolidate} on the stored tuples
+    alone does not promise (docs/SEMANTICS.md §5). Without preference
+    edges the two agree on a consistent operand. With them the result
+    may hold a closure item in place of a stored tuple: for [b]
+    preferred over [a] and an instance [z] of both, [{+a, -b}] becomes
+    [{+a, -z}]. The result keeps the operand's name. A conflict raises
+    {!Types.Model_error}, as a selection does. *)
 
 val select : ?name:string -> Relation.t -> attr:string -> value:string -> Relation.t
 (** [select r ~attr ~value] restricts [r] to the region where [attr] lies
@@ -73,11 +86,9 @@ val project : ?name:string -> Relation.t -> string list -> Relation.t
     projecting the join back loses no information). When projected tuples
     of opposite sign collide on one item, the positive wins (existential
     flat semantics). For class values whose extension is partially
-    covered, syntactic projection can differ from the flat projection —
-    use {!project_exact} when exact existential semantics are required. *)
-
-val project_exact : ?name:string -> Relation.t -> string list -> Relation.t
-(** Flat-equivalent projection via full explication: atomic tuples only. *)
+    covered, syntactic projection can differ from the flat projection;
+    projecting the full explication ({!Explicate.explicate}) gives the
+    exact existential semantics. *)
 
 val union : ?name:string -> Relation.t -> Relation.t -> Relation.t
 (** Set union of the extensions (Fig. 10c). Schemas must be equal. *)

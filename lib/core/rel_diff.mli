@@ -24,7 +24,8 @@ type t = {
 }
 
 val diff : prev:Relation.t -> next:Relation.t -> t
-(** Raises {!Types.Model_error} if the schemas differ. *)
+(** Raises {!Types.Model_error} if the schemas differ or either relation
+    is conflicted (it has no extension, {!Flatten.extension}). *)
 
 val is_semantic_noop : t -> bool
 (** No extensional change (the stored form may still differ — e.g. after

@@ -165,17 +165,9 @@ let closure adj g kinds v =
 let descendants g ?(kinds = all_kinds) v = closure g.succ g kinds v
 let ancestors g ?(kinds = all_kinds) v = closure g.pred g kinds v
 
-let isa_only = function Isa -> true | Preference -> false
-
-let roots g =
-  List.filter (fun v -> preds g ~kinds:isa_only v = []) (live_nodes g)
-
-let leaves g =
-  List.filter (fun v -> succs g ~kinds:isa_only v = []) (live_nodes g)
-
 (* Kahn's algorithm over live nodes, all edge kinds. Returns ancestors
    first. *)
-let topo_sort_opt g =
+let topo_sort g =
   let indeg = Array.make (max 1 g.n) 0 in
   let lives = live_nodes g in
   List.iter (fun v -> indeg.(v) <- List.length (preds g v)) lives;
@@ -193,14 +185,8 @@ let topo_sort_opt g =
         if indeg.(w) = 0 then Queue.add w queue)
       (succs g v)
   done;
-  if !count = List.length lives then Some (List.rev !order) else None
-
-let has_cycle g = Option.is_none (topo_sort_opt g)
-
-let topo_sort g =
-  match topo_sort_opt g with
-  | Some order -> order
-  | None -> invalid_arg "Dag.topo_sort: graph has a cycle"
+  if !count <> List.length lives then invalid_arg "Dag.topo_sort: graph has a cycle";
+  List.rev !order
 
 (* [u -> v] is redundant if some other path u ->* v of live edges exists.
    We test by searching from u's other successors. *)

@@ -1,13 +1,13 @@
 (** Mutable directed acyclic graphs over dense integer node ids.
 
-    This is the substrate under both the hierarchy graphs of the data model
-    (Section 2 of the paper) and the subsumption / tuple-binding graphs of
-    relations (Sections 2–3). Nodes are allocated by the graph; edges carry
+    This is the substrate under the hierarchy graphs of the data model
+    (Section 2 of the paper); relations answer subsumption through their
+    binding index and build no graph. Nodes are allocated by the graph; edges carry
     a kind: [Isa] edges denote set inclusion and participate in membership
     semantics, [Preference] edges only influence binding strength (paper,
     Appendix). Graphs are not forced acyclic on every edge insertion —
-    acyclicity (the paper's {e type-irredundancy constraint}) is checked by
-    {!has_cycle} / enforced by callers.
+    acyclicity (the paper's {e type-irredundancy constraint}) is enforced
+    by callers; {!topo_sort} refuses a cyclic graph.
 
     All traversals ignore nodes removed with {!remove_node} or
     {!eliminate_node}. *)
@@ -39,11 +39,6 @@ val add_edge : t -> ?kind:edge_kind -> int -> int -> unit
 (** [add_edge g u v] inserts an edge [u -> v] ([kind] defaults to [Isa]).
     Duplicate (same endpoints, same kind) insertions are ignored. Raises
     [Invalid_argument] if either endpoint is dead or [u = v]. *)
-
-val remove_edge : t -> ?kind:edge_kind -> int -> int -> unit
-(** Removes the edge if present; no-op otherwise. *)
-
-val mem_edge : t -> ?kind:edge_kind -> int -> int -> bool
 
 val succs : t -> ?kinds:(edge_kind -> bool) -> int -> int list
 (** Direct successors through edges whose kind satisfies [kinds]
@@ -87,15 +82,6 @@ val descendants : t -> ?kinds:(edge_kind -> bool) -> int -> int list
 
 val ancestors : t -> ?kinds:(edge_kind -> bool) -> int -> int list
 (** All nodes that reach the argument, including itself. *)
-
-val roots : t -> int list
-(** Live nodes with no live [Isa] predecessors. *)
-
-val leaves : t -> int list
-(** Live nodes with no live [Isa] successors. *)
-
-val has_cycle : t -> bool
-(** Considers all edge kinds. *)
 
 val topo_sort : t -> int list
 (** Topological order of live nodes (ancestors first). Raises

@@ -132,7 +132,7 @@ let rec eval_raw cat e =
         | Ast.Except (a, b) -> Ops.diff (eval_raw cat a) (eval_raw cat b)
         | Ast.Rename (e, old_name, new_name) ->
           Ops.rename (eval_raw cat e) ~old_name ~new_name
-        | Ast.Consolidated e -> Consolidate.consolidate (eval_raw cat e)
+        | Ast.Consolidated e -> Ops.consolidated (eval_raw cat e)
         | Ast.Explicated (e, over) -> Explicate.explicate ?over (eval_raw cat e)
       in
       if Hr_obs.Trace.enabled () then
@@ -203,7 +203,7 @@ let rec analyze_raw cat e =
       (Ops.rename r ~old_name ~new_name, kids)
     | Ast.Consolidated sub ->
       let r, kids = one sub in
-      (Consolidate.consolidate r, kids)
+      (Ops.consolidated r, kids)
     | Ast.Explicated (sub, over) ->
       let r, kids = one sub in
       (Explicate.explicate ?over r, kids)
@@ -480,10 +480,16 @@ let exec_statement ?on_held ?on_refused cat stmt =
         Binding.pp_verdict schema ppf (Binding.verdict ?semantics r item))
   | Ast.Consolidate name ->
     let rel = relation cat name in
-    let consolidated, removed = Consolidate.consolidate_verbose rel in
+    let consolidated = Ops.consolidated rel in
     Catalog.replace_relation cat consolidated;
-    Printf.sprintf "%s consolidated: %d redundant tuple(s) removed, %d remain" name
-      (List.length removed)
+    (* removed: the stored tuples the result no longer holds *)
+    let removed =
+      Relation.fold
+        (fun (t : Relation.tuple) n ->
+          if Relation.mem consolidated t.Relation.item then n else n + 1)
+        rel 0
+    in
+    Printf.sprintf "%s consolidated: %d redundant tuple(s) removed, %d remain" name removed
       (Relation.cardinality consolidated)
   | Ast.Explicate { rel; over } ->
     let r = relation cat rel in

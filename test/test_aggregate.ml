@@ -10,9 +10,11 @@
      common descendants) and consistent random relations of arity 1-3,
      and a selection from each;
    - mostly atomic relations under a few class tuples of both signs;
-   - hierarchies with preference edges. Explication walks the isa order
-     and ignores preference edges, so there the reference is every atom
-     of the schema whose binding verdict is positive.
+   - hierarchies with preference edges, where the reference is every
+     atom of the schema whose binding verdict is positive. There the
+     explicated extension ([Flatten.extension_list]) must equal it too,
+     and so must the positive atoms of a partial explication and of the
+     CONSOLIDATED relation.
 
    Fixed cases: a conflicted operand makes COUNT fail with the text a
    selection gives, and counting a class tuple of 512 instances
@@ -375,7 +377,22 @@ let preference_relations () =
         }
     in
     let ctx = Printf.sprintf "preference round %d (arity %d)" round (Schema.arity schema) in
-    check ~ctx rel (positive_atoms rel)
+    let atoms = positive_atoms rel in
+    check ~ctx rel atoms;
+    let show xs = String.concat " " (List.map (Item.to_string schema) xs) in
+    let sorted = List.sort Item.compare in
+    let same what got =
+      if sorted got <> sorted atoms then
+        Alcotest.failf "%s: %s\ngot:  %s\nwant: %s\n%s" ctx what (show (sorted got))
+          (show (sorted atoms))
+          (Format.asprintf "%a" Relation.pp rel)
+    in
+    same "explicated extension" (Flatten.extension_list rel);
+    let over = List.filter (fun _ -> Prng.bool g) (Schema.names schema) in
+    same
+      (Printf.sprintf "atoms true after EXPLICATE OVER (%s)" (String.concat ", " over))
+      (positive_atoms (Explicate.explicate ~over rel));
+    same "atoms true after CONSOLIDATE" (positive_atoms (Ops.consolidated rel))
   done
 
 let suite =

@@ -1,6 +1,7 @@
 (* Consolidation tests: the paper's Figure 6 walkthrough, the universal
-   negated tuple, uniqueness of the minimum, and Figure 5's np-hardness
-   boundary (union-subsumed tuples are NOT considered redundant). *)
+   negated tuple, uniqueness of the minimum, Figure 5's np-hardness
+   boundary (union-subsumed tuples are NOT considered redundant), and
+   the CONSOLIDATE statement under a preference edge. *)
 
 open Hierel
 
@@ -20,8 +21,8 @@ let test_fig6_walkthrough () =
   Alcotest.(check (list string)) "only the general positive tuple survives"
     [ "+(V obsequious_student, V teacher)" ]
     (tuple_strings consolidated);
-  (* removal order follows the topological walk: the uncovered negated
-     tuple first, then the conflict-resolution tuple *)
+  (* removals come subsumers first: the uncovered negated tuple, then
+     the conflict-resolution tuple below it *)
   (match removed with
   | [ first; second ] ->
     Alcotest.(check Fixtures.sign) "negated first" Types.Neg first.Relation.sign;
@@ -105,6 +106,38 @@ let test_consolidate_empty () =
   Alcotest.(check int) "empty stays empty" 0
     (Relation.cardinality (Consolidate.consolidate r))
 
+(* b is preferred over a, so -b binds z more strongly than +a. The
+   stored -b has no subsumer, so consolidating the stored tuples alone
+   would drop it and turn z positive; CONSOLIDATE consolidates the
+   closure, where z carries its own verdict. *)
+let test_preference_keeps_verdicts () =
+  let cat = Catalog.create () in
+  let script =
+    "CREATE DOMAIN d; CREATE CLASS b UNDER d; CREATE CLASS a UNDER d; CREATE PREFERENCE b \
+     OVER a; CREATE INSTANCE z OF a, b; CREATE INSTANCE y OF a; CREATE RELATION r (x: d); \
+     INSERT INTO r VALUES (+ ALL a), (- ALL b); ASK r (z); SELECT * FROM CONSOLIDATED r; \
+     CONSOLIDATE r; ASK r (z); ASK r (y); SELECT * FROM r;"
+  in
+  match Hr_query.Eval.run_script cat script with
+  | Error e -> Alcotest.fail e
+  | Ok outs ->
+    let outs = List.filteri (fun i _ -> i >= List.length outs - 6) outs in
+    let table =
+      "r (2 tuples)\n+---+-----+\n|   | x   |\n+---+-----+\n| + | V a |\n| - | z   |\n\
+       +---+-----+\n"
+    in
+    Alcotest.(check (list string))
+      "z stays out"
+      [
+        "- (by (V b))";
+        table;
+        "r consolidated: 1 redundant tuple(s) removed, 2 remain";
+        "- (by (z))";
+        "+ (by (V a))";
+        table;
+      ]
+      outs
+
 let suite =
   [
     Alcotest.test_case "fig6: respects consolidates to one tuple" `Quick test_fig6_walkthrough;
@@ -117,4 +150,6 @@ let suite =
     Alcotest.test_case "fig5: union subsumption not redundant" `Quick
       test_fig5_union_subsumption_not_redundant;
     Alcotest.test_case "empty relation" `Quick test_consolidate_empty;
+    Alcotest.test_case "CONSOLIDATE keeps verdicts under preferences" `Quick
+      test_preference_keeps_verdicts;
   ]

@@ -13,16 +13,16 @@ let diamond () =
   Dag.add_edge g c d;
   (g, a, b, c, d)
 
+let edge g u v = List.mem v (Dag.succs g u)
+
 let test_basic () =
   let g, a, b, c, d = diamond () in
   Alcotest.(check int) "capacity" 4 (Dag.capacity g);
   Alcotest.(check int) "live" 4 (Dag.live_count g);
-  Alcotest.(check bool) "edge a->b" true (Dag.mem_edge g a b);
-  Alcotest.(check bool) "no edge b->a" false (Dag.mem_edge g b a);
+  Alcotest.(check bool) "edge a->b" true (edge g a b);
+  Alcotest.(check bool) "no edge b->a" false (edge g b a);
   Alcotest.(check (list int)) "succs a" [ b; c ] (Dag.succs g a);
-  Alcotest.(check (list int)) "preds d" [ b; c ] (Dag.preds g d);
-  Alcotest.(check (list int)) "roots" [ a ] (Dag.roots g);
-  Alcotest.(check (list int)) "leaves" [ d ] (Dag.leaves g)
+  Alcotest.(check (list int)) "preds d" [ b; c ] (Dag.preds g d)
 
 let test_duplicate_edges_ignored () =
   let g, a, b, _, _ = diamond () in
@@ -54,8 +54,8 @@ let test_edge_kinds () =
   (* same endpoints, different kind: both edges coexist *)
   Dag.add_edge g ~kind:Dag.Isa a b;
   Alcotest.(check bool) "isa now reachable" true (Dag.reachable g ~kinds:isa a b);
-  Dag.remove_edge g ~kind:Dag.Isa a b;
-  Alcotest.(check bool) "pref edge survives" true (Dag.reachable g a b)
+  Alcotest.(check (list int)) "pref edge kept" [ b ]
+    (Dag.succs g ~kinds:(fun k -> not (isa k)) a)
 
 let test_topo_sort () =
   let g, a, b, c, d = diamond () in
@@ -70,9 +70,10 @@ let test_cycle_detection () =
   let g = Dag.create () in
   let a = Dag.add_node g and b = Dag.add_node g in
   Dag.add_edge g a b;
-  Alcotest.(check bool) "acyclic" false (Dag.has_cycle g);
+  Alcotest.(check (list int)) "acyclic" [ a; b ] (Dag.topo_sort g);
   Dag.add_edge g b a;
-  Alcotest.(check bool) "cyclic" true (Dag.has_cycle g)
+  Alcotest.check_raises "cyclic" (Invalid_argument "Dag.topo_sort: graph has a cycle") (fun () ->
+      ignore (Dag.topo_sort g))
 
 let test_remove_node () =
   let g, a, b, c, d = diamond () in
@@ -90,7 +91,7 @@ let test_eliminate_bridges () =
   Dag.add_edge g a m;
   Dag.add_edge g m b;
   Dag.eliminate_node g ~on_path:false m;
-  Alcotest.(check bool) "bypass added" true (Dag.mem_edge g a b)
+  Alcotest.(check bool) "bypass added" true (edge g a b)
 
 let test_eliminate_off_path_no_redundant () =
   (* a -> m -> b and a -> b already: off-path elimination must not add a
@@ -105,7 +106,7 @@ let test_eliminate_off_path_no_redundant () =
   Dag.add_edge g c b;
   Dag.eliminate_node g ~on_path:false m;
   (* a->b via c exists, so no direct edge appears *)
-  Alcotest.(check bool) "no redundant bypass" false (Dag.mem_edge g a b);
+  Alcotest.(check bool) "no redundant bypass" false (edge g a b);
   Alcotest.(check bool) "still reachable" true (Dag.reachable g a b)
 
 let test_eliminate_on_path_keeps_redundant () =
@@ -117,14 +118,14 @@ let test_eliminate_on_path_keeps_redundant () =
   Dag.add_edge g a c;
   Dag.add_edge g c b;
   Dag.eliminate_node g ~on_path:true m;
-  Alcotest.(check bool) "redundant bypass kept" true (Dag.mem_edge g a b)
+  Alcotest.(check bool) "redundant bypass kept" true (edge g a b)
 
 let test_transitive_reduction () =
   let g, a, _, _, d = diamond () in
   Dag.add_edge g a d;
   Alcotest.(check int) "one redundant edge" 1 (List.length (Dag.redundant_edges g));
   Dag.transitive_reduction g;
-  Alcotest.(check bool) "a->d gone" false (Dag.mem_edge g a d);
+  Alcotest.(check bool) "a->d gone" false (edge g a d);
   Alcotest.(check bool) "a->*d kept" true (Dag.reachable g a d);
   Alcotest.(check (list (pair int int))) "now reduced" [] (Dag.redundant_edges g)
 
@@ -147,11 +148,11 @@ let test_ancestry () =
   Alcotest.(check bool) "member past a collision" true (Dag.Ancestry.mem wide 2)
 
 let test_copy_independent () =
-  let g, a, b, _, _ = diamond () in
+  let g, _, b, c, _ = diamond () in
   let g' = Dag.copy g in
-  Dag.remove_edge g' a b;
-  Alcotest.(check bool) "original intact" true (Dag.mem_edge g a b);
-  Alcotest.(check bool) "copy changed" false (Dag.mem_edge g' a b)
+  Dag.add_edge g' b c;
+  Alcotest.(check bool) "original intact" false (edge g b c);
+  Alcotest.(check bool) "copy changed" true (edge g' b c)
 
 (* ---- property tests ------------------------------------------------ *)
 

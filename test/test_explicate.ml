@@ -93,6 +93,33 @@ let test_explicate_empty_class () =
   let r = Relation.of_tuples ~name:"r" schema [ (Types.Pos, [ "ghost" ]) ] in
   Alcotest.(check int) "empty extension" 0 (Relation.cardinality (Explicate.explicate r))
 
+(* b is preferred over a, so -b binds z more strongly than +a: the
+   extension is y alone, whichever class is declared first. *)
+let test_preference_edge () =
+  List.iter
+    (fun (first, second) ->
+      let cat = Catalog.create () in
+      let script =
+        Printf.sprintf
+          "CREATE DOMAIN d; CREATE CLASS %s UNDER d; CREATE CLASS %s UNDER d; CREATE \
+           PREFERENCE b OVER a; CREATE INSTANCE z OF a, b; CREATE INSTANCE y OF a; CREATE \
+           RELATION r (x: d); INSERT INTO r VALUES (+ ALL a), (- ALL b); SELECT * FROM \
+           EXPLICATED r;"
+          first second
+      in
+      match Hr_query.Eval.run_script cat script with
+      | Error e -> Alcotest.fail e
+      | Ok outs ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s before %s" first second)
+          "r (1 tuple)\n+---+---+\n|   | x |\n+---+---+\n| + | y |\n+---+---+\n"
+          (List.nth outs (List.length outs - 1));
+        let r = Catalog.relation cat "r" in
+        Alcotest.(check (list string))
+          "with negated tuples" [ "+(y)"; "-(z)" ]
+          (item_strings (Explicate.explicate ~keep_negated:true r)))
+    [ ("a", "b"); ("b", "a") ]
+
 let suite =
   [
     Alcotest.test_case "fig1 full explication" `Quick test_full_explication_fig1;
@@ -103,4 +130,5 @@ let suite =
     Alcotest.test_case "explication preserves truth" `Quick test_explication_agrees_with_binding;
     Alcotest.test_case "extension size" `Quick test_extension_size;
     Alcotest.test_case "instance-free classes vanish" `Quick test_explicate_empty_class;
+    Alcotest.test_case "preference edges decide the extension" `Quick test_preference_edge;
   ]

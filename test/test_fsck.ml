@@ -310,6 +310,24 @@ let test_divergence_detected () =
       Alcotest.(check (list string)) "F016 and nothing else" [ "F016" ] (codes r);
       Alcotest.(check bool) "critical" true (Fsck.has_critical r))
 
+(* Both peers hold the same conflicted relation (smuggled in as in
+   [test_ambiguous_relation]): it has no flattened extension to compare,
+   which is a finding, not an exception. *)
+let test_conflicted_peers () =
+  with_two_dirs (fun a b ->
+      List.iter
+        (fun dir ->
+          let db = seed dir in
+          exec db "CREATE CLASS swimmer UNDER animal;";
+          exec db "INSERT INTO flies VALUES (- ALL swimmer);";
+          exec db "CREATE ISA penguin UNDER swimmer;";
+          Db.close db)
+        [ a; b ];
+      let r = Fsck.run ~against:b a in
+      Alcotest.(check (list string)) "F018 on each side, then F017" [ "F018"; "F018"; "F017" ]
+        (codes r);
+      Alcotest.(check bool) "warnings only" false (Fsck.has_critical r))
+
 let test_caught_up_replica_clean () =
   with_two_dirs (fun a b ->
       let da = seed a in
@@ -478,6 +496,7 @@ let suite =
       test_torn_tail_truncated_on_reopen;
     Alcotest.test_case "ambiguity violation" `Quick test_ambiguous_relation;
     Alcotest.test_case "divergence detected" `Quick test_divergence_detected;
+    Alcotest.test_case "conflicted peers are not compared" `Quick test_conflicted_peers;
     Alcotest.test_case "caught-up replica is clean" `Quick test_caught_up_replica_clean;
     Alcotest.test_case "checkpoint past peer" `Quick
       test_checkpoint_past_peer_not_comparable;

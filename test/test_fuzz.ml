@@ -97,8 +97,8 @@ let member_labels h v =
      3  union with r2              4  intersect with r2     5  except r2
 
    Plain [project] is deliberately absent: it is not extension-preserving
-   in general (which is why [Ops.project_exact] exists), so it has no
-   flat mirror to test against. *)
+   in general (projecting the full explication is), so it has no flat
+   mirror to test against. *)
 let pipeline_gen =
   QCheck2.Gen.(pair (int_range 1 100_000) (list_size (int_range 1 5) (int_range 0 5)))
 

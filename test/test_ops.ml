@@ -210,7 +210,8 @@ let test_project_syntactic () =
 let test_project_exact () =
   let he = Fixtures.elephants () and hc = Fixtures.colors () in
   let color = Fixtures.animal_color he hc in
-  let p = Ops.project_exact color [ "animal" ] in
+  (* projecting the full explication: exact existential semantics *)
+  let p = Ops.project (Explicate.explicate color) [ "animal" ] in
   let schema = Relation.schema p in
   Alcotest.(check bool) "clyde" true (Binding.holds p (Item.of_names schema [ "clyde" ]));
   Alcotest.(check bool) "appu" true (Binding.holds p (Item.of_names schema [ "appu" ]));
