@@ -17,11 +17,9 @@ module Lint = Hr_analysis.Lint
 module Diagnostic = Hr_analysis.Diagnostic
 open Hierel
 
-(* Installs the EXPLAIN ESTIMATE and EXPLAIN EFFECTS hooks into
-   Hr_query.Eval — the modules must be referenced for their
-   initializers to be linked. *)
+(* Installs the EXPLAIN ESTIMATE hook into Hr_query.Eval — the module
+   must be referenced for its initializer to be linked. *)
 let () = Hr_analysis.Estimate.ensure_registered ()
-let () = Hr_analysis.Effect.ensure_registered ()
 
 let banner durable =
   Printf.sprintf
@@ -42,7 +40,6 @@ let help =
   CONSOLIDATE r;   EXPLICATE r [ON (attr)];   CHECK r;
   COUNT r [BY attr];   EXPLAIN PLAN <expr>;   EXPLAIN ANALYZE <expr>;
   EXPLAIN ESTIMATE <expr>;   price the plan statically, run nothing (docs/COST.md)
-  EXPLAIN EFFECTS <stmt>;    show the statement's read/write cone footprint (docs/EFFECTS.md)
   SHOW HIERARCHY d;   SHOW RELATIONS;   SHOW HIERARCHIES;
   EXPLAIN r (x, y);   DROP RELATION r;
   STATS;   STATS JSON;   STATS RESET;     engine metrics (docs/OBSERVABILITY.md)

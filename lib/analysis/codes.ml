@@ -200,13 +200,14 @@ let all =
        INSERT INTO dives VALUES (- nemo);"
       "Negate a strict subset, or delete the positive row instead.";
     w "W110" "conflicting statement pair"
-      "The commutativity oracle (docs/EFFECTS.md) proves the two \
-       statements write overlapping hierarchy cones that neither \
-       subsumes: their outcome depends on statement order (ambiguity \
-       acceptance is order-sensitive), so reordering or batching them \
-       is unsafe. Subsumption-related overlaps — the paper's exception \
-       idiom, a negation carved under its generalization — are \
-       deliberately not reported."
+      "Two statements write rows of the same relation whose items \
+       overlap on every coordinate while neither subsumes the other, \
+       with opposite signs or a DELETE on either side: on the shared \
+       items the outcome depends on statement order (ambiguity \
+       acceptance is order-sensitive). \
+       Subsumption-related overlaps — the paper's exception idiom, a \
+       negation carved under its generalization — and same-sign \
+       inserts are not reported."
       "CREATE DOMAIN animal; CREATE CLASS bird UNDER animal;\n\
        CREATE CLASS swimmer UNDER animal;\n\
        CREATE CLASS penguin UNDER bird;\n\

@@ -30,18 +30,6 @@ let record_write p rel item sign loc =
   Hashtbl.replace p.writes rel
     (writes_of p rel @ [ { w_item = item; w_sign = sign; w_loc = loc; w_stmt = p.stmt } ])
 
-(* Relation names a statement reads: those its footprint reads. A read
-   makes every earlier write to that relation observable, which is what
-   keeps W106 (dead write) from firing on rows a query in between
-   actually used. *)
-let reads_of = function
-  | Footprint.Opaque _ -> []
-  | Footprint.Atoms atoms ->
-    List.filter_map
-      (fun (a : Footprint.atom) ->
-        if a.Footprint.mode = Footprint.Read then Some a.rel else None)
-      atoms
-
 (* W106: a row this script asserted is unconditionally destroyed (exact
    DELETE, or the whole relation dropped) with no read of the relation in
    between — the write could not have been observed. Reported at the
@@ -184,16 +172,19 @@ let read_only cat ~emit loc stmt =
         Advisory.bare_classes ~emit loc schema values)
   | Ast.Check rel -> engine (fun () -> ignore (Eval.relation cat rel))
   | Ast.Show_hierarchy name -> engine (fun () -> ignore (Eval.domain cat name))
-  (* EXPLAIN PLAN only prints the plan and EXPLAIN EFFECTS never runs
-     its statement: the engine accepts both whatever they name. *)
+  (* EXPLAIN PLAN only prints the plan: the engine accepts it whatever
+     it names. *)
   | _ -> ()
 
 (* Every diagnostic of one statement, in emission order; all internal
    failures become diagnostics — the analyzer must never raise, whatever
    the script or catalog looks like. *)
-let check_statement p cat ~fp ({ Ast.stmt; sloc = loc } as lstmt) =
+let check_statement p cat ({ Ast.stmt; sloc = loc } as lstmt) =
   p.stmt <- p.stmt + 1;
-  List.iter (fun rel -> Hashtbl.replace p.reads rel p.stmt) (reads_of fp);
+  (* a read makes every earlier write to the relation observable, which
+     keeps W106 (dead write) from firing on rows a query in between
+     actually used *)
+  List.iter (fun rel -> Hashtbl.replace p.reads rel p.stmt) (Ast.relations_read stmt);
   let acc = ref [] in
   let emit d = acc := d :: !acc in
   (* Performance lints (P3xx) price the statement against the catalog it
@@ -211,52 +202,79 @@ let check_statement p cat ~fp ({ Ast.stmt; sloc = loc } as lstmt) =
   let ds = List.rev !acc in
   if Diagnostic.has_errors ds then ds else ds @ List.rev !perf
 
-(* ---- whole-script effect pass (W110) ---------------------------------- *)
+(* ---- whole-script pass (W110) ---------------------------------------- *)
 
-(* Footprints are taken against the fork {e before} each statement runs
-   (so an INSERT's cones resolve against the world it executes in), and
-   compared after the walk. Comparing across a DDL boundary is safe:
-   DDL footprints are opaque, and every oracle answer involving an
-   opaque footprint is [Unknown] — never reported. *)
+(* One INSERT or DELETE row, resolved against the fork before its
+   statement runs: a node per coordinate, with the hierarchy it was
+   found in, and the sign ([None] for a DELETE row). A row whose
+   relation, arity or some value does not resolve is not kept: nothing
+   can be said about what it reaches, so it is never reported. *)
+type row = {
+  r_rel : string;
+  r_sign : Types.sign option;
+  r_coords : (Hr_hierarchy.Hierarchy.t * Hr_hierarchy.Hierarchy.node) array;
+}
 
-(* Only pairs whose order provably matters: opposite signs (which of
-   the incomparable cones wins on their intersection flips), or a
-   delete against a write. Same-sign inserts over incomparable cones
-   conflict for the oracle (replay acceptance is order-sensitive) but
-   flatten identically either way — warning on them would be noise. *)
-let order_sensitive (a : Footprint.atom) (b : Footprint.atom) =
-  match (a.Footprint.sign, b.Footprint.sign) with
-  | Some sa, Some sb -> sa <> sb
-  | None, _ | _, None -> true
+let resolve_rows cat stmt =
+  let resolve rel r_sign values =
+    match Catalog.find_relation cat rel with
+    | Some r when List.length values = Schema.arity (Relation.schema r) ->
+      let coord i v =
+        let h = Schema.hierarchy (Relation.schema r) i in
+        Option.map (fun n -> (h, n)) (Hr_hierarchy.Hierarchy.find h (Ast.value_name v))
+      in
+      let coords = List.mapi coord values in
+      if List.for_all Option.is_some coords then
+        Some { r_rel = rel; r_sign; r_coords = Array.of_list (List.map Option.get coords) }
+      else None
+    | _ -> None
+  in
+  match stmt with
+  | Ast.Insert { rel; rows } ->
+    List.filter_map (fun { Ast.sign; values } -> resolve rel (Some sign) values) rows
+  | Ast.Delete { rel; rows } -> List.filter_map (resolve rel None) rows
+  | _ -> []
 
-(* W110: a later statement provably conflicts with an earlier one on
-   incomparable write cones. Subsumption-related overlaps are the
-   paper's exception idiom and stay silent. *)
-let write_conflict fp1 fp2 =
-  match Effect.commutes_fp fp1 fp2 with
-  | Effect.Conflict overlaps ->
-    List.find_opt
-      (fun (o : Effect.overlap) ->
-        o.o_incomparable && o.o_left.mode = Footprint.Write && o.o_right.mode = Footprint.Write
-        && order_sensitive o.o_left o.o_right)
-      overlaps
-  | Effect.Commute | Effect.Unknown _ -> None
+(* [a]'s item covers [b]'s, coordinate by coordinate. *)
+let covers a b =
+  Array.for_all2
+    (fun (h, n) (_, m) -> Hr_hierarchy.Hierarchy.subsumes h n m)
+    a.r_coords b.r_coords
 
+(* Two rows whose order matters: the same relation, every coordinate
+   provably intersecting, neither item covering the other, and opposite
+   signs or a DELETE on either side. Coordinates are compared only when
+   both were found in the same hierarchy value: a DDL that copied the
+   domain in between leaves nothing provable. Subsumption-related
+   overlaps are the paper's exception idiom, and same-sign inserts over
+   incomparable items flatten identically in either order; both stay
+   silent. *)
+let order_sensitive a b =
+  a.r_rel = b.r_rel
+  && Array.length a.r_coords = Array.length b.r_coords
+  && Array.for_all2
+       (fun (h1, n1) (h2, n2) -> h1 == h2 && Hr_hierarchy.Hierarchy.intersects h1 n1 n2)
+       a.r_coords b.r_coords
+  && (not (covers a b))
+  && (not (covers b a))
+  && match (a.r_sign, b.r_sign) with Some sa, Some sb -> sa <> sb | _ -> true
+
+(* W110: at most one per statement pair, at the later statement, with
+   the earlier one as the related note. *)
 let rec conflict_pairs = function
   | [] -> []
-  | (l1, fp1) :: rest ->
+  | (l1, rows1) :: rest ->
     List.filter_map
-      (fun (l2, fp2) ->
-        Option.map
-          (fun (o : Effect.overlap) ->
-            Diagnostic.warningf ~code:"W110"
-              ~related:
-                [ Format.asprintf "conflicts with the statement at %a" Loc.pp l1.Ast.sloc ]
-              l2.Ast.sloc
-              "statement writes a cone of %s that overlaps an earlier statement's write \
-               but subsumes neither way: the outcome depends on statement order"
-              o.o_rel)
-          (write_conflict fp1 fp2))
+      (fun (l2, rows2) ->
+        List.find_opt (fun a -> List.exists (order_sensitive a) rows2) rows1
+        |> Option.map (fun a ->
+               Diagnostic.warningf ~code:"W110"
+                 ~related:
+                   [ Format.asprintf "conflicts with the statement at %a" Loc.pp l1.Ast.sloc ]
+                 l2.Ast.sloc
+                 "statement writes a cone of %s that overlaps an earlier statement's write \
+                  but subsumes neither way: the outcome depends on statement order"
+                 a.r_rel))
       rest
     @ conflict_pairs rest
 
@@ -269,31 +287,22 @@ let analyze_script ?catalog input =
   | stmts ->
     let cat = match catalog with Some c -> Catalog.fork c | None -> Catalog.create () in
     let p = { stmt = 0; writes = Hashtbl.create 8; reads = Hashtbl.create 8 } in
-    let stmts_fps, diags =
+    let written, diags =
       List.fold_left
-        (fun (fps, diags) lstmt ->
-          (* footprint first: the statement itself then advances the fork *)
-          let fp =
-            try Effect.footprint ~find:(Catalog.find_relation cat) lstmt.Ast.stmt
-            with _ -> Footprint.Opaque "footprint analysis failed"
+        (fun (written, diags) lstmt ->
+          (* rows first: the statement itself then advances the fork *)
+          let rows = try resolve_rows cat lstmt.Ast.stmt with _ -> [] in
+          let ds = check_statement p cat lstmt in
+          (* a statement with an error never pairs for W110, accepted by
+             the engine or not *)
+          let written =
+            if rows = [] || Diagnostic.has_errors ds then written
+            else (lstmt, rows) :: written
           in
-          let ds = check_statement p cat ~fp lstmt in
-          (* a statement the analyzer already rejects never executes, so
-             it never pairs for W110 — an opaque footprint instead of
-             reasoning about what it would have written *)
-          let fp =
-            if Diagnostic.has_errors ds then Footprint.Opaque "statement has error diagnostics"
-            else fp
-          in
-          ((lstmt, fp) :: fps, ds :: diags))
+          (written, ds :: diags))
         ([], []) stmts
     in
-    let stmts_fps = List.rev stmts_fps in
     let diags = List.concat (List.rev diags) in
-    let effect_diags =
-      (* the whole-script effect pass is advisory; never let it break a
-         lint run *)
-      try conflict_pairs (List.filter (fun (l, _) -> Ast.mutating l.Ast.stmt) stmts_fps)
-      with _ -> []
-    in
-    Diagnostic.sort (diags @ effect_diags)
+    (* the whole-script pass is advisory; never let it break a lint run *)
+    let pair_diags = try conflict_pairs (List.rev written) with _ -> [] in
+    Diagnostic.sort (diags @ pair_diags)

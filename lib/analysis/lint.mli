@@ -34,9 +34,12 @@
     erasing its generalization — a negation covering the {e entire}
     extension of a stored positive class tuple; H203 replica replay
     advisory — [CONSOLIDATE]/[EXPLICATE] are logged as source text and
-    re-derived on replicas (verify with [hrdb fsck --against]). W106
-    and W108 only ever fire on rows the analyzed script itself asserted,
-    never on pre-existing catalog data. *)
+    re-derived on replicas (verify with [hrdb fsck --against]); W110
+    order-sensitive row pair — two statements write rows of one
+    relation whose items overlap with neither subsuming the other, with
+    opposite signs or a [DELETE] on either side. W106, W108 and W110
+    only ever fire on rows the analyzed script itself wrote, never on
+    pre-existing catalog data. *)
 
 val analyze_script : ?catalog:Hierel.Catalog.t -> string -> Diagnostic.t list
 (** Lex, parse and check a whole script. A lex/parse failure yields a

@@ -60,9 +60,6 @@ type statement =
   | Explain_estimate of query_expr
       (** price the optimized plan statically — per-node estimated rows
           and cost, no evaluation *)
-  | Explain_effects of statement
-      (** print the statement's abstract footprint (hierarchy-cone
-          read/write atoms) without executing it — docs/EFFECTS.md *)
   | Count of { expr : query_expr; by : string option }
   | Diff of { prev : query_expr; next : query_expr }
   | Stats of { json : bool }  (** snapshot of the metrics registry *)
@@ -72,10 +69,8 @@ type located_statement = { stmt : statement; sloc : Loc.t }
 
 let value_name = function All s | Atom s -> s
 
-(* Whether executing the statement can change durable catalog state —
-   the WAL-logging predicate (storage) and the effect analysis agree on
-   this single definition. EXPLAIN EFFECTS only inspects its nested
-   statement, so it is a read whatever the statement is. *)
+(* Whether executing the statement can change durable catalog state:
+   the WAL-logging predicate, shared by storage, the server and lint. *)
 let mutating = function
   | Create_domain _ | Create_class _ | Create_instance _ | Create_isa _
   | Create_preference _ | Create_relation _ | Drop_relation _ | Insert _
@@ -83,9 +78,36 @@ let mutating = function
     true
   | Select_query _ | Ask _ | Check _ | Show_hierarchy _ | Show_relations
   | Show_hierarchies | Explain _ | Explain_plan _ | Explain_analyze _
-  | Explain_estimate _ | Explain_effects _ | Count _ | Diff _ | Stats _
-  | Stats_reset ->
+  | Explain_estimate _ | Count _ | Diff _ | Stats _ | Stats_reset ->
     false
+
+(* The relations a statement reads, each once, in order of first
+   mention: every relation its expressions scan, and the relation an
+   ASK, EXPLAIN, CHECK, CONSOLIDATE or EXPLICATE reads whole. The target
+   of an INSERT or DELETE is written, not read. *)
+let relations_read stmt =
+  let rec scan acc e =
+    match e.expr with
+    | Rel name -> if List.mem name acc then acc else name :: acc
+    | Select (e, _, _)
+    | Project (e, _)
+    | Rename (e, _, _)
+    | Consolidated e
+    | Explicated (e, _) ->
+      scan acc e
+    | Join (a, b) | Union (a, b) | Intersect (a, b) | Except (a, b) -> scan (scan acc a) b
+  in
+  match stmt with
+  | Select_query { expr; _ } | Let_binding { expr; _ } | Count { expr; _ }
+  | Explain_plan expr | Explain_analyze expr | Explain_estimate expr ->
+    List.rev (scan [] expr)
+  | Diff { prev; next } -> List.rev (scan (scan [] prev) next)
+  | Ask { rel; _ } | Explain { rel; _ } | Check rel | Consolidate rel | Explicate { rel; _ } ->
+    [ rel ]
+  | Create_domain _ | Create_class _ | Create_instance _ | Create_isa _
+  | Create_preference _ | Create_relation _ | Drop_relation _ | Insert _ | Delete _
+  | Show_hierarchy _ | Show_relations | Show_hierarchies | Stats _ | Stats_reset ->
+    []
 
 let at ?(loc = Loc.dummy) expr = { expr; eloc = loc }
 (** Wrap an expression node, defaulting to an unknown span — the

@@ -284,15 +284,6 @@ let estimator :
 
 let set_estimator f = estimator := f
 
-(* Same late-binding trick for EXPLAIN EFFECTS: the footprint analysis
-   (Hr_analysis.Effect) registers its renderer here at link time. *)
-let effects_renderer :
-    (Catalog.t -> Ast.statement -> (string, string) result) ref =
-  ref (fun _ _ ->
-      Error "EXPLAIN EFFECTS: no effect analysis registered (link hr_analysis)")
-
-let set_effects_renderer f = effects_renderer := f
-
 let render_relation rel =
   buf_fmt (fun ppf ->
       Format.fprintf ppf "%s (%d tuple%s)@.%a" (Relation.name rel)
@@ -533,10 +524,6 @@ let exec_statement ?on_held ?on_refused cat stmt =
   | Ast.Explain_analyze expr -> explain_analyze cat expr
   | Ast.Explain_estimate expr -> (
     match !estimator cat expr with Ok out -> out | Error msg -> failwith msg)
-  | Ast.Explain_effects stmt -> (
-    match !effects_renderer cat stmt with
-    | Ok out -> out
-    | Error msg -> failwith msg)
   | Ast.Stats { json } ->
     let snap = Hr_obs.Metrics.snapshot () in
     if json then Hr_obs.Metrics.render_json snap

@@ -25,7 +25,7 @@ let keywords =
     "CONSOLIDATE"; "EXPLICATE"; "CHECK"; "SHOW"; "HIERARCHY"; "HIERARCHIES";
     "RELATIONS"; "EXPLAIN"; "DROP"; "OFF-PATH"; "ON-PATH"; "NO-PREEMPTION";
     "CONSOLIDATED"; "EXPLICATED"; "COUNT"; "PLAN"; "BY"; "AND"; "DIFF";
-    "ANALYZE"; "ESTIMATE"; "EFFECTS"; "STATS"; "JSON"; "RESET";
+    "ANALYZE"; "ESTIMATE"; "STATS"; "JSON"; "RESET";
   ]
 
 let is_ident_char c =
@@ -101,6 +101,22 @@ let tokenize_spans input =
   loop []
 
 let tokenize input = List.map fst (tokenize_spans input)
+
+(* A comment starts at [--] wherever a token could start, that is not
+   after an identifier character ([-] is one: [a--b] is a name), and
+   runs to the end of its line; every other ';' is a Semicolon. *)
+let split_statements input =
+  let n = String.length input in
+  let rec scan acc start i =
+    if i >= n then List.rev ((start, String.sub input start (n - start)) :: acc)
+    else
+      match input.[i] with
+      | ';' -> scan ((start, String.sub input start (i - start)) :: acc) (i + 1) (i + 1)
+      | '-' when i + 1 < n && input.[i + 1] = '-' && not (i > 0 && is_ident_char input.[i - 1]) ->
+        scan acc start (Option.value ~default:n (String.index_from_opt input i '\n'))
+      | _ -> scan acc start (i + 1)
+  in
+  scan [] 0 0
 
 let pp_token ppf = function
   | Ident s -> Format.fprintf ppf "identifier %S" s

@@ -48,4 +48,9 @@ val tokenize_spans : string -> (token * Loc.t) list
 val tokenize : string -> token list
 (** {!tokenize_spans} without the spans. *)
 
+val split_statements : string -> (int * string) list
+(** The input cut at every ';' that {!tokenize} reads as a [Semicolon]
+    (not one inside a [--] comment), the ';' dropped: each piece with its
+    byte offset, in order, empty pieces included. *)
+
 val pp_token : Format.formatter -> token -> unit

@@ -217,7 +217,7 @@ let create_stmt c =
     Ast.Create_relation { name; attrs }
   | got -> fail c "CREATE: unexpected %a" pp_token got
 
-let rec statement c =
+let statement c =
   match advance c with
   | Kw "CREATE" -> create_stmt c
   | Kw "DROP" ->
@@ -319,9 +319,6 @@ let rec statement c =
     | Some (Kw "ESTIMATE") ->
       ignore (advance c);
       Ast.Explain_estimate (expr c)
-    | Some (Kw "EFFECTS") ->
-      ignore (advance c);
-      Ast.Explain_effects (statement c)
     | _ ->
       let rel = ident c in
       let values = paren_values c in

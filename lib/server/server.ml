@@ -160,33 +160,17 @@ let head_lsn t =
   | Memory _ -> 0
   | Durable db -> Hr_storage.Db.lsn db
 
-let lint_catalog cat script = Hr_analysis.Lint.analyze_script ~catalog:cat script
-let lint t script = lint_catalog (catalog t) script
-
 (* An ESTIMATE frame carries a bare query expression; it is priced
    against a catalog without evaluating anything. The payload is
    parsed by wrapping it in the statement form, so the expression
    grammar is exactly the REPL's. *)
-let explain_estimate_catalog cat payload =
+let explain_estimate cat payload =
   match Hr_query.Parser.parse_statement ("EXPLAIN ESTIMATE " ^ payload) with
   | exception Hr_query.Parser.Parse_error { msg; _ } -> Error ("parse error: " ^ msg)
   | exception Hr_query.Lexer.Lex_error { msg; _ } -> Error ("lex error: " ^ msg)
   | { Hr_query.Ast.stmt = Hr_query.Ast.Explain_estimate expr; _ } ->
     Hr_analysis.Estimate.explain cat expr
   | _ -> Error "ESTIMATE expects a single query expression"
-
-let explain_estimate t payload = explain_estimate_catalog (catalog t) payload
-
-(* An EFFECTS frame carries one whole statement (mutations included —
-   nothing is executed, only footprinted, so a read-only replica serves
-   it too). *)
-let explain_effects_catalog cat payload =
-  match Hr_query.Parser.parse_statement payload with
-  | exception Hr_query.Parser.Parse_error { msg; _ } -> Error ("parse error: " ^ msg)
-  | exception Hr_query.Lexer.Lex_error { msg; _ } -> Error ("lex error: " ^ msg)
-  | located -> Ok (Hr_analysis.Effect.explain cat located.Hr_query.Ast.stmt)
-
-let explain_effects t payload = explain_effects_catalog (catalog t) payload
 
 let stats_body payload =
   let snap = Hr_obs.Metrics.snapshot () in
@@ -267,37 +251,48 @@ let versioned_reply v ok body =
       (if ok then "OK" else "ERR")
       body )
 
+(* The answer to a read-only frame against [cat]: whether it is [OK],
+   and the body. The event loop asks it of the live catalog, a reader
+   domain of the version it pinned. An EXEC script holds no mutating
+   statement: {!Hr_storage.Db.script_mutation} cuts it where the parser
+   does. *)
+let read_answer cat kind payload =
+  match kind with
+  | `Exec -> (
+    match Hr_query.Eval.run_script cat payload with
+    | Ok outputs -> (true, String.concat "\n" outputs)
+    | Error msg -> (false, msg))
+  | `Lint ->
+    let diagnostics = Hr_analysis.Lint.analyze_script ~catalog:cat payload in
+    (true, Hr_analysis.Diagnostic.render_json diagnostics)
+  | `Estimate -> (
+    match explain_estimate cat payload with
+    | Ok out -> (true, out)
+    | Error msg ->
+      Hr_obs.Metrics.incr m_errors;
+      (false, msg))
+  | `Stats -> (true, stats_body payload)
+
 (* Build the thunk a reader domain runs: pin the current version, judge
    the frame against its frozen catalog, tag the reply. Everything it
    touches is immutable, domain-local, or internally synchronized
    (metrics, observed-stats store). *)
 let read_job t kind payload () =
   let v = Hr_exec.Publisher.current t.publisher in
-  let ok, body =
-    match kind with
-    | `Exec -> (
-      match Hr_query.Eval.run_script v.Hr_exec.Version.catalog payload with
-      | Ok outputs -> (true, String.concat "\n" outputs)
-      | Error msg -> (false, msg))
-    | `Lint ->
-      (true, Hr_analysis.Diagnostic.render_json (lint_catalog v.Hr_exec.Version.catalog payload))
-    | `Estimate -> (
-      match explain_estimate_catalog v.Hr_exec.Version.catalog payload with
-      | Ok out -> (true, out)
-      | Error msg ->
-        Hr_obs.Metrics.incr m_errors;
-        (false, msg))
-    | `Effects -> (
-      match explain_effects_catalog v.Hr_exec.Version.catalog payload with
-      | Ok out -> (true, out)
-      | Error msg ->
-        Hr_obs.Metrics.incr m_errors;
-        (false, msg))
-    | `Stats -> (true, stats_body payload)
-  in
+  let ok, body = read_answer v.Hr_exec.Version.catalog kind payload in
   Hr_obs.Metrics.set g_pinned_lag
     ((Hr_exec.Publisher.current t.publisher).Hr_exec.Version.id - v.Hr_exec.Version.id);
   versioned_reply v ok body
+
+(* A read-only frame goes to a reader domain when it may, and is
+   otherwise answered inline from the live catalog. *)
+let read t conn kind payload =
+  if can_offload t conn then offload t conn (read_job t kind payload)
+  else begin
+    if kind = `Exec then Hr_obs.Metrics.incr m_inline_reads;
+    let ok, body = read_answer (catalog t) kind payload in
+    send_conn t conn (if ok then "OK" else "ERR") body
+  end
 
 (* Ship every {e durable} logged record past the subscriber's offset, as
    one coalesced group. Records above [synced_lsn] stay unshipped until
@@ -341,47 +336,23 @@ let ship_all t =
 let handle t conn tag payload =
   match tag with
   | "EXEC" -> (
-    match (if t.read_only then Hr_storage.Db.script_mutation payload else None) with
-    | Some src ->
+    match Hr_storage.Db.script_mutation payload with
+    | None -> read t conn `Exec payload
+    | Some src when t.read_only ->
       send_conn t conn "ERR"
         (Printf.sprintf "read-only replica: refusing mutating statement %S (execute it on the primary)" src)
-    | None ->
-      if can_offload t conn && Hr_storage.Db.script_mutation payload = None then
-        offload t conn (read_job t `Exec payload)
-      else begin
-        if Hr_storage.Db.script_mutation payload = None then
-          Hr_obs.Metrics.incr m_inline_reads;
-        match run_script t payload with
-        | Ok outputs ->
-          (* the ack buffers; shipping to subscribers happens at the
-             commit point, after the batch's shared sync *)
-          send_conn t conn "OK" (String.concat "\n" outputs)
-        | Error msg -> send_conn t conn "ERR" msg
-      end)
-  | "LINT" ->
-    if can_offload t conn then offload t conn (read_job t `Lint payload)
-    else send_conn t conn "OK" (Hr_analysis.Diagnostic.render_json (lint t payload))
-  | "ESTIMATE" ->
-    if can_offload t conn then offload t conn (read_job t `Estimate payload)
-    else (
-      match explain_estimate t payload with
-      | Ok body -> send_conn t conn "OK" body
-      | Error msg ->
-        Hr_obs.Metrics.incr m_errors;
-        send_conn t conn "ERR" msg)
-  | "EFFECTS" ->
-    if can_offload t conn then offload t conn (read_job t `Effects payload)
-    else (
-      match explain_effects t payload with
-      | Ok body -> send_conn t conn "OK" body
-      | Error msg ->
-        Hr_obs.Metrics.incr m_errors;
-        send_conn t conn "ERR" msg)
+    | Some _ -> (
+      match run_script t payload with
+      | Ok outputs ->
+        (* the ack buffers; shipping to subscribers happens at the
+           commit point, after the batch's shared sync *)
+        send_conn t conn "OK" (String.concat "\n" outputs)
+      | Error msg -> send_conn t conn "ERR" msg))
+  | "LINT" -> read t conn `Lint payload
+  | "ESTIMATE" -> read t conn `Estimate payload
   | "STATS" ->
-    if can_offload t conn then offload t conn (read_job t `Stats payload)
-    else
-      (* payload selects the rendering: "json" or "" for text *)
-      send_conn t conn "OK" (stats_body payload)
+    (* payload selects the rendering: "json" or "" for text *)
+    read t conn `Stats payload
   | "FSCK" -> (
     (* offline-style verification of the durable directory, served from
        the running primary: read-only, never takes the lock, and runs
@@ -791,7 +762,6 @@ module Client = struct
   let exec conn script = request conn "EXEC" script
   let lint conn script = request conn "LINT" script
   let explain_estimate conn expr = request conn "ESTIMATE" expr
-  let explain_effects conn stmt = request conn "EFFECTS" stmt
   let stats ?(json = false) conn = request conn "STATS" (if json then "json" else "")
   let fsck ?(json = false) conn = request conn "FSCK" (if json then "json" else "")
 

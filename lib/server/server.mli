@@ -22,12 +22,6 @@
     the frame is classified as non-mutating, so it is never WAL-logged
     and leaves every statement counter untouched.
 
-    An [EFFECTS] request carries one whole statement (mutations
-    included) and returns its rendered read/write cone footprint
-    ({!Hr_analysis.Effect}) as the [OK] payload. Only the footprint is
-    computed — the statement never executes — so the frame is
-    non-mutating and read-only replicas serve it too.
-
     A [STATS] request returns a snapshot of the process-wide metrics
     registry ({!Hr_obs.Metrics}); a payload of ["json"] selects the JSON
     rendering, anything else the human-readable text table. The server
@@ -69,7 +63,7 @@
     [reader_domains = 0] (the default) it also runs every read, the
     historical single-threaded behavior. With [reader_domains = K > 0],
     read-only frames ([EXEC] with no mutating statement, [LINT],
-    [ESTIMATE], [EFFECTS], [STATS]) are dispatched to a pool of K OCaml 5 reader
+    [ESTIMATE], [STATS]) are dispatched to a pool of K OCaml 5 reader
     domains. Each offloaded read pins the {e published version} current
     when it starts — an immutable, frozen snapshot of the catalog the
     commit point republishes after each group commit, tagged with the
@@ -166,11 +160,6 @@ val create_for_db :
 
 val port : t -> int
 
-val lint : t -> string -> Hr_analysis.Diagnostic.t list
-(** Statically analyze a script against a snapshot of the server's live
-    catalog — schemas and hierarchies are visible to the checks, but
-    nothing is executed or mutated. *)
-
 val poll : ?extra:Unix.file_descr list -> t -> float -> Unix.file_descr list
 (** One event-loop iteration: waits up to the given number of seconds
     for traffic (less if an open group-commit window's deadline is
@@ -212,12 +201,6 @@ module Client : sig
   (** Sends one query expression to be priced statically against the
       live catalog; returns the annotated plan (estimated rows and work
       units per node). Nothing is executed. *)
-
-  val explain_effects : conn -> string -> (string, string) result
-  (** Sends one whole statement (mutations included) to be footprinted
-      against the live catalog ({!Hr_analysis.Effect}); returns the
-      rendered read/write cone footprint. Nothing is executed, so a
-      read-only replica serves it too. *)
 
   val stats : ?json:bool -> conn -> (string, string) result
   (** Fetches the server's metrics snapshot, as text or (with

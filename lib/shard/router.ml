@@ -204,41 +204,13 @@ let cover_of_row t ~rel schema i values =
    the catalog knows — unknown names are left for the local evaluator,
    whose error text then matches a single node's byte for byte. *)
 let mentioned_relations t stmt =
-  let names = ref [] in
-  let add n = if not (List.mem n !names) then names := n :: !names in
-  let rec expr e =
-    match e.Ast.expr with
-    | Ast.Rel n -> add n
-    | Ast.Select (e, _, _)
-    | Ast.Project (e, _)
-    | Ast.Rename (e, _, _)
-    | Ast.Consolidated e
-    | Ast.Explicated (e, _) -> expr e
-    | Ast.Join (a, b) | Ast.Union (a, b) | Ast.Intersect (a, b) | Ast.Except (a, b)
-      ->
-      expr a;
-      expr b
+  let names =
+    match stmt with
+    | Ast.Insert { rel; _ } | Ast.Delete { rel; _ } -> [ rel ]
+    | Ast.Show_relations -> List.map Relation.name (Catalog.relations t.cat)
+    | stmt -> Ast.relations_read stmt
   in
-  (match stmt with
-  | Ast.Select_query { expr = e; _ }
-  | Ast.Let_binding { expr = e; _ }
-  | Ast.Count { expr = e; _ }
-  | Ast.Explain_plan e | Ast.Explain_analyze e | Ast.Explain_estimate e ->
-    expr e
-  | Ast.Diff { prev; next } ->
-    expr prev;
-    expr next
-  | Ast.Ask { rel; _ }
-  | Ast.Insert { rel; _ }
-  | Ast.Delete { rel; _ }
-  | Ast.Check rel
-  | Ast.Explain { rel; _ }
-  | Ast.Consolidate rel
-  | Ast.Explicate { rel; _ } -> add rel
-  | Ast.Show_relations ->
-    List.iter (fun r -> add (Relation.name r)) (Catalog.relations t.cat)
-  | _ -> ());
-  List.filter (fun n -> Catalog.find_relation t.cat n <> None) (List.rev !names)
+  List.filter (fun n -> Catalog.find_relation t.cat n <> None) names
 
 (* Which shards a relation must be pulled from for this statement.
    Default: all of them. Two provably sufficient restrictions: a
@@ -580,11 +552,9 @@ let exec_stmt t stmt =
         | Ast.Explain_analyze _, Ok out when infos <> [] ->
           Ok (out ^ "\n" ^ per_shard_section infos)
         | _, r -> r)
-  (* SHOW HIERARCHY/HIERARCHIES, STATS and EXPLAIN EFFECTS read only
-     the router's own catalog. EXPLAIN EFFECTS resolves cones against it
-     — the router owns the DAG and every relation schema (DDL is
-     broadcast), which is all a footprint needs. The DDL constructors
-     never get here: the first arm takes them. *)
+  (* SHOW HIERARCHY/HIERARCHIES and STATS read only the router's own
+     catalog. The DDL constructors never get here: the first arm takes
+     them. *)
   | _ -> Eval.exec t.cat stmt
 
 let located sloc f =
@@ -740,11 +710,9 @@ let serve_forever t =
 
 let create ?(host = "127.0.0.1") ?(timeout = 5.0)
     ?(max_backlog = Conn.default_max_backlog) ~port ~map () =
-  (* EXPLAIN ESTIMATE / EXPLAIN EFFECTS statements evaluate through the
-     local Eval path; force both registrations the same way the CLI
-     does. *)
+  (* EXPLAIN ESTIMATE statements evaluate through the local Eval path;
+     force the registration the same way the CLI does. *)
   Hr_analysis.Estimate.ensure_registered ();
-  Hr_analysis.Effect.ensure_registered ();
   let socket, bound_port = Conn.listen ~host ~port in
   let shards =
     List.map

@@ -175,33 +175,40 @@ let open_dir ?(auto_checkpoint_every = 10_000) ?(fsync = true) dir =
 let catalog t = t.catalog
 let dir t = t.dir
 
-(* The single definition lives in the AST (the effect analysis shares
-   it); kept under its historical name here for the storage callers. *)
-let mutating = Ast.mutating
-
-(* The WAL stores each mutating statement's source text, so the script is
-   split into statements here (HRQL has no string literals, making ';' an
-   unambiguous separator) and each piece parsed and executed separately. *)
-let split_statements script =
-  String.split_on_char ';' script
-  |> List.map String.trim
-  |> List.filter (fun s -> s <> "" && not (String.for_all (fun c -> c = '\n' || c = ' ') s))
-
+(* The WAL stores each mutating statement's source text, so a script is
+   cut into statements where the lexer reads a separator
+   ({!Hr_query.Lexer.split_statements}), and each piece is parsed and
+   executed separately; a piece holds at most one statement. *)
 let script_mutation script =
   (* Every lexer/parser exception is caught here: this runs on the
      server's pre-flight path, where an attacker-controlled payload that
      raised would escape the event loop and kill the process. *)
-  let is_mutating source =
-    match Hr_query.Lexer.tokenize source with
-    | [] -> false (* comment-only segment *)
-    | _ :: _ -> (
-      match Parser.parse_statement source with
-      | { Ast.stmt; _ } -> mutating stmt
-      | exception Parser.Parse_error _ -> false
-      | exception Hr_query.Lexer.Lex_error _ -> false)
-    | exception Hr_query.Lexer.Lex_error _ -> false
+  let is_mutating (_, piece) =
+    match Parser.parse piece with
+    | [ { Ast.stmt; _ } ] -> Ast.mutating stmt
+    | _ -> false (* a blank or comment-only piece *)
+    | exception (Parser.Parse_error _ | Hr_query.Lexer.Lex_error _) -> false
   in
-  List.find_opt is_mutating (split_statements script)
+  Option.map
+    (fun (_, piece) -> String.trim piece)
+    (List.find_opt is_mutating (Hr_query.Lexer.split_statements script))
+
+(* An evaluation error of the statement at [sloc] in the piece at byte
+   [off] of [script], located in the whole script as {!Eval.run_script}
+   locates it. Only the error path pays for the scan. *)
+let located script off (sloc : Hr_query.Loc.t) msg =
+  let line = ref 1 and bol = ref 0 in
+  for i = 0 to off - 1 do
+    if script.[i] = '\n' then begin
+      incr line;
+      bol := i + 1
+    end
+  done;
+  let lo =
+    if sloc.lo.line = 1 then { Hr_query.Loc.line = !line; col = off - !bol + sloc.lo.col }
+    else { sloc.lo with line = !line + sloc.lo.line - 1 }
+  in
+  Format.asprintf "at %a: %s" Hr_query.Loc.pp_prose (Hr_query.Loc.make ~lo ~hi:lo) msg
 
 let tail_push t record =
   t.tail <- record :: t.tail;
@@ -307,28 +314,22 @@ let eval_fitting ?on_held ?on_refused t stmt =
 let exec_buffered ?on_held ?on_refused t script =
   let rec run acc = function
     | [] -> Ok (List.rev acc)
-    | source :: rest -> (
-      (* tokenize inside the match, not in a [when] guard: a guard that
-         raises [Lex_error] would escape [exec] entirely instead of
-         becoming an [Error] reply *)
-      match Hr_query.Lexer.tokenize source with
-      | [] -> run acc rest (* comment-only segment *)
-      | exception Hr_query.Lexer.Lex_error { msg; _ } -> Error ("lex error: " ^ msg)
-      | _ :: _ -> (
-      match Parser.parse_statement source with
+    | (off, piece) :: rest -> (
+      match Parser.parse piece with
       | exception Parser.Parse_error { msg; _ } -> Error ("parse error: " ^ msg)
       | exception Hr_query.Lexer.Lex_error { msg; _ } -> Error ("lex error: " ^ msg)
-      | { Ast.stmt; _ } -> (
+      | [] -> run acc rest (* a blank or comment-only piece *)
+      | { Ast.stmt; sloc } :: _ -> (
         Hr_obs.Metrics.incr m_statements;
         match eval_fitting ?on_held ?on_refused t stmt with
         | Ok out ->
           (* log only acknowledged statements: a rejected update (e.g. an
              integrity violation) must not poison replay *)
-          if mutating stmt then log_statement t source;
+          if Ast.mutating stmt then log_statement t (String.trim piece);
           run (out :: acc) rest
-        | Error msg -> Error msg)))
+        | Error msg -> Error (located script off sloc msg)))
   in
-  let result = run [] (split_statements script) in
+  let result = run [] (Hr_query.Lexer.split_statements script) in
   maybe_auto_checkpoint t;
   result
 

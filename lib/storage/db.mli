@@ -111,7 +111,9 @@ val exec_buffered :
     {!sync} returns. [on_held] is called with the number (from 1) of
     each [INSERT] row whose signed item was stored before the
     statement; [on_refused] with the number of the [INSERT] row refused
-    as a direct contradiction. *)
+    as a direct contradiction. An evaluation error names the failing
+    statement's line and column in [script], as
+    {!Hr_query.Eval.run_script} does. *)
 
 val sync : t -> unit
 (** Makes every buffered WAL append durable (one flush + fsync, unless
@@ -187,12 +189,10 @@ val apply_replicated : t -> lsn:int -> string -> (unit, string) result
     failed here) and the caller should treat it as fatal. Statements at
     or below the current {!lsn} are rejected as duplicates. *)
 
-val mutating : Hr_query.Ast.statement -> bool
-(** Whether a statement changes durable state (and hence is logged and
-    replicated). An alias of {!Hr_query.Ast.mutating}, exposed for
-    read-only front ends. *)
-
 val script_mutation : string -> string option
-(** The source text of the first mutating statement in a script, if any
-    — the read-only replica's pre-flight guard. Scripts that fail to
-    parse return [None] (the evaluator will report the error). *)
+(** The source text of the first mutating statement in a script, if any:
+    how the server tells a script of reads from a write, and the
+    read-only replica's pre-flight guard. The script is cut at the ';'
+    the parser reads as separators, so [None] means no statement the
+    parser accepts is mutating. A statement that fails to parse is not
+    mutating (the evaluator will report the error). *)

@@ -42,9 +42,8 @@ let () =
       ("server", Test_server.suite);
       ("repl", Test_repl.suite);
       ("shard", Test_shard.suite);
-      ("effect", Test_effect.suite);
       (* mc spawns OCaml 5 domains, and Unix.fork — which the
-         server/repl/shard/effect suites use — is forbidden for the rest
+         server/repl/shard suites use — is forbidden for the rest
          of the process once any domain has ever been created *)
       ("mc", Test_mc.suite);
     ]

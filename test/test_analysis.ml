@@ -158,6 +158,54 @@ let test_w104 () =
       INSERT INTO flies VALUES (- ALL penguin);\n\
       INSERT INTO flies VALUES (+ opus);")
 
+
+(* W110 pairs the rows of two statements. The world here gives penguin
+   two parents, so [ALL bird] and [ALL swimmer] overlap on penguin and
+   neither covers the other; flipper swims but does not fly. *)
+let swimmers =
+  world
+  ^ "CREATE CLASS swimmer UNDER animal; CREATE ISA penguin UNDER swimmer; \
+     CREATE INSTANCE flipper OF swimmer;\n"
+
+let test_w110 () =
+  (* lines 11-14: the DELETE (14) races the incomparable INSERT (12)
+     only; the SELECT keeps the deleted row from being a dead write *)
+  (match
+     Lint.analyze_script
+       (swimmers
+      ^ "INSERT INTO flies VALUES (+ ALL swimmer);\n\
+         INSERT INTO flies VALUES (+ ALL bird);\n\
+         SELECT * FROM flies;\n\
+         DELETE FROM flies VALUES (ALL swimmer);")
+   with
+  | [ d ] ->
+    Alcotest.(check string) "code" "W110" d.Diagnostic.code;
+    Alcotest.(check int) "at the later statement" 14 d.Diagnostic.loc.Loc.lo.line;
+    Alcotest.(check (list string)) "related to the earlier one"
+      [ "conflicts with the statement at 12:1-38" ] d.Diagnostic.related
+  | ds -> Alcotest.failf "expected one W110, got %d diagnostics" (List.length ds));
+  check_codes "same-sign incomparable inserts are silent" []
+    (swimmers
+   ^ "INSERT INTO flies VALUES (+ ALL bird);\n\
+      INSERT INTO flies VALUES (+ ALL swimmer);");
+  check_codes "a row naming no node never pairs" [ "E008" ]
+    (swimmers
+   ^ "INSERT INTO flies VALUES (+ ALL bird);\n\
+      INSERT INTO flies VALUES (- ALL swimmer), (- nosuch);");
+  (* linting against a catalog, the fork's first edit of [animal] runs
+     on a copy: rows resolved on either side of it are never compared *)
+  let catalog = Catalog.create () in
+  (match Eval.run_script catalog swimmers with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "world: %s" e);
+  let pair between =
+    "INSERT INTO flies VALUES (+ ALL bird);\n" ^ between
+    ^ "INSERT INTO flies VALUES (- ALL swimmer);"
+  in
+  Alcotest.(check (list string)) "the pair without DDL" [ "W104"; "W110" ]
+    (codes ~catalog (pair ""));
+  Alcotest.(check (list string)) "the pair across a DDL that copies the domain" [ "W104" ]
+    (codes ~catalog (pair "CREATE CLASS fish UNDER animal;\n"))
 let test_w105 () =
   check_codes "contradictory ANDed selections" [ "W105" ]
     (world ^ "SELECT * FROM flies WHERE who = rex AND who = tweety;");
@@ -519,6 +567,7 @@ let suite =
     Alcotest.test_case "W108 cross-statement contradiction" `Quick test_w108;
     Alcotest.test_case "W108 needs script provenance" `Quick test_w108_no_provenance;
     Alcotest.test_case "W109 exception erases generalization" `Quick test_w109;
+    Alcotest.test_case "W110 order-sensitive row pairs" `Quick test_w110;
     Alcotest.test_case "H201 bare class value" `Quick test_h201;
     Alcotest.test_case "H202 projection drops exceptions" `Quick test_h202;
     Alcotest.test_case "H203 replica replay advisory" `Quick test_h203;

@@ -1,7 +1,8 @@
 (* Logical replication tests: LSN-addressed WAL, replication hooks in
    Db, the client timeout option, and the full primary/replica loop —
    snapshot bootstrap mid-workload, byte-identical flattened relations,
-   and backoff-reconnect across a primary kill. *)
+   backoff-reconnect across a primary kill, and the replica's serial
+   batch apply. *)
 
 module Wal = Hr_storage.Wal
 module Db = Hr_storage.Db
@@ -10,6 +11,9 @@ module Replica = Hr_repl.Replica
 module Metrics = Hr_obs.Metrics
 module Fsck = Hr_check.Fsck
 module Wire = Hr_frames.Wire
+module Apply = Hr_repl.Apply
+module Traditional = Hr_flat.Traditional
+module Flat_relation = Hr_flat.Flat_relation
 open Hierel
 
 let with_temp_dir f =
@@ -265,6 +269,26 @@ let test_lex_error_is_contained () =
         Alcotest.(check bool) "lex error is an Error reply" true
           (contains ~needle:"lex error" msg)
       | Ok _ -> Alcotest.fail "expected a lex error");
+      Db.close db)
+
+(* A ';' inside a comment separates nothing: the durable engine runs,
+   logs and replays what the parser reads, as the in-memory one does. *)
+let test_comment_semicolon () =
+  Alcotest.(check (option string)) "no mutation hides in a comment" None
+    (Db.script_mutation "SHOW HIERARCHIES; -- a; CREATE DOMAIN q");
+  let domains db =
+    List.map
+      (fun d -> Option.is_some (Catalog.find_hierarchy (Db.catalog db) d))
+      [ "d"; "q" ]
+  in
+  with_temp_dir (fun dir ->
+      let db = Db.open_dir dir in
+      exec_ok db "CREATE DOMAIN d; -- not a statement; CREATE DOMAIN q\nCREATE INSTANCE x OF d;";
+      Alcotest.(check (list bool)) "d defined, q not" [ true; false ] (domains db);
+      Alcotest.(check int) "two statements logged" 2 (Db.lsn db);
+      Db.close db;
+      let db = Db.open_dir dir in
+      Alcotest.(check (list bool)) "the log replays the same" [ true; false ] (domains db);
       Db.close db)
 
 let test_auto_checkpoint () =
@@ -628,6 +652,122 @@ let test_kill_during_pipelined_load () =
             (Db.lsn pdb >= base + !acked);
           Db.close pdb))
 
+(* ---- replica apply: one serial path ----------------------------------- *)
+
+let rcd lsn stmt = { Apply.lsn; stmt }
+
+let flatten cat =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (List.map
+       (fun r -> (Relation.name r, Traditional.extension_relation r))
+       (Catalog.relations cat))
+
+let replica_world =
+  "CREATE DOMAIN animal; CREATE CLASS bird UNDER animal;\n\
+   CREATE CLASS penguin UNDER bird; CREATE INSTANCE tweety OF bird;\n\
+   CREATE INSTANCE opus OF penguin; CREATE INSTANCE rex OF animal;\n\
+   CREATE RELATION a (who: animal); CREATE RELATION b (who: animal);\n\
+   CREATE RELATION c (who: animal);"
+
+(* A burst over all three relations, with a CONSOLIDATE and a DELETE
+   in the middle. *)
+let replica_stmts =
+  [
+    "INSERT INTO a VALUES (+ ALL bird);";
+    "INSERT INTO b VALUES (+ rex);";
+    "INSERT INTO c VALUES (+ ALL penguin);";
+    "INSERT INTO a VALUES (- opus);";
+    "CONSOLIDATE a;";
+    "INSERT INTO b VALUES (+ tweety), (+ opus);";
+    "INSERT INTO c VALUES (- opus);";
+    "DELETE FROM b VALUES (rex);";
+  ]
+
+(* Applies [replica_stmts] as one burst to a fresh durable database in
+   [dir] and returns its flattened relations. *)
+let apply_burst ~domains dir =
+  let db = Db.open_dir dir in
+  Fun.protect
+    ~finally:(fun () -> Db.close db)
+    (fun () ->
+      (match Db.exec db replica_world with
+      | Ok _ -> ()
+      | Error m -> failwith ("world setup failed: " ^ m));
+      let base = Db.lsn db in
+      let records =
+        List.mapi (fun i stmt -> rcd (base + i + 1) stmt) replica_stmts
+      in
+      (match Apply.apply_batch ~domains db records with
+      | Ok () -> ()
+      | Error m -> failwith ("apply failed: " ^ m));
+      Db.sync db;
+      flatten (Db.catalog db))
+
+(* OCaml 5 refuses [Unix.fork] once the process has created any domain,
+   even one already joined. A child that can still fork after applying a
+   burst with [~domains:4] therefore ran it on its own domain alone. The
+   probe runs in a forked child, so a domain it spawned could not stop
+   the test process from forking later. *)
+let test_apply_spawns_no_domain () =
+  let expected = with_temp_dir (apply_burst ~domains:1) in
+  let same got =
+    List.length got = List.length expected
+    && List.for_all2
+         (fun (n1, x1) (n2, x2) -> n1 = n2 && Flat_relation.equal x1 x2)
+         got expected
+  in
+  match Unix.fork () with
+  | 0 ->
+    let code =
+      match with_temp_dir (apply_burst ~domains:4) with
+      | exception _ -> 2
+      | got -> (
+        match Unix.fork () with
+        | exception Failure _ -> 3
+        | 0 -> Unix._exit 0
+        | pid -> (
+          match Unix.waitpid [] pid with
+          | _, Unix.WEXITED 0 -> if same got then 0 else 4
+          | _ -> 5))
+    in
+    Unix._exit code
+  | pid ->
+    let status =
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> "ok"
+      | _, Unix.WEXITED 2 -> "apply failed"
+      | _, Unix.WEXITED 3 -> "fork refused: apply spawned a domain"
+      | _, Unix.WEXITED 4 -> "flattened relations differ from ~domains:1"
+      | _ -> "child failed"
+    in
+    Alcotest.(check string) "child forks after ~domains:4 apply" "ok" status
+
+let test_apply_errors () =
+  with_temp_dir (fun dir ->
+      let db = Db.open_dir dir in
+      Fun.protect
+        ~finally:(fun () -> Db.close db)
+        (fun () ->
+          (match Db.exec db replica_world with
+          | Ok _ -> ()
+          | Error m -> Alcotest.failf "world setup failed: %s" m);
+          let base = Db.lsn db in
+          (* a record that cannot evaluate is divergence *)
+          (match
+             Apply.apply_batch ~domains:3 db
+               [
+                 rcd (base + 1) "INSERT INTO nosuch VALUES (+ rex);";
+                 rcd (base + 2) "INSERT INTO a VALUES (+ rex);";
+               ]
+           with
+          | Error _ -> ()
+          | Ok () -> Alcotest.fail "bad record must fail the batch");
+          (* a stale LSN is refused like the sequential path *)
+          match Apply.apply_batch ~domains:1 db [ rcd base "CONSOLIDATE a;" ] with
+          | Error _ -> ()
+          | Ok () -> Alcotest.fail "stale LSN must be refused"))
+
 let suite =
   [
     Alcotest.test_case "wire decoder across chunk boundaries" `Quick test_decoder_chunked;
@@ -639,6 +779,7 @@ let suite =
     Alcotest.test_case "reopen after interrupted checkpoint" `Quick
       test_reopen_after_interrupted_checkpoint;
     Alcotest.test_case "lex errors are contained" `Quick test_lex_error_is_contained;
+    Alcotest.test_case "a ';' in a comment splits nothing" `Quick test_comment_semicolon;
     Alcotest.test_case "auto checkpoint bounds the wal" `Quick test_auto_checkpoint;
     Alcotest.test_case "client timeout" `Quick test_client_timeout;
     Alcotest.test_case "stalled subscriber is dropped, loop stays live" `Quick
@@ -647,4 +788,6 @@ let suite =
       test_end_to_end;
     Alcotest.test_case "kill -9 under pipelined load: both nodes verify" `Quick
       test_kill_during_pipelined_load;
+    Alcotest.test_case "apply spawns no domain" `Quick test_apply_spawns_no_domain;
+    Alcotest.test_case "apply batch error paths" `Quick test_apply_errors;
   ]

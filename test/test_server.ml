@@ -22,6 +22,29 @@ let spawn_server ?dir () =
     | Some dir -> Server.create_durable ~port:0 ~dir ()
     | None -> Server.create_memory ~port:0 ())
 
+(* Like [fork_server], but the server is made in the child: one with
+   reader domains must not be made here, since OCaml refuses
+   [Unix.fork] once the process has ever made a domain. The child
+   reports its port through a pipe. *)
+let spawn_in_child make =
+  let r, w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close r;
+    (match make () with
+    | exception _ -> Unix._exit 2
+    | server ->
+      let line = Printf.sprintf "%d\n" (Server.port server) in
+      ignore (Unix.write_substring w line 0 (String.length line));
+      Unix.close w;
+      (try Server.serve_forever server with _ -> ());
+      Unix._exit 0)
+  | pid ->
+    Unix.close w;
+    let ic = Unix.in_channel_of_descr r in
+    let port = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> input_line ic) in
+    (int_of_string port, pid)
+
 let with_temp_dir f =
   let dir = Filename.temp_file "hrsrv" "" in
   Sys.remove dir;
@@ -59,6 +82,10 @@ let test_errors_propagate () =
   (match Server.Client.exec conn "SELECT * FROM nope;" with
   | Ok _ -> Alcotest.fail "expected error"
   | Error msg -> Alcotest.(check bool) "message" true (String.length msg > 0));
+  Server.Client.send conn "EFFECTS" "SELECT * FROM nope;";
+  (match Server.Client.recv conn with
+  | Ok _ -> Alcotest.fail "EFFECTS is not a request"
+  | Error msg -> Alcotest.(check string) "unknown frame" "unknown request \"EFFECTS\"" msg);
   (* the connection survives an error *)
   (match Server.Client.exec conn "CREATE DOMAIN d;" with
   | Ok _ -> ()
@@ -84,6 +111,55 @@ let test_durable_backend () =
       | Ok [ out ] -> Alcotest.(check string) "durable over the wire" "+ (by (x))" out
       | Ok _ | Error _ -> Alcotest.fail "reopen failed");
       Hr_storage.Db.close db)
+
+(* A failing EXEC gets one reply text whichever path serves it: an
+   in-memory server, a durable one, and a durable one whose reads run on
+   a reader domain all name the failing statement's line and column. *)
+let test_error_text_on_every_path () =
+  let scripts =
+    [
+      "SELECT * FROM r;\nSELECT * FROM nosuch;";
+      "SELECT * FROM r; -- the second statement is on the next line\n  ASK nosuch (x);";
+      "INSERT INTO r VALUES (+ x);\nINSERT INTO nosuch VALUES (+ x);";
+    ]
+  in
+  let replies (port, pid) =
+    Fun.protect
+      ~finally:(fun () -> stop_server pid)
+      (fun () ->
+        let conn = Server.Client.connect ~timeout:10.0 ~port () in
+        (match
+           Server.Client.exec conn
+             "CREATE DOMAIN d; CREATE INSTANCE x OF d; CREATE RELATION r (v: d);"
+         with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "setup: %s" e);
+        let out =
+          List.map
+            (fun script ->
+              match Server.Client.exec conn script with
+              | Ok out -> "OK " ^ out
+              | Error msg -> "ERR " ^ msg)
+            scripts
+        in
+        Server.Client.close conn;
+        out)
+  in
+  let memory = replies (spawn_server ()) in
+  Alcotest.(check (list string)) "in-memory replies"
+    [
+      "ERR at line 2, column 1: unknown relation \"nosuch\"";
+      "ERR at line 2, column 3: unknown relation \"nosuch\"";
+      "ERR at line 2, column 1: unknown relation \"nosuch\"";
+    ]
+    memory;
+  Alcotest.(check (list string)) "durable replies" memory
+    (with_temp_dir (fun dir -> replies (spawn_server ~dir ())));
+  Alcotest.(check (list string)) "reader-domain replies" memory
+    (with_temp_dir (fun dir ->
+         replies
+           (spawn_in_child (fun () ->
+                Server.create_durable ~reader_domains:1 ~port:0 ~dir ()))))
 
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
@@ -245,6 +321,8 @@ let suite =
     Alcotest.test_case "sockets set TCP_NODELAY" `Quick test_tcp_nodelay;
     Alcotest.test_case "errors propagate, connection survives" `Quick test_errors_propagate;
     Alcotest.test_case "durable backend over tcp" `Quick test_durable_backend;
+    Alcotest.test_case "an EXEC error reads the same on every path" `Quick
+      test_error_text_on_every_path;
     Alcotest.test_case "group commit shares one sync across clients" `Quick
       test_group_commit;
     Alcotest.test_case "lint over the wire" `Quick test_lint_over_the_wire;

@@ -420,9 +420,9 @@ let run cat src =
   | Ok _ -> ()
   | Error m -> Alcotest.failf "setup failed: %s" m
 
-(* [Eval.run_script] prefixes the statement's location; [Db.exec] does not. *)
-let check_rejected ?(located = true) what result =
-  let expected = (if located then "at line 1, column 1: " else "") ^ expected_rejection in
+(* [Eval.run_script] and [Db.exec] both prefix the statement's location. *)
+let check_rejected what result =
+  let expected = "at line 1, column 1: " ^ expected_rejection in
   match result with
   | Ok _ -> Alcotest.failf "%s: the INSERT was accepted over a conflicted base" what
   | Error m -> Alcotest.(check string) what expected m
@@ -498,7 +498,7 @@ let test_stamp_open_dir () =
         (fun () ->
           Alcotest.(check bool) "loaded unverified" false
             (Relation.verified (Catalog.relation (Db.catalog db) "r"));
-          check_rejected ~located:false "Db.open_dir" (Db.exec db "INSERT INTO r VALUES (+ y);")))
+          check_rejected "Db.open_dir" (Db.exec db "INSERT INTO r VALUES (+ y);")))
 
 (* ---- observability and scaling ----------------------------------------- *)
 
