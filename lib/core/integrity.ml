@@ -10,43 +10,51 @@ module Item_set = Set.Make (Item)
 
 (* --- Candidate pairs through the binding index ------------------------ *)
 
-(* Calls [f pos neg] once for every opposite-sign pair with at least one
-   member in [affected] (every tuple when [None]) whose items meet on
-   the coordinate the index probes ({!Relation.partners}): a superset of
-   the pairs whose items intersect. Each affected tuple reads its
-   partners; a pair with both members affected is read only from the
-   member of the [lead] sign, the sign fewer affected tuples carry, so
-   the whole-relation sweep probes from that sign alone. Returns the
-   number of pairs. *)
+type probe = { tuple : Relation.tuple; at : Item.t }
+
+module Pair_set = Set.Make (struct
+  type t = Item.t * Item.t
+
+  let compare (a, b) (a', b') = match Item.compare a a' with 0 -> Item.compare b b' | c -> c
+end)
+
+(* Calls [f pos neg] for opposite-sign pairs whose items meet on the
+   coordinate the index probes ({!Relation.partners}): a superset of the
+   pairs whose items intersect. With no [affected] probes that is every
+   such pair, read once from the tuples of the sign that has fewer.
+   Otherwise each probe pairs its tuple with the opposite-sign tuples
+   that meet the probe's item; a pair that two probes find is called
+   once. Returns the number of pairs. *)
 let candidate_pairs ?affected rel f =
-  let members, in_a =
-    match affected with
-    | None -> (Relation.tuples rel, fun _ -> true)
-    | Some a ->
-      (* the affected items as [rel] stores them, each once *)
-      let items = Item_set.of_list (List.map (fun (t : Relation.tuple) -> t.Relation.item) a) in
-      ( List.filter_map
-          (fun item -> Option.map (fun sign -> { Relation.item; sign }) (Relation.find rel item))
-          (Item_set.elements items),
-        fun (t : Relation.tuple) -> Item_set.mem t.Relation.item items )
-  in
-  let positives, negatives =
-    List.partition (fun (t : Relation.tuple) -> Types.bool_of_sign t.Relation.sign) members
-  in
-  let lead = if List.length negatives < List.length positives then Types.Neg else Types.Pos in
   let pairs = ref 0 in
-  List.iter
-    (fun (a : Relation.tuple) ->
-      let leads = Types.sign_equal a.Relation.sign lead in
-      if leads || Option.is_some affected then
+  let emit (a : Relation.tuple) t =
+    incr pairs;
+    if Types.bool_of_sign a.Relation.sign then f a t else f t a
+  in
+  (match affected with
+  | None ->
+    let positives, negatives =
+      List.partition (fun (t : Relation.tuple) -> Types.bool_of_sign t.Relation.sign)
+        (Relation.tuples rel)
+    in
+    let lead = if List.length negatives < List.length positives then negatives else positives in
+    List.iter (fun a -> List.iter (emit a) (Relation.partners rel a)) lead
+  | Some probes ->
+    let seen = ref Pair_set.empty in
+    List.iter
+      (fun { tuple = a; at } ->
         List.iter
-          (fun t ->
-            if leads || not (in_a t) then begin
-              incr pairs;
-              if Types.bool_of_sign a.Relation.sign then f a t else f t a
+          (fun (t : Relation.tuple) ->
+            let key =
+              if Types.bool_of_sign a.Relation.sign then (a.Relation.item, t.Relation.item)
+              else (t.Relation.item, a.Relation.item)
+            in
+            if not (Pair_set.mem key !seen) then begin
+              seen := Pair_set.add key !seen;
+              emit a t
             end)
-          (Relation.partners rel a))
-    members;
+          (Relation.partners rel { a with Relation.item = at }))
+      probes);
   !pairs
 
 (* --- Off-path check: pairwise maximal-common-descendant witnesses ---- *)
@@ -108,26 +116,25 @@ let delta ~base rel touched =
     { inserted = []; deleted = [] }
     (List.sort_uniq Item.compare touched)
 
+let own (t : Relation.tuple) = { tuple = t; at = t.Relation.item }
+
 (* A tuple exposed by a deletion binds above the deleted item on every
-   coordinate, so it is among the index's binding-order candidates. *)
+   coordinate, so it is among the index's binding-order candidates. It
+   probes from the deleted item, once per deletion that exposed it. *)
 let affected rel { inserted; deleted } =
   let schema = Relation.schema rel in
   let fresh = Item_set.of_list (List.map (fun (t : Relation.tuple) -> t.Relation.item) inserted) in
-  let exposed =
-    List.fold_left
-      (fun acc (d : Relation.tuple) ->
-        List.fold_left
-          (fun acc (t : Relation.tuple) ->
-            if
-              (not (Item_set.mem t.Relation.item fresh))
-              && Item.binds_below schema t.Relation.item d.Relation.item
-            then Relation.Item_map.add t.Relation.item t acc
-            else acc)
-          acc
-          (Relation.candidates ~binding:true rel d.Relation.item))
-      Relation.Item_map.empty deleted
+  let exposed (d : Relation.tuple) =
+    List.filter_map
+      (fun (t : Relation.tuple) ->
+        if
+          (not (Item_set.mem t.Relation.item fresh))
+          && Item.binds_below schema t.Relation.item d.Relation.item
+        then Some { tuple = t; at = d.Relation.item }
+        else None)
+      (Relation.candidates ~binding:true rel d.Relation.item)
   in
-  inserted @ List.map snd (Relation.Item_map.bindings exposed)
+  List.map own inserted @ List.concat_map exposed deleted
 
 let sweep ?affected rel =
   match sweep_pairs ?affected ~first:true rel with

@@ -66,30 +66,46 @@ val check : ?semantics:Types.semantics -> Relation.t -> conflict list
     - [I], the tuples of [R'] not in [R] with the same sign, and
     - [D], the tuples of [R] not in [R'] with the same sign
 
-    (a sign flip counts as one of each). The {e affected set} is
-    [A = I ∪ E], where [E] holds the surviving tuples of [R'] that some
-    deleted tuple lay below in the binding order ({!Item.binds_below}):
-    tuples that a deleted tuple used to preempt.
+    (a sign flip counts as one of each). A {e probe} pairs a tuple of
+    [R'] with the item it reads its partners at. The {e affected set}
+    holds one probe per inserted tuple, at its own item, and one per
+    pair [(e, d)] of a surviving tuple [e] and a deleted tuple [d] that
+    [e] binds above ({!Item.binds_below}), at [d]'s item: [e] is a tuple
+    [d] used to preempt, and a tuple that two deletions exposed probes
+    at both.
 
-    {b Rule.} [R'] is consistent iff the off-path pair sweep restricted
-    to opposite-sign pairs with at least one member in [A] finds no
-    conflict.
+    {b Rule.} [R'] is consistent iff the off-path pair sweep over the
+    pairs the probes find (each probe's tuple with the opposite-sign
+    tuples that meet the probe's item) finds no conflict.
 
-    {b Soundness sketch.} Suppose item [x] conflicts in [R'], and no
-    strongest binder of [x] in [R'] were in [A]. Every such binder [b] is
-    then an old tuple. No deleted tuple lies below it, so [b] is still
-    minimal among [x]'s relevant tuples in [R]. ([x] cannot itself be a
-    deleted item: its binders would all lie above it and so be in [E].)
-    Hence [R] has the same opposite-sign binders at [x] and conflicts —
-    contradicting its consistency. So some binder [a] of [x] is in [A].
-    Pair it with any opposite-sign binder [o]. [x] lies below some
-    maximal common descendant [w] of their items. No tuple sits exactly
-    on [w] and nothing stronger than [a] or [o] is relevant at [w], since
-    either would be relevant at [x] and break their minimality there. So
-    [w] conflicts, and the restricted sweep visits the pair [(a, o)].
-    Conversely the restricted sweep visits a subset of the whole sweep's
-    pairs with the same per-pair test, so it never reports a conflict
-    the whole check would not. *)
+    {b Soundness sketch} (docs/SEMANTICS.md §2, Lemma D). Suppose item
+    [x] conflicts in [R'], and take an opposite-sign pair of its
+    strongest binders. If one of them, [a], was inserted, its own probe
+    reads every tuple that meets [a], the other binder [o] among them.
+    Otherwise every binder of [x] is an old tuple. Were each still
+    minimal among [x]'s relevant tuples in [R], [R] would have the same
+    opposite-sign binders at [x] and conflict, against its consistency.
+    So some binder [a] was preempted in [R] by a tuple relevant at [x]
+    that [R'] lacks: a deleted [d] with [x ≤ d] that [a] binds above
+    ([x] itself, when [x] was deleted). Then [(a, d)] is a probe. Every
+    opposite-sign binder [o] of [x] subsumes [x], and so does [d], so
+    [o] meets [d] on every coordinate and the probe at [d] finds it.
+    Either way the sweep visits a pair [(a, o)] of binders of [x]. [x]
+    lies below some maximal common descendant [w] of their items. No
+    tuple sits exactly on [w] and nothing stronger than [a] or [o] is
+    relevant at [w], since either would be relevant at [x] and break
+    their minimality there. So [w] conflicts, and the sweep rejects.
+    Conversely it visits a subset of the whole sweep's pairs with the
+    same per-pair test, so it never reports a conflict the whole check
+    would not.
+
+    Where [d] lies below [a] by [isa] alone, what meets [d] meets [a]:
+    the probe at [d] reads no more than one at [a] would, and for a
+    deleted instance it walks [d] and its ancestors, not [a]'s cone.
+    Probes from different items are not symmetric: [a]'s probe may find
+    [o] where [o]'s does not find [a]. So a pair is read from every
+    probe that finds it and kept once, not from the member of one
+    sign. *)
 
 type delta = {
   inserted : Relation.tuple list;  (** [I], as stored in the staged relation *)
@@ -101,27 +117,38 @@ val delta : base:Relation.t -> Relation.t -> Item.t list -> delta
     [touched] (duplicates allowed) — the only items a transaction
     changed. *)
 
-val affected : Relation.t -> delta -> Relation.tuple list
-(** [affected rel d] is [A = I ∪ E] for the staged relation [rel]: [I],
-    then [E] in structural order. A tuple in [E] binds above a deleted
-    item on every coordinate, so [E] is read from the index's
-    binding-order candidates of each deleted item
-    ([Relation.candidates ~binding:true]: the buckets of its
-    binding ancestors, [isa] and preference edges together), not from a
-    scan of the relation. *)
+type probe = {
+  tuple : Relation.tuple;  (** an affected tuple *)
+  at : Item.t;  (** the item its partners are read at *)
+}
 
-val sweep : ?affected:Relation.tuple list -> Relation.t -> conflict option
-(** The off-path pair sweep at maximal-common-descendant witnesses, over
-    the opposite-sign pairs with at least one member in [affected]
-    (default: every tuple, the whole-relation sweep behind {!check}).
-    Each affected tuple reads its partners from the binding index; a
-    pair with both members affected is read once. Returns the first
-    conflicting pair in scan order. Adds the number of candidate pairs
-    the probes returned to the [core.integrity.pairs] counter: for a
-    one-row write, the opposite-sign tuples that meet the affected
-    tuples, not the relation. Only sound for a restricted [affected]
-    when the base the delta was taken from is consistent (see the rule
-    above). *)
+val own : Relation.tuple -> probe
+(** The probe of a tuple at its own item. *)
+
+val affected : Relation.t -> delta -> probe list
+(** [affected rel d] is the affected set for the staged relation [rel]:
+    the inserted tuples' probes, in [I]'s order, then each deleted
+    tuple's exposed tuples, in structural order, probing at its item. A
+    tuple exposed by a deletion binds above the deleted item on every
+    coordinate, so they are read from the index's binding-order
+    candidates of each deleted item ([Relation.candidates ~binding:true]:
+    the buckets of its binding ancestors, [isa] and preference edges
+    together), not from a scan of the relation. *)
+
+val sweep : ?affected:probe list -> Relation.t -> conflict option
+(** The off-path pair sweep at maximal-common-descendant witnesses. With
+    no [affected] it visits every opposite-sign pair whose items
+    intersect (the whole-relation sweep behind {!check}). Otherwise it
+    visits the pairs the probes find: each probe's tuple, which [rel]
+    must store, with the opposite-sign tuples that meet the probe's
+    item, each pair once. A
+    probe at a tuple's own item finds every pair with that tuple that
+    the whole sweep visits. Returns the first conflicting pair in scan
+    order. Adds the number of distinct candidate pairs the probes
+    returned to the [core.integrity.pairs] counter: for a one-row write,
+    the opposite-sign tuples that meet the probed items, not the
+    relation. Only sound for the affected set of a delta when the base
+    the delta was taken from is consistent (see the rule above). *)
 
 val is_consistent : ?semantics:Types.semantics -> Relation.t -> bool
 

@@ -25,24 +25,8 @@ let frame tag payload = Printf.sprintf "%s %d\n%s" tag (String.length payload) p
 
 let send fd tag payload = write_all fd (frame tag payload)
 
-let read_line_fd fd =
-  let buf = Buffer.create 64 in
-  let byte = Bytes.make 1 ' ' in
-  let rec loop () =
-    match Unix.read fd byte 0 1 with
-    | 0 -> raise Disconnected
-    | _ ->
-      let c = Bytes.get byte 0 in
-      if c = '\n' then Buffer.contents buf
-      else begin
-        Buffer.add_char buf c;
-        loop ()
-      end
-  in
-  loop ()
-
-let read_exact fd n =
-  let data = Bytes.make n '\000' in
+let read_bytes fd n =
+  let data = Bytes.create n in
   let rec fill off =
     if off < n then begin
       let r = Unix.read fd data off (n - off) in
@@ -51,7 +35,9 @@ let read_exact fd n =
     end
   in
   fill 0;
-  Bytes.to_string data
+  data
+
+let read_exact fd n = Bytes.unsafe_to_string (read_bytes fd n)
 
 let parse_header header =
   match String.index_opt header ' ' with
@@ -64,11 +50,30 @@ let parse_header header =
       Error (Printf.sprintf "unreasonable frame length %d" len)
     | Some len -> Ok (tag, len))
 
+(* The header is peeked, not read: [peek_header] returns the
+   header line and how many of its bytes (newline included) are still
+   unread, consuming only whole peeked chunks that hold no newline. The
+   header's remainder and the payload are then taken in one read, so a
+   small frame costs two calls, not one per header byte. *)
+let peek_header fd =
+  let chunk = Bytes.create 128 in
+  let rec go line =
+    match Unix.recv fd chunk 0 (Bytes.length chunk) [ Unix.MSG_PEEK ] with
+    | 0 -> raise Disconnected
+    | n -> (
+      match Bytes.index_opt chunk '\n' with
+      | Some i when i < n -> (line ^ Bytes.sub_string chunk 0 i, i + 1)
+      | _ -> go (line ^ read_exact fd n))
+  in
+  go ""
+
 let recv fd =
-  let header = read_line_fd fd in
+  let header, unread = peek_header fd in
   match parse_header header with
-  | Error _ as e -> e
-  | Ok (tag, len) -> Ok (tag, read_exact fd len)
+  | Error _ as e ->
+    ignore (read_exact fd unread);
+    e
+  | Ok (tag, len) -> Ok (tag, Bytes.sub_string (read_bytes fd (unread + len)) unread len)
 
 (* ---- incremental decoding -------------------------------------------- *)
 

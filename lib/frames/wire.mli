@@ -93,7 +93,12 @@ val send : Unix.file_descr -> string -> string -> unit
 
 val recv : Unix.file_descr -> (string * string, string) result
 (** Reads one whole frame, blocking. [Error] is a protocol error (bad
-    header, oversized length); EOF raises {!Disconnected}. *)
+    header, oversized length); EOF raises {!Disconnected}. [fd] must be
+    a socket: the header is peeked ([MSG_PEEK]) and then the header and
+    payload are read together, so a small frame takes two system calls
+    and nothing past the frame is consumed. Another descriptor raises
+    [Unix_error (ENOTSOCK, _, _)]. A read timeout on the socket
+    ([SO_RCVTIMEO]) raises [Unix_error (EAGAIN, _, _)]. *)
 
 (** {1 Incremental decoding} *)
 

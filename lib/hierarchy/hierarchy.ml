@@ -10,6 +10,7 @@ let m_subsumption = Hr_obs.Metrics.counter "hierarchy.subsumption_checks"
 let m_binding = Hr_obs.Metrics.counter "hierarchy.binding_checks"
 let m_index_builds = Hr_obs.Metrics.counter "hierarchy.index_builds"
 let m_mcd = Hr_obs.Metrics.counter "hierarchy.mcd_calls"
+let m_cone = Hr_obs.Metrics.counter "hierarchy.cone_nodes"
 
 exception Error of string
 
@@ -363,13 +364,17 @@ let intersecting h v ~limit =
         List.iter climb (Dag.preds h.graph ~kinds:isa_kind w)
       end
     in
-    match
-      for k = start.(v) to start.(v + 1) - 1 do
-        List.iter climb (Dag.preds h.graph ~kinds:isa_kind ids.(k))
-      done
-    with
-    | () -> Some (List.sort Int.compare (Hashtbl.fold (fun w () acc -> w :: acc) seen []))
-    | exception Over -> None
+    let walked =
+      match
+        for k = start.(v) to start.(v + 1) - 1 do
+          List.iter climb (Dag.preds h.graph ~kinds:isa_kind ids.(k))
+        done
+      with
+      | () -> Some (List.sort Int.compare (Hashtbl.fold (fun w () acc -> w :: acc) seen []))
+      | exception Over -> None
+    in
+    Hr_obs.Metrics.add m_cone (Hashtbl.length seen);
+    walked
   end
 
 let buckets_meeting ?keys h v buckets =

@@ -156,7 +156,8 @@ val intersecting : t -> node -> limit:int -> node list option
 (** [intersecting h v ~limit] is every node that {!intersects} [v] — the
     ancestors of [v]'s descendants — ascending, or [None] when there are
     more than [limit] of them. The cost is bounded by [limit] nodes and
-    their parent edges, whatever the size of the hierarchy. *)
+    their parent edges, whatever the size of the hierarchy. Adds the
+    number of nodes it marked to the [hierarchy.cone_nodes] counter. *)
 
 val buckets_meeting : ?keys:node array -> t -> node -> (node, 'a) Hashtbl.t -> 'a list
 (** [buckets_meeting h v buckets]: the values that [buckets] (one

@@ -566,17 +566,27 @@ let attempt ?on_held ?on_refused cat stmt =
 let exec ?on_held ?on_refused cat stmt =
   Result.map_error snd (attempt ?on_held ?on_refused cat stmt)
 
-let run_script ?on_held ?on_refused cat input =
-  match Parser.parse input with
+(* The prefix a failing statement's message gets: its line and column
+   in the script. *)
+let located sloc msg = Format.asprintf "at %a: %s" Loc.pp_prose sloc msg
+
+(* A whole script is parsed before any of it runs: a script that does
+   not parse runs nothing. *)
+let parse_script input =
+  match Parser.parse_pieces input with
   | exception Parser.Parse_error { msg; _ } -> Error ("parse error: " ^ msg)
   | exception Lexer.Lex_error { msg; _ } -> Error ("lex error: " ^ msg)
-  | stmts ->
-    let rec loop acc = function
-      | [] -> Ok (List.rev acc)
-      | { Ast.stmt; sloc } :: rest -> (
-        match exec ?on_held ?on_refused cat stmt with
-        | Ok out -> loop (out :: acc) rest
-        | Error msg ->
-          Error (Format.asprintf "at %a: %s" Loc.pp_prose sloc msg))
-    in
-    loop [] stmts
+  | pieces -> Ok pieces
+
+let run_pieces ?on_held ?on_refused cat pieces =
+  let rec loop acc = function
+    | [] -> Ok (List.rev acc)
+    | { Parser.stmt = { Ast.stmt; sloc }; _ } :: rest -> (
+      match exec ?on_held ?on_refused cat stmt with
+      | Ok out -> loop (out :: acc) rest
+      | Error msg -> Error (located sloc msg))
+  in
+  loop [] pieces
+
+let run_script ?on_held ?on_refused cat input =
+  Result.bind (parse_script input) (run_pieces ?on_held ?on_refused cat)

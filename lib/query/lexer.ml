@@ -28,6 +28,11 @@ let keywords =
     "ANALYZE"; "ESTIMATE"; "STATS"; "JSON"; "RESET";
   ]
 
+let keyword_table =
+  let t = Hashtbl.create 64 in
+  List.iter (fun k -> Hashtbl.replace t k ()) keywords;
+  t
+
 let is_ident_char c =
   (c >= 'a' && c <= 'z')
   || (c >= 'A' && c <= 'Z')
@@ -38,9 +43,9 @@ let is_ident_char c =
    offset; a token's span covers [start, just-past-end). *)
 type scan = { mutable i : int; mutable line : int; mutable col : int }
 
-let tokenize_spans input =
-  let n = String.length input in
-  let s = { i = 0; line = 1; col = 1 } in
+let tokenize_range input ~off ~len ~start =
+  let n = off + len in
+  let s = { i = off; line = start.Loc.line; col = start.Loc.col } in
   let pos () = { Loc.line = s.line; col = s.col } in
   let bump () =
     (if input.[s.i] = '\n' then begin
@@ -90,7 +95,7 @@ let tokenize_spans input =
         done;
         let word = String.sub input start (s.i - start) in
         let upper = String.uppercase_ascii word in
-        let tok = if List.mem upper keywords then Kw upper else Ident word in
+        let tok = if Hashtbl.mem keyword_table upper then Kw upper else Ident word in
         loop ((tok, Loc.make ~lo ~hi:(pos ())) :: acc)
       | c ->
         let loc = Loc.make ~lo ~hi:{ lo with Loc.col = lo.Loc.col + 1 } in
@@ -100,7 +105,9 @@ let tokenize_spans input =
   in
   loop []
 
-let tokenize input = List.map fst (tokenize_spans input)
+let tokenize input =
+  List.map fst
+    (tokenize_range input ~off:0 ~len:(String.length input) ~start:{ Loc.line = 1; col = 1 })
 
 (* A comment starts at [--] wherever a token could start, that is not
    after an identifier character ([-] is one: [a--b] is a name), and

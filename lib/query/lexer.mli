@@ -37,16 +37,22 @@ type token =
   | Minus
   | Star
 
+val keywords : string list
+(** The reserved words, upper-cased. A word lexes as [Kw] iff its
+    upper-cased spelling is one of them. *)
+
 exception Lex_error of { msg : string; loc : Loc.t }
 (** [msg] already names the line and column; [loc] carries them
     structurally for diagnostics. *)
 
-val tokenize_spans : string -> (token * Loc.t) list
-(** Tokens stamped with their source spans. Raises {!Lex_error} on an
-    unexpected character. *)
+val tokenize_range : string -> off:int -> len:int -> start:Loc.pos -> (token * Loc.t) list
+(** The tokens of the [len] bytes at [off], stamped with their source
+    spans, counted as if the bytes began at [start]: a piece of a script
+    keeps the script's line and column numbers. Raises {!Lex_error} on
+    an unexpected character. *)
 
 val tokenize : string -> token list
-(** {!tokenize_spans} without the spans. *)
+(** The tokens of a whole input, without spans. *)
 
 val split_statements : string -> (int * string) list
 (** The input cut at every ';' that {!tokenize} reads as a [Semicolon]

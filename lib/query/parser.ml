@@ -348,8 +348,8 @@ let statement c =
     Ast.Count { expr = e; by }
   | got -> fail c "unexpected %a at start of statement" pp_token got
 
-let parse input =
-  let c = { toks = tokenize_spans input; last = Loc.dummy } in
+let parse_tokens toks =
+  let c = { toks; last = Loc.dummy } in
   let rec loop acc =
     match peek c with
     | None -> List.rev acc
@@ -367,6 +367,35 @@ let parse input =
       loop ({ Ast.stmt = s; sloc } :: acc)
   in
   loop []
+
+type piece = { source : string; stmt : Ast.located_statement }
+
+(* Each piece is lexed in place with the ';' that ends it, from the
+   line and column it starts at, so it reads, and fails, as it does in
+   the whole script; and no token list of the whole script is held.
+   A piece holds at most one statement, since ';' ends one. *)
+let parse_pieces input =
+  let n = String.length input in
+  let line = ref 1 and bol = ref 0 and scanned = ref 0 in
+  let start_of off =
+    for i = !scanned to off - 1 do
+      if input.[i] = '\n' then begin
+        incr line;
+        bol := i + 1
+      end
+    done;
+    scanned := off;
+    { Loc.line = !line; col = off - !bol + 1 }
+  in
+  List.filter_map
+    (fun (off, text) ->
+      let len = min (n - off) (String.length text + 1) in
+      match parse_tokens (tokenize_range input ~off ~len ~start:(start_of off)) with
+      | [] -> None
+      | stmt :: _ -> Some { source = String.trim text; stmt })
+    (split_statements input)
+
+let parse input = List.map (fun p -> p.stmt) (parse_pieces input)
 
 let parse_statement input =
   let c = { toks = []; last = Loc.dummy } in

@@ -42,9 +42,23 @@ exception Parse_error of { msg : string; loc : Loc.t }
 (** [msg] already names the line and column; [loc] carries them
     structurally for diagnostics. *)
 
+type piece = {
+  source : string;
+      (** the text between the separators around the statement, trimmed:
+          what a write-ahead log records for it *)
+  stmt : Ast.located_statement;
+}
+
+val parse_pieces : string -> piece list
+(** The statements of a script with their sources, cut where
+    {!Lexer.split_statements} cuts. Each piece is tokenized and parsed
+    in turn, so the first piece that fails names the error, whether it
+    fails to lex or to parse; spans and error positions are the whole
+    script's. Raises {!Parse_error} or {!Lexer.Lex_error}. *)
+
 val parse : string -> Ast.located_statement list
-(** Tokenizes and parses a whole script. Raises {!Parse_error} or
-    {!Lexer.Lex_error}. *)
+(** The statements of {!parse_pieces}: every path that reads a script
+    (a server, a router, lint) reads and rejects it alike. *)
 
 val parse_statement : string -> Ast.located_statement
 (** Parses exactly one statement (the trailing [;] is optional). *)

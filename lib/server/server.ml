@@ -138,10 +138,10 @@ let port t = t.bound_port
    logic in [poll]) owns the shared sync. Until it runs, the [Ok] here
    must not reach the client — [holding] below withholds all output
    while unsynced records exist. *)
-let run_script ?on_held ?on_refused t script =
+let run_pieces ?on_held ?on_refused t pieces =
   match t.backend with
-  | Memory cat -> Hr_query.Eval.run_script ?on_held ?on_refused cat script
-  | Durable db -> Hr_storage.Db.exec_buffered ?on_held ?on_refused db script
+  | Memory cat -> Hr_query.Eval.run_pieces ?on_held ?on_refused cat pieces
+  | Durable db -> Hr_storage.Db.exec_parsed ?on_held ?on_refused db pieces
 
 (* True while acks must be withheld: some executed statement is not yet
    durable. No conn output may drain while this holds. *)
@@ -253,46 +253,57 @@ let versioned_reply v ok body =
 
 (* The answer to a read-only frame against [cat]: whether it is [OK],
    and the body. The event loop asks it of the live catalog, a reader
-   domain of the version it pinned. An EXEC script holds no mutating
-   statement: {!Hr_storage.Db.script_mutation} cuts it where the parser
-   does. *)
-let read_answer cat kind payload =
-  match kind with
-  | `Exec -> (
-    match Hr_query.Eval.run_script cat payload with
+   domain of the version it pinned. An EXEC frame arrives parsed, and
+   holds no mutating statement. *)
+let read_answer cat = function
+  | `Exec pieces -> (
+    match Hr_query.Eval.run_pieces cat pieces with
     | Ok outputs -> (true, String.concat "\n" outputs)
     | Error msg -> (false, msg))
-  | `Lint ->
+  | `Lint payload ->
     let diagnostics = Hr_analysis.Lint.analyze_script ~catalog:cat payload in
     (true, Hr_analysis.Diagnostic.render_json diagnostics)
-  | `Estimate -> (
+  | `Estimate payload -> (
     match explain_estimate cat payload with
     | Ok out -> (true, out)
     | Error msg ->
       Hr_obs.Metrics.incr m_errors;
       (false, msg))
-  | `Stats -> (true, stats_body payload)
+  | `Stats payload -> (true, stats_body payload)
 
 (* Build the thunk a reader domain runs: pin the current version, judge
    the frame against its frozen catalog, tag the reply. Everything it
    touches is immutable, domain-local, or internally synchronized
    (metrics, observed-stats store). *)
-let read_job t kind payload () =
+let read_job t request () =
   let v = Hr_exec.Publisher.current t.publisher in
-  let ok, body = read_answer v.Hr_exec.Version.catalog kind payload in
+  let ok, body = read_answer v.Hr_exec.Version.catalog request in
   Hr_obs.Metrics.set g_pinned_lag
     ((Hr_exec.Publisher.current t.publisher).Hr_exec.Version.id - v.Hr_exec.Version.id);
   versioned_reply v ok body
 
 (* A read-only frame goes to a reader domain when it may, and is
    otherwise answered inline from the live catalog. *)
-let read t conn kind payload =
-  if can_offload t conn then offload t conn (read_job t kind payload)
+let read t conn request =
+  if can_offload t conn then offload t conn (read_job t request)
   else begin
-    if kind = `Exec then Hr_obs.Metrics.incr m_inline_reads;
-    let ok, body = read_answer (catalog t) kind payload in
+    (match request with `Exec _ -> Hr_obs.Metrics.incr m_inline_reads | _ -> ());
+    let ok, body = read_answer (catalog t) request in
     send_conn t conn (if ok then "OK" else "ERR") body
   end
+
+(* The source of the first mutating statement of a parsed frame: a
+   frame without one is a read, and a read-only replica refuses one
+   with. *)
+let mutation pieces =
+  List.find_map
+    (fun { Hr_query.Parser.source; stmt } ->
+      if Hr_query.Ast.mutating stmt.Hr_query.Ast.stmt then Some source else None)
+    pieces
+
+let refusal src =
+  Printf.sprintf "read-only replica: refusing mutating statement %S (execute it on the primary)"
+    src
 
 (* Ship every {e durable} logged record past the subscriber's offset, as
    one coalesced group. Records above [synced_lsn] stay unshipped until
@@ -336,23 +347,25 @@ let ship_all t =
 let handle t conn tag payload =
   match tag with
   | "EXEC" -> (
-    match Hr_storage.Db.script_mutation payload with
-    | None -> read t conn `Exec payload
-    | Some src when t.read_only ->
-      send_conn t conn "ERR"
-        (Printf.sprintf "read-only replica: refusing mutating statement %S (execute it on the primary)" src)
-    | Some _ -> (
-      match run_script t payload with
-      | Ok outputs ->
-        (* the ack buffers; shipping to subscribers happens at the
-           commit point, after the batch's shared sync *)
-        send_conn t conn "OK" (String.concat "\n" outputs)
-      | Error msg -> send_conn t conn "ERR" msg))
-  | "LINT" -> read t conn `Lint payload
-  | "ESTIMATE" -> read t conn `Estimate payload
+    (* parsed once, whole: a frame that does not parse runs nothing *)
+    match Hr_query.Eval.parse_script payload with
+    | Error msg -> send_conn t conn "ERR" msg
+    | Ok pieces -> (
+      match mutation pieces with
+      | None -> read t conn (`Exec pieces)
+      | Some src when t.read_only -> send_conn t conn "ERR" (refusal src)
+      | Some _ -> (
+        match run_pieces t pieces with
+        | Ok outputs ->
+          (* the ack buffers; shipping to subscribers happens at the
+             commit point, after the batch's shared sync *)
+          send_conn t conn "OK" (String.concat "\n" outputs)
+        | Error msg -> send_conn t conn "ERR" msg)))
+  | "LINT" -> read t conn (`Lint payload)
+  | "ESTIMATE" -> read t conn (`Estimate payload)
   | "STATS" ->
     (* payload selects the rendering: "json" or "" for text *)
-    read t conn `Stats payload
+    read t conn (`Stats payload)
   | "FSCK" -> (
     (* offline-style verification of the durable directory, served from
        the running primary: read-only, never takes the lock, and runs
@@ -430,23 +443,23 @@ let handle t conn tag payload =
        refusal names the row refused, so the router can report the
        statement's earliest failing row as one node does. Always
        inline — the payload is (almost) always mutating. *)
-    match (if t.read_only then Hr_storage.Db.script_mutation payload else None) with
-    | Some src ->
-      send_conn t conn "ERR"
-        (Wire.reject_body ~row:None
-           (Printf.sprintf "read-only replica: refusing mutating statement %S (execute it on the primary)" src))
-    | None -> (
-      let held = ref [] and refused = ref None in
-      match
-        run_script
-          ~on_held:(fun row -> held := row :: !held)
-          ~on_refused:(fun row -> refused := Some row)
-          t payload
-      with
-      | Ok outputs ->
-        send_conn t conn Wire.shard_ack
-          (Wire.lsn_prefixed (head_lsn t) (Wire.ack_body ~held:(List.rev !held) outputs))
-      | Error msg -> send_conn t conn "ERR" (Wire.reject_body ~row:!refused msg)))
+    match Hr_query.Eval.parse_script payload with
+    | Error msg -> send_conn t conn "ERR" (Wire.reject_body ~row:None msg)
+    | Ok pieces -> (
+      match (if t.read_only then mutation pieces else None) with
+      | Some src -> send_conn t conn "ERR" (Wire.reject_body ~row:None (refusal src))
+      | None -> (
+        let held = ref [] and refused = ref None in
+        match
+          run_pieces
+            ~on_held:(fun row -> held := row :: !held)
+            ~on_refused:(fun row -> refused := Some row)
+            t pieces
+        with
+        | Ok outputs ->
+          send_conn t conn Wire.shard_ack
+            (Wire.lsn_prefixed (head_lsn t) (Wire.ack_body ~held:(List.rev !held) outputs))
+        | Error msg -> send_conn t conn "ERR" (Wire.reject_body ~row:!refused msg))))
   | tag when tag = Wire.repl_ack -> (
     match Wire.parse_lsn payload with
     | Error msg ->

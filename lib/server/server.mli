@@ -9,6 +9,10 @@
           |  ERR <payload-bytes>\n<payload>     (error message)
     v}
 
+    An [EXEC] script is parsed whole before any of it runs: one that
+    does not parse runs nothing, and its error names a line and column
+    in the whole script, on every backend.
+
     A [LINT] request has the same framing as [EXEC] but runs the static
     analyzer against a snapshot of the live catalog instead of executing
     the script; the [OK] payload is the diagnostics as a JSON array

@@ -582,10 +582,9 @@ let exec_located t { Ast.stmt; sloc } = located sloc (fun () -> exec_stmt t stmt
    shard, as a statement-at-a-time broadcast would. A shard rejecting
    the run is reported at the run's first statement. *)
 let exec_script t payload =
-  match Parser.parse payload with
-  | exception Parser.Parse_error { msg; _ } -> Error ("parse error: " ^ msg)
-  | exception Lexer.Lex_error { msg; _ } -> Error ("lex error: " ^ msg)
-  | stmts ->
+  match Eval.parse_script payload with
+  | Error _ as e -> e
+  | Ok pieces ->
     (* [run]: the accepted, not yet broadcast DDL, newest first *)
     let flush = function
       | [] -> Ok ()
@@ -607,7 +606,7 @@ let exec_script t payload =
         | Ok out -> loop (out :: acc) [] rest
         | Error _ as e -> e)
     in
-    loop [] [] stmts
+    loop [] [] (List.map (fun p -> p.Parser.stmt) pieces)
 
 (* ---- client connections ----------------------------------------------- *)
 

@@ -175,41 +175,6 @@ let open_dir ?(auto_checkpoint_every = 10_000) ?(fsync = true) dir =
 let catalog t = t.catalog
 let dir t = t.dir
 
-(* The WAL stores each mutating statement's source text, so a script is
-   cut into statements where the lexer reads a separator
-   ({!Hr_query.Lexer.split_statements}), and each piece is parsed and
-   executed separately; a piece holds at most one statement. *)
-let script_mutation script =
-  (* Every lexer/parser exception is caught here: this runs on the
-     server's pre-flight path, where an attacker-controlled payload that
-     raised would escape the event loop and kill the process. *)
-  let is_mutating (_, piece) =
-    match Parser.parse piece with
-    | [ { Ast.stmt; _ } ] -> Ast.mutating stmt
-    | _ -> false (* a blank or comment-only piece *)
-    | exception (Parser.Parse_error _ | Hr_query.Lexer.Lex_error _) -> false
-  in
-  Option.map
-    (fun (_, piece) -> String.trim piece)
-    (List.find_opt is_mutating (Hr_query.Lexer.split_statements script))
-
-(* An evaluation error of the statement at [sloc] in the piece at byte
-   [off] of [script], located in the whole script as {!Eval.run_script}
-   locates it. Only the error path pays for the scan. *)
-let located script off (sloc : Hr_query.Loc.t) msg =
-  let line = ref 1 and bol = ref 0 in
-  for i = 0 to off - 1 do
-    if script.[i] = '\n' then begin
-      incr line;
-      bol := i + 1
-    end
-  done;
-  let lo =
-    if sloc.lo.line = 1 then { Hr_query.Loc.line = !line; col = off - !bol + sloc.lo.col }
-    else { sloc.lo with line = !line + sloc.lo.line - 1 }
-  in
-  Format.asprintf "at %a: %s" Hr_query.Loc.pp_prose (Hr_query.Loc.make ~lo ~hi:lo) msg
-
 let tail_push t record =
   t.tail <- record :: t.tail;
   t.tail_len <- t.tail_len + 1;
@@ -308,30 +273,29 @@ let eval_fitting ?on_held ?on_refused t stmt =
         oversize rel bytes))
   | _ -> Eval.exec t.catalog stmt
 
-(* Executes a script, appending mutating statements to the WAL buffer
-   without syncing. The caller owns the commit point: nothing run here
-   may be acknowledged to a client until [sync] returns. *)
-let exec_buffered ?on_held ?on_refused t script =
+(* Executes parsed statements, appending the mutating ones' sources to
+   the WAL buffer without syncing. The caller owns the commit point:
+   nothing run here may be acknowledged to a client until [sync]
+   returns. *)
+let exec_parsed ?on_held ?on_refused t pieces =
   let rec run acc = function
     | [] -> Ok (List.rev acc)
-    | (off, piece) :: rest -> (
-      match Parser.parse piece with
-      | exception Parser.Parse_error { msg; _ } -> Error ("parse error: " ^ msg)
-      | exception Hr_query.Lexer.Lex_error { msg; _ } -> Error ("lex error: " ^ msg)
-      | [] -> run acc rest (* a blank or comment-only piece *)
-      | { Ast.stmt; sloc } :: _ -> (
-        Hr_obs.Metrics.incr m_statements;
-        match eval_fitting ?on_held ?on_refused t stmt with
-        | Ok out ->
-          (* log only acknowledged statements: a rejected update (e.g. an
-             integrity violation) must not poison replay *)
-          if Ast.mutating stmt then log_statement t (String.trim piece);
-          run (out :: acc) rest
-        | Error msg -> Error (located script off sloc msg)))
+    | { Parser.source; stmt = { Ast.stmt; sloc } } :: rest -> (
+      Hr_obs.Metrics.incr m_statements;
+      match eval_fitting ?on_held ?on_refused t stmt with
+      | Ok out ->
+        (* log only acknowledged statements: a rejected update (e.g. an
+           integrity violation) must not poison replay *)
+        if Ast.mutating stmt then log_statement t source;
+        run (out :: acc) rest
+      | Error msg -> Error (Eval.located sloc msg))
   in
-  let result = run [] (Hr_query.Lexer.split_statements script) in
+  let result = run [] pieces in
   maybe_auto_checkpoint t;
   result
+
+let exec_buffered ?on_held ?on_refused t script =
+  Result.bind (Eval.parse_script script) (exec_parsed ?on_held ?on_refused t)
 
 let sync t =
   Wal.sync t.wal;

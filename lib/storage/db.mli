@@ -82,11 +82,14 @@ val dir : t -> string
     server's [FSCK] endpoint). *)
 
 val exec : t -> string -> (string list, string) result
-(** Runs an HRQL script (one or more statements). Every successful
+(** Runs an HRQL script (one or more statements). The whole script is
+    parsed first: one that does not parse runs nothing, and its error
+    names a position in the whole script. Every successful
     statement that changes durable state (CREATE / DROP / INSERT /
-    DELETE / LET / CONSOLIDATE / EXPLICATE) is logged under a fresh LSN;
-    reads and rejected updates are not. On error, statements before the
-    failing one remain applied and logged (statement-level, not
+    DELETE / LET / CONSOLIDATE / EXPLICATE) is logged under a fresh LSN,
+    as the trimmed text between the separators around it; reads and
+    rejected updates are not. On an evaluation error, statements before
+    the failing one remain applied and logged (statement-level, not
     script-level, atomicity). A statement that would store a tuple
     larger than {!Page_store.max_record_bytes} fails with [Error] and
     changes nothing. Returns only after a WAL {!sync}: when
@@ -114,6 +117,16 @@ val exec_buffered :
     as a direct contradiction. An evaluation error names the failing
     statement's line and column in [script], as
     {!Hr_query.Eval.run_script} does. *)
+
+val exec_parsed :
+  ?on_held:(int -> unit) ->
+  ?on_refused:(int -> unit) ->
+  t ->
+  Hr_query.Parser.piece list ->
+  (string list, string) result
+(** {!exec_buffered} on a script already parsed
+    ({!Hr_query.Eval.parse_script}): a server parses each frame once to
+    tell reads from writes, then runs it. *)
 
 val sync : t -> unit
 (** Makes every buffered WAL append durable (one flush + fsync, unless
@@ -188,11 +201,3 @@ val apply_replicated : t -> lsn:int -> string -> (unit, string) result
     means divergence (a statement that replayed cleanly on the primary
     failed here) and the caller should treat it as fatal. Statements at
     or below the current {!lsn} are rejected as duplicates. *)
-
-val script_mutation : string -> string option
-(** The source text of the first mutating statement in a script, if any:
-    how the server tells a script of reads from a write, and the
-    read-only replica's pre-flight guard. The script is cut at the ';'
-    the parser reads as separators, so [None] means no statement the
-    parser accepts is mutating. A statement that fails to parse is not
-    mutating (the evaluator will report the error). *)

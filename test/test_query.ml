@@ -220,6 +220,29 @@ let test_case_insensitive_keywords () =
   Alcotest.(check int) "lower-case script works" 1
     (Relation.cardinality (Catalog.relation cat "r"))
 
+(* Every keyword, in upper, lower and alternating case, lexes as that
+   keyword; a word one letter longer or shorter, that is not a keyword
+   itself, lexes as an identifier. *)
+let test_keyword_table () =
+  let module Lexer = Hr_query.Lexer in
+  let lexes word = Lexer.tokenize word in
+  let show toks = String.concat " " (List.map (Format.asprintf "%a" Lexer.pp_token) toks) in
+  let expect word toks =
+    if lexes word <> toks then
+      Alcotest.failf "%S lexes as [%s], expected [%s]" word (show (lexes word)) (show toks)
+  in
+  let alternate k =
+    String.mapi (fun i c -> if i mod 2 = 0 then Char.lowercase_ascii c else c) k
+  in
+  let reserved w = List.mem (String.uppercase_ascii w) Lexer.keywords in
+  List.iter
+    (fun k ->
+      List.iter (fun w -> expect w [ Lexer.Kw k ]) [ k; String.lowercase_ascii k; alternate k ];
+      List.iter
+        (fun w -> if not (reserved w) then expect w [ Lexer.Ident w ])
+        [ k ^ "x"; "x" ^ String.lowercase_ascii k; k ^ "_"; String.sub k 0 (String.length k - 1) ])
+    Lexer.keywords
+
 let test_comments_ignored () =
   let cat = Catalog.create () in
   ignore
@@ -315,6 +338,7 @@ let test_semicolon_handling () =
 let suite =
   [
     Alcotest.test_case "case-insensitive keywords" `Quick test_case_insensitive_keywords;
+    Alcotest.test_case "keywords lex by table" `Quick test_keyword_table;
     Alcotest.test_case "comments ignored" `Quick test_comments_ignored;
     Alcotest.test_case "LET chains" `Quick test_let_chains;
     Alcotest.test_case "errors leave catalog intact" `Quick test_error_does_not_corrupt_catalog;

@@ -61,8 +61,13 @@ let stop_server pid =
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
   ignore (Unix.waitpid [] pid)
 
+(* Runs [f port] against a forked server and stops the server however
+   [f] ends: a failed assertion must not leave the child serving with
+   the runner's output open. *)
+let with_server (port, pid) f = Fun.protect ~finally:(fun () -> stop_server pid) (fun () -> f port)
+
 let test_round_trip () =
-  let port, pid = spawn_server () in
+  with_server (spawn_server ()) @@ fun port ->
   let conn = Server.Client.connect ~timeout:10.0 ~port () in
   (match Server.Client.exec conn "CREATE DOMAIN d;" with
   | Ok out -> Alcotest.(check string) "created" "domain d created" out
@@ -73,11 +78,10 @@ let test_round_trip () =
   (match Server.Client.exec conn "ASK r (x);" with
   | Ok out -> Alcotest.(check string) "verdict over the wire" "+ (by (x))" out
   | Error e -> Alcotest.failf "ask: %s" e);
-  Server.Client.close conn;
-  stop_server pid
+  Server.Client.close conn
 
 let test_errors_propagate () =
-  let port, pid = spawn_server () in
+  with_server (spawn_server ()) @@ fun port ->
   let conn = Server.Client.connect ~timeout:10.0 ~port () in
   (match Server.Client.exec conn "SELECT * FROM nope;" with
   | Ok _ -> Alcotest.fail "expected error"
@@ -90,21 +94,19 @@ let test_errors_propagate () =
   (match Server.Client.exec conn "CREATE DOMAIN d;" with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "after error: %s" e);
-  Server.Client.close conn;
-  stop_server pid
+  Server.Client.close conn
 
 let test_durable_backend () =
   with_temp_dir (fun dir ->
-      let port, pid = spawn_server ~dir () in
-      let conn = Server.Client.connect ~timeout:10.0 ~port () in
-      (match
-         Server.Client.exec conn
-           "CREATE DOMAIN d; CREATE INSTANCE x OF d; CREATE RELATION r (v: d); INSERT INTO r VALUES (+ x);"
-       with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "exec: %s" e);
-      Server.Client.close conn;
-      stop_server pid;
+      (with_server (spawn_server ~dir ()) @@ fun port ->
+       let conn = Server.Client.connect ~timeout:10.0 ~port () in
+       (match
+          Server.Client.exec conn
+            "CREATE DOMAIN d; CREATE INSTANCE x OF d; CREATE RELATION r (v: d); INSERT INTO r VALUES (+ x);"
+        with
+       | Ok _ -> ()
+       | Error e -> Alcotest.failf "exec: %s" e);
+       Server.Client.close conn);
       (* state survived in the directory: reopen directly *)
       let db = Hr_storage.Db.open_dir dir in
       (match Hr_storage.Db.exec db "ASK r (x);" with
@@ -112,54 +114,97 @@ let test_durable_backend () =
       | Ok _ | Error _ -> Alcotest.fail "reopen failed");
       Hr_storage.Db.close db)
 
-(* A failing EXEC gets one reply text whichever path serves it: an
-   in-memory server, a durable one, and a durable one whose reads run on
-   a reader domain all name the failing statement's line and column. *)
+(* A sharded front: a router over one shard, the server at
+   [shard_port]. The parent's copy of the router is closed, as in
+   [fork_server]. *)
+let spawn_router shard_port =
+  let map =
+    match Hr_check.Shard_map.parse (Printf.sprintf "shard 0 127.0.0.1:%d\ndefault 0\n" shard_port) with
+    | Ok map -> map
+    | Error e -> Alcotest.failf "shard map: %s" e
+  in
+  let router = Hr_shard.Router.create ~port:0 ~timeout:5.0 ~map () in
+  let port = Hr_shard.Router.port router in
+  match Unix.fork () with
+  | 0 ->
+    (try Hr_shard.Router.serve_forever router with _ -> ());
+    Unix._exit 0
+  | pid ->
+    Hr_shard.Router.close router;
+    (port, pid)
+
+(* The replies to [setup] and then each of [scripts], on one connection,
+   from each path that can serve an EXEC: an in-memory server, a durable
+   one, a durable one whose reads run on a reader domain, and a router
+   in front of an in-memory shard. *)
+let replies_on_every_path ~setup scripts =
+  let replies port =
+    let conn = Server.Client.connect ~timeout:10.0 ~port () in
+    (match Server.Client.exec conn setup with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "setup: %s" e);
+    let out =
+      List.map
+        (fun script ->
+          match Server.Client.exec conn script with
+          | Ok out -> "OK " ^ out
+          | Error msg -> "ERR " ^ msg)
+        scripts
+    in
+    Server.Client.close conn;
+    out
+  in
+  [
+    ("in-memory", with_server (spawn_server ()) replies);
+    ("durable", with_temp_dir (fun dir -> with_server (spawn_server ~dir ()) replies));
+    ( "reader-domain",
+      with_temp_dir (fun dir ->
+          with_server
+            (spawn_in_child (fun () -> Server.create_durable ~reader_domains:1 ~port:0 ~dir ()))
+            replies) );
+    ( "sharded",
+      with_server (spawn_server ()) @@ fun shard_port ->
+      with_server (spawn_router shard_port) replies );
+  ]
+
+let check_every_path expected paths =
+  List.iter (fun (path, replies) -> Alcotest.(check (list string)) (path ^ " replies") expected replies) paths
+
+(* A failing EXEC gets one reply text whichever path serves it: each
+   names the failing statement's line and column. *)
 let test_error_text_on_every_path () =
-  let scripts =
-    [
-      "SELECT * FROM r;\nSELECT * FROM nosuch;";
-      "SELECT * FROM r; -- the second statement is on the next line\n  ASK nosuch (x);";
-      "INSERT INTO r VALUES (+ x);\nINSERT INTO nosuch VALUES (+ x);";
-    ]
-  in
-  let replies (port, pid) =
-    Fun.protect
-      ~finally:(fun () -> stop_server pid)
-      (fun () ->
-        let conn = Server.Client.connect ~timeout:10.0 ~port () in
-        (match
-           Server.Client.exec conn
-             "CREATE DOMAIN d; CREATE INSTANCE x OF d; CREATE RELATION r (v: d);"
-         with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "setup: %s" e);
-        let out =
-          List.map
-            (fun script ->
-              match Server.Client.exec conn script with
-              | Ok out -> "OK " ^ out
-              | Error msg -> "ERR " ^ msg)
-            scripts
-        in
-        Server.Client.close conn;
-        out)
-  in
-  let memory = replies (spawn_server ()) in
-  Alcotest.(check (list string)) "in-memory replies"
+  check_every_path
     [
       "ERR at line 2, column 1: unknown relation \"nosuch\"";
       "ERR at line 2, column 3: unknown relation \"nosuch\"";
       "ERR at line 2, column 1: unknown relation \"nosuch\"";
     ]
-    memory;
-  Alcotest.(check (list string)) "durable replies" memory
-    (with_temp_dir (fun dir -> replies (spawn_server ~dir ())));
-  Alcotest.(check (list string)) "reader-domain replies" memory
-    (with_temp_dir (fun dir ->
-         replies
-           (spawn_in_child (fun () ->
-                Server.create_durable ~reader_domains:1 ~port:0 ~dir ()))))
+    (replies_on_every_path ~setup:"CREATE DOMAIN d; CREATE INSTANCE x OF d; CREATE RELATION r (v: d);"
+       [
+         "SELECT * FROM r;\nSELECT * FROM nosuch;";
+         "SELECT * FROM r; -- the second statement is on the next line\n  ASK nosuch (x);";
+         "INSERT INTO r VALUES (+ x);\nINSERT INTO nosuch VALUES (+ x);";
+       ])
+
+(* An EXEC frame is parsed whole before any of it runs: one whose second
+   statement does not parse (or lex) creates nothing on any path, and
+   every path names the same position in the frame. Pieces are read in
+   order, so a parse error before a lex error is the one reported. *)
+let test_unparsable_frame_runs_nothing () =
+  check_every_path
+    [
+      "ERR parse error: CREATE: unexpected identifier \"NONSENSE\" at line 2, column 16";
+      "ERR lex error: unexpected character '@' at line 3, column 3";
+      "ERR parse error: CREATE: unexpected identifier \"NONSENSE\" at line 1, column 16";
+      "OK domain d created";
+    ]
+    (replies_on_every_path ~setup:"SHOW HIERARCHIES;"
+       [
+         "CREATE DOMAIN d;\nCREATE NONSENSE;";
+         "CREATE DOMAIN d;\n\n  @;";
+         "CREATE NONSENSE;\n@;";
+         "CREATE DOMAIN d;";
+       ])
 
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
@@ -167,7 +212,7 @@ let contains ~needle hay =
   go 0
 
 let test_lint_over_the_wire () =
-  let port, pid = spawn_server () in
+  with_server (spawn_server ()) @@ fun port ->
   let conn = Server.Client.connect ~timeout:10.0 ~port () in
   (match Server.Client.exec conn "CREATE DOMAIN d; CREATE INSTANCE x OF d; CREATE RELATION r (v: d); INSERT INTO r VALUES (+ x);" with
   | Ok _ -> ()
@@ -188,22 +233,19 @@ let test_lint_over_the_wire () =
   (match Server.Client.exec conn "ASK r (x);" with
   | Ok out -> Alcotest.(check string) "relation still there" "+ (by (x))" out
   | Error e -> Alcotest.failf "ask after lint: %s" e);
-  Server.Client.close conn;
-  stop_server pid
+  Server.Client.close conn
 
 let test_fsck_over_the_wire () =
   (* in-memory backends refuse the frame *)
-  let port, pid = spawn_server () in
-  let conn = Server.Client.connect ~timeout:10.0 ~port () in
-  (match Server.Client.fsck conn with
-  | Ok _ -> Alcotest.fail "memory backend should refuse FSCK"
-  | Error msg ->
-    Alcotest.(check bool) "says durable" true (contains ~needle:"durable" msg));
-  Server.Client.close conn;
-  stop_server pid;
+  (with_server (spawn_server ()) @@ fun port ->
+   let conn = Server.Client.connect ~timeout:10.0 ~port () in
+   (match Server.Client.fsck conn with
+   | Ok _ -> Alcotest.fail "memory backend should refuse FSCK"
+   | Error msg -> Alcotest.(check bool) "says durable" true (contains ~needle:"durable" msg));
+   Server.Client.close conn);
   (* a durable backend verifies its own directory *)
   with_temp_dir (fun dir ->
-      let port, pid = spawn_server ~dir () in
+      with_server (spawn_server ~dir ()) @@ fun port ->
       let conn = Server.Client.connect ~timeout:10.0 ~port () in
       (match Server.Client.exec conn "CREATE DOMAIN d; CREATE INSTANCE x OF d;" with
       | Ok _ -> ()
@@ -216,8 +258,7 @@ let test_fsck_over_the_wire () =
         Alcotest.(check bool) "json clean" true
           (contains ~needle:"\"clean\":true" body)
       | Error e -> Alcotest.failf "fsck json: %s" e);
-      Server.Client.close conn;
-      stop_server pid)
+      Server.Client.close conn)
 
 (* A counter from a STATS reply ("  <name>  <value>" lines). *)
 let counter conn name =
@@ -238,14 +279,10 @@ let counter conn name =
 let test_group_commit () =
   let clients = 6 in
   with_temp_dir (fun dir ->
-      let port, pid =
-        fork_server
-          (Server.create_durable ~group_commit_window:0.1 ~fsync:false ~port:0
-             ~dir ())
-      in
-      Fun.protect
-        ~finally:(fun () -> stop_server pid)
-        (fun () ->
+      (with_server
+         (fork_server
+            (Server.create_durable ~group_commit_window:0.1 ~fsync:false ~port:0 ~dir ()))
+       @@ fun port ->
           let admin = Server.Client.connect ~timeout:10.0 ~port () in
           (match
              Server.Client.exec admin
@@ -323,6 +360,8 @@ let suite =
     Alcotest.test_case "durable backend over tcp" `Quick test_durable_backend;
     Alcotest.test_case "an EXEC error reads the same on every path" `Quick
       test_error_text_on_every_path;
+    Alcotest.test_case "an unparsable EXEC frame runs nothing" `Quick
+      test_unparsable_frame_runs_nothing;
     Alcotest.test_case "group commit shares one sync across clients" `Quick
       test_group_commit;
     Alcotest.test_case "lint over the wire" `Quick test_lint_over_the_wire;

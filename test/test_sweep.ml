@@ -7,8 +7,12 @@
      for the same verdict, the same first conflict and the same conflict
      list, in the same order;
    - [Integrity.affected] reads the tuples a deletion exposes from the
-     index's binding-order candidates; it is checked against a fold over
-     the whole relation;
+     index's binding-order candidates, one probe per exposing deletion;
+     it is checked against a fold over the whole relation. Every
+     conflicting pair a scan finds for a probe must be among the
+     partners the index gives it, the sweep must report the first
+     conflict of the pairs those partners make, and it must reach the
+     whole check's verdict;
    - the on-path and no-preemption checks take their maximal-common-
      descendant candidates from the same probe; they are checked against
      the enumeration over all n² tuple pairs;
@@ -20,8 +24,10 @@
      tuple exposed through a preference edge only;
    - on a relation shaped like the benchmark's [hb] (9,016 tuples), a
      one-row INSERT and a one-row DELETE each make no more pair tests
-     than the opposite-sign tuples that meet the affected tuples, and
-     neither the commit nor the reads after it build an index.
+     than the opposite-sign tuples that meet the probed items, and
+     neither the commit nor the reads after it build an index;
+   - on one shaped like [xr], deleting a negated instance walks that
+     instance's ancestors, not the cone of the class it exposes.
 
    Schemas have arity 1-3 over random DAG hierarchies (multi-parent
    nodes, some with preference edges). The random part is replayable:
@@ -47,11 +53,28 @@ let () =
 
 (* ---- the oracles ----------------------------------------------------- *)
 
-(* Every opposite-sign pair (i, j), i < j, in structural order, with a
-   member in [affected] (every tuple when [None]); its witnesses are the
-   maximal common descendants whose verdict is a conflict. *)
-let pairwise_sweep ?affected ~first rel =
+(* The opposite-sign tuples [a] and [b] as a conflict: their items are
+   incomparable, and its witnesses are the maximal common descendants
+   whose verdict is a conflict, of which there is one at least. *)
+let conflict_of rel (a : Relation.tuple) (b : Relation.tuple) =
   let schema = Relation.schema rel in
+  let pos, neg = if Types.bool_of_sign a.Relation.sign then (a, b) else (b, a) in
+  if Item.comparable schema pos.Relation.item neg.Relation.item then None
+  else
+    match
+      List.filter
+        (fun w ->
+          match Binding.verdict rel w with
+          | Binding.Conflict _ -> true
+          | Binding.Asserted _ | Binding.Unasserted -> false)
+        (Item.maximal_common_descendants schema pos.Relation.item neg.Relation.item)
+    with
+    | [] -> None
+    | witnesses -> Some { Integrity.pos; neg; witnesses }
+
+(* Every opposite-sign pair (i, j), i < j, in structural order, with a
+   member in [affected] (every tuple when [None]) and a conflict. *)
+let pairwise_sweep ?affected ~first rel =
   let tuples = Array.of_list (Relation.tuples rel) in
   let n = Array.length tuples in
   let in_a =
@@ -68,40 +91,34 @@ let pairwise_sweep ?affected ~first rel =
        for j = i + 1 to n - 1 do
          let ti = tuples.(i) and tj = tuples.(j) in
          if (in_a.(i) || in_a.(j)) && not (Types.sign_equal ti.Relation.sign tj.Relation.sign)
-         then begin
-           let pos, neg = if Types.bool_of_sign ti.Relation.sign then (ti, tj) else (tj, ti) in
-           if not (Item.comparable schema pos.Relation.item neg.Relation.item) then begin
-             let witnesses =
-               List.filter
-                 (fun w ->
-                   match Binding.verdict rel w with
-                   | Binding.Conflict _ -> true
-                   | Binding.Asserted _ | Binding.Unasserted -> false)
-                 (Item.maximal_common_descendants schema pos.Relation.item neg.Relation.item)
-             in
-             if witnesses <> [] then begin
-               found := { Integrity.pos; neg; witnesses } :: !found;
-               if first then raise Stop
-             end
-           end
-         end
+         then
+           match conflict_of rel ti tj with
+           | None -> ()
+           | Some c ->
+             found := c :: !found;
+             if first then raise Stop
        done
      done
    with Stop -> ());
   List.rev !found
 
-(* The surviving tuples some deleted tuple lay below in the binding
-   order, by a fold over the whole relation; ascending. *)
+(* One probe per surviving tuple a deleted tuple lay below in the
+   binding order, at the deleted item, by a fold over the whole
+   relation: deletions in [deleted]'s order, tuples ascending. *)
 let folded_exposed rel { Integrity.inserted; deleted } =
   let schema = Relation.schema rel in
   let fresh = Item_set.of_list (List.map (fun (t : Relation.tuple) -> t.Relation.item) inserted) in
-  List.filter
-    (fun (t : Relation.tuple) ->
-      (not (Item_set.mem t.Relation.item fresh))
-      && List.exists
-           (fun (d : Relation.tuple) -> Item.binds_below schema t.Relation.item d.Relation.item)
-           deleted)
-    (Relation.tuples rel)
+  List.concat_map
+    (fun (d : Relation.tuple) ->
+      List.filter_map
+        (fun (t : Relation.tuple) ->
+          if
+            (not (Item_set.mem t.Relation.item fresh))
+            && Item.binds_below schema t.Relation.item d.Relation.item
+          then Some { Integrity.tuple = t; at = d.Relation.item }
+          else None)
+        (Relation.tuples rel))
+    deleted
 
 (* The stricter semantics' candidates from all n² pairs. *)
 let pairwise_exhaustive ~semantics rel =
@@ -177,16 +194,69 @@ let check_whole ~ctx rel =
     [ Types.On_path; Types.No_preemption ];
   reference <> []
 
-(* A delta's affected set and the restricted sweep over it. *)
+let show_probes schema probes =
+  String.concat ", "
+    (List.map
+       (fun { Integrity.tuple; at } ->
+         Format.asprintf "%s at %a" (show schema [ tuple ]) (Item.pp schema) at)
+       probes)
+
+let opposite (a : Relation.tuple) (b : Relation.tuple) =
+  not (Types.sign_equal a.Relation.sign b.Relation.sign)
+
+(* A delta's affected set and the sweep over it. The probes must be the
+   fold's. Each probe's conflicting pairs, by a scan of the opposite-sign
+   tuples that intersect the probed item, must be among the partners the
+   index gives it. The sweep must report the first conflict, in scan
+   order, of the pairs those partners make, each pair once; and it must
+   reach the whole check's verdict. *)
 let check_delta ~ctx ~base staged touched =
   let schema = Relation.schema staged in
   let d = Integrity.delta ~base staged touched in
   let a = Integrity.affected staged d in
-  let exposed = List.filter (fun t -> not (List.exists (tuple_equal t) d.inserted)) a in
-  same_tuples ~ctx:(ctx ^ ", exposed") schema exposed (folded_exposed staged d);
-  same_conflicts ~ctx:(ctx ^ ", delta sweep") schema
-    ~probed:(Option.to_list (Integrity.sweep ~affected:a staged))
-    ~reference:(pairwise_sweep ~affected:a ~first:true staged);
+  let exposed = List.filteri (fun i _ -> i >= List.length d.inserted) a in
+  let reference = folded_exposed staged d in
+  if
+    not
+      (List.equal
+         (fun (p : Integrity.probe) (q : Integrity.probe) ->
+           tuple_equal p.tuple q.tuple && Item.equal p.at q.at)
+         exposed reference)
+  then
+    Alcotest.failf "%s, exposed: the probe gives [%s], the scan [%s]" ctx
+      (show_probes schema exposed) (show_probes schema reference);
+  let read ({ Integrity.tuple; at } as probe) =
+    let partners = Relation.partners staged { tuple with Relation.item = at } in
+    List.iter
+      (fun (o : Relation.tuple) ->
+        if
+          opposite tuple o
+          && Item.intersects schema o.Relation.item at
+          && Option.is_some (conflict_of staged tuple o)
+          && not (List.exists (tuple_equal o) partners)
+        then
+          Alcotest.failf "%s, probe %s: the index misses its conflicting partner %s" ctx
+            (show_probes schema [ probe ]) (show schema [ o ]))
+      (Relation.tuples staged);
+    List.filter_map
+      (fun o -> if opposite tuple o then conflict_of staged tuple o else None)
+      partners
+  in
+  let position (c : Integrity.conflict) =
+    let a = c.pos.Relation.item and b = c.neg.Relation.item in
+    if Item.compare a b < 0 then (a, b) else (b, a)
+  in
+  let by_position c c' =
+    let i, j = position c and i', j' = position c' in
+    match Item.compare i i' with 0 -> Item.compare j j' | n -> n
+  in
+  let probed = Option.to_list (Integrity.sweep ~affected:a staged) in
+  same_conflicts ~ctx:(ctx ^ ", delta sweep") schema ~probed
+    ~reference:(first (List.sort_uniq by_position (List.concat_map read a)));
+  let whole = pairwise_sweep ~first:false staged in
+  if (probed = []) <> (whole = []) then
+    Alcotest.failf "%s, delta verdict: the probe reports\n%s\nthe whole scan reports\n%s" ctx
+      (render schema probed) (render schema whole);
   exposed <> []
 
 (* A version's probes against a scan of its tuples: [meeting] exactly,
@@ -309,10 +379,10 @@ let differential seed =
       let ctx = Printf.sprintf "%s step %d" ctx step in
       if check_delta ~ctx ~base !staged !touched then tally.exposing <- tally.exposing + 1;
       check_probes ~ctx g !staged;
-      (* an arbitrary affected set, as a caller of [sweep] may pass *)
+      (* an arbitrary affected set, probing at its own items *)
       let some = List.filter (fun _ -> Prng.bool g) (Relation.tuples !staged) in
       same_conflicts ~ctx:(ctx ^ ", arbitrary affected set") schema
-        ~probed:(Option.to_list (Integrity.sweep ~affected:some !staged))
+        ~probed:(Option.to_list (Integrity.sweep ~affected:(List.map Integrity.own some) !staged))
         ~reference:(pairwise_sweep ~affected:some ~first:true !staged)
     done;
     ignore (check_whole ~ctx:(ctx ^ " after the changes") !staged)
@@ -373,7 +443,7 @@ let diamond_conflict () =
   let a = Item.of_names schema [ "kd_a" ] and b = Item.of_names schema [ "kd_b" ] in
   let from item =
     let sign = Option.get (Relation.find rel item) in
-    Option.to_list (Integrity.sweep ~affected:[ { Relation.item; sign } ] rel)
+    Option.to_list (Integrity.sweep ~affected:[ Integrity.own { Relation.item; sign } ] rel)
   in
   Alcotest.(check int) "affected (+ ALL kd_a): the key walk" 1 (List.length (from a));
   Alcotest.(check int) "affected (- ALL kd_b): the cone" 1 (List.length (from b));
@@ -405,7 +475,7 @@ let preference_exposure () =
        (fun (t : Relation.tuple) ->
          Format.asprintf "%a%a" Types.pp_sign t.Relation.sign (Item.pp schema) t.Relation.item)
        (List.sort (fun (a : Relation.tuple) b -> Item.compare a.Relation.item b.Relation.item)
-          (Integrity.affected staged d)));
+          (List.map (fun (p : Integrity.probe) -> p.tuple) (Integrity.affected staged d))));
   Alcotest.(check bool) "the delta sweep finds the conflict" true
     (Option.is_some (Integrity.sweep ~affected:(Integrity.affected staged d) staged));
   ignore (check_delta ~ctx:"preference" ~base staged [ s ])
@@ -454,13 +524,13 @@ let hb () =
   done;
   (hr, hw, Relation.of_map ~name:"cost_hb" schema !body)
 
-(* The opposite-sign tuples that meet [a] on the coordinate where
-   fewest do, by a scan: what a probe may read for [a]. *)
-let meeting_set rel (a : Relation.tuple) =
+(* The opposite-sign tuples that meet the probed item on the coordinate
+   where fewest do, by a scan: what a probe may read. *)
+let meeting_set rel { Integrity.tuple; at } =
   let schema = Relation.schema rel in
   let opposite =
     List.filter
-      (fun (t : Relation.tuple) -> not (Types.sign_equal t.Relation.sign a.Relation.sign))
+      (fun (t : Relation.tuple) -> not (Types.sign_equal t.Relation.sign tuple.Relation.sign))
       (Relation.tuples rel)
   in
   List.fold_left min max_int
@@ -469,8 +539,7 @@ let meeting_set rel (a : Relation.tuple) =
          List.length
            (List.filter
               (fun (t : Relation.tuple) ->
-                Hierarchy.intersects h (Item.coord t.Relation.item i)
-                  (Item.coord a.Relation.item i))
+                Hierarchy.intersects h (Item.coord t.Relation.item i) (Item.coord at i))
               opposite)))
 
 let hb_write_cost () =
@@ -518,10 +587,68 @@ let hb_write_cost () =
       let deleted = commit "one-row DELETE" (fun txn -> Txn.delete_item txn ~rel:"cost_hb" item) in
       Alcotest.(check int) "the DELETE exposes chain 0" 4 deleted)
 
+(* The benchmark's xr: domain xw -> 16 classes -> 128 leaf classes ->
+   5,000 instances, one in ten under a second leaf of another subtree;
+   (+ ALL leaf) for every leaf and 96 negated instances. *)
+let xr () =
+  let h = Hierarchy.create "cone_xw" in
+  for m = 0 to 15 do
+    ignore (Hierarchy.add_class h (Printf.sprintf "cone_m%d" m))
+  done;
+  for l = 0 to 127 do
+    ignore
+      (Hierarchy.add_class h ~parents:[ Printf.sprintf "cone_m%d" (l mod 16) ]
+         (Printf.sprintf "cone_l%d" l))
+  done;
+  for j = 0 to 4999 do
+    let l = j mod 128 in
+    let parents =
+      Printf.sprintf "cone_l%d" l
+      :: (if j / 128 mod 10 = 0 then [ Printf.sprintf "cone_l%d" ((l + 17) mod 128) ] else [])
+    in
+    ignore (Hierarchy.add_instance h ~parents (Printf.sprintf "cone_i%d" j))
+  done;
+  Hierarchy.freeze h;
+  let schema = Schema.make [ ("v", h) ] in
+  let rel =
+    Relation.of_tuples ~name:"cone_xr" schema
+      (List.init 128 (fun l -> (Types.Pos, [ Printf.sprintf "cone_l%d" l ]))
+      @ List.init 96 (fun k -> (Types.Neg, [ Printf.sprintf "cone_i%d" (k * 52) ])))
+  in
+  (h, rel)
+
+(* Deleting a negated instance exposes the (+ ALL leaf) tuples above it.
+   Each probes at the deleted instance, so the commit marks only the
+   instance and its ancestors once per exposed tuple, not a leaf's cone
+   (about 45 nodes). *)
+let xr_delete_cone () =
+  Metrics.with_enabled true (fun () ->
+      let h, rel = xr () in
+      let cat = Catalog.create () in
+      Catalog.define_hierarchy cat h;
+      Catalog.define_relation cat rel;
+      List.iter
+        (fun (name, leaves) ->
+          let item = Item.of_names (Relation.schema rel) [ name ] in
+          let v = Item.coord item 0 in
+          Alcotest.(check int) (name ^ " sits under its leaves") leaves
+            (List.length (Hierarchy.parents h v));
+          let bound = leaves * List.length (Hierarchy.ancestors h v) in
+          let marked0 = Metrics.counter_value "hierarchy.cone_nodes" in
+          let txn = Txn.begin_ cat in
+          Txn.delete_item txn ~rel:"cone_xr" item;
+          (match Txn.commit txn with Ok () -> () | Error _ -> Alcotest.failf "%s rejected" name);
+          let marked = Metrics.counter_value "hierarchy.cone_nodes" - marked0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "deleting %s marks %d <= %d nodes" name marked bound)
+            true (marked <= bound))
+        [ ("cone_i260", 1); ("cone_i0", 2) ])
+
 let suite =
   [
     Alcotest.test_case "probed sweep = pairwise scan on random DAG relations" `Quick random_worlds;
     Alcotest.test_case "diamond: key walk and cone both find the pair" `Quick diamond_conflict;
     Alcotest.test_case "a deletion exposes through a preference edge" `Quick preference_exposure;
     Alcotest.test_case "hb-shaped one-row writes cost their meeting sets" `Quick hb_write_cost;
+    Alcotest.test_case "an xr-shaped DELETE walks the deleted item's cone" `Quick xr_delete_cone;
   ]

@@ -199,15 +199,17 @@ type diff_stats = {
   mutable txns : int;
   mutable rejected : int;
   mutable exposed : int;  (** a deletion alone made the staged value inconsistent *)
+  mutable multi_deleted : int;  (** the delta from a verified base deleted two or more tuples *)
   mutable repaired : int;
   mutable unverified : int;
   mutable mismatch : string option;
 }
 
 (* One random transaction against relation "r": 1-4 multi-row inserts,
-   deletes, sign flips and "exposing" deletes (a tuple whose removal
-   re-opens a conflict it was resolving), then sometimes an in-transaction
-   repair at the conflict witnesses. Returns the touched items. *)
+   deletes, sign flips, "exposing" deletes (a tuple whose removal
+   re-opens a conflict it was resolving) and runs of two or three
+   deletes, some of them flips, then sometimes an in-transaction repair
+   at the conflict witnesses. Returns the touched items. *)
 let random_txn rng stats txn =
   let touched = ref [] in
   let cur () = Txn.current txn "r" in
@@ -226,7 +228,7 @@ let random_txn rng stats txn =
     if Array.length ts = 0 then None else Some (Prng.pick rng ts)
   in
   for _ = 1 to 1 + Prng.int rng 4 do
-    match Prng.int rng 4 with
+    match Prng.int rng 5 with
     | 0 -> (
       let item = random_item rng schema in
       let sign = if Prng.bool rng then Types.Pos else Types.Neg in
@@ -245,6 +247,27 @@ let random_txn rng stats txn =
         del t.Relation.item;
         ins (Types.negate t.Relation.sign) t.Relation.item
       | None -> ins Types.Pos (random_item rng schema))
+    | 3 -> (
+      (* two or three tuples below one survivor, which each deletion
+         exposes, some of them flipped *)
+      match pick_existing () with
+      | None -> ()
+      | Some e ->
+        let below =
+          List.filter
+            (fun (t : Relation.tuple) ->
+              (not (Item.equal t.item e.item)) && Item.binds_below schema e.item t.item)
+            (Array.to_list (existing ()))
+        in
+        let victims = if List.length below >= 2 then Array.of_list below else existing () in
+        Prng.shuffle rng victims;
+        Array.iteri
+          (fun i (t : Relation.tuple) ->
+            if i < 2 + Prng.int rng 2 then begin
+              del t.item;
+              if Prng.bernoulli rng 0.3 then ins (Types.negate t.sign) t.item
+            end)
+          victims)
     | _ -> (
       let r = cur () in
       let consistent = Integrity.is_consistent r in
@@ -291,22 +314,25 @@ let random_ddl rng cat k =
         ignore (Hierarchy.add_instance h ~parents (Printf.sprintf "ddl_%d" k)))
   end
 
-(* Decides [txn]'s commit of relation "r" twice — by the delta rule, with
-   [affected] applied to the delta when [base] is verified and every
-   tuple affected otherwise, and by the whole-relation reference — then
-   commits it. [Txn.commit] must accept exactly when the reference is
-   empty and otherwise report its conflicts. Returns whether the base
-   was verified, whether the reference rejected, and the first
-   disagreement, if any. *)
-let judge ~affected ~base ~touched txn =
+(* A delta rule: whether a staged relation is consistent, given its
+   delta from a verified base. The real one sweeps the pairs that
+   [Integrity.affected]'s probes find. *)
+let sweep_rule probes staged d = Option.is_none (Integrity.sweep ~affected:(probes staged d) staged)
+let delta_rule = sweep_rule Integrity.affected
+
+(* Decides [txn]'s commit of relation "r" twice — by [rule] when [base]
+   is verified and by the whole-relation sweep otherwise, and by the
+   whole-relation reference — then commits it. [Txn.commit] must accept
+   exactly when the reference is empty and otherwise report its
+   conflicts. Returns whether the base was verified, the delta, whether
+   the reference rejected, and the first disagreement, if any. *)
+let judge ?(rule = delta_rule) ~base ~touched txn =
   let staged = Txn.current txn "r" in
   let schema = Relation.schema staged in
   let reference = Integrity.check staged in
   let verified = Relation.verified base in
-  let scoped =
-    if verified then Some (affected staged (Integrity.delta ~base staged touched)) else None
-  in
-  let delta_ok = Option.is_none (Integrity.sweep ?affected:scoped staged) in
+  let d = Integrity.delta ~base staged touched in
+  let delta_ok = if verified then rule staged d else Option.is_none (Integrity.sweep staged) in
   let mismatch =
     if delta_ok <> (reference = []) then
       Some
@@ -321,14 +347,22 @@ let judge ~affected ~base ~touched txn =
       | Error _, _ -> Some "Txn.commit rejected or misreported"
   in
   Txn.abort txn;
-  (verified, reference <> [], mismatch)
+  (verified, d, reference <> [], mismatch)
 
 (* Runs [worlds] random worlds of [txns] transactions each through
-   {!judge} with the real delta rule. *)
+   {!judge}. *)
 let differential ?(worlds = 25) ?(txns = 12) seed =
   let rng = Prng.create (Int64.of_int seed) in
   let stats =
-    { txns = 0; rejected = 0; exposed = 0; repaired = 0; unverified = 0; mismatch = None }
+    {
+      txns = 0;
+      rejected = 0;
+      exposed = 0;
+      multi_deleted = 0;
+      repaired = 0;
+      unverified = 0;
+      mismatch = None;
+    }
   in
   for w = 1 to worlds do
     let cat = random_world rng in
@@ -337,12 +371,12 @@ let differential ?(worlds = 25) ?(txns = 12) seed =
       let base = Catalog.relation cat "r" in
       let txn = Txn.begin_ cat in
       let touched = random_txn rng stats txn in
-      let verified, rejected, mismatch =
-        judge ~affected:Integrity.affected ~base ~touched txn
-      in
+      let verified, d, rejected, mismatch = judge ~base ~touched txn in
       stats.txns <- stats.txns + 1;
       if rejected then stats.rejected <- stats.rejected + 1;
-      if not verified then stats.unverified <- stats.unverified + 1;
+      if not verified then stats.unverified <- stats.unverified + 1
+      else if List.length d.Integrity.deleted >= 2 then
+        stats.multi_deleted <- stats.multi_deleted + 1;
       match mismatch, stats.mismatch with
       | Some m, None ->
         stats.mismatch <- Some (Printf.sprintf "world %d txn %d: %s" w k m)
@@ -365,39 +399,141 @@ let test_delta_differential () =
   Alcotest.(check bool) "some commits rejected" true (rejected > 0);
   Alcotest.(check bool) "some commits accepted" true (rejected < txns);
   Alcotest.(check bool) "some deletions exposed a conflict" true (total (fun s -> s.exposed) > 0);
+  Alcotest.(check bool) "some deltas deleted two or more tuples" true
+    (total (fun s -> s.multi_deleted) > 0);
   Alcotest.(check bool) "some in-transaction repairs" true (total (fun s -> s.repaired) > 0);
   Alcotest.(check bool) "some unverified bases" true (total (fun s -> s.unverified) > 0)
 
-(* The harness must catch a delta rule that forgets the exposed tuples E.
-   In a verified base, the exception (+ x) resolves the clash of
-   (+ ALL a) and (- ALL b) at x; deleting it re-opens a conflict between
-   two surviving tuples and inserts nothing, so A = I is empty. *)
-let test_delta_differential_self_check () =
+(* ---- seeded mutants of the delta rule ---------------------------------- *)
+
+(* A = I: the exposed tuples are forgotten. *)
+let inserted_only _ d = List.map Integrity.own d.Integrity.inserted
+
+(* One probe per exposed tuple, at the first (in structural order)
+   deleted item that exposed it. *)
+let first_deleter_only staged d =
+  let by_deleter (p : Integrity.probe) (q : Integrity.probe) = Item.compare p.at q.at in
+  List.fold_left
+    (fun kept (p : Integrity.probe) ->
+      if List.exists (fun (q : Integrity.probe) -> Item.equal q.tuple.item p.tuple.item) kept
+      then kept
+      else p :: kept)
+    [] (List.stable_sort by_deleter (Integrity.affected staged d))
+
+(* The real probes, but a pair with both members affected is read only
+   from the member of the lead sign, the sign fewer affected tuples
+   carry: sound while every tuple probes at its own item, and not once
+   an exposed tuple probes at a deleted one. *)
+let lead_sign_dedup staged d =
+  let schema = Relation.schema staged in
+  let probes = Integrity.affected staged d in
+  let in_a (t : Relation.tuple) =
+    List.exists (fun (p : Integrity.probe) -> Item.equal p.tuple.item t.item) probes
+  in
+  let carry sign =
+    List.length
+      (List.sort_uniq Item.compare
+         (List.filter_map
+            (fun (p : Integrity.probe) ->
+              if Types.sign_equal p.tuple.sign sign then Some p.tuple.item else None)
+            probes))
+  in
+  let lead = if carry Types.Neg < carry Types.Pos then Types.Neg else Types.Pos in
+  let conflicting (a : Relation.tuple) (b : Relation.tuple) =
+    (not (Item.comparable schema a.item b.item))
+    && Item.intersects schema a.item b.item
+    && List.exists
+         (fun w ->
+           match Binding.verdict staged w with
+           | Binding.Conflict _ -> true
+           | Binding.Asserted _ | Binding.Unasserted -> false)
+         (Item.maximal_common_descendants schema a.item b.item)
+  in
+  not
+    (List.exists
+       (fun { Integrity.tuple = a; at } ->
+         let leads = Types.sign_equal a.sign lead in
+         List.exists
+           (fun t -> (leads || not (in_a t)) && conflicting a t)
+           (Relation.partners staged { Relation.item = at; sign = a.sign }))
+       probes)
+
+(* A fixed world for {!judge}: [script] builds relation r, and the
+   transaction deletes the named items. Each mutant gets one such world
+   wrong. (The random worlds catch them less surely: over seeds 1-40,
+   A = I in all, the lead-sign dedup in about half, the first-deleter
+   probe in a tenth.) *)
+let run_fixed script deletions =
   let cat = Catalog.create () in
-  (match
-     Eval.run_script cat
-       "CREATE DOMAIN d;\n\
-        CREATE CLASS a UNDER d;\n\
-        CREATE CLASS b UNDER d;\n\
-        CREATE INSTANCE x OF a, b;\n\
-        CREATE RELATION r (v: d);\n\
-        INSERT INTO r VALUES (+ ALL a), (- ALL b), (+ x);\n"
-   with
+  (match Eval.run_script cat script with
   | Ok _ -> ()
   | Error m -> Alcotest.failf "setup failed: %s" m);
-  let delete_x affected =
+  fun rule ->
     let base = Catalog.relation cat "r" in
-    let x = Item.of_names (Relation.schema base) [ "x" ] in
+    let items = List.map (fun n -> Item.of_names (Relation.schema base) [ n ]) deletions in
     let txn = Txn.begin_ cat in
-    Txn.delete_item txn ~rel:"r" x;
-    judge ~affected ~base ~touched:[ x ] txn
-  in
-  let verified, rejected, mismatch = delete_x Integrity.affected in
+    List.iter (Txn.delete_item txn ~rel:"r") items;
+    judge ~rule ~base ~touched:items txn
+
+(* In a verified base, the exception (+ x) resolves the clash of
+   (+ ALL a) and (- ALL b) at x; deleting it re-opens a conflict between
+   two surviving tuples and inserts nothing, so A = I is empty. *)
+let exposing_one =
+  run_fixed
+    "CREATE DOMAIN d;\n\
+     CREATE CLASS a UNDER d;\n\
+     CREATE CLASS b UNDER d;\n\
+     CREATE INSTANCE x OF a, b;\n\
+     CREATE RELATION r (v: d);\n\
+     INSERT INTO r VALUES (+ ALL a), (- ALL b), (+ x);\n"
+    [ "x" ]
+
+(* (+ ALL c) under a agrees with (+ ALL b) at x. Deleting it and (- y)
+   exposes (- ALL a) at c, where it meets (+ ALL b), and (+ ALL b) at y,
+   where it meets nothing negative. Each sign has one affected tuple, so
+   the lead sign is +, whose only probe (at y) misses the pair. *)
+let exposing_two_signs =
+  run_fixed
+    "CREATE DOMAIN d;\n\
+     CREATE CLASS a UNDER d;\n\
+     CREATE CLASS b UNDER d;\n\
+     CREATE CLASS c UNDER a;\n\
+     CREATE INSTANCE x OF c, b;\n\
+     CREATE INSTANCE y OF b;\n\
+     CREATE RELATION r (v: d);\n\
+     INSERT INTO r VALUES (- ALL a), (+ ALL b), (+ ALL c), (- y);\n"
+    [ "c"; "y" ]
+
+(* Deleting (+ w) and (+ ALL c) exposes (- ALL a) twice: at w, which
+   meets no positive tuple, and at c, which meets (+ ALL b). w comes
+   before c in structural order, so a first-deleter probe misses. *)
+let exposing_twice =
+  run_fixed
+    "CREATE DOMAIN d;\n\
+     CREATE CLASS a UNDER d;\n\
+     CREATE CLASS b UNDER d;\n\
+     CREATE INSTANCE w OF a;\n\
+     CREATE CLASS c UNDER a;\n\
+     CREATE INSTANCE x OF c, b;\n\
+     CREATE RELATION r (v: d);\n\
+     INSERT INTO r VALUES (- ALL a), (+ ALL b), (+ ALL c), (+ w);\n"
+    [ "w"; "c" ]
+
+(* The real rule agrees with the reference in [world]; [mutant] does
+   not. *)
+let caught world mutant =
+  let verified, _, rejected, mismatch = world delta_rule in
   Alcotest.(check bool) "the base is verified" true verified;
-  Alcotest.(check bool) "the reference rejects the delete" true rejected;
+  Alcotest.(check bool) "the reference rejects the deletions" true rejected;
   Alcotest.(check (option string)) "the delta rule agrees" None mismatch;
-  let _, _, mismatch = delete_x (fun _ d -> d.Integrity.inserted) in
-  Alcotest.(check bool) "A = I alone is caught" true (Option.is_some mismatch)
+  let _, _, _, mismatch = world mutant in
+  Alcotest.(check bool) "the mutant is caught" true (Option.is_some mismatch)
+
+let test_delta_differential_self_check () = caught exposing_one (sweep_rule inserted_only)
+
+let test_delta_probe_mutants () =
+  caught exposing_two_signs lead_sign_dedup;
+  caught exposing_twice (sweep_rule first_deleter_only)
 
 (* ---- consistency-stamp invalidation ------------------------------------ *)
 
@@ -572,6 +708,8 @@ let suite =
       test_delta_differential;
     Alcotest.test_case "delta differential catches A = I" `Quick
       test_delta_differential_self_check;
+    Alcotest.test_case "delta differential catches probe mutants" `Quick
+      test_delta_probe_mutants;
     Alcotest.test_case "stamp: LET-installed relation" `Quick test_stamp_let;
     Alcotest.test_case "stamp: in-place hierarchy DDL" `Quick test_stamp_in_place_ddl;
     Alcotest.test_case "stamp: copy-on-write hierarchy DDL" `Quick test_stamp_cow_ddl;
