@@ -54,8 +54,13 @@ val repl_ack : string
     progress ([shard.<id>.lsn] gauges) and fsck can correlate. *)
 
 val shard_pull : string
-(** [SHARD_PULL] (router → shard): payload is one relation name; the
-    shard answers {!shard_part} with that relation's stored tuples. *)
+(** [SHARD_PULL] (router → shard): payload is one relation name,
+    optionally followed by ["\n<node id>"], a node of the relation's
+    first hierarchy. The shard answers {!shard_part} with that
+    relation's stored tuples — with a node id, only those whose first
+    coordinate meets the node (its meeting set). An unknown relation,
+    or a node id that is not an integer naming a node of that
+    hierarchy, answers [ERR]. *)
 
 val shard_part : string
 (** [SHARD_PART] (shard → router): payload is

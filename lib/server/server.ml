@@ -178,6 +178,32 @@ let stats_body payload =
     Hr_obs.Metrics.render_json snap
   else Hr_obs.Metrics.render_text snap
 
+(* What a SHARD_PULL asks for: a relation's stored tuples, or, when the
+   payload's second line names a node of the relation's first
+   hierarchy, only those whose first coordinate meets it — in
+   structural order either way. *)
+let pulled cat payload =
+  let name, probe =
+    match String.index_opt payload '\n' with
+    | None -> (String.trim payload, "")
+    | Some i ->
+      ( String.trim (String.sub payload 0 i),
+        String.trim (String.sub payload (i + 1) (String.length payload - i - 1)) )
+  in
+  match Catalog.find_relation cat name with
+  | None -> Error (Printf.sprintf "unknown relation %s" name)
+  | Some rel when probe = "" -> Ok (Relation.tuples rel)
+  | Some rel -> (
+    let h = Schema.hierarchy (Relation.schema rel) 0 in
+    let is_node n =
+      match Hr_hierarchy.Hierarchy.node_name h n with
+      | _ -> true
+      | exception Hr_hierarchy.Hierarchy.Error _ -> false
+    in
+    match int_of_string_opt probe with
+    | Some n when is_node n -> Ok (Relation.meeting rel 0 n)
+    | _ -> Error (Printf.sprintf "no node %S in the first hierarchy of %s" probe name))
+
 (* ---- serving ---------------------------------------------------------- *)
 
 exception Drop_conn
@@ -412,16 +438,17 @@ let handle t conn tag payload =
         ship t db conn))
   | tag when tag = Wire.shard_pull -> (
     (* Router gather: the stored extension of one relation as compact
-       tuple lines. Runs inline against the live catalog so a router
-       that just routed a write to this shard reads it back; the held
-       mechanics below delay the reply past the covering fsync, so the
-       router never merges state a crash could still lose. *)
-    let name = String.trim payload in
-    match Catalog.find_relation (catalog t) name with
-    | None ->
+       tuple lines, or only the tuples whose first coordinate meets the
+       node the payload's second line names. Runs inline against the
+       live catalog so a router that just routed a write to this shard
+       reads it back; the held mechanics below delay the reply past the
+       covering fsync, so the router never merges state a crash could
+       still lose. *)
+    match pulled (catalog t) payload with
+    | Error msg ->
       Hr_obs.Metrics.incr m_errors;
-      send_conn t conn "ERR" (Printf.sprintf "unknown relation %s" name)
-    | Some rel ->
+      send_conn t conn "ERR" msg
+    | Ok tuples ->
       let b = Buffer.create 256 in
       List.iter
         (fun { Relation.item; sign } ->
@@ -433,7 +460,7 @@ let handle t conn tag payload =
               Buffer.add_string b (string_of_int c))
             (Item.coords item);
           Buffer.add_char b '\n')
-        (Relation.tuples rel);
+        tuples;
       send_conn t conn Wire.shard_part
         (Wire.lsn_prefixed (head_lsn t) (Buffer.contents b)))
   | tag when tag = Wire.shard_exec -> (

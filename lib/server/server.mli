@@ -41,12 +41,15 @@
     {b Sharding} (protocol in [docs/SHARDING.md]): every server also
     answers the two backend-shard frames a router
     ({!Hr_shard.Router} / [hrdb_server --router]) fans out.
-    [SHARD_PULL] carries one relation name and answers [SHARD_PART]
-    with the relation's stored tuple lines, LSN-prefixed with this
-    shard's head; [SHARD_EXEC] carries an HRQL script and answers
-    [SHARD_ACK] (LSN-prefixed: the [INSERT] rows it already stored,
-    then the evaluator reply) or [ERR] (the refused row's number, or an
-    empty line, then the message; {!Hr_frames.Wire.rejected_row}). Both run
+    [SHARD_PULL] carries one relation name, optionally followed by a
+    line naming a node of its first hierarchy, and answers [SHARD_PART]
+    with the relation's stored tuple lines (with a node, only the
+    tuples whose first coordinate meets it), LSN-prefixed with this
+    shard's head, or [ERR] for an unknown relation or a bad node.
+    [SHARD_EXEC] carries an HRQL script and answers [SHARD_ACK]
+    (LSN-prefixed: the [INSERT] rows it already stored, then the
+    evaluator reply) or [ERR] (the refused row's number, or an empty
+    line, then the message; {!Hr_frames.Wire.rejected_row}). Both run
     inline on the event loop against the live catalog, and their
     replies obey the group-commit hold: a router never observes state
     that is not yet durable on the shard.

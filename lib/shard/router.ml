@@ -212,23 +212,25 @@ let mentioned_relations t stmt =
   in
   List.filter (fun n -> Catalog.find_relation t.cat n <> None) names
 
-(* Which shards a relation must be pulled from for this statement.
-   Default: all of them. Two provably sufficient restrictions: a
-   top-level point query whose optimized plan is a selection on the
-   scanned relation's first attribute, and ASK/EXPLAIN on a specific
-   item — in both, every tuple that can influence the answer has a
-   first coordinate intersecting the probed node, and the cover rule
-   guarantees all such tuples live on the node's cover. *)
+(* Which shards a relation must be pulled from for this statement, and
+   the node of its first attribute the pull may be narrowed to.
+   Default: every shard, the whole relation. Two provably sufficient
+   restrictions: a top-level point query whose optimized plan is a
+   selection on the scanned relation's first attribute, and ASK/EXPLAIN
+   on a specific item — in both, every tuple that can influence the
+   answer has a first coordinate intersecting the probed node (Lemma E,
+   docs/SEMANTICS.md), so only that node's meeting set is pulled, and
+   the cover rule guarantees all of it lives on the node's cover. *)
 let read_scope t stmt name =
-  let all = Shard_map.ids t.map in
+  let all = (Shard_map.ids t.map, None) in
   match Catalog.find_relation t.cat name with
   | None -> all
   | Some rel -> (
     let schema = Relation.schema rel in
     let h = Schema.hierarchy schema 0 in
-    let cover_of_value v =
+    let probe v =
       match Hierarchy.find h (Ast.value_name v) with
-      | Some n -> Shard_map.cover t.map h n
+      | Some n -> (Shard_map.cover t.map h n, Some n)
       | None -> all
     in
     match stmt with
@@ -236,23 +238,25 @@ let read_scope t stmt name =
       match (Optimizer.optimize expr).Ast.expr with
       | Ast.Select ({ Ast.expr = Ast.Rel r; _ }, attr, v)
         when r = name && attr = Hr_util.Symbol.name (Schema.attr schema 0).Schema.name ->
-        cover_of_value v
+        probe v
       | _ -> all)
     | (Ast.Ask { rel; values = v :: _; _ } | Ast.Explain { rel; values = v :: _ })
       when rel = name ->
-      cover_of_value v
+      probe v
     | _ -> all)
 
-(* Decoded tuple lines from one shard, merged with exact-identity dedup:
-   the same (item, sign) from several shards is one tuple (that is what
-   replication means); the same item with opposite signs is divergence
-   and poisons the whole read — silently picking a winner would let a
-   half-applied write change query results. *)
-let merge_part name schema tbl sc body =
-  let lines = String.split_on_char '\n' body in
-  List.iter
-    (fun line ->
-      if line <> "" then begin
+(* Decoded tuple lines from one shard, merged into [body] with
+   exact-identity dedup: the same (item, sign) from several shards is
+   one tuple (that is what replication means); the same item with
+   opposite signs is divergence and poisons the whole read — silently
+   picking a winner would let a half-applied write change query
+   results. Returns the merged body and how many tuples this shard
+   added to it. *)
+let merge_part name schema body sc part =
+  List.fold_left
+    (fun ((body, added) as acc) line ->
+      if line = "" then acc
+      else begin
         let fail () =
           raise
             (Shard_error
@@ -283,11 +287,13 @@ let merge_part name schema tbl sc body =
                      divergence; run hrdb fsck --against the shard map)"
                     sc.sid line name))
         in
-        match Hashtbl.find_opt tbl item with
+        match Relation.Item_map.find_opt item body with
         | None ->
-          Hashtbl.add tbl item sign;
-          Metrics.incr m_merged
-        | Some s when s = sign -> Metrics.incr m_dedup
+          Metrics.incr m_merged;
+          (Relation.Item_map.add item sign body, added + 1)
+        | Some s when s = sign ->
+          Metrics.incr m_dedup;
+          acc
         | Some _ ->
           raise
             (Shard_error
@@ -297,22 +303,30 @@ let merge_part name schema tbl sc body =
                   name sc.sid
                   (Item.to_string schema item)))
       end)
-    lines
+    (body, 0)
+    (String.split_on_char '\n' part)
 
 type gather_info = { gi_name : string; gi_shard : shard; gi_tuples : int }
 
-(* Pull [names] (each from its scope's shards) in one round. Only once
-   every reply is in does a failure raise: the first unreachable or
-   refusing shard in send order, else a divergence found while merging.
-   The merged extensions replace the local catalog's empty relations. *)
+(* Pull [scoped] relations (each from its scope's shards, narrowed to
+   its probed node's meeting set when the scope names one) in one round.
+   Only once every reply is in does a failure raise: the first
+   unreachable or refusing shard in send order, else a divergence found
+   while merging. The merged extensions replace the local catalog's
+   empty relations. *)
 let gather t scoped =
   let t0 = Metrics.now_ns () in
-  let pull (name, sids) = List.map (fun sid -> (shard_of t sid, name)) sids in
+  let pull (name, (sids, probe)) =
+    let payload =
+      match probe with None -> name | Some n -> name ^ "\n" ^ string_of_int n
+    in
+    List.map (fun sid -> (name, (shard_of t sid, payload))) sids
+  in
   let frames = List.concat_map pull scoped in
   Metrics.add m_pulls (List.length frames);
   let answers =
-    List.combine (List.map snd frames)
-      (collect t ~expected:Wire.shard_part (send t Wire.shard_pull frames))
+    List.combine (List.map fst frames)
+      (collect t ~expected:Wire.shard_part (send t Wire.shard_pull (List.map snd frames)))
   in
   let by_relation =
     List.map
@@ -330,20 +344,18 @@ let gather t scoped =
     List.concat_map
       (fun (name, answers) ->
         let schema = Relation.schema (Catalog.relation t.cat name) in
-        let tbl = Hashtbl.create 64 in
-        let merge = function
-          | sc, Reply body ->
-            let before = Hashtbl.length tbl in
-            merge_part name schema tbl sc body;
-            Some { gi_name = name; gi_shard = sc; gi_tuples = Hashtbl.length tbl - before }
-          | _, (Rejected _ | Down _) -> None
+        let body, infos =
+          List.fold_left
+            (fun (body, infos) -> function
+              | sc, Reply part ->
+                let body, added = merge_part name schema body sc part in
+                (body, { gi_name = name; gi_shard = sc; gi_tuples = added } :: infos)
+              | _, (Rejected _ | Down _) -> (body, infos))
+            (Relation.Item_map.empty, []) answers
         in
-        let infos = List.filter_map merge answers in
-        Catalog.replace_relation t.cat
-          (Hashtbl.fold (fun item sign r -> Relation.set r item sign) tbl
-             (Relation.empty ~name schema));
+        Catalog.replace_relation t.cat (Relation.of_map ~name schema body);
         Metrics.observe h_fanout (List.length answers);
-        infos)
+        List.rev infos)
       by_relation
   in
   Metrics.observe h_gather (Metrics.now_ns () - t0);
@@ -527,7 +539,7 @@ let exec_stmt t stmt =
          that contradicts first: evaluated over the stored tuples, the
          statement fails as one node's does. *)
       with_gathered t
-        (List.map (fun n -> (n, Shard_map.ids t.map)) (mentioned_relations t stmt))
+        (List.map (fun n -> (n, (Shard_map.ids t.map, None))) (mentioned_relations t stmt))
         (fun _ -> Eval.exec t.cat stmt))
   | Ast.Let_binding { name = target; _ }
   | Ast.Consolidate target
@@ -537,7 +549,7 @@ let exec_stmt t stmt =
     let present = Catalog.find_relation t.cat target <> None in
     require_up t all;
     with_gathered t ~also:[ target ]
-      (List.map (fun n -> (n, all)) (mentioned_relations t stmt))
+      (List.map (fun n -> (n, (all, None))) (mentioned_relations t stmt))
       (fun _ ->
         let r = Eval.exec t.cat stmt in
         if Result.is_ok r then repartition t (Catalog.relation t.cat target) ~present;

@@ -31,16 +31,20 @@
     connection's reply FIFO stays in step whatever the round's outcome.
 
     {b Reads.} Every query statement gathers the stored tuples of the
-    relations it mentions in one [SHARD_PULL] round (restricted to the
-    cover of the selected subtree when the plan selects on a relation's
-    first attribute; all shards otherwise), merges them with
+    relations it mentions in one [SHARD_PULL] round, merges them with
     exact-identity dedup — a replica pair diverging in sign is reported
     as a cross-shard divergence error, never silently resolved — and
-    evaluates the statement locally on the merged catalog. The output
-    is byte-identical to a single-node server on the same script. A
-    failed read reports the first unreachable or refusing shard in send
-    order, else the divergence, and leaves every shard in step for the
-    next round. [EXPLAIN ANALYZE] appends a per-shard breakdown (tuples
+    evaluates the statement locally on the merged catalog. A point
+    read — a [SELECT] whose plan selects on a relation's first
+    attribute, or [ASK] / [EXPLAIN] at an item — pulls only from the
+    cover of the probed node, and only that node's meeting set (the
+    tuples whose first coordinate meets it): its answer depends on no
+    other tuple ([docs/SEMANTICS.md] §3, Lemma E). Every other read
+    pulls whole relations from every shard. The output is
+    byte-identical to a single-node server on the same script. A failed
+    read reports the first unreachable or refusing shard in send order,
+    else the divergence, and leaves every shard in step for the next
+    round. [EXPLAIN ANALYZE] appends a per-shard breakdown (tuples
     pulled, head LSN per shard). [LET] / [CONSOLIDATE] / [EXPLICATE]
     gather, compute locally, and repartition the result back to the
     shards.

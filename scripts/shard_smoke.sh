@@ -104,6 +104,14 @@ run_both "CONSOLIDATE flies;"
 run_both "SELECT * FROM flies;"
 run_both "DELETE FROM flies VALUES (rex);"
 run_both "SELECT * FROM nosuch;"
+# scoped reads pull only the probed node's meeting set from its cover:
+# a multi-parent instance, a class spanning both subtrees, an EXPLAIN
+run_both "CREATE CLASS pet UNDER animal; CREATE INSTANCE polly OF penguin, pet;
+          CREATE INSTANCE pip OF sparrow, pet;"
+run_both "INSERT INTO flies VALUES (+ ALL pet), (- pip);"
+run_both "ASK flies (polly);"
+run_both "SELECT * FROM flies WHERE who = ALL pet;"
+run_both "EXPLAIN flies (pip);"
 run_both "SHOW RELATIONS;"
 
 echo "== routing counters moved"

@@ -304,6 +304,47 @@ let test_ack_names_held_rows () =
         (refusal "INSERT INTO nosuch VALUES (+ rex);");
       Client.close conn)
 
+(* A node id local to [ddl]'s hierarchy: ids are assigned in DDL order,
+   so they agree with every server that ran [ddl]. *)
+let ddl_node name =
+  let cat = Catalog.create () in
+  (match Eval.run_script cat ddl with Ok _ -> () | Error e -> Alcotest.failf "ddl: %s" e);
+  Hierarchy.find_exn (Catalog.hierarchy cat "animal") name
+
+(* A SHARD_PULL whose node line is not a node of the relation's first
+   hierarchy, or names an unknown relation, gets one ERR; the shard
+   keeps serving the same connection. *)
+let test_malformed_pull () =
+  let port, pid = spawn_server () in
+  Fun.protect
+    ~finally:(fun () -> kill pid)
+    (fun () ->
+      let conn = Client.connect ~timeout:10.0 ~port () in
+      ignore (exec_ok conn ddl);
+      ignore (exec_ok conn "INSERT INTO flies VALUES (+ tweety), (+ jack), (- ALL bird);");
+      let pull payload =
+        Client.send conn Wire.shard_pull payload;
+        match Client.recv_any conn with
+        | Ok reply -> reply
+        | Error e -> Alcotest.failf "pull %S: %s" payload e
+      in
+      List.iter
+        (fun payload ->
+          match pull payload with
+          | "ERR", _ -> ()
+          | tag, body -> Alcotest.failf "pull %S answered %s %S" payload tag body)
+        [ "flies\nabc"; "flies\n99999"; "flies\n-1"; "nosuch\n0" ];
+      match pull (Printf.sprintf "flies\n%d" (ddl_node "tweety")) with
+      | tag, payload when tag = Wire.shard_part -> (
+        match Wire.parse_lsn_prefixed payload with
+        | Ok (_, body) ->
+          let line name sign = Printf.sprintf "%s %d" sign (ddl_node name) in
+          Alcotest.(check (list string)) "tweety's meeting set, in structural order"
+            [ line "bird" "-"; line "tweety" "+" ]
+            (List.filter (( <> ) "") (String.split_on_char '\n' body))
+        | Error e -> Alcotest.failf "part: %s" e)
+      | tag, body -> Alcotest.failf "a well-formed pull answered %s %S" tag body)
+
 let test_routing_and_fanout () =
   let _, _, rport, ports, pids, _ = deploy () in
   Fun.protect
@@ -408,6 +449,161 @@ let test_byte_identity () =
         Alcotest.(check bool) "per-shard breakdown" true
           (contains out "per-shard breakdown")
       | Error e -> Alcotest.failf "analyze: %s" e);
+      Client.close r;
+      Client.close s)
+
+(* An ASK routed to one shard merges only the stored tuples that meet
+   its item, not the shard's whole slice. *)
+let test_scoped_read_pulls_meeting_set () =
+  let _, _, rport, _, pids, _ = deploy () in
+  let sport, spid = spawn_server () in
+  Fun.protect
+    ~finally:(fun () -> List.iter kill (spid :: pids))
+    (fun () ->
+      let r = Client.connect ~timeout:10.0 ~port:rport () in
+      let s = Client.connect ~timeout:10.0 ~port:sport () in
+      List.iter
+        (fun stmt ->
+          Alcotest.(check string) stmt (exec_ok s stmt) (exec_ok r stmt))
+        [
+          ddl;
+          "INSERT INTO flies VALUES (- ALL animal), (+ ALL bird), (- ALL penguin), \
+           (+ tweety), (- opus), (+ jack), (+ rex);";
+        ];
+      let merged () = counter rport "shard.merged_tuples" in
+      let before = merged () in
+      Alcotest.(check string) "the answer is one node's" (exec_ok s "ASK flies (tweety);")
+        (exec_ok r "ASK flies (tweety);");
+      (* the penguin shard holds ALL animal, ALL bird, ALL penguin,
+         tweety and opus; all but opus meet tweety *)
+      Alcotest.(check int) "tuples meeting tweety" 4 (merged () - before);
+      Client.close r;
+      Client.close s)
+
+(* Seeded differential of the scoped reads — ASK, EXPLAIN and SELECT on
+   the first attribute, the reads a router narrows to the probed node's
+   meeting set — against one node, over a random multi-parent hierarchy
+   whose classes span the shard map's subtrees. [tint] has two
+   attributes, and [amb] holds a conflict that DDL brought in after its
+   tuples, so error texts are compared too. *)
+let test_scoped_reads_match_one_node () =
+  let _, _, rport, _, pids, _ = deploy () in
+  let sport, spid = spawn_server () in
+  Fun.protect
+    ~finally:(fun () -> List.iter kill (spid :: pids))
+    (fun () ->
+      let r = Client.connect ~timeout:10.0 ~port:rport () in
+      let s = Client.connect ~timeout:10.0 ~port:sport () in
+      let rng = Prng.create (Int64.of_int (seed lxor 0x5C0)) in
+      let show = function Ok g -> "Ok " ^ g | Error g -> "Error " ^ g in
+      let differ stmt got want =
+        Alcotest.failf "(seed %d) %S: router %s, single node %s" seed stmt (show got)
+          (show want)
+      in
+      let same stmt =
+        let got = Client.exec r stmt and want = Client.exec s stmt in
+        if got <> want then differ stmt got want
+      in
+      (* The random writes only build the state the reads are checked
+         on: each goes to the single node once the router took it, and
+         must then be taken there too. (A router can refuse a write one
+         node takes: a shard checks the ambiguity constraint over its
+         whole slice, also at items outside its subtrees, whose
+         resolving tuples live on other shards.) *)
+      let write stmt =
+        match Client.exec r stmt with
+        | Ok _ as got ->
+          let want = Client.exec s stmt in
+          if got <> want then differ stmt got want
+        | Error _ -> ()
+      in
+      let classes = ref [| "animal"; "bird"; "penguin"; "sparrow" |] in
+      let instances = ref [||] in
+      let colors = ref [| "color" |] and hues = ref [||] in
+      let parents pool =
+        let a = Prng.pick rng !pool in
+        let b = Prng.pick rng !pool in
+        if a = b || Prng.bernoulli rng 0.4 then a else a ^ ", " ^ b
+      in
+      same
+        "CREATE DOMAIN animal; CREATE CLASS bird UNDER animal;\n\
+         CREATE CLASS penguin UNDER bird; CREATE CLASS sparrow UNDER bird;\n\
+         CREATE DOMAIN color;";
+      for i = 1 to 6 do
+        let c = Printf.sprintf "k%d" i in
+        same (Printf.sprintf "CREATE CLASS %s UNDER %s;" c (parents classes));
+        classes := Array.append !classes [| c |]
+      done;
+      for i = 1 to 10 do
+        let n = Printf.sprintf "i%d" i in
+        same (Printf.sprintf "CREATE INSTANCE %s OF %s;" n (parents classes));
+        instances := Array.append !instances [| n |]
+      done;
+      for i = 1 to 2 do
+        let c = Printf.sprintf "c%d" i in
+        same (Printf.sprintf "CREATE CLASS %s UNDER color;" c);
+        colors := Array.append !colors [| c |]
+      done;
+      for i = 1 to 4 do
+        let n = Printf.sprintf "h%d" i in
+        same (Printf.sprintf "CREATE INSTANCE %s OF %s;" n (parents colors));
+        hues := Array.append !hues [| n |]
+      done;
+      same
+        "CREATE RELATION flies (who: animal); CREATE RELATION amb (who: animal);\n\
+         CREATE RELATION tint (who: animal, hue: color);";
+      let value classes instances =
+        if Prng.bernoulli rng 0.5 then "ALL " ^ Prng.pick rng classes
+        else Prng.pick rng instances
+      in
+      let who () = value !classes !instances and hue () = value !colors !hues in
+      let sign () = if Prng.bernoulli rng 0.6 then "+" else "-" in
+      for _ = 1 to 30 do
+        write (Printf.sprintf "INSERT INTO flies VALUES (%s %s);" (sign ()) (who ()));
+        write (Printf.sprintf "INSERT INTO tint VALUES (%s %s, %s);" (sign ()) (who ()) (hue ()));
+        if Prng.bernoulli rng 0.2 then
+          write (Printf.sprintf "INSERT INTO amb VALUES (%s %s);" (sign ()) (who ()))
+      done;
+      (* two fresh classes in different subtrees, then an instance under
+         both: [amb] conflicts there *)
+      same
+        "CREATE CLASS pa UNDER penguin; CREATE CLASS sb UNDER sparrow;\n\
+         INSERT INTO amb VALUES (+ ALL pa), (- ALL sb);\n\
+         CREATE INSTANCE both OF pa, sb;";
+      classes := Array.append !classes [| "pa"; "sb" |];
+      instances := Array.append !instances [| "both" |];
+      let probes =
+        Array.to_list (Array.map (fun c -> "ALL " ^ c) !classes)
+        @ Array.to_list !instances
+      in
+      List.iter
+        (fun v ->
+          let name =
+            match String.index_opt v ' ' with
+            | Some i -> String.sub v (i + 1) (String.length v - i - 1)
+            | None -> v
+          in
+          List.iter
+            (fun (rel, args) ->
+              same (Printf.sprintf "ASK %s (%s%s);" rel v args);
+              same (Printf.sprintf "ASK %s (%s%s) UNDER ON-PATH;" rel v args);
+              same (Printf.sprintf "EXPLAIN %s (%s%s);" rel v args);
+              same (Printf.sprintf "SELECT * FROM %s WHERE who = %s;" rel name);
+              same (Printf.sprintf "SELECT * FROM %s WHERE who = ALL %s;" rel name))
+            [ ("flies", ""); ("amb", ""); ("tint", ", " ^ hue ()) ])
+        probes;
+      List.iter same
+        [
+          "ASK flies (nosuch);";
+          "ASK nosuch (i1);";
+          "EXPLAIN tint (i1, nosuch);";
+          "EXPLAIN tint (nosuch, h1);";
+          "SELECT * FROM flies WHERE who = nosuch;";
+          "SELECT * FROM tint WHERE who = ALL nosuch;";
+          "SELECT * FROM nosuch WHERE who = i1;";
+          "SELECT * FROM flies WHERE nosuch = i1;";
+          "ASK tint (i1);";
+        ];
       Client.close r;
       Client.close s)
 
@@ -984,10 +1180,15 @@ let suite =
     Alcotest.test_case "a DDL run packs into frame-sized scripts" `Quick test_run_scripts;
     Alcotest.test_case "a shard's ack names the rows it already held" `Quick
       test_ack_names_held_rows;
+    Alcotest.test_case "a malformed shard pull answers ERR" `Quick test_malformed_pull;
     Alcotest.test_case "routing and cross-subtree fan-out" `Quick
       test_routing_and_fanout;
     Alcotest.test_case "scatter-gather is byte-identical to one node" `Quick
       test_byte_identity;
+    Alcotest.test_case "a scoped read pulls the probed node's meeting set" `Quick
+      test_scoped_read_pulls_meeting_set;
+    Alcotest.test_case "scoped reads match one node (random hierarchies)" `Quick
+      test_scoped_reads_match_one_node;
     Alcotest.test_case "randomized pipelined writes match one node" `Quick
       test_randomized_identity;
     Alcotest.test_case "a DDL run is one broadcast" `Quick test_ddl_run_is_one_broadcast;
